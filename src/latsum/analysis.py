@@ -9,22 +9,19 @@ from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
+from .corpus import CorpusEntry
 from .errors import LatsumError
 from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec
 from .lattice import (
     DEFAULT_MAX_SUBGROUPS,
+    STRUCTURE_CYCLIC,
+    STRUCTURE_OTHER,
+    STRUCTURE_S3,
     StructuralProfile,
     enumerate_subgroups,
     recognize,
 )
-from .sigma import (
-    Classification,
-    VERDICT_AT,
-    VERDICT_BELOW,
-    STRUCTURE_CYCLIC,
-    STRUCTURE_OTHER,
-    classify,
-)
+from .sigma import VERDICT_AT, VERDICT_BELOW, Classification, classify
 
 DISPLAY_DIGITS = 12
 
@@ -120,21 +117,9 @@ def analyze_group(
     )
 
 
-def analyze_spec(
-    spec: GroupSpec,
-    max_order: int = DEFAULT_ORDER_CAP,
-    max_subgroups: int = DEFAULT_MAX_SUBGROUPS,
-) -> AnalysisReport:
-    return analyze_group(spec.build(max_order), max_subgroups, label=str(spec))
-
-
 # ---------------------------------------------------------------------------
 # corpus verification
 # ---------------------------------------------------------------------------
-
-CorpusEntry = tuple[str, "GroupSpec | list[list[int]]"]
-"""A labelled group to verify: either a declarative spec or a raw table."""
-
 
 @dataclass
 class EntryResult:
@@ -186,7 +171,7 @@ class VerificationSummary:
             if r.verdict == VERDICT_BELOW:
                 counts["below_implies_nilpotent"][0 if r.profile.is_nilpotent else 1] += 1
             elif r.verdict == VERDICT_AT:
-                ok = r.profile.is_nilpotent or r.profile.recognized_as == "S3"
+                ok = r.profile.is_nilpotent or r.profile.structure == STRUCTURE_S3
                 counts["at_implies_nilpotent_or_s3"][0 if ok else 1] += 1
         return {name: {"pass": p, "fail": f} for name, (p, f) in counts.items()}
 

@@ -10,6 +10,7 @@ import argparse
 import json
 import os
 import sys
+import traceback
 from pathlib import Path
 
 from .analysis import (
@@ -318,6 +319,9 @@ def main(argv: list[str] | None = None) -> int:
         return args.func(args)
     except LatsumError as exc:
         return _fail(EXIT_INFRA, f"error: {exc}")
+    except Exception as exc:  # exit 1 is reserved for a classification violation
+        at = traceback.extract_tb(exc.__traceback__)[-1]
+        return _fail(EXIT_INFRA, f"internal error: {type(exc).__name__}: {exc} (at {Path(at.filename).name}:{at.lineno})")
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec, symmetric_group
 from .lattice import DEFAULT_MAX_SUBGROUPS, Subgroup, enumerate_subgroups
 
 CorpusEntry = tuple[str, "GroupSpec | list[list[int]]"]
+"""A labelled group to verify: either a declarative spec or a raw table."""
 
 DEFAULT_CYCLIC_MAX = 200
 DEFAULT_ELEM_MAX = 256

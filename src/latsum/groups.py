@@ -11,7 +11,7 @@ import re
 from dataclasses import dataclass
 from itertools import permutations
 from pathlib import Path
-from typing import Iterable, Sequence
+from typing import Sequence
 
 import numpy as np
 
@@ -25,10 +25,6 @@ from .errors import (
 )
 
 DEFAULT_ORDER_CAP = 2000
-
-# full n^3 associativity scans are affordable up to here; above it we sample
-FULL_ASSOC_CHECK_MAX = 512
-ASSOC_SAMPLE_SEED = 0xA55
 
 
 class Group:
@@ -55,29 +51,6 @@ class Group:
 
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
-
-    def mul(self, a: int, b: int) -> int:
-        return self.table[a][b]
-
-    def inv(self, a: int) -> int:
-        return self.inverse[a]
-
-    def conjugate(self, a: int, x: int) -> int:
-        """x * a * x^-1."""
-        t = self.table
-        return t[t[x][a]][self.inverse[x]]
-
-    def power(self, a: int, k: int) -> int:
-        if k < 0:
-            a, k = self.inverse[a], -k
-        out = 0
-        row = a
-        while k:
-            if k & 1:
-                out = self.table[out][row]
-            k >>= 1
-            row = self.table[row][row] if k else row
-        return out
 
     def element_order(self, a: int) -> int:
         """Least k >= 1 with a^k = identity; always divides the group order."""
@@ -121,18 +94,30 @@ class Group:
         return None
 
     def generating_set(self) -> tuple[int, ...]:
-        """A small generating set, chosen greedily over ascending element indices."""
+        """A small generating set, chosen greedily over ascending element indices.
+
+        Each element not yet reached by right multiplication from the identity
+        becomes a generator.  Unlike ``generated_mask``, the closure is walked
+        to the end: its half-group exit rests on Lagrange, and ``validate``
+        uses this set before the table is known to be a group.
+        """
         if self._gens is None:
-            gens: tuple[int, ...] = ()
-            span = 1
+            table = self.table
+            reached = bytearray(self.order)
+            reached[0] = 1
+            members = [0]
+            gens: list[int] = []
             for a in range(1, self.order):
-                if span >> a & 1:
+                if reached[a]:
                     continue
-                gens = gens + (a,)
-                span = generated_mask(self, gens)
-                if span == (1 << self.order) - 1:
-                    break
-            self._gens = gens
+                gens.append(a)
+                for y in members:  # also visits the members appended below
+                    for g in gens:
+                        z = table[y][g]
+                        if not reached[z]:
+                            reached[z] = 1
+                            members.append(z)
+            self._gens = tuple(gens)
         return self._gens
 
     def dump_table(self) -> str:
@@ -141,12 +126,16 @@ class Group:
         lines.extend(" ".join(map(str, row)) for row in self.table)
         return "\n".join(lines) + "\n"
 
-    def validate(self, full_assoc_max: int = FULL_ASSOC_CHECK_MAX) -> None:
-        """Check the Latin-square, identity, inverse, and associativity laws.
+    def validate(self) -> None:
+        """Check the Latin-square, identity, inverse, and associativity laws exactly.
 
-        Associativity is scanned exhaustively up to ``full_assoc_max`` and on
-        10*n^2 deterministically seeded random triples above it.  Raises
-        InvalidTable on the first failure.
+        Associativity uses Light's test (Clifford & Preston, *The Algebraic
+        Theory of Semigroups* I, 1961, section 1.2): the elements g with
+        (x*g)*y == x*(g*y) for all x, y are closed under multiplication and
+        include the identity, so it suffices to check every g in
+        ``generating_set()``, whose right-multiplication closure from the
+        identity is the whole table.  That is one n x n gather pair per
+        generator.  Raises InvalidTable on the first failure.
         """
         n = self.order
         arr = np.asarray(self.table, dtype=np.int64)
@@ -162,19 +151,10 @@ class Group:
         inv = np.asarray(self.inverse, dtype=np.int64)
         if not (arr[expected, inv] == 0).all():
             raise InvalidTable("inverse law fails")
-        if n <= full_assoc_max:
-            for a in range(n):
-                # (a*b)*c vs a*(b*c) for all b, c at once
-                if not (arr[arr[a]] == arr[a][arr]).all():
-                    raise InvalidTable(f"associativity fails for a={a}")
-        else:
-            rng = np.random.default_rng(ASSOC_SAMPLE_SEED)
-            m = 10 * n * n
-            a = rng.integers(0, n, size=m)
-            b = rng.integers(0, n, size=m)
-            c = rng.integers(0, n, size=m)
-            if not (arr[arr[a, b], c] == arr[a, arr[b, c]]).all():
-                raise InvalidTable("associativity fails on sampled triples")
+        for g in self.generating_set():
+            # (x*g)*y vs x*(g*y) for all x, y at once
+            if not (arr[arr[:, g]] == arr[:, arr[g]]).all():
+                raise InvalidTable(f"associativity fails for g={g}")
 
 
 def generated_mask(group: Group, gens: Sequence[int], seed_mask: int = 1) -> int:
@@ -214,6 +194,17 @@ def generated_mask(group: Group, gens: Sequence[int], seed_mask: int = 1) -> int
             return (1 << n) - 1
         frontier = nxt
     return mask
+
+
+def conjugate_mask(group: Group, mask: int, x: int) -> int:
+    """Bitmask of x * H * x^-1, where ``mask`` is the bitmask of H."""
+    table = group.table
+    rowx = table[x]
+    ix = group.inverse[x]
+    out = 0
+    for m in _mask_members(mask):
+        out |= 1 << table[rowx[m]][ix]
+    return out
 
 
 def _mask_members(mask: int) -> list[int]:
@@ -392,14 +383,8 @@ def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> 
     members = _mask_members(normal_mask)
     if not normal_mask & 1:
         raise NotNormal("subgroup mask does not contain the identity")
-    for x in group.generating_set():
-        conj = 0
-        rowx = table[x]
-        ix = group.inverse[x]
-        for m in members:
-            conj |= 1 << table[rowx[m]][ix]
-        if conj != normal_mask:
-            raise NotNormal(f"subgroup of order {len(members)} is not normal in {group.label}")
+    if any(conjugate_mask(group, normal_mask, x) != normal_mask for x in group.generating_set()):
+        raise NotNormal(f"subgroup of order {len(members)} is not normal in {group.label}")
     coset_of = [-1] * n
     reps: list[int] = []
     for a in range(n):
@@ -522,18 +507,6 @@ class GroupSpec:
     @classmethod
     def semidirect_pq(cls, p: int, q: int, t: int | None = None) -> "GroupSpec":
         return cls("pq", (p, q) if t is None else (p, q, t))
-
-    @classmethod
-    def direct_product(cls, parts: Iterable["GroupSpec"]) -> "GroupSpec":
-        return cls("product", parts=tuple(parts))
-
-    @classmethod
-    def raw_table(cls, path: str) -> "GroupSpec":
-        return cls("table", path=path)
-
-    @classmethod
-    def perm_generators(cls, path: str) -> "GroupSpec":
-        return cls("perm", path=path)
 
     def __str__(self) -> str:
         if self.kind == "product":

@@ -2,21 +2,31 @@
 
 from __future__ import annotations
 
+import math
 from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations, product
 
 from .arith import factorize, gaussian_subgroup_count
 from .errors import LatticeTooLarge, NotAPGroup
-from .groups import Group, _mask_members, generated_mask
+from .groups import Group, _mask_members, conjugate_mask, generated_mask
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
-RECOGNIZED_CYCLIC = "CyclicN"
-RECOGNIZED_Z2XZ2 = "Z2xZ2"
-RECOGNIZED_Z3XZ3 = "Z3xZ3"
-RECOGNIZED_S3 = "S3"
-RECOGNIZED_NONE = "None"
+# The structure names classify() reports, each mapped to the name that
+# recognize() reports in ``recognized_as``: one name table for both.
+STRUCTURE_CYCLIC = "Cyclic"
+STRUCTURE_Z2XZ2 = "Z2xZ2"
+STRUCTURE_Z3XZ3 = "Z3xZ3"
+STRUCTURE_S3 = "S3"
+STRUCTURE_OTHER = "Other"
+RECOGNIZED_AS = {
+    STRUCTURE_CYCLIC: "CyclicN",
+    STRUCTURE_Z2XZ2: "Z2xZ2",
+    STRUCTURE_Z3XZ3: "Z3xZ3",
+    STRUCTURE_S3: "S3",
+    STRUCTURE_OTHER: "None",
+}
 
 
 class Subgroup:
@@ -45,27 +55,8 @@ class Subgroup:
     def members(self) -> list[int]:
         return _mask_members(self.mask)
 
-    def contains(self, a: int) -> bool:
-        return bool(self.mask >> a & 1)
-
     def contains_subgroup(self, other: "Subgroup") -> bool:
         return self.mask & other.mask == other.mask
-
-
-def subgroup_generators(group: Group, sub: Subgroup) -> tuple[int, ...]:
-    """Generators for ``sub``, computing and caching a greedy set if absent."""
-    if sub.gens is None:
-        gens: tuple[int, ...] = ()
-        span = 1
-        for a in sub.members():
-            if span >> a & 1:
-                continue
-            gens = gens + (a,)
-            span = generated_mask(group, gens)
-            if span == sub.mask:
-                break
-        sub.gens = gens
-    return sub.gens
 
 
 @dataclass
@@ -258,16 +249,7 @@ def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: i
 
 def conjugate_subgroup(group: Group, sub: Subgroup, x: int) -> Subgroup:
     """The conjugate x * H * x^-1."""
-    table = group.table
-    rowx = table[x]
-    ix = group.inverse[x]
-    mask = 0
-    for m in sub.members():
-        mask |= 1 << table[rowx[m]][ix]
-    gens = None
-    if sub.gens is not None:
-        gens = tuple(table[rowx[g]][ix] for g in sub.gens)
-    return Subgroup(mask, gens)
+    return Subgroup(conjugate_mask(group, sub.mask, x))
 
 
 def is_normal(group: Group, sub: Subgroup) -> bool:
@@ -277,10 +259,7 @@ def is_normal(group: Group, sub: Subgroup) -> bool:
     the normalizer is a subgroup, so containing the generators means it is
     the whole group.
     """
-    for x in group.generating_set():
-        if conjugate_subgroup(group, sub, x).mask != sub.mask:
-            return False
-    return True
+    return all(conjugate_mask(group, sub.mask, x) == sub.mask for x in group.generating_set())
 
 
 def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
@@ -303,7 +282,7 @@ def normalizer(group: Group, sub: Subgroup) -> Subgroup:
     """The largest subgroup in which ``sub`` is normal."""
     mask = 0
     for x in range(group.order):
-        if conjugate_subgroup(group, sub, x).mask == sub.mask:
+        if conjugate_mask(group, sub.mask, x) == sub.mask:
             mask |= 1 << x
     return Subgroup(mask)
 
@@ -368,14 +347,7 @@ def sylow_decomposition(group: Group, lat: Lattice) -> list[Subgroup] | None:
             return None
         assert len(normal) == 1, f"multiple normal subgroups of Sylow order {target}"
         out.append(normal[0])
-    assert group.order == 1 or _product([s.order for s in out]) == group.order
-    return out
-
-
-def _product(values: list[int]) -> int:
-    out = 1
-    for v in values:
-        out *= v
+    assert math.prod(s.order for s in out) == group.order
     return out
 
 
@@ -408,7 +380,11 @@ class StructuralProfile:
     is_p_group: bool
     p_group_prime: int | None
     frattini_rank: int | None
-    recognized_as: str
+    structure: str
+
+    @property
+    def recognized_as(self) -> str:
+        return RECOGNIZED_AS[self.structure]
 
 
 def recognize(group: Group, lat: Lattice) -> StructuralProfile:
@@ -418,15 +394,15 @@ def recognize(group: Group, lat: Lattice) -> StructuralProfile:
     abelian = group.is_abelian
     p = group.p_group_prime()
     rank = frattini_rank(group, lat) if p is not None else None
-    recognized = RECOGNIZED_NONE
+    structure = STRUCTURE_OTHER
     if cyclic:
-        recognized = RECOGNIZED_CYCLIC
+        structure = STRUCTURE_CYCLIC
     elif n == 4 and group.exponent() == 2:
-        recognized = RECOGNIZED_Z2XZ2
+        structure = STRUCTURE_Z2XZ2
     elif n == 9 and group.exponent() == 3:
-        recognized = RECOGNIZED_Z3XZ3
+        structure = STRUCTURE_Z3XZ3
     elif n == 6 and not abelian:
-        recognized = RECOGNIZED_S3
+        structure = STRUCTURE_S3
     return StructuralProfile(
         is_cyclic=cyclic,
         is_abelian=abelian,
@@ -434,5 +410,5 @@ def recognize(group: Group, lat: Lattice) -> StructuralProfile:
         is_p_group=p is not None,
         p_group_prime=p,
         frattini_rank=rank,
-        recognized_as=recognized,
+        structure=structure,
     )

@@ -16,11 +16,11 @@ from .errors import NotCoprime, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group, direct_product_group, quotient_group
 from .lattice import (
     DEFAULT_MAX_SUBGROUPS,
+    STRUCTURE_CYCLIC,
+    STRUCTURE_S3,
+    STRUCTURE_Z2XZ2,
+    STRUCTURE_Z3XZ3,
     Lattice,
-    RECOGNIZED_CYCLIC,
-    RECOGNIZED_S3,
-    RECOGNIZED_Z2XZ2,
-    RECOGNIZED_Z3XZ3,
     enumerate_subgroups,
     is_normal,
     recognize,
@@ -29,19 +29,6 @@ from .lattice import (
 VERDICT_BELOW = "BelowThreshold"
 VERDICT_AT = "AtThreshold"
 VERDICT_ABOVE = "AboveThreshold"
-
-STRUCTURE_CYCLIC = "Cyclic"
-STRUCTURE_Z2XZ2 = "Z2xZ2"
-STRUCTURE_Z3XZ3 = "Z3xZ3"
-STRUCTURE_S3 = "S3"
-STRUCTURE_OTHER = "Other"
-
-_STRUCTURE_FROM_RECOGNIZED = {
-    RECOGNIZED_CYCLIC: STRUCTURE_CYCLIC,
-    RECOGNIZED_Z2XZ2: STRUCTURE_Z2XZ2,
-    RECOGNIZED_Z3XZ3: STRUCTURE_Z3XZ3,
-    RECOGNIZED_S3: STRUCTURE_S3,
-}
 
 
 def sigma1(group: Group, lat: Lattice) -> Fraction:
@@ -86,7 +73,7 @@ def classify(group: Group, lat: Lattice, profile=None) -> Classification:
         verdict = VERDICT_ABOVE
     if profile is None:
         profile = recognize(group, lat)
-    structure = _STRUCTURE_FROM_RECOGNIZED.get(profile.recognized_as, STRUCTURE_OTHER)
+    structure = profile.structure
     # structure recognition runs independently of the verdict; consistency is
     # then a real check, capable of falsifying the classification
     if structure == STRUCTURE_CYCLIC:

@@ -1,8 +1,12 @@
-"""Brute-force oracles, deliberately independent of the library's algorithms."""
+"""Brute-force oracles, deliberately independent of the library's algorithms,
+and the small group utilities that only the tests use."""
 
 from itertools import combinations
 
-from latsum import Group
+import numpy as np
+
+from latsum import Group, Subgroup
+from latsum.groups import generated_mask
 
 
 def trial_division_sigma(n: int) -> int:
@@ -52,3 +56,71 @@ def naive_order_census(group: Group) -> dict[int, int]:
         size = mask.bit_count()
         census[size] = census.get(size, 0) + 1
     return dict(sorted(census.items()))
+
+
+def associativity_failure(table: list[list[int]]) -> tuple[int, int, int] | None:
+    """The first triple (a, b, c) with (a*b)*c != a*(b*c), by scanning all n^3."""
+    arr = np.asarray(table, dtype=np.int64)
+    for a in range(len(table)):
+        # (a*b)*c vs a*(b*c) for all b, c at once
+        bad = np.argwhere(arr[arr[a]] != arr[a][arr])
+        if len(bad):
+            b, c = bad[0]
+            return a, int(b), int(c)
+    return None
+
+
+def intercalates(table: list[list[int]]) -> list[tuple[int, int, int, int]]:
+    """Every 2x2 Latin subsquare (r1, r2, c1, c2) that avoids row and column 0."""
+    n = len(table)
+    out = []
+    for r1 in range(1, n):
+        for r2 in range(r1 + 1, n):
+            for c1 in range(1, n):
+                for c2 in range(c1 + 1, n):
+                    if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]:
+                        out.append((r1, r2, c1, c2))
+    return out
+
+
+def swap_intercalate(table: list[list[int]], square: tuple[int, int, int, int]) -> list[list[int]]:
+    """A copy of the table with the two symbols of one intercalate exchanged.
+
+    The result is still a Latin square with the identity at 0, so only the
+    associativity check can reject it.
+    """
+    r1, r2, c1, c2 = square
+    out = [list(row) for row in table]
+    out[r1][c1], out[r1][c2] = out[r1][c2], out[r1][c1]
+    out[r2][c1], out[r2][c2] = out[r2][c2], out[r2][c1]
+    return out
+
+
+def power(group: Group, a: int, k: int) -> int:
+    """a^k by square-and-multiply; negative k goes through the inverse."""
+    if k < 0:
+        a, k = group.inverse[a], -k
+    out = 0
+    row = a
+    while k:
+        if k & 1:
+            out = group.table[out][row]
+        k >>= 1
+        row = group.table[row][row] if k else row
+    return out
+
+
+def subgroup_generators(group: Group, sub: Subgroup) -> tuple[int, ...]:
+    """Generators for ``sub``, computing and caching a greedy set if absent."""
+    if sub.gens is None:
+        gens: tuple[int, ...] = ()
+        span = 1
+        for a in sub.members():
+            if span >> a & 1:
+                continue
+            gens = gens + (a,)
+            span = generated_mask(group, gens)
+            if span == sub.mask:
+                break
+        sub.gens = gens
+    return sub.gens

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 
 import pytest
 
@@ -11,7 +12,7 @@ from latsum import (
     odd_part_inequality_scan,
     scan_threshold,
 )
-from latsum.arith import factorize, is_prime, nth_prime, primes
+from latsum.arith import MAX_SIEVE_LIMIT, factorize, is_prime, nth_prime, primes
 
 from helpers import trial_division_sigma
 
@@ -54,6 +55,50 @@ def test_sieve_rejects_silly_limits():
         build_sieve(0)
     with pytest.raises(LimitTooLarge):
         build_sieve(10**9)
+
+
+def test_sieve_matches_trial_division_at_sqrt_edges():
+    # limits on both sides of squares and prime squares, the edges of any
+    # sieve that stops its divisor loop at sqrt(limit)
+    for limit in (1, 2, 3, 4, 8, 9, 10, 99, 100, 101, 10_201):
+        table = build_sieve(limit).table
+        assert len(table) == limit + 1
+        if limit <= 101:
+            ns = range(1, limit + 1)
+        else:
+            # 10201 = 101^2: the multiples of the last two d, and the tail
+            ns = sorted({*range(100, limit + 1, 100), *range(101, limit + 1, 101), *range(limit - 100, limit + 1)})
+        for n in ns:
+            assert int(table[n]) == trial_division_sigma(n), (limit, n)
+    sieve = build_sieve(10_201)
+    assert all(sieve.sigma(n) == divisor_sigma(n) for n in range(1, 10_202))
+
+
+def test_sieve_limit_checked_before_allocation():
+    tracemalloc.start()
+    try:
+        with pytest.raises(LimitTooLarge):
+            build_sieve(MAX_SIEVE_LIMIT + 1)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
+def test_scans_match_loop_and_return_python_ints():
+    limit = 40_000
+    sieve = build_sieve(limit)
+    sigma = {n: sieve.sigma(n) for n in range(1, limit + 1)}
+    scan = scan_threshold(sieve)
+    assert scan.equal == (12, 70, 88, 1888, 4030, 5830, 32128)
+    assert scan.equal == tuple(n for n, s in sigma.items() if s == 2 * n + 4)
+    assert scan.below_count == sum(s < 2 * n + 4 for n, s in sigma.items())
+    assert scan.above_count == sum(s > 2 * n + 4 for n, s in sigma.items())
+    report = odd_part_inequality_scan(limit, sieve)
+    assert report.checked == len(range(3, limit + 1, 2))
+    assert report.violations == tuple(n for n in range(3, limit + 1, 2) if 11 * sigma[n] <= 8 * n + 4)
+    values = [sigma[limit], scan.below_count, scan.above_count, *scan.equal, report.checked]
+    assert all(type(v) is int for v in values)
 
 
 def test_divisor_sigma_matches_oracle():

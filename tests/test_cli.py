@@ -1,5 +1,7 @@
 import json
 
+import latsum.analysis
+import latsum.cli
 from latsum.cli import main
 
 
@@ -113,6 +115,15 @@ def test_sigma_scan(capsys):
     assert doc["equal"] == [] and doc["below_count"] == 1
 
 
+def test_sigma_scan_json_serialises_python_ints(capsys):
+    # json.dumps rejects numpy integers, so a leaked one would fail here
+    code, out, _ = run_cli(capsys, "sigma-scan", "40000", "--json")
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["equal"] == [12, 70, 88, 1888, 4030, 5830, 32128]
+    assert doc["below_count"] + doc["above_count"] + len(doc["equal"]) == 40000
+
+
 def test_sigma_scan_limit_errors(capsys):
     code, _, _ = run_cli(capsys, "sigma-scan", "0")
     assert code == 2
@@ -220,3 +231,23 @@ def test_verify_extra_specs_and_error_isolation(capsys):
 def test_usage_error_on_unknown_command(capsys):
     code = main(["frobnicate"])
     assert code == 2
+
+
+def test_unexpected_exception_exits_5_not_1(capsys, monkeypatch):
+    # exit 1 is reserved for a classification violation
+    def broken(*args, **kwargs):
+        raise RuntimeError("injected")
+
+    monkeypatch.setattr(latsum.cli, "analyze_group", broken)
+    monkeypatch.setattr(latsum.analysis, "analyze_group", broken)
+    code, _, err = run_cli(capsys, "analyze", "cyclic:6")
+    assert code == 5
+    [line] = err.strip().splitlines()
+    assert line.startswith("internal error: RuntimeError: injected (at test_cli.py:")
+    code, _, err = run_cli(
+        capsys,
+        "verify", "--cyclic-max", "3", "--elem-max", "0", "--dihedral-max", "0",
+        "--pq-max", "0", "--ambient-sym", "0", "--workers", "1",
+    )
+    assert code == 5
+    assert "RuntimeError: injected" in err

@@ -1,7 +1,9 @@
 import math
+import random
 from collections import Counter
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from latsum import (
     Group,
@@ -24,7 +26,16 @@ from latsum import (
 )
 from latsum.groups import parse_cycles, smallest_order_p_residue
 
-from helpers import naive_permutation_closure
+from helpers import (
+    associativity_failure,
+    intercalates,
+    naive_permutation_closure,
+    power,
+    swap_intercalate,
+)
+
+# the order-5 Latin square with identity row and column that is not associative
+LOOP_5 = [[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 4, 0, 1, 3], [3, 2, 4, 0, 1], [4, 3, 1, 2, 0]]
 
 
 def assert_valid(group):
@@ -192,10 +203,9 @@ def test_raw_table_rejects_bad_input():
         group_from_raw_table("2\n1 0\n0 1\n")  # identity not at 0
     with pytest.raises(InvalidTable):
         group_from_raw_table("3\n0 1 2\n1 2 0\n")  # missing row
-    # order-5 Latin square with identity row/col that is not associative
-    rows = ["5", "0 1 2 3 4", "1 0 3 4 2", "2 4 0 1 3", "3 2 4 0 1", "4 3 1 2 0"]
+    assert associativity_failure(LOOP_5) is not None
     with pytest.raises(InvalidTable):
-        group_from_raw_table("\n".join(rows))
+        group_from_raw_table(Group(LOOP_5).dump_table())
 
 
 def test_validate_catches_tampering():
@@ -206,10 +216,65 @@ def test_validate_catches_tampering():
         g.validate()
 
 
-def test_validate_sampled_associativity_above_cutoff():
-    # orders above the exhaustive-scan cutoff go through seeded triple sampling
-    cyclic_group(600).validate()
-    cyclic_group(600).validate(full_assoc_max=600)  # exhaustive path agrees
+def test_validate_cyclic_600_agrees_with_oracle():
+    # above the old sampling cutoff of 512 the check is exact too
+    g = cyclic_group(600)
+    assert associativity_failure(g.table) is None
+    g.validate()
+
+
+def test_validate_catches_loop_times_cyclic_120():
+    table = direct_product_group([Group(LOOP_5), cyclic_group(120)]).table
+    assert len(table) == 600 and associativity_failure(table) is not None
+    with pytest.raises(InvalidTable, match="associativity"):
+        Group(table).validate()
+
+
+def test_validate_catches_one_swapped_intercalate_in_cyclic_600():
+    # rows r, r+300 and columns c, c+300 of Z_600 form an intercalate
+    table = swap_intercalate(cyclic_group(600).table, (1, 301, 1, 301))
+    assert associativity_failure(table) is not None
+    with pytest.raises(InvalidTable, match="associativity"):
+        Group(table).validate()
+
+
+SMALL_GROUPS = [
+    f"cyclic:{n}" for n in range(1, 13)
+] + ["dihedral:2", "dihedral:3", "dihedral:4", "dihedral:5", "dihedral:6", "elem:2,2", "elem:2,3",
+     "elem:3,2", "sym:3", "pq:2,5", "product:cyclic:2+cyclic:6", "product:sym:3+cyclic:2"]
+
+
+def relabelled(table: list[list[int]], rng: random.Random) -> list[list[int]]:
+    """The same group with its non-identity elements renamed at random."""
+    n = len(table)
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    pi = [0] + rest
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[pi[a]][pi[b]] = pi[table[a][b]]
+    return out
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=st.sampled_from(SMALL_GROUPS),
+    seed=st.integers(0, 2**32 - 1),
+    swap=st.booleans(),
+)
+def test_property_validate_matches_brute_force_associativity(spec, seed, swap):
+    rng = random.Random(seed)
+    table = relabelled(GroupSpec.parse(spec).build().table, rng)
+    squares = intercalates(table)
+    if swap and squares:
+        table = swap_intercalate(table, rng.choice(squares))
+    group = Group(table)
+    if associativity_failure(table) is None:
+        group.validate()
+    else:
+        with pytest.raises(InvalidTable, match="associativity"):
+            group.validate()
 
 
 def test_parse_cycles():
@@ -257,6 +322,6 @@ def test_generating_set_spans():
 
 def test_power():
     g = cyclic_group(10)
-    assert g.power(3, 0) == 0
-    assert g.power(3, 7) == 1
-    assert g.power(3, -1) == 7
+    assert power(g, 3, 0) == 0
+    assert power(g, 3, 7) == 1
+    assert power(g, 3, -1) == 7

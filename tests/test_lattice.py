@@ -25,9 +25,9 @@ from latsum import (
     sylow_decomposition,
 )
 from latsum.arith import divisors
-from latsum.lattice import _enumerate_worklist, subgroup_generators
+from latsum.lattice import _enumerate_worklist
 
-from helpers import brute_force_subgroup_masks, naive_order_census
+from helpers import brute_force_subgroup_masks, naive_order_census, subgroup_generators
 
 
 def lat_of(spec: str, cap: int = 100_000):

@@ -16,16 +16,14 @@ from latsum import (
     threshold,
     verify_classification,
 )
-from latsum.sigma import (
+from latsum.lattice import (
     STRUCTURE_CYCLIC,
     STRUCTURE_OTHER,
     STRUCTURE_S3,
     STRUCTURE_Z2XZ2,
     STRUCTURE_Z3XZ3,
-    VERDICT_ABOVE,
-    VERDICT_AT,
-    VERDICT_BELOW,
 )
+from latsum.sigma import VERDICT_ABOVE, VERDICT_AT, VERDICT_BELOW
 
 from helpers import trial_division_sigma
 
