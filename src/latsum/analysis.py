@@ -203,7 +203,7 @@ def _run_entry(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
         if group.order > max_order:
             raise LatsumError(f"order {group.order} exceeds cap {max_order}")
         return EntryResult(label, analyze_group(group, max_subgroups, label=label), None)
-    except LatsumError as exc:
+    except Exception as exc:  # a bug in one entry is reported against it, never aborts the run
         return EntryResult(label, None, f"{type(exc).__name__}: {exc}")
 
 

@@ -43,3 +43,7 @@ class SearchCapExceeded(LatsumError):
 
 class LimitTooLarge(LatsumError):
     """The requested sieve limit exceeds the supported budget."""
+
+
+class InvariantViolation(LatsumError):
+    """A mathematical fact the code relies on failed to hold: a bug, not bad input."""

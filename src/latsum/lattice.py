@@ -8,7 +8,7 @@ from dataclasses import dataclass
 from itertools import combinations, product
 
 from .arith import factorize, gaussian_subgroup_count
-from .errors import LatticeTooLarge, NotAPGroup
+from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, conjugate_mask, generated_mask
 
 DEFAULT_MAX_SUBGROUPS = 100_000
@@ -61,15 +61,20 @@ class Subgroup:
 
 @dataclass
 class Lattice:
-    """All subgroups of a group, canonically sorted by (order, mask)."""
+    """All subgroups of a group, canonically sorted by (order, mask).
+
+    ``maximals`` holds the maximal subgroups in the same order, as
+    ``enumerate_subgroups`` records them; a lattice built by hand may leave
+    it None, and ``maximal_subgroups`` then refuses it.
+    """
 
     group: Group
     subgroups: list[Subgroup]
     census: dict[int, int]
+    maximals: list[Subgroup] | None = None
 
     def __post_init__(self):
         self._mask_set = frozenset(s.mask for s in self.subgroups)
-        self._maximals: list[Subgroup] | None = None
 
     def __len__(self) -> int:
         return len(self.subgroups)
@@ -90,33 +95,65 @@ class Lattice:
 
 
 def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Lattice:
-    """Enumerate every subgroup of ``group`` exactly once.
+    """Enumerate every subgroup of ``group`` exactly once, and record which
+    of them are maximal.
 
-    The general route seeds the worklist with all cyclic subgroups <a> and
-    closes under single-element extensions: for each known subgroup H and
-    each coset representative x outside H, insert <H, x> if new, until a
-    fixpoint.  Elementary abelian groups of rank >= 2 instead enumerate
-    subspaces by echelon-form bases over GF(p), which produces the identical
-    lattice but scales to the rank-8 case over GF(2); the two routes are
-    cross-checked in the test suite.
+    The general route is the cyclic extension method (Neubüser 1960): seed
+    a worklist with the cyclic subgroups <a>, then for a queued subgroup H
+    and each coset representative x outside H, find <H, x>.  Only one
+    subgroup per conjugacy class is queued, but its whole class is recorded
+    at once: the extensions of gHg^-1 are the conjugates of the extensions
+    of H, so the lattice stays complete.  A queued H is maximal exactly
+    when every extension <H, x> is the whole group, and then so is every
+    conjugate of H.  In an abelian group every class is a single subgroup.
 
-    Raises LatticeTooLarge when the subgroup count exceeds ``max_subgroups``.
+    Elementary abelian groups of rank >= 2 instead enumerate subspaces by
+    echelon-form bases over GF(p), which produces the identical lattice but
+    scales to the rank-8 case over GF(2); their maximal subgroups are the
+    hyperplanes.  The two routes are cross-checked in the test suite.
+
+    Only class representatives keep ``gens``; the other subgroups carry
+    None.  Raises LatticeTooLarge when the subgroup count exceeds
+    ``max_subgroups``.
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
-        subs = _enumerate_elementary_abelian(group, *rank, max_subgroups)
+        p, k = rank
+        subs = _enumerate_elementary_abelian(group, p, k, max_subgroups)
+        maximals = [s for s in subs if s.order * p == group.order]
     else:
-        subs = _enumerate_worklist(group, max_subgroups)
-    subs.sort(key=lambda s: (s.order, s.mask))
+        subs, maximals = _enumerate_worklist(group, max_subgroups)
+    subs.sort(key=_canonical)
+    maximals.sort(key=_canonical)
     census = dict(sorted(Counter(s.order for s in subs).items()))
-    assert all(group.order % order == 0 for order in census), "Lagrange violated"
-    return Lattice(group=group, subgroups=subs, census=census)
+    if any(group.order % order for order in census):
+        raise InvariantViolation(f"Lagrange violated on {group.label}: census {census}")
+    return Lattice(group=group, subgroups=subs, census=census, maximals=maximals)
 
 
-def _enumerate_worklist(group: Group, max_subgroups: int) -> list[Subgroup]:
+def _canonical(sub: Subgroup) -> tuple[int, int]:
+    return (sub.order, sub.mask)
+
+
+def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
+    """(every subgroup, the maximal subgroups), extending one subgroup per class."""
     table = group.table
     n = group.order
-    seen: dict[int, tuple[int, ...]] = {}
+    full_mask = (1 << n) - 1
+    abelian = group.is_abelian
+    seen: dict[int, Subgroup] = {}
+    work: list[tuple[Subgroup, list[Subgroup]]] = []
+
+    def add_class(sub: Subgroup) -> None:
+        # seen stays closed under conjugation, so the whole class is new;
+        # the orbit holds sub itself, the one member that keeps its gens
+        orbit = [sub] if abelian else conjugates(group, sub)
+        for c in orbit:
+            seen[c.mask] = c
+        if len(seen) > max_subgroups:
+            raise LatticeTooLarge(f"more than {max_subgroups} subgroups")
+        work.append((sub, orbit))
+
     for a in range(n):
         mask = 1
         x = a
@@ -124,35 +161,31 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> list[Subgroup]:
             mask |= 1 << x
             x = table[x][a]
         if mask not in seen:
-            seen[mask] = (a,) if a else ()
-    if len(seen) > max_subgroups:
-        raise LatticeTooLarge(f"more than {max_subgroups} subgroups")
-    work = list(seen.items())
-    i = 0
-    full_mask = (1 << n) - 1
-    while i < len(work):
-        mask, gens = work[i]
-        i += 1
-        if mask == full_mask:
+            add_class(Subgroup(mask, (a,) if a else ()))
+    maximals: list[Subgroup] = []
+    for sub, orbit in work:  # also visits the classes appended below
+        if sub.mask == full_mask:
             continue
-        members = _mask_members(mask)
+        members = sub.members()
         covered = bytearray(n)
         for h in members:
             covered[h] = 1
+        maximal = True
         for x in range(1, n):
             if covered[x]:
                 continue
             # elements of the coset H*x all generate the same extension
             for h in members:
                 covered[table[h][x]] = 1
-            new_gens = gens + (x,)
-            new_mask = generated_mask(group, new_gens, seed_mask=mask)
+            new_gens = sub.gens + (x,)
+            new_mask = generated_mask(group, new_gens, seed_mask=sub.mask)
             if new_mask not in seen:
-                seen[new_mask] = new_gens
-                if len(seen) > max_subgroups:
-                    raise LatticeTooLarge(f"more than {max_subgroups} subgroups")
-                work.append((new_mask, new_gens))
-    return [Subgroup(mask, gens) for mask, gens in seen.items()]
+                add_class(Subgroup(new_mask, new_gens))
+            if new_mask != full_mask:
+                maximal = False
+        if maximal:
+            maximals.extend(orbit)
+    return list(seen.values()), maximals
 
 
 def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
@@ -199,7 +232,8 @@ def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: i
             for e in cur:
                 span_mask |= 1 << e
         span = grown
-    assert len(basis) == k, f"basis extraction found rank {len(basis)}, expected {k}"
+    if len(basis) != k:
+        raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
     # elems[c] = element whose coordinates are the base-p digits of c
     elems = [0]
     for b in basis:
@@ -238,7 +272,8 @@ def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: i
                 for e in span_elems:
                     mask |= 1 << e
                 subs.append(Subgroup(mask, tuple(elems[rc] for rc in rows)))
-    assert len(subs) == total
+    if len(subs) != total:
+        raise InvariantViolation(f"subspace route found {len(subs)} subgroups, expected {total}")
     return subs
 
 
@@ -288,25 +323,17 @@ def normalizer(group: Group, sub: Subgroup) -> Subgroup:
 
 
 def maximal_subgroups(lat: Lattice) -> list[Subgroup]:
-    """Proper subgroups with nothing strictly between them and the group.
+    """Proper subgroups with nothing strictly between them and the group,
+    sorted by (order, mask), as ``enumerate_subgroups`` recorded them.
 
-    Scans subgroups by descending order and keeps those contained in no
-    previously kept subgroup; every maximal overgroup has strictly larger
-    order, so it has already been seen when its subgroups are tested.
-    The result is cached on the lattice.
+    Raises LatsumError on a lattice that carries no recorded maximals.
     """
-    if lat._maximals is not None:
-        return lat._maximals
-    n = lat.group.order
-    maximals: list[Subgroup] = []
-    for sub in sorted(lat.subgroups, key=lambda s: -s.order):
-        if sub.order == n:
-            continue
-        if not any(m.contains_subgroup(sub) for m in maximals):
-            maximals.append(sub)
-    maximals.sort(key=lambda s: (s.order, s.mask))
-    lat._maximals = maximals
-    return maximals
+    if lat.maximals is None:
+        raise LatsumError(
+            f"the lattice of {lat.group.label} has no recorded maximal subgroups; "
+            "build it with enumerate_subgroups"
+        )
+    return lat.maximals
 
 
 def frattini(lat: Lattice) -> Subgroup:
@@ -328,11 +355,12 @@ def frattini_rank(group: Group, lat: Lattice) -> int:
     quotient_order = group.order // frattini(lat).order
     k = 0
     while quotient_order > 1:
-        assert quotient_order % p == 0
+        if quotient_order % p:
+            raise InvariantViolation(f"|G/Phi(G)| of {group.label} is not a power of {p}")
         quotient_order //= p
         k += 1
-    if not group.is_cyclic:
-        assert k >= 2, "non-cyclic p-group must need at least two generators"
+    if k < 2 and not group.is_cyclic:
+        raise InvariantViolation(f"non-cyclic p-group {group.label} has Frattini rank {k}, expected >= 2")
     return k
 
 
@@ -345,9 +373,11 @@ def sylow_decomposition(group: Group, lat: Lattice) -> list[Subgroup] | None:
         normal = [s for s in lat.subgroups_of_order(target) if is_normal(group, s)]
         if not normal:
             return None
-        assert len(normal) == 1, f"multiple normal subgroups of Sylow order {target}"
+        if len(normal) > 1:
+            raise InvariantViolation(f"{group.label} has {len(normal)} normal subgroups of Sylow order {target}")
         out.append(normal[0])
-    assert math.prod(s.order for s in out) == group.order
+    if math.prod(s.order for s in out) != group.order:
+        raise InvariantViolation(f"the Sylow orders of {group.label} do not multiply to {group.order}")
     return out
 
 
@@ -359,14 +389,16 @@ def is_nilpotent(group: Group, lat: Lattice) -> bool:
     """True when every maximal subgroup is normal.
 
     Cross-checked against the equivalent criterion that every Sylow subgroup
-    is normal; disagreement would mean an enumeration bug, so it is asserted.
+    is normal; disagreement would mean an enumeration bug, so it raises
+    InvariantViolation.
     """
     by_maximals = all_maximals_normal(group, lat)
     by_sylow = sylow_decomposition(group, lat) is not None
-    assert by_maximals == by_sylow, (
-        f"nilpotency criteria disagree on {group.label}: "
-        f"maximals-normal={by_maximals}, sylow-normal={by_sylow}"
-    )
+    if by_maximals != by_sylow:
+        raise InvariantViolation(
+            f"nilpotency criteria disagree on {group.label}: "
+            f"maximals-normal={by_maximals}, sylow-normal={by_sylow}"
+        )
     return by_maximals
 
 

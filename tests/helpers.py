@@ -6,7 +6,7 @@ from itertools import combinations
 import numpy as np
 
 from latsum import Group, Subgroup
-from latsum.groups import generated_mask
+from latsum.groups import _mask_members, generated_mask
 
 
 def trial_division_sigma(n: int) -> int:
@@ -36,6 +36,63 @@ def brute_force_subgroup_masks(group: Group) -> set[int]:
                     mask |= 1 << a
                 masks.add(mask)
     return masks
+
+
+def every_subgroup_worklist(group: Group) -> set[int]:
+    """All subgroup bitmasks by cyclic extension of every subgroup found.
+
+    Seeds with the cyclic subgroups <a> and inserts <H, x> for every known
+    H and every coset representative x outside H until a fixpoint, with no
+    use of conjugacy classes.  Cost grows with the whole lattice, so keep
+    the groups small.
+    """
+    table = group.table
+    n = group.order
+    seen: dict[int, tuple[int, ...]] = {}
+    for a in range(n):
+        mask = 1
+        x = a
+        while x:
+            mask |= 1 << x
+            x = table[x][a]
+        seen.setdefault(mask, (a,) if a else ())
+    work = list(seen.items())
+    full_mask = (1 << n) - 1
+    for mask, gens in work:  # also visits the subgroups appended below
+        if mask == full_mask:
+            continue
+        members = _mask_members(mask)
+        covered = bytearray(n)
+        for h in members:
+            covered[h] = 1
+        for x in range(1, n):
+            if covered[x]:
+                continue
+            for h in members:
+                covered[table[h][x]] = 1
+            new_gens = gens + (x,)
+            new_mask = generated_mask(group, new_gens, seed_mask=mask)
+            if new_mask not in seen:
+                seen[new_mask] = new_gens
+                work.append((new_mask, new_gens))
+    return set(seen)
+
+
+def descending_maximal_scan(order: int, subgroups) -> list[Subgroup]:
+    """Maximal subgroups by scanning ``subgroups`` in descending order.
+
+    A proper subgroup is kept when no previously kept subgroup contains it;
+    every maximal overgroup has strictly larger order, so it is kept before
+    its subgroups are tested.  Sorted by (order, mask).
+    """
+    maximals: list[Subgroup] = []
+    for sub in sorted(subgroups, key=lambda s: -s.order):
+        if sub.order == order:
+            continue
+        if not any(m.contains_subgroup(sub) for m in maximals):
+            maximals.append(sub)
+    maximals.sort(key=lambda s: (s.order, s.mask))
+    return maximals
 
 
 def naive_permutation_closure(degree: int, gens) -> set[tuple[int, ...]]:

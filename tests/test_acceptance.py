@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import json
 import math
 import random
 import time
@@ -26,6 +27,7 @@ from latsum import (
     enumerate_subgroups,
     gaussian_subgroup_count,
     is_normal,
+    maximal_subgroups,
     normalizer,
     odd_part_inequality_scan,
     quotient_group,
@@ -39,6 +41,7 @@ from latsum.lattice import all_maximals_normal, sylow_decomposition
 from latsum.sigma import VERDICT_AT, VERDICT_BELOW
 
 from helpers import trial_division_sigma
+from make_golden_lattices import GOLDEN_PATH, lattice_record
 
 
 def _report(criterion: str, started: float, budget: float | None = None) -> None:
@@ -108,6 +111,16 @@ def test_criterion_3_corpus_verification(corpus_objects):
                 at_hits.add(cls.structure)
     assert at_hits == {"Cyclic(12)", "Cyclic(70)", "Cyclic(88)", "Z3xZ3", "S3"}
     _report("criterion 3: corpus verification", started, budget=300.0)
+
+
+def test_corpus_lattices_match_golden_file(corpus_objects):
+    # the golden file was written by an earlier enumerator, one that extended
+    # every subgroup and found maximals by a containment scan
+    objects, _ = corpus_objects
+    golden = json.loads(GOLDEN_PATH.read_text(encoding="utf-8"))
+    assert sorted(golden) == sorted(objects)
+    for label, (_, lat, _, _) in objects.items():
+        assert lattice_record(lat, maximal_subgroups(lat)) == golden[label], label
 
 
 def test_criterion_4_below_threshold_nilpotent(corpus_objects):

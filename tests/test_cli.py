@@ -1,5 +1,7 @@
 import json
 
+import pytest
+
 import latsum.analysis
 import latsum.cli
 from latsum.cli import main
@@ -226,6 +228,31 @@ def test_verify_extra_specs_and_error_isolation(capsys):
     assert "cyclic:99999" in doc["errors"]
     assert any(e["label"] == "pq:3,7" for e in doc["entries"])
     assert "cyclic:99999" in err
+
+
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_records_unexpected_exception_against_its_entry(capsys, monkeypatch, workers):
+    # the pool forks its workers, so they see the patched analyze_group too
+    analyze_group = latsum.analysis.analyze_group
+
+    def broken_for_one(group, *args, label=None, **kwargs):
+        if label == "cyclic:4":
+            raise RuntimeError("injected")
+        return analyze_group(group, *args, label=label, **kwargs)
+
+    monkeypatch.setattr(latsum.analysis, "analyze_group", broken_for_one)
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--cyclic-max", "8", "--elem-max", "0", "--dihedral-max", "0",
+        "--pq-max", "0", "--ambient-sym", "0", "--extra", "pq:3,7",
+        "--workers", workers, "--json",
+    )
+    assert code == 5
+    doc = json.loads(out)
+    assert doc["errors"] == {"cyclic:4": "RuntimeError: injected"}
+    want = sorted(f"cyclic:{n}" for n in range(1, 9) if n != 4) + ["pq:3,7"]
+    assert [e["label"] for e in doc["entries"]] == want
+    assert "cyclic:4: RuntimeError: injected" in err
 
 
 def test_usage_error_on_unknown_command(capsys):

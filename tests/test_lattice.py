@@ -1,10 +1,18 @@
+import os
 import random
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
 from latsum import (
+    Group,
     GroupSpec,
+    LatsumError,
+    Lattice,
     LatticeTooLarge,
     NotAPGroup,
     conjugates,
@@ -25,9 +33,17 @@ from latsum import (
     sylow_decomposition,
 )
 from latsum.arith import divisors
-from latsum.lattice import _enumerate_worklist
+from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
+from latsum.groups import generated_mask
+from latsum.lattice import Subgroup, _enumerate_worklist
 
-from helpers import brute_force_subgroup_masks, naive_order_census, subgroup_generators
+from helpers import (
+    brute_force_subgroup_masks,
+    descending_maximal_scan,
+    every_subgroup_worklist,
+    naive_order_census,
+    subgroup_generators,
+)
 
 
 def lat_of(spec: str, cap: int = 100_000):
@@ -75,8 +91,9 @@ def test_fast_path_agrees_with_worklist():
     for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]:
         group = elementary_abelian_group(p, k)
         fast = enumerate_subgroups(group)
-        slow = _enumerate_worklist(group, 1_000_000)
-        assert sorted(s.mask for s in fast.subgroups) == sorted(s.mask for s in slow), (p, k)
+        assert {s.mask for s in fast.subgroups} == every_subgroup_worklist(group), (p, k)
+        want = descending_maximal_scan(group.order, fast.subgroups)
+        assert [m.mask for m in maximal_subgroups(fast)] == [m.mask for m in want], (p, k)
 
 
 def _unitriangular_order_27():
@@ -94,9 +111,40 @@ def _unitriangular_order_27():
                             table[idx(a1, b1, c1)][idx(a2, b2, c2)] = idx(
                                 (a1 + a2) % 3, (b1 + b2) % 3, (c1 + c2 + a1 * b2) % 3
                             )
-    from latsum import Group
-
     return Group(table, "unitriangular-27")
+
+
+def _oracle_groups():
+    groups = [spec.build() for spec in pq_specs(120) + dihedral_specs(30)]
+    for text in ["sym:3", "sym:4", "product:pq:2,3+cyclic:5", "product:sym:4+cyclic:5"]:
+        groups.append(GroupSpec.parse(text).build())
+    groups.append(_unitriangular_order_27())
+    s5 = symmetric_group(5)
+    for i, mask in enumerate(sorted(every_subgroup_worklist(s5))):
+        groups.append(subgroup_as_group(s5, Subgroup(mask), f"sym5-sub{i:03d}"))
+    return groups
+
+
+def test_class_enumeration_matches_every_subgroup_oracle():
+    groups = _oracle_groups()
+    assert len(groups) > 156 + 30
+    for group in groups:
+        lat = enumerate_subgroups(group)
+        masks = [s.mask for s in lat.subgroups]
+        assert len(masks) == len(set(masks)), group.label
+        assert set(masks) == every_subgroup_worklist(group), group.label
+        want = descending_maximal_scan(group.order, lat.subgroups)
+        assert [m.mask for m in maximal_subgroups(lat)] == [m.mask for m in want], group.label
+
+
+def test_one_representative_per_class_regenerates_its_mask():
+    for spec in ["sym:4", "pq:3,7", "dihedral:6", "product:pq:2,3+cyclic:5", "cyclic:12"]:
+        group, lat = lat_of(spec)
+        for sub in lat.subgroups:
+            orbit = {c.mask for c in conjugates(group, sub)}
+            reps = [s for s in lat.subgroups if s.mask in orbit and s.gens is not None]
+            assert len(reps) == 1, (spec, sub)
+            assert generated_mask(group, reps[0].gens) == reps[0].mask, spec
 
 
 def test_nonabelian_exponent_p_group_avoids_subspace_route():
@@ -136,6 +184,16 @@ def test_lattice_too_large():
     with pytest.raises(LatticeTooLarge):
         # worklist route must also respect the cap
         _enumerate_worklist(symmetric_group(4), 10)
+
+
+@pytest.mark.parametrize("spec, count", [("pq:2,241", 244), ("product:cyclic:4+cyclic:4", 15)])
+def test_lattice_cap_boundary(spec, count):
+    # a nonabelian group, whose classes enter the count whole, and an abelian
+    # one on the worklist route, where every class is a single subgroup
+    group = GroupSpec.parse(spec).build()
+    with pytest.raises(LatticeTooLarge):
+        enumerate_subgroups(group, max_subgroups=count - 1)
+    assert len(enumerate_subgroups(group, max_subgroups=count)) == count
 
 
 def test_normality():
@@ -198,6 +256,45 @@ def test_maximal_subgroups_brute(seed=3):
             if not proper_over:
                 want.append(sub.mask)
         assert sorted(want) == sorted(m.mask for m in maximal_subgroups(lat)), spec
+
+
+def test_maximal_subgroups_need_recorded_maximals():
+    group, lat = lat_of("sym:3")
+    by_hand = Lattice(group=group, subgroups=lat.subgroups, census=lat.census)
+    with pytest.raises(LatsumError, match="no recorded maximal subgroups"):
+        maximal_subgroups(by_hand)
+
+
+def test_invariant_violation_survives_python_O():
+    # cyclic:6 without its order-2 subgroup: the maximals the scan finds in
+    # what is left (the order-3 subgroup) are all normal, but there is no
+    # Sylow 2-subgroup, so the two nilpotency criteria disagree
+    code = textwrap.dedent(
+        """
+        from collections import Counter
+        from latsum import GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, is_nilpotent
+        from helpers import descending_maximal_scan
+
+        group = GroupSpec.parse("cyclic:6").build()
+        subs = [s for s in enumerate_subgroups(group).subgroups if s.order != 2]
+        census = dict(sorted(Counter(s.order for s in subs).items()))
+        maximals = descending_maximal_scan(group.order, subs)
+        print("debug", __debug__, "maximal orders", [m.order for m in maximals])
+        lat = Lattice(group=group, subgroups=subs, census=census, maximals=maximals)
+        try:
+            is_nilpotent(group, lat)
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
+        """
+    )
+    tests_dir = Path(__file__).parent
+    path = [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
+    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
+    assert done.returncode == 0, done.stderr
+    first, second = done.stdout.splitlines()
+    assert first == "debug False maximal orders [3]"
+    assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
 
 
 def test_non_normal_maximals_self_normalize():
