@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .corpus import CorpusEntry
-from .errors import LatsumError
+from .errors import InvariantViolation, LatsumError
 from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec
 from .lattice import (
     DEFAULT_MAX_SUBGROUPS,
@@ -53,7 +53,8 @@ class AnalysisReport:
     timing_ms: float
 
     def __post_init__(self):
-        assert sum(self.census.values()) == self.subgroup_count
+        if sum(self.census.values()) != self.subgroup_count:
+            raise InvariantViolation(f"census {self.census} of {self.label} does not sum to {self.subgroup_count}")
 
     @property
     def verdict(self) -> str:

@@ -7,7 +7,7 @@ from dataclasses import dataclass, field
 from fractions import Fraction
 from typing import Iterator
 
-from .errors import LimitTooLarge
+from .errors import InvariantViolation, LimitTooLarge
 
 # sigma(n) < n * (1 + ln n) stays far below 2**63 for any limit we allow,
 # so the sieve table can live in a machine-word array.
@@ -179,7 +179,7 @@ def gaussian_subgroup_count(k: int, p: int, i: int) -> int:
 
     Evaluates the Gaussian binomial prod_{j=1}^{i} (p^(k-i+j) - 1) / (p^j - 1)
     with interleaved multiply/divide; every prefix is itself a Gaussian
-    binomial, so each division is exact (asserted).
+    binomial, so each division is exact (checked).
     """
     if not 0 <= i <= k:
         raise ValueError(f"need 0 <= i <= k, got i={i}, k={k}")
@@ -188,7 +188,7 @@ def gaussian_subgroup_count(k: int, p: int, i: int) -> int:
         count *= p ** (k - i + j) - 1
         count, rem = divmod(count, p ** j - 1)
         if rem:
-            raise AssertionError(f"non-integral Gaussian binomial prefix at k={k}, p={p}, i={i}, j={j}")
+            raise InvariantViolation(f"non-integral Gaussian binomial prefix at k={k}, p={p}, i={i}, j={j}")
     return count
 
 

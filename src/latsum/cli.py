@@ -57,8 +57,13 @@ EXIT_CAP = 3
 EXIT_BAD_TABLE = 4
 EXIT_INFRA = 5
 
-_CAP_ERRORS = (OrderCapExceeded, LatticeTooLarge, LimitTooLarge, SearchCapExceeded)
-_TABLE_ERRORS = (InvalidTable, NotAPermutation)
+# the exit code of each library error, first match wins
+_EXIT_CODES = (
+    (InvalidSpec, EXIT_USAGE),
+    ((InvalidTable, NotAPermutation), EXIT_BAD_TABLE),
+    ((OrderCapExceeded, LatticeTooLarge, LimitTooLarge, SearchCapExceeded), EXIT_CAP),
+    (LatsumError, EXIT_INFRA),
+)
 
 
 def _fail(code: int, message: str) -> int:
@@ -112,50 +117,27 @@ def _print_report(report: AnalysisReport, as_json: bool) -> None:
 
 
 def cmd_analyze(args) -> int:
-    try:
-        group = load_group(args.source, args.max_order)
-        report = analyze_group(group, args.max_subgroups, label=args.source)
-    except InvalidSpec as exc:
-        return _fail(EXIT_USAGE, f"{args.source}: {exc}")
-    except _TABLE_ERRORS as exc:
-        return _fail(EXIT_BAD_TABLE, f"{args.source}: {exc}")
-    except _CAP_ERRORS as exc:
-        return _fail(EXIT_CAP, f"{args.source}: {exc}")
+    group = load_group(args.source, args.max_order)
+    report = analyze_group(group, args.max_subgroups, label=args.source)
     _print_report(report, args.json)
     return EXIT_OK
 
 
 def cmd_dump_table(args) -> int:
-    try:
-        group = load_group(args.source, args.max_order)
-    except InvalidSpec as exc:
-        return _fail(EXIT_USAGE, f"{args.source}: {exc}")
-    except _TABLE_ERRORS as exc:
-        return _fail(EXIT_BAD_TABLE, f"{args.source}: {exc}")
-    except _CAP_ERRORS as exc:
-        return _fail(EXIT_CAP, f"{args.source}: {exc}")
-    sys.stdout.write(group.dump_table())
+    sys.stdout.write(load_group(args.source, args.max_order).dump_table())
     return EXIT_OK
 
 
 def cmd_verify(args) -> int:
-    if max(args.cyclic_max, args.elem_max, args.dihedral_max, args.pq_max, args.ambient_sym) <= 0 and not args.extra:
-        return _fail(EXIT_USAGE, "empty corpus: every family is disabled")
-    try:
-        extra = [GroupSpec.parse(s) for s in args.extra]
-        entries = build_default_corpus(
-            cyclic_max=args.cyclic_max,
-            elem_max=args.elem_max,
-            dihedral_max=args.dihedral_max,
-            pq_max=args.pq_max,
-            ambient_sym=args.ambient_sym,
-            extra_specs=extra,
-            max_order=args.max_order,
-        )
-    except InvalidSpec as exc:
-        return _fail(EXIT_USAGE, str(exc))
-    except LatsumError as exc:
-        return _fail(EXIT_INFRA, str(exc))
+    entries = build_default_corpus(
+        cyclic_max=args.cyclic_max,
+        elem_max=args.elem_max,
+        dihedral_max=args.dihedral_max,
+        pq_max=args.pq_max,
+        ambient_sym=args.ambient_sym,
+        extra_specs=[GroupSpec.parse(s) for s in args.extra],
+        max_order=args.max_order,
+    )
     summary = verify_classification(
         entries,
         max_order=args.max_order,
@@ -192,11 +174,7 @@ def cmd_verify(args) -> int:
 
 
 def cmd_sigma_scan(args) -> int:
-    try:
-        sieve = build_sieve(args.limit)
-    except LimitTooLarge as exc:
-        return _fail(EXIT_CAP, str(exc))
-    scan = scan_threshold(sieve)
+    scan = scan_threshold(build_sieve(args.limit))
     if args.json:
         print(
             json.dumps(
@@ -218,15 +196,12 @@ def cmd_sigma_scan(args) -> int:
 
 
 def cmd_sequence(args) -> int:
-    try:
-        report = convergence_report(
-            args.count,
-            search_cap=args.search_cap,
-            max_order=args.max_order,
-            max_subgroups=args.max_subgroups,
-        )
-    except SearchCapExceeded as exc:
-        return _fail(EXIT_CAP, str(exc))
+    report = convergence_report(
+        args.count,
+        search_cap=args.search_cap,
+        max_order=args.max_order,
+        max_subgroups=args.max_subgroups,
+    )
     if args.json:
         rows = [
             {
@@ -318,7 +293,8 @@ def main(argv: list[str] | None = None) -> int:
     try:
         return args.func(args)
     except LatsumError as exc:
-        return _fail(EXIT_INFRA, f"error: {exc}")
+        code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
+        return _fail(code, f"{getattr(args, 'source', 'error')}: {exc}")
     except Exception as exc:  # exit 1 is reserved for a classification violation
         at = traceback.extract_tb(exc.__traceback__)[-1]
         return _fail(EXIT_INFRA, f"internal error: {type(exc).__name__}: {exc} (at {Path(at.filename).name}:{at.lineno})")

@@ -6,7 +6,7 @@ from typing import Iterable
 
 from .arith import is_prime
 from .errors import InvalidSpec
-from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec, symmetric_group
+from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec
 from .lattice import DEFAULT_MAX_SUBGROUPS, Subgroup, enumerate_subgroups
 
 CorpusEntry = tuple[str, "GroupSpec | list[list[int]]"]
@@ -73,17 +73,18 @@ def subgroup_as_group(parent: Group, sub: Subgroup, label: str) -> Group:
     return Group(table, label)
 
 
-def ambient_subgroup_entries(
-    max_degree: int,
-    max_subgroups: int = DEFAULT_MAX_SUBGROUPS,
-) -> list[CorpusEntry]:
+def ambient_subgroup_entries(max_degree: int, max_order: int = DEFAULT_ORDER_CAP) -> list[CorpusEntry]:
     """All distinct subgroups of the symmetric groups up to ``max_degree``,
-    as standalone groups, deduplicated by fingerprint."""
+    as standalone groups, deduplicated by fingerprint.
+
+    Each symmetric group is checked against ``max_order`` before its table
+    is allocated, and raises OrderCapExceeded above it.
+    """
     entries: list[CorpusEntry] = []
     seen: set[tuple] = set()
     for m in range(2, max_degree + 1):
-        ambient = symmetric_group(m)
-        lat = enumerate_subgroups(ambient, max_subgroups)
+        ambient = GroupSpec.symmetric(m).build(max_order)
+        lat = enumerate_subgroups(ambient, DEFAULT_MAX_SUBGROUPS)
         for i, sub in enumerate(lat.subgroups):
             label = f"sym{m}-sub{i:03d}-ord{sub.order}"
             group = subgroup_as_group(ambient, sub, label)
@@ -104,7 +105,8 @@ def build_default_corpus(
     extra_specs: Iterable[GroupSpec] = (),
     max_order: int = DEFAULT_ORDER_CAP,
 ) -> list[CorpusEntry]:
-    """Assemble the labelled corpus; raises InvalidSpec when it ends up empty."""
+    """Assemble the labelled corpus; raises InvalidSpec when it ends up empty,
+    and OrderCapExceeded when an ambient symmetric group is above ``max_order``."""
     entries: list[CorpusEntry] = []
     specs: list[GroupSpec] = []
     specs.extend(cyclic_specs(cyclic_max))
@@ -114,7 +116,7 @@ def build_default_corpus(
     specs.extend(extra_specs)
     entries.extend((str(s), s) for s in specs)
     if ambient_sym >= 2:
-        entries.extend(ambient_subgroup_entries(ambient_sym))
+        entries.extend(ambient_subgroup_entries(ambient_sym, max_order))
     if not entries:
-        raise InvalidSpec("corpus is empty; enable at least one family")
+        raise InvalidSpec("empty corpus: every family is disabled and no extra spec is given")
     return entries

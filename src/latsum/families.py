@@ -14,7 +14,7 @@ from dataclasses import dataclass
 from fractions import Fraction
 
 from .arith import is_prime, nth_prime
-from .errors import SearchCapExceeded
+from .errors import InvariantViolation, SearchCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group, semidirect_pq_group
 from .lattice import DEFAULT_MAX_SUBGROUPS, enumerate_subgroups, is_nilpotent
 from .sigma import classify, sigma1
@@ -90,12 +90,13 @@ def build_witness(
     lat = enumerate_subgroups(group, max_subgroups)
     value = sigma1(group, lat)
     census = dict(lat.census)
-    assert census == {1: 1, p: q, q: 1, p * q: 1}, (
-        f"unexpected census for p={p}, q={q}: {census}"
-    )
-    assert value == formula, f"lattice sigma1 {value} != formula {formula}"
+    if census != {1: 1, p: q, q: 1, p * q: 1}:
+        raise InvariantViolation(f"unexpected census for p={p}, q={q}: {census}")
+    if value != formula:
+        raise InvariantViolation(f"lattice sigma1 {value} != formula {formula}")
     nilpotent = is_nilpotent(group, lat)
-    assert not nilpotent, f"pq-group of order {p * q} must not be nilpotent"
+    if nilpotent:
+        raise InvariantViolation(f"pq-group of order {p * q} must not be nilpotent")
     verdict = classify(group, lat).verdict
     return PQWitness(index, p, q, formula, group, value, census, nilpotent, verdict)
 
@@ -123,19 +124,21 @@ def convergence_report(
     max_order: int = DEFAULT_ORDER_CAP,
     max_subgroups: int = DEFAULT_MAX_SUBGROUPS,
 ) -> ConvergenceReport:
-    """First ``count`` family members, with the convergence bound asserted.
+    """First ``count`` family members, with the convergence bound checked.
 
     Every value is checked to be strictly above 2 and within 2/p of it, which
     forces the limit; strict step-to-step decrease is only observed and
-    reported, not asserted.
+    reported, not enforced.
     """
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     rows = []
     for index in range(1, count + 1):
         w = build_witness(index, search_cap, max_order, max_subgroups)
-        assert w.sigma1_formula > 2
-        assert w.excess <= Fraction(2, w.p)
+        if w.sigma1_formula <= 2:
+            raise InvariantViolation(f"sigma1 {w.sigma1_formula} of member {index} is not above 2")
+        if w.excess > Fraction(2, w.p):
+            raise InvariantViolation(f"sigma1 - 2 = {w.excess} of member {index} exceeds 2/{w.p}")
         rows.append(
             ConvergenceRow(
                 index=index,

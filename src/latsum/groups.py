@@ -19,6 +19,7 @@ from .arith import factorize, is_prime
 from .errors import (
     InvalidSpec,
     InvalidTable,
+    InvariantViolation,
     NotAPermutation,
     NotNormal,
     OrderCapExceeded,
@@ -60,7 +61,8 @@ class Group:
         while x != 0:
             x = table[x][a]
             k += 1
-        assert self.order % k == 0, f"element order {k} does not divide {self.order}"
+        if self.order % k:
+            raise InvariantViolation(f"element order {k} does not divide {self.order}")
         return k
 
     def element_orders(self) -> tuple[int, ...]:
@@ -476,7 +478,16 @@ def group_from_perm_file(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
 # declarative specs
 # ---------------------------------------------------------------------------
 
-_SPEC_KINDS = ("cyclic", "elem", "dihedral", "sym", "pq", "product", "table", "perm")
+# each parameterised kind: (constructor, allowed parameter counts, order
+# computed from the parameters without building the group)
+_FAMILIES = {
+    "cyclic": (cyclic_group, (1,), lambda n: n),
+    "elem": (elementary_abelian_group, (2,), lambda p, k: p**k),
+    "dihedral": (dihedral_group, (1,), lambda n: 2 * n),
+    "sym": (symmetric_group, (1,), math.factorial),
+    "pq": (semidirect_pq_group, (2, 3), lambda p, q, t=None: p * q),
+}
+_SPEC_KINDS = (*_FAMILIES, "product", "table", "perm")
 
 
 @dataclass(frozen=True)
@@ -517,16 +528,8 @@ class GroupSpec:
 
     def predicted_order(self) -> int | None:
         """Order the built group will have, when known without construction."""
-        if self.kind == "cyclic":
-            return self.params[0]
-        if self.kind == "elem":
-            return self.params[0] ** self.params[1]
-        if self.kind == "dihedral":
-            return 2 * self.params[0]
-        if self.kind == "sym":
-            return math.factorial(self.params[0])
-        if self.kind == "pq":
-            return self.params[0] * self.params[1]
+        if self.kind in _FAMILIES:
+            return _FAMILIES[self.kind][2](*self.params)
         if self.kind == "product":
             orders = [p.predicted_order() for p in self.parts]
             if any(o is None for o in orders):
@@ -540,16 +543,8 @@ class GroupSpec:
             raise OrderCapExceeded(
                 f"{self} has order {predicted}, above the cap {max_order}"
             )
-        if self.kind == "cyclic":
-            return cyclic_group(*self.params)
-        if self.kind == "elem":
-            return elementary_abelian_group(*self.params)
-        if self.kind == "dihedral":
-            return dihedral_group(*self.params)
-        if self.kind == "sym":
-            return symmetric_group(*self.params)
-        if self.kind == "pq":
-            return semidirect_pq_group(*self.params)
+        if self.kind in _FAMILIES:
+            return _FAMILIES[self.kind][0](*self.params)
         if self.kind == "product":
             built = [p.build(max_order) for p in self.parts]
             group = direct_product_group(built, label=str(self))
@@ -597,8 +592,7 @@ class GroupSpec:
             params = tuple(int(v) for v in rest.split(","))
         except ValueError as exc:
             raise InvalidSpec(f"non-integer parameters in {text!r}") from exc
-        arity = {"cyclic": (1,), "elem": (2,), "dihedral": (1,), "sym": (1,), "pq": (2, 3)}[kind]
-        if len(params) not in arity:
+        if len(params) not in _FAMILIES[kind][1]:
             raise InvalidSpec(f"wrong parameter count for {kind} in {text!r}")
         if any(v < 1 for v in params):
             raise InvalidSpec(f"parameters must be positive in {text!r}")

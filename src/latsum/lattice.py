@@ -73,14 +73,8 @@ class Lattice:
     census: dict[int, int]
     maximals: list[Subgroup] | None = None
 
-    def __post_init__(self):
-        self._mask_set = frozenset(s.mask for s in self.subgroups)
-
     def __len__(self) -> int:
         return len(self.subgroups)
-
-    def contains_mask(self, mask: int) -> bool:
-        return mask in self._mask_set
 
     def subgroups_of_order(self, order: int) -> list[Subgroup]:
         return [s for s in self.subgroups if s.order == order]
@@ -99,8 +93,9 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     of them are maximal.
 
     The general route is the cyclic extension method (Neubüser 1960): seed
-    a worklist with the cyclic subgroups <a>, then for a queued subgroup H
-    and each coset representative x outside H, find <H, x>.  Only one
+    a worklist with the trivial subgroup, then for a queued subgroup H and
+    each coset representative x outside H, find <H, x>; the extensions of
+    the trivial subgroup are the cyclic subgroups <x>.  Only one
     subgroup per conjugacy class is queued, but its whole class is recorded
     at once: the extensions of gHg^-1 are the conjugates of the extensions
     of H, so the lattice stays complete.  A queued H is maximal exactly
@@ -154,14 +149,7 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
             raise LatticeTooLarge(f"more than {max_subgroups} subgroups")
         work.append((sub, orbit))
 
-    for a in range(n):
-        mask = 1
-        x = a
-        while x:
-            mask |= 1 << x
-            x = table[x][a]
-        if mask not in seen:
-            add_class(Subgroup(mask, (a,) if a else ()))
+    add_class(Subgroup(1, ()))
     maximals: list[Subgroup] = []
     for sub, orbit in work:  # also visits the classes appended below
         if sub.mask == full_mask:
@@ -193,21 +181,15 @@ def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
 
     Exponent p alone is not enough for p >= 3 (there are nonabelian groups
     of exponent p), so the abelian check is required; it runs second because
-    the exponent scan is cheaper and usually rejects first.
+    the exponent reads the cached element orders, which ``recognize`` needs
+    anyway, and usually rejects first.
     """
     fact = factorize(group.order)
     if len(fact) != 1:
         return None
     (p, k), = fact.items()
-    if k < 2:
+    if k < 2 or group.exponent() != p:
         return None
-    table = group.table
-    for a in range(1, group.order):
-        x = a
-        for _ in range(p - 1):
-            x = table[x][a]
-        if x != 0:
-            return None
     return (p, k) if group.is_abelian else None
 
 
@@ -216,33 +198,25 @@ def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: i
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
     table = group.table
-    # greedy basis: every element outside the current span is independent
+    # greedy basis: every element outside the current span is independent;
+    # elems[c] is the element whose coordinates are the base-p digits of c
     basis: list[int] = []
-    span = [0]
+    elems = [0]
     span_mask = 1
     for a in range(1, group.order):
         if span_mask >> a & 1:
             continue
         basis.append(a)
-        grown = list(span)
-        cur = span
+        grown = list(elems)
+        cur = elems
         for _ in range(p - 1):
             cur = [table[x][a] for x in cur]
             grown.extend(cur)
             for e in cur:
                 span_mask |= 1 << e
-        span = grown
+        elems = grown
     if len(basis) != k:
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
-    # elems[c] = element whose coordinates are the base-p digits of c
-    elems = [0]
-    for b in basis:
-        block = list(elems)
-        cur = elems
-        for _ in range(p - 1):
-            cur = [table[x][b] for x in cur]
-            block.extend(cur)
-        elems = block
     subs: list[Subgroup] = []
     powers = [p**j for j in range(k)]
     for r in range(k + 1):
@@ -282,11 +256,6 @@ def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: i
 # ---------------------------------------------------------------------------
 
 
-def conjugate_subgroup(group: Group, sub: Subgroup, x: int) -> Subgroup:
-    """The conjugate x * H * x^-1."""
-    return Subgroup(conjugate_mask(group, sub.mask, x))
-
-
 def is_normal(group: Group, sub: Subgroup) -> bool:
     """True when x * H * x^-1 == H for every x.
 
@@ -300,14 +269,14 @@ def is_normal(group: Group, sub: Subgroup) -> bool:
 def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
     """All distinct conjugates of ``sub``, canonically sorted."""
     seen = {sub.mask: sub}
-    frontier = [sub]
+    frontier = [sub.mask]
     while frontier:
         nxt = []
         for h in frontier:
             for x in group.generating_set():
-                c = conjugate_subgroup(group, h, x)
-                if c.mask not in seen:
-                    seen[c.mask] = c
+                c = conjugate_mask(group, h, x)
+                if c not in seen:
+                    seen[c] = Subgroup(c)
                     nxt.append(c)
         frontier = nxt
     return sorted(seen.values(), key=lambda s: s.mask)

@@ -1,6 +1,7 @@
 """Brute-force oracles, deliberately independent of the library's algorithms,
 and the small group utilities that only the tests use."""
 
+import random
 from itertools import combinations
 
 import numpy as np
@@ -137,6 +138,19 @@ def intercalates(table: list[list[int]]) -> list[tuple[int, int, int, int]]:
                 for c2 in range(c1 + 1, n):
                     if table[r1][c1] == table[r2][c2] and table[r1][c2] == table[r2][c1]:
                         out.append((r1, r2, c1, c2))
+    return out
+
+
+def relabelled(table: list[list[int]], rng: random.Random) -> list[list[int]]:
+    """The same group with its non-identity elements renamed at random."""
+    n = len(table)
+    rest = list(range(1, n))
+    rng.shuffle(rest)
+    pi = [0] + rest
+    out = [[0] * n for _ in range(n)]
+    for a in range(n):
+        for b in range(n):
+            out[pi[a]][pi[b]] = pi[table[a][b]]
     return out
 
 

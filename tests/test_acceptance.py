@@ -4,6 +4,7 @@ Run with ``pytest tests/test_acceptance.py -v -s`` to see the per-criterion
 lines and timings.
 """
 
+import hashlib
 import json
 import math
 import random
@@ -35,6 +36,7 @@ from latsum import (
     scan_threshold,
     sigma1,
 )
+from latsum.analysis import AnalysisReport, EntryResult, VerificationSummary
 from latsum.arith import is_prime
 from latsum.corpus import DEFAULT_VERIFY_MAX_SUBGROUPS, build_default_corpus
 from latsum.lattice import all_maximals_normal, sylow_decomposition
@@ -42,6 +44,10 @@ from latsum.sigma import VERDICT_AT, VERDICT_BELOW
 
 from helpers import trial_division_sigma
 from make_golden_lattices import GOLDEN_PATH, lattice_record
+
+
+# sha256 of the stdout of `latsum verify --json` on the default corpus
+VERIFY_JSON_SHA256 = "700a828e1ab78a431921a782cbae774db5488386915e462b35aa7f78543e7bbc"
 
 
 def _report(criterion: str, started: float, budget: float | None = None) -> None:
@@ -121,6 +127,18 @@ def test_corpus_lattices_match_golden_file(corpus_objects):
     assert sorted(golden) == sorted(objects)
     for label, (_, lat, _, _) in objects.items():
         assert lattice_record(lat, maximal_subgroups(lat)) == golden[label], label
+
+
+def test_verify_json_matches_pinned_digest(corpus_objects):
+    # the same document `latsum verify --json` prints, rebuilt from the
+    # fixture's lattices instead of a second enumeration
+    objects, _ = corpus_objects
+    results = []
+    for label, (group, lat, profile, cls) in objects.items():
+        report = AnalysisReport(label, group.order, len(lat), dict(lat.census), cls, profile, timing_ms=0.0)
+        results.append(EntryResult(label, report, None))
+    stdout = json.dumps(VerificationSummary(results).to_dict(), indent=2) + "\n"
+    assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_JSON_SHA256
 
 
 def test_criterion_4_below_threshold_nilpotent(corpus_objects):

@@ -96,6 +96,21 @@ def test_dump_table_round_trip(tmp_path, capsys):
         assert d1[key] == d2[key]
 
 
+def test_dump_table_error_exit_codes(tmp_path, capsys):
+    code, out, err = run_cli(capsys, "dump-table", "wat:7")
+    assert (code, out) == (2, "") and err.startswith("wat:7: ")
+    code, out, err = run_cli(capsys, "dump-table", "sym:7")
+    assert (code, out) == (3, "") and err.startswith("sym:7: ") and "cap" in err
+    bad = tmp_path / "bad.txt"
+    bad.write_text("2\n0 1\n1 1\n")
+    code, out, err = run_cli(capsys, "dump-table", str(bad))
+    assert (code, out) == (4, "") and err.startswith(f"{bad}: ")
+    perm = tmp_path / "perm.txt"
+    perm.write_text("perm 3\n(0 1)(1 2)\n")
+    code, out, _ = run_cli(capsys, "dump-table", str(perm))
+    assert (code, out) == (4, "")
+
+
 def test_perm_file_analysis(tmp_path, capsys):
     path = tmp_path / "gens.txt"
     path.write_text("perm 5\n(0 1 2 3 4)\n(1 4)(2 3)\n")
@@ -185,6 +200,18 @@ def test_verify_empty_corpus_usage_error(capsys):
     )
     assert code == 2
     assert "empty corpus" in err
+
+
+def test_verify_ambient_group_above_order_cap_exit_3(capsys):
+    # the cap is checked before the order-120 table is built
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--cyclic-max", "0", "--elem-max", "0", "--dihedral-max", "0",
+        "--pq-max", "0", "--ambient-sym", "5", "--max-order", "100",
+    )
+    assert (code, out) == (3, "")
+    assert "sym:5 has order 120, above the cap 100" in err
 
 
 def test_verify_p_group_slice(capsys):

@@ -24,6 +24,7 @@ from latsum import (
     semidirect_pq_group,
     symmetric_group,
 )
+from latsum.corpus import build_default_corpus
 from latsum.groups import parse_cycles, smallest_order_p_residue
 
 from helpers import (
@@ -31,6 +32,7 @@ from helpers import (
     intercalates,
     naive_permutation_closure,
     power,
+    relabelled,
     swap_intercalate,
 )
 
@@ -244,19 +246,6 @@ SMALL_GROUPS = [
      "elem:3,2", "sym:3", "pq:2,5", "product:cyclic:2+cyclic:6", "product:sym:3+cyclic:2"]
 
 
-def relabelled(table: list[list[int]], rng: random.Random) -> list[list[int]]:
-    """The same group with its non-identity elements renamed at random."""
-    n = len(table)
-    rest = list(range(1, n))
-    rng.shuffle(rest)
-    pi = [0] + rest
-    out = [[0] * n for _ in range(n)]
-    for a in range(n):
-        for b in range(n):
-            out[pi[a]][pi[b]] = pi[table[a][b]]
-    return out
-
-
 @settings(max_examples=120, deadline=None)
 @given(
     spec=st.sampled_from(SMALL_GROUPS),
@@ -290,15 +279,15 @@ def test_parse_cycles():
 
 
 def test_spec_parse_and_str_round_trip():
-    for text in ["cyclic:12", "elem:3,2", "dihedral:4", "sym:4", "pq:3,7", "product:cyclic:4+cyclic:9"]:
+    for text in ["cyclic:12", "elem:3,2", "dihedral:4", "sym:4", "pq:3,7", "pq:3,7,4", "product:cyclic:4+cyclic:9"]:
         spec = GroupSpec.parse(text)
         assert str(spec) == text
         g = spec.build()
-        assert g.order >= 1
+        assert g.order == spec.predicted_order()
 
 
 def test_spec_parse_rejects_garbage():
-    for text in ["bogus:1", "cyclic:", "cyclic:x", "elem:4", "pq:2", "product:", "cyclic:-3", "plain"]:
+    for text in ["bogus:1", "cyclic:", "cyclic:x", "cyclic:2,3", "elem:4", "pq:2", "pq:2,3,2,1", "product:", "cyclic:-3", "plain"]:
         with pytest.raises(InvalidSpec):
             GroupSpec.parse(text)
 
@@ -309,6 +298,13 @@ def test_spec_order_cap():
     with pytest.raises(OrderCapExceeded):
         GroupSpec.cyclic(50).build(max_order=49)
     assert GroupSpec.symmetric(6).predicted_order() == 720
+
+
+def test_corpus_checks_the_order_cap_on_ambient_groups():
+    # sym:5 has order 120
+    with pytest.raises(OrderCapExceeded, match="sym:5"):
+        build_default_corpus(ambient_sym=5, max_order=100)
+    assert len(build_default_corpus(cyclic_max=0, elem_max=0, dihedral_max=0, pq_max=0, ambient_sym=5, max_order=120)) > 0
 
 
 def test_generating_set_spans():

@@ -42,6 +42,7 @@ from helpers import (
     descending_maximal_scan,
     every_subgroup_worklist,
     naive_order_census,
+    relabelled,
     subgroup_generators,
 )
 
@@ -88,12 +89,19 @@ def test_d4_census_matches_oracle():
 
 
 def test_fast_path_agrees_with_worklist():
-    for p, k in [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]:
-        group = elementary_abelian_group(p, k)
+    ranks = [(2, 2), (2, 3), (2, 4), (2, 5), (3, 2), (3, 3), (5, 2), (7, 2)]
+    groups = [elementary_abelian_group(p, k) for p, k in ranks]
+    # relabelled copies, whose greedy basis is not the constructor's digit order
+    rng = random.Random(5)
+    for p, k in [(3, 3), (2, 5)]:
+        group = Group(relabelled(elementary_abelian_group(p, k).table, rng), f"relabelled elem:{p},{k}")
+        group.validate()
+        groups.append(group)
+    for group in groups:
         fast = enumerate_subgroups(group)
-        assert {s.mask for s in fast.subgroups} == every_subgroup_worklist(group), (p, k)
+        assert {s.mask for s in fast.subgroups} == every_subgroup_worklist(group), group.label
         want = descending_maximal_scan(group.order, fast.subgroups)
-        assert [m.mask for m in maximal_subgroups(fast)] == [m.mask for m in want], (p, k)
+        assert [m.mask for m in maximal_subgroups(fast)] == [m.mask for m in want], group.label
 
 
 def _unitriangular_order_27():
@@ -268,11 +276,12 @@ def test_maximal_subgroups_need_recorded_maximals():
 def test_invariant_violation_survives_python_O():
     # cyclic:6 without its order-2 subgroup: the maximals the scan finds in
     # what is left (the order-3 subgroup) are all normal, but there is no
-    # Sylow 2-subgroup, so the two nilpotency criteria disagree
+    # Sylow 2-subgroup, so the two nilpotency criteria disagree.  Then an
+    # unvalidated order-4 table in which element 1 has order 3.
     code = textwrap.dedent(
         """
         from collections import Counter
-        from latsum import GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, is_nilpotent
+        from latsum import Group, GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, is_nilpotent
         from helpers import descending_maximal_scan
 
         group = GroupSpec.parse("cyclic:6").build()
@@ -285,6 +294,11 @@ def test_invariant_violation_survives_python_O():
             is_nilpotent(group, lat)
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
+        bogus = Group([[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3], [3, 3, 3, 0]], "bogus")
+        try:
+            bogus.element_order(1)
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
         """
     )
     tests_dir = Path(__file__).parent
@@ -292,9 +306,10 @@ def test_invariant_violation_survives_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    first, second = done.stdout.splitlines()
+    first, second, third = done.stdout.splitlines()
     assert first == "debug False maximal orders [3]"
     assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
+    assert third == "InvariantViolation: element order 3 does not divide 4", third
 
 
 def test_non_normal_maximals_self_normalize():
@@ -381,9 +396,10 @@ def test_intersection_closure_sampled():
     for spec in ["sym:4", "dihedral:10", "pq:3,7", "elem:2,4"]:
         _, lat = lat_of(spec)
         subs = lat.subgroups
+        masks = {s.mask for s in subs}
         for _ in range(100):
             a, b = rng.choice(subs), rng.choice(subs)
-            assert lat.contains_mask(a.mask & b.mask), spec
+            assert a.mask & b.mask in masks, spec
 
 
 def test_subgroup_generators_regenerate():
@@ -429,8 +445,9 @@ def test_property_lattice_laws(spec):
 def test_property_conjugacy_laws(spec):
     group = spec.build()
     lat = enumerate_subgroups(group)
+    masks = {s.mask for s in lat.subgroups}
     for sub in lat.subgroups:
         orbit = conjugates(group, sub)
         assert len(orbit) * normalizer(group, sub).order == group.order
-        assert all(lat.contains_mask(c.mask) for c in orbit)
+        assert all(c.mask in masks for c in orbit)
         assert (len(orbit) == 1) == is_normal(group, sub)
