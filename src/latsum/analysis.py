@@ -10,7 +10,7 @@ from fractions import Fraction
 from typing import Sequence
 
 from .corpus import CorpusEntry
-from .errors import InvariantViolation, LatsumError
+from .errors import InvariantViolation, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec
 from .lattice import (
     DEFAULT_MAX_SUBGROUPS,
@@ -202,7 +202,7 @@ def _run_entry(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
         else:
             group = Group([list(row) for row in source], label)
         if group.order > max_order:
-            raise LatsumError(f"order {group.order} exceeds cap {max_order}")
+            raise OrderCapExceeded(f"order {group.order} exceeds cap {max_order}")
         return EntryResult(label, analyze_group(group, max_subgroups, label=label), None)
     except Exception as exc:  # a bug in one entry is reported against it, never aborts the run
         return EntryResult(label, None, f"{type(exc).__name__}: {exc}")

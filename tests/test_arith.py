@@ -153,6 +153,16 @@ def test_odd_part_scan_small():
     assert 11 * sieve.sigma(9) == 143
 
 
+def test_odd_part_scan_reports_violations_of_a_doctored_table():
+    # a true sigma table has no violations, so plant some: 11 * 4 == 8 * 5 + 4
+    # is one (the bound is strict), 11 * 7 > 8 * 9 + 4 is not, and even n are skipped
+    sieve = build_sieve(1000)
+    for n, doctored in ((3, 0), (4, 0), (5, 4), (9, 7), (501, 0), (999, 0)):
+        sieve.table[n] = doctored
+    assert odd_part_inequality_scan(999, sieve).violations == (3, 5, 501, 999)
+    assert odd_part_inequality_scan(998, sieve).violations == (3, 5, 501)
+
+
 def test_rank_bound_branches():
     # rank >= 3 always contradicts: the four-layer bound is 51/8 at (2,3,3)
     assert rank_bound_exceeds_threshold(2, 3, 3)

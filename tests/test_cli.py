@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -141,11 +142,22 @@ def test_sigma_scan_json_serialises_python_ints(capsys):
     assert doc["below_count"] + doc["above_count"] + len(doc["equal"]) == 40000
 
 
+def test_sigma_scan_json_matches_pinned_digest(capsys):
+    # the 167-byte document as printed by an independent implementation, a
+    # linear smallest-prime-factor sieve with per-n scan loops
+    code, out, _ = run_cli(capsys, "sigma-scan", "1000000", "--json")
+    assert code == 0
+    data = out.encode()
+    assert len(data) == 167
+    assert hashlib.sha256(data).hexdigest() == "10c15e533a54bd46f1e3f9b49016cd89be0bb58b5bb9930011733fb5ddc37de8"
+
+
 def test_sigma_scan_limit_errors(capsys):
     code, _, _ = run_cli(capsys, "sigma-scan", "0")
     assert code == 2
-    code, _, _ = run_cli(capsys, "sigma-scan", "999999999")
+    code, _, err = run_cli(capsys, "sigma-scan", "999999999")
     assert code == 3
+    assert "8,000,000,000 bytes" in err
 
 
 def test_sequence(capsys):

@@ -24,7 +24,7 @@ from latsum import (
     semidirect_pq_group,
     symmetric_group,
 )
-from latsum.corpus import build_default_corpus
+from latsum.corpus import build_default_corpus, group_fingerprint, subgroup_as_group
 from latsum.groups import parse_cycles, smallest_order_p_residue
 
 from helpers import (
@@ -305,6 +305,21 @@ def test_corpus_checks_the_order_cap_on_ambient_groups():
     with pytest.raises(OrderCapExceeded, match="sym:5"):
         build_default_corpus(ambient_sym=5, max_order=100)
     assert len(build_default_corpus(cyclic_max=0, elem_max=0, dihedral_max=0, pq_max=0, ambient_sym=5, max_order=120)) > 0
+
+
+def test_fingerprint_classes_of_symmetric_subgroups_share_one_census():
+    # ambient_subgroup_entries keeps one group per fingerprint; the fingerprint
+    # is no isomorphism invariant, but over S2..S6 no class holds two censuses,
+    # so the merge cannot change a sigma1 or a verdict
+    censuses: dict[tuple, set] = {}
+    for m in range(2, 7):
+        ambient = symmetric_group(m)
+        for i, sub in enumerate(enumerate_subgroups(ambient).subgroups):
+            group = subgroup_as_group(ambient, sub, f"sym{m}-sub{i}")
+            census = tuple(enumerate_subgroups(group).census.items())
+            censuses.setdefault(group_fingerprint(group), set()).add(census)
+    assert len(censuses) == 29
+    assert all(len(found) == 1 for found in censuses.values())
 
 
 def test_generating_set_spans():

@@ -170,6 +170,13 @@ def test_verify_isolates_per_entry_failures():
     assert len(summary.reports) == 1
 
 
+def test_verify_raw_table_over_order_cap_records_order_cap_exceeded():
+    summary = verify_classification([("c6", cyclic_group(6).table)], max_order=4)
+    assert [e.label for e in summary.errors] == ["c6"]
+    assert summary.errors[0].error.startswith("OrderCapExceeded:")
+    assert summary.reports == []
+
+
 def test_reference_spot_check_sigma_at_most_2_is_cyclic():
     # groups with sigma1 <= 2 in a small zoo are all cyclic
     specs = (
