@@ -5,7 +5,9 @@ from __future__ import annotations
 import math
 from collections import Counter
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
+
+import numpy as np
 
 from .arith import factorize, gaussian_subgroup_count
 from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
@@ -34,6 +36,8 @@ class Subgroup:
 
     Bit a of ``mask`` is set exactly when element a belongs to the subgroup;
     ``gens`` is an optional small generating set kept to speed up closures.
+    The worklist route sets it on class representatives only, and the
+    subspace route never sets it.
     """
 
     __slots__ = ("mask", "order", "gens")
@@ -102,24 +106,28 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     when every extension <H, x> is the whole group, and then so is every
     conjugate of H.  In an abelian group every class is a single subgroup.
 
-    Elementary abelian groups of rank >= 2 instead enumerate subspaces by
-    echelon-form bases over GF(p), which produces the identical lattice but
-    scales to the rank-8 case over GF(2); their maximal subgroups are the
-    hyperplanes.  The two routes are cross-checked in the test suite.
+    Elementary abelian groups of rank >= 2 instead take the subspace
+    route, which produces the identical lattice but scales to the rank-8
+    case over GF(2).  For each reduced-echelon pivot pattern over GF(p) it
+    builds all the subspaces of that pattern at once in numpy, growing the
+    spans by gathers on the Cayley table, and sorts each order block as it
+    goes, so only the worklist route's result needs sorting.  Its maximal
+    subgroups are the order-|G|/p block, the hyperplanes.  The two routes
+    are cross-checked in the test suite.
 
-    Only class representatives keep ``gens``; the other subgroups carry
+    On the worklist route only class representatives keep ``gens``; the
+    other subgroups, and every subgroup from the subspace route, carry
     None.  Raises LatticeTooLarge when the subgroup count exceeds
-    ``max_subgroups``.
+    ``max_subgroups``; the subspace route checks its closed-form count
+    before it allocates anything.
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
-        p, k = rank
-        subs = _enumerate_elementary_abelian(group, p, k, max_subgroups)
-        maximals = [s for s in subs if s.order * p == group.order]
+        subs, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
     else:
         subs, maximals = _enumerate_worklist(group, max_subgroups)
-    subs.sort(key=_canonical)
-    maximals.sort(key=_canonical)
+        subs.sort(key=_canonical)
+        maximals.sort(key=_canonical)
     census = dict(sorted(Counter(s.order for s in subs).items()))
     if any(group.order % order for order in census):
         raise InvariantViolation(f"Lagrange violated on {group.label}: census {census}")
@@ -193,7 +201,8 @@ def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
     return (p, k) if group.is_abelian else None
 
 
-def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: int) -> list[Subgroup]:
+def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
+    """(every subspace in (order, mask) order, the hyperplanes), one numpy block per echelon pivot pattern."""
     total = sum(gaussian_subgroup_count(k, p, i) for i in range(k + 1))
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
@@ -217,38 +226,34 @@ def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: i
         elems = grown
     if len(basis) != k:
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
+    cayley, coords = np.asarray(table), np.asarray(elems)
+    nbytes = -(-group.order // 8)  # packbits pads each row to whole bytes
     subs: list[Subgroup] = []
-    powers = [p**j for j in range(k)]
     for r in range(k + 1):
+        block: list[int] = []
         for pivots in combinations(range(k), r):
-            pivot_set = set(pivots)
-            free_slots = [
-                (row, col)
-                for row in range(r)
-                for col in range(pivots[row] + 1, k)
-                if col not in pivot_set
-            ]
-            base_rows = [powers[pivots[row]] for row in range(r)]
-            for assignment in product(range(p), repeat=len(free_slots)):
-                rows = list(base_rows)
-                for (row, col), val in zip(free_slots, assignment):
-                    rows[row] += val * powers[col]
-                span_elems = [0]
-                for rc in rows:
-                    v = elems[rc]
-                    block = list(span_elems)
-                    cur = span_elems
-                    for _ in range(p - 1):
-                        cur = [table[x][v] for x in cur]
-                        block.extend(cur)
-                    span_elems = block
-                mask = 0
-                for e in span_elems:
-                    mask |= 1 << e
-                subs.append(Subgroup(mask, tuple(elems[rc] for rc in rows)))
+            free = [(row, col) for row in range(r) for col in range(pivots[row] + 1, k) if col not in pivots]
+            # one row of echelon codes per assignment of the free slots
+            index = np.arange(p ** len(free))
+            codes = np.tile(np.array([p**c for c in pivots], dtype=np.intp), (len(index), 1))
+            for j, (row, col) in enumerate(free):
+                codes[:, row] += index // p**j % p * p**col
+            span = np.zeros((len(index), 1), dtype=np.intp)
+            for v in coords[codes].T:  # the span grows p-fold per basis row
+                parts = [span]
+                for _ in range(p - 1):
+                    parts.append(cayley[parts[-1], v[:, None]])
+                span = np.concatenate(parts, axis=1)
+            # packbits reads each row big-endian, so bit e of a mask is the e-th column from the right
+            bits = np.zeros((len(index), 8 * nbytes), dtype=bool)
+            np.put_along_axis(bits, 8 * nbytes - 1 - span, True, axis=1)
+            raw = np.packbits(bits, axis=1).tobytes()
+            block += [int.from_bytes(raw[i : i + nbytes], "big") for i in range(0, len(raw), nbytes)]
+        block.sort()
+        subs.extend(map(Subgroup, block))
     if len(subs) != total:
         raise InvariantViolation(f"subspace route found {len(subs)} subgroups, expected {total}")
-    return subs
+    return subs, [s for s in subs if s.order * p == group.order]
 
 
 # ---------------------------------------------------------------------------
@@ -354,19 +359,33 @@ def all_maximals_normal(group: Group, lat: Lattice) -> bool:
     return all(is_normal(group, m) for m in maximal_subgroups(lat))
 
 
+def nilpotent_by_element_orders(group: Group) -> bool:
+    """True when, for each prime p with p-part p^a of |G|, exactly p^a
+    elements have order dividing p^a.
+
+    Every p-element lies in some Sylow p-subgroup, so the count is p^a
+    exactly when there is one Sylow p-subgroup, which is then normal.  This
+    reads only the cached element orders, never the lattice.
+    """
+    orders = group.element_orders()
+    return all(sum(p**a % o == 0 for o in orders) == p**a for p, a in factorize(group.order).items())
+
+
 def is_nilpotent(group: Group, lat: Lattice) -> bool:
     """True when every maximal subgroup is normal.
 
-    Cross-checked against the equivalent criterion that every Sylow subgroup
-    is normal; disagreement would mean an enumeration bug, so it raises
-    InvariantViolation.
+    Cross-checked against two equivalent criteria: every Sylow subgroup is
+    normal, and the p-element counts of ``nilpotent_by_element_orders``,
+    the one that does not read the enumerated lattice.  Disagreement would
+    mean an enumeration bug, so it raises InvariantViolation.
     """
     by_maximals = all_maximals_normal(group, lat)
     by_sylow = sylow_decomposition(group, lat) is not None
-    if by_maximals != by_sylow:
+    by_orders = nilpotent_by_element_orders(group)
+    if not by_maximals == by_sylow == by_orders:
         raise InvariantViolation(
             f"nilpotency criteria disagree on {group.label}: "
-            f"maximals-normal={by_maximals}, sylow-normal={by_sylow}"
+            f"maximals-normal={by_maximals}, sylow-normal={by_sylow}, p-element-counts={by_orders}"
         )
     return by_maximals
 

@@ -2,7 +2,7 @@
 and the small group utilities that only the tests use."""
 
 import random
-from itertools import combinations
+from itertools import combinations, product
 
 import numpy as np
 
@@ -77,6 +77,57 @@ def every_subgroup_worklist(group: Group) -> set[int]:
                 seen[new_mask] = new_gens
                 work.append((new_mask, new_gens))
     return set(seen)
+
+
+def subspace_masks_by_loop(group: Group, p: int, k: int) -> list[int]:
+    """Every subgroup mask of an elementary abelian group of order p^k, in
+    (order, mask) order, by building each GF(p)-subspace element by element.
+
+    Walks the reduced echelon forms over the greedy basis one free-slot
+    assignment at a time, in plain Python; the library builds the same
+    subspaces in numpy blocks.
+    """
+    table = group.table
+    # greedy basis: elems[c] is the element whose coordinates are the base-p digits of c
+    elems = [0]
+    span_mask = 1
+    for a in range(1, group.order):
+        if span_mask >> a & 1:
+            continue
+        grown = list(elems)
+        cur = elems
+        for _ in range(p - 1):
+            cur = [table[x][a] for x in cur]
+            grown.extend(cur)
+            for e in cur:
+                span_mask |= 1 << e
+        elems = grown
+    assert len(elems) == p**k
+    masks = []
+    powers = [p**j for j in range(k)]
+    for r in range(k + 1):
+        for pivots in combinations(range(k), r):
+            free_slots = [
+                (row, col) for row in range(r) for col in range(pivots[row] + 1, k) if col not in pivots
+            ]
+            for assignment in product(range(p), repeat=len(free_slots)):
+                rows = [powers[c] for c in pivots]
+                for (row, col), val in zip(free_slots, assignment):
+                    rows[row] += val * powers[col]
+                span_elems = [0]
+                for rc in rows:
+                    v = elems[rc]
+                    block = list(span_elems)
+                    cur = span_elems
+                    for _ in range(p - 1):
+                        cur = [table[x][v] for x in cur]
+                        block.extend(cur)
+                    span_elems = block
+                mask = 0
+                for e in span_elems:
+                    mask |= 1 << e
+                masks.append(mask)
+    return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
 def descending_maximal_scan(order: int, subgroups) -> list[Subgroup]:

@@ -3,6 +3,7 @@ import random
 import subprocess
 import sys
 import textwrap
+import tracemalloc
 from pathlib import Path
 
 import pytest
@@ -32,10 +33,12 @@ from latsum import (
     symmetric_group,
     sylow_decomposition,
 )
+import latsum.lattice
 from latsum.arith import divisors
 from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
+from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask
-from latsum.lattice import Subgroup, _enumerate_worklist
+from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_orders
 
 from helpers import (
     brute_force_subgroup_masks,
@@ -44,6 +47,7 @@ from helpers import (
     naive_order_census,
     relabelled,
     subgroup_generators,
+    subspace_masks_by_loop,
 )
 
 
@@ -102,6 +106,30 @@ def test_fast_path_agrees_with_worklist():
         assert {s.mask for s in fast.subgroups} == every_subgroup_worklist(group), group.label
         want = descending_maximal_scan(group.order, fast.subgroups)
         assert [m.mask for m in maximal_subgroups(fast)] == [m.mask for m in want], group.label
+
+
+def _subspace_route_groups():
+    ranks = [(2, k) for k in range(2, 8)] + [(3, k) for k in range(2, 6)] + [(5, 2), (5, 3), (7, 2)]
+    groups = [(elementary_abelian_group(p, k), p, k) for p, k in ranks]
+    # relabelled copies, whose greedy basis is not the constructor's digit order
+    rng = random.Random(17)
+    for p, k in [(2, 6), (3, 4), (5, 3)]:
+        group = Group(relabelled(elementary_abelian_group(p, k).table, rng), f"relabelled elem:{p},{k}")
+        group.validate()
+        groups.append((group, p, k))
+    return groups
+
+
+def test_subspace_blocks_match_loop_oracle():
+    # orders 4, 9, 25, 27, 49, 81, 125 and 243 are not multiples of 8, so
+    # their mask rows carry packbits padding
+    for group, p, k in _subspace_route_groups():
+        lat = enumerate_subgroups(group)
+        want = subspace_masks_by_loop(group, p, k)
+        assert [s.mask for s in lat.subgroups] == want, group.label
+        hyperplanes = [m for m in want if m.bit_count() * p == group.order]
+        assert [m.mask for m in maximal_subgroups(lat)] == hyperplanes, group.label
+        assert all(s.gens is None for s in lat.subgroups), group.label
 
 
 def _unitriangular_order_27():
@@ -202,6 +230,25 @@ def test_lattice_cap_boundary(spec, count):
     with pytest.raises(LatticeTooLarge):
         enumerate_subgroups(group, max_subgroups=count - 1)
     assert len(enumerate_subgroups(group, max_subgroups=count)) == count
+
+
+def test_subspace_route_cap_boundary():
+    group = elementary_abelian_group(2, 6)
+    with pytest.raises(LatticeTooLarge):
+        enumerate_subgroups(group, max_subgroups=2824)
+    assert len(enumerate_subgroups(group, max_subgroups=2825)) == 2825
+
+
+def test_subspace_route_cap_checked_before_allocation():
+    group = elementary_abelian_group(2, 8)
+    tracemalloc.start()
+    try:
+        with pytest.raises(LatticeTooLarge):
+            enumerate_subgroups(group, max_subgroups=417_198)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
 
 
 def test_normality():
@@ -358,19 +405,36 @@ def test_sylow_decomposition():
     assert [s.order for s in syl] == [4, 9]
 
 
+NILPOTENCY_CASES = [
+    ("cyclic:12", True),
+    ("elem:2,3", True),
+    ("dihedral:4", True),  # a 2-group
+    ("pq:2,3", False),
+    ("pq:3,7", False),
+    ("sym:4", False),
+    ("dihedral:6", False),
+    ("product:cyclic:4+cyclic:9", True),
+]
+
+
 def test_nilpotency():
-    for spec, want in [
-        ("cyclic:12", True),
-        ("elem:2,3", True),
-        ("dihedral:4", True),  # a 2-group
-        ("pq:2,3", False),
-        ("pq:3,7", False),
-        ("sym:4", False),
-        ("dihedral:6", False),
-        ("product:cyclic:4+cyclic:9", True),
-    ]:
+    for spec, want in NILPOTENCY_CASES:
         g, lat = lat_of(spec)
         assert is_nilpotent(g, lat) is want, spec
+
+
+def test_element_order_criterion_agrees_with_is_nilpotent():
+    for spec, want in NILPOTENCY_CASES:
+        g, lat = lat_of(spec)
+        assert nilpotent_by_element_orders(g) is is_nilpotent(g, lat) is want, spec
+
+
+def test_is_nilpotent_raises_when_both_lattice_criteria_are_wrong(monkeypatch):
+    g, lat = lat_of("sym:3")
+    monkeypatch.setattr(latsum.lattice, "all_maximals_normal", lambda group, lat: True)
+    monkeypatch.setattr(latsum.lattice, "sylow_decomposition", lambda group, lat: [])
+    with pytest.raises(InvariantViolation, match="p-element-counts=False"):
+        is_nilpotent(g, lat)
 
 
 def test_recognize():
