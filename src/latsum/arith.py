@@ -14,7 +14,10 @@ from .errors import InvariantViolation, LimitTooLarge
 
 # sigma(n) < n * (1 + ln n) stays far below 2**63 for any limit we allow,
 # so the sieve table is one int64 array: 8 bytes per integer, 400 MB at the cap.
+# The sieve and both scans work through SIEVE_BLOCK integers at a time, so
+# their temporaries add a few MB to the table, not a multiple of it.
 MAX_SIEVE_LIMIT = 50_000_000
+SIEVE_BLOCK = 1 << 18
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -113,8 +116,9 @@ def build_sieve(limit: int) -> SigmaSieve:
     """Compute sigma(n) for all n <= limit with a divisor-pair sieve, 8 bytes per integer.
 
     Every divisor pair d * k = n with 2 <= d <= k contributes d + k, added in
-    one strided step per d <= isqrt(limit); the square pair d * d counts d once.
-    The table starts at 1 + n, the pair (1, n).
+    strided steps of at most SIEVE_BLOCK cofactors k per d <= isqrt(limit);
+    the square pair d * d counts d once.  The table starts at 1 + n, the
+    pair (1, n).  Below limit 2 * SIEVE_BLOCK every d takes a single step.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -126,7 +130,12 @@ def build_sieve(limit: int) -> SigmaSieve:
     table = np.arange(1, limit + 2, dtype=np.int64)
     table[:2] = 0, 1
     for d in range(2, math.isqrt(limit) + 1):
-        table[d * d :: d] += np.arange(2 * d, limit // d + d + 1)
+        # n = d * k gains d + k for each cofactor d <= k <= limit // d
+        k, top = d, limit // d
+        while top - k >= SIEVE_BLOCK:
+            table[d * k : d * (k + SIEVE_BLOCK) : d] += np.arange(k + d, k + d + SIEVE_BLOCK)
+            k += SIEVE_BLOCK
+        table[d * k :: d] += np.arange(k + d, top + d + 1)
         table[d * d] -= d
     return SigmaSieve(limit=limit, table=table)
 
@@ -143,11 +152,15 @@ class ThresholdScan:
 
 def scan_threshold(sieve: SigmaSieve) -> ThresholdScan:
     """Classify every n <= limit by sigma(n) versus 2n + 4."""
-    diff = np.arange(6, 2 * sieve.limit + 5, 2)
-    np.subtract(sieve.table[1:], diff, out=diff)
-    below = int(np.count_nonzero(diff < 0))
-    equal = tuple((np.flatnonzero(diff == 0) + 1).tolist())
-    return ThresholdScan(sieve.limit, below, sieve.limit - below - len(equal), equal)
+    below = 0
+    equal: list[int] = []
+    for lo in range(1, sieve.limit + 1, SIEVE_BLOCK):
+        hi = min(lo + SIEVE_BLOCK, sieve.limit + 1)
+        diff = np.arange(2 * lo + 4, 2 * hi + 4, 2)  # 2n + 4 for lo <= n < hi
+        np.subtract(sieve.table[lo:hi], diff, out=diff)
+        below += int(np.count_nonzero(diff < 0))
+        equal += (np.flatnonzero(diff == 0) + lo).tolist()
+    return ThresholdScan(sieve.limit, below, sieve.limit - below - len(equal), tuple(equal))
 
 
 def gaussian_subgroup_count(k: int, p: int, i: int) -> int:
@@ -185,9 +198,12 @@ def odd_part_inequality_scan(limit: int, sieve: SigmaSieve | None = None) -> Odd
     """
     if sieve is None or sieve.limit < limit:
         sieve = build_sieve(limit)
-    lhs = 11 * sieve.table[3 : limit + 1 : 2]  # n = 3, 5, ...
-    violations = np.flatnonzero(lhs <= np.arange(28, 8 * limit + 5, 16)) * 2 + 3
-    return OddPartScanReport(limit=limit, checked=len(lhs), violations=tuple(violations.tolist()))
+    violations: list[int] = []
+    for lo in range(3, limit + 1, 2 * SIEVE_BLOCK):
+        hi = min(lo + 2 * SIEVE_BLOCK, limit + 1)  # one block of odd n: lo, lo + 2, ...
+        lhs = 11 * sieve.table[lo:hi:2]
+        violations += (np.flatnonzero(lhs <= np.arange(8 * lo + 4, 8 * hi + 4, 16)) * 2 + lo).tolist()
+    return OddPartScanReport(limit=limit, checked=len(range(3, limit + 1, 2)), violations=tuple(violations))
 
 
 def rank_bound_exceeds_threshold(p: int, n: int, k: int) -> bool:

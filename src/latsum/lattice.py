@@ -9,7 +9,7 @@ from itertools import combinations
 
 import numpy as np
 
-from .arith import factorize, gaussian_subgroup_count
+from .arith import factorize, gaussian_subgroup_count, is_prime
 from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, conjugate_mask, generated_mask
 
@@ -104,7 +104,17 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     at once: the extensions of gHg^-1 are the conjugates of the extensions
     of H, so the lattice stays complete.  A queued H is maximal exactly
     when every extension <H, x> is the whole group, and then so is every
-    conjugate of H.  In an abelian group every class is a single subgroup.
+    conjugate of H.
+
+    In an abelian group every class is a single subgroup, and the worklist
+    extends only by prime steps.  Every subgroup K > 1 has a subgroup H of
+    prime index p, and then K = H u Hx u ... u Hx^(p-1) for any x in K - H.
+    So for a queued H and each coset Hx not yet covered, it powers x until
+    a power lands in H; when that order k of Hx in G/H is prime it builds
+    the k cosets straight from the Cayley table, with no closure, and
+    covers all of them, since every element of K - H gives the same K.
+    A coset of composite order is covered and nothing more.  An abelian
+    group is nilpotent, so H is maximal exactly when its index is prime.
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which produces the identical lattice but scales to the rank-8
@@ -147,17 +157,17 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
     seen: dict[int, Subgroup] = {}
     work: list[tuple[Subgroup, list[Subgroup]]] = []
 
-    def add_class(sub: Subgroup) -> None:
+    def add_class(sub: Subgroup, orbit: list[Subgroup]) -> None:
         # seen stays closed under conjugation, so the whole class is new;
         # the orbit holds sub itself, the one member that keeps its gens
-        orbit = [sub] if abelian else conjugates(group, sub)
         for c in orbit:
             seen[c.mask] = c
         if len(seen) > max_subgroups:
             raise LatticeTooLarge(f"more than {max_subgroups} subgroups")
         work.append((sub, orbit))
 
-    add_class(Subgroup(1, ()))
+    trivial = Subgroup(1, ())
+    add_class(trivial, [trivial])
     maximals: list[Subgroup] = []
     for sub, orbit in work:  # also visits the classes appended below
         if sub.mask == full_mask:
@@ -166,6 +176,34 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
         covered = bytearray(n)
         for h in members:
             covered[h] = 1
+        if abelian:
+            # G is nilpotent, so H is maximal exactly when its index is prime
+            if is_prime(n // sub.order):
+                maximals.append(sub)
+            in_sub = bytes(covered)
+            for x in range(1, n):
+                if covered[x]:
+                    continue
+                coset = [table[h][x] for h in members]
+                # k is the order of Hx in G/H
+                k, y = 2, table[x][x]
+                while not in_sub[y]:
+                    k, y = k + 1, table[y][x]
+                if not is_prime(k):
+                    for c in coset:
+                        covered[c] = 1
+                    continue
+                # K = H u Hx u ... u Hx^(k-1); every y in K - H extends H to K
+                mask = sub.mask
+                for _ in range(k - 1):
+                    for c in coset:
+                        covered[c] = 1
+                        mask |= 1 << c
+                    coset = [table[c][x] for c in coset]
+                if mask not in seen:
+                    new = Subgroup(mask, sub.gens + (x,))
+                    add_class(new, [new])
+            continue
         maximal = True
         for x in range(1, n):
             if covered[x]:
@@ -176,7 +214,8 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
             new_gens = sub.gens + (x,)
             new_mask = generated_mask(group, new_gens, seed_mask=sub.mask)
             if new_mask not in seen:
-                add_class(Subgroup(new_mask, new_gens))
+                new = Subgroup(new_mask, new_gens)
+                add_class(new, conjugates(group, new))
             if new_mask != full_mask:
                 maximal = False
         if maximal:

@@ -1,6 +1,7 @@
 import random
 import tracemalloc
 
+import numpy as np
 import pytest
 
 from latsum import (
@@ -12,7 +13,7 @@ from latsum import (
     odd_part_inequality_scan,
     scan_threshold,
 )
-from latsum.arith import MAX_SIEVE_LIMIT, factorize, is_prime, nth_prime, primes
+from latsum.arith import MAX_SIEVE_LIMIT, SIEVE_BLOCK, factorize, is_prime, nth_prime, primes
 
 from helpers import trial_division_sigma
 
@@ -83,6 +84,44 @@ def test_sieve_limit_checked_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_blocked_sieve_and_scans_match_whole_table_expressions():
+    # three and a bit blocks: the strided adds for small d and both scans
+    # cross block edges, which a limit below SIEVE_BLOCK never does
+    limit = 3 * SIEVE_BLOCK + 12_345
+    sieve = build_sieve(limit)
+    edges = {d * d + j * SIEVE_BLOCK * d + e for d in (2, 3, 5, 101) for j in range(1, 4) for e in (-d, 0, d)}
+    rng = random.Random(3)
+    for n in sorted(e for e in edges if e <= limit) + [rng.randrange(1, limit + 1) for _ in range(300)]:
+        assert sieve.sigma(n) == divisor_sigma(n), n
+    n = np.arange(1, limit + 1)
+    diff = sieve.table[1:] - (2 * n + 4)
+    scan = scan_threshold(sieve)
+    assert scan.below_count == np.count_nonzero(diff < 0)
+    assert scan.equal == tuple(np.flatnonzero(diff == 0) + 1)
+    # plant violations on both sides of the odd scan's first block edge
+    first_edge = 3 + 2 * SIEVE_BLOCK
+    planted = (3, first_edge - 2, first_edge, limit - 2)
+    sieve.table[list(planted)] = 0
+    odd = np.arange(3, limit + 1, 2)
+    assert odd_part_inequality_scan(limit, sieve).violations == tuple(odd[11 * sieve.table[odd] <= 8 * odd + 4])
+    assert odd_part_inequality_scan(limit, sieve).violations == planted
+
+
+def test_sieve_and_scans_peak_near_the_table_size():
+    # the table is 8 * (limit + 1) bytes; the blocked adds and scans keep
+    # their temporaries to a few blocks on top of it
+    limit = 4_000_000
+    tracemalloc.start()
+    try:
+        sieve = build_sieve(limit)
+        scan_threshold(sieve)
+        odd_part_inequality_scan(limit, sieve)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1.25 * 8 * (limit + 1)
 
 
 def test_scans_match_loop_and_return_python_ints():

@@ -150,10 +150,27 @@ def _unitriangular_order_27():
     return Group(table, "unitriangular-27")
 
 
+ABELIAN_ORACLE_SPECS = [f"cyclic:{n}" for n in range(1, 65)] + [
+    "cyclic:360",
+    "cyclic:720",
+    # abelian p-groups that are not elementary, so they take the worklist route
+    "product:cyclic:2+cyclic:4+cyclic:8",
+    "product:cyclic:9+cyclic:3",
+    # mixed primes
+    "product:elem:2,2+cyclic:9",
+    "product:elem:3,2+cyclic:8",
+]
+
+
 def _oracle_groups():
     groups = [spec.build() for spec in pq_specs(120) + dihedral_specs(30)]
-    for text in ["sym:3", "sym:4", "product:pq:2,3+cyclic:5", "product:sym:4+cyclic:5"]:
+    for text in ["sym:3", "sym:4", "product:pq:2,3+cyclic:5", "product:sym:4+cyclic:5", *ABELIAN_ORACLE_SPECS]:
         groups.append(GroupSpec.parse(text).build())
+    # a relabelled abelian table, whose element indices do not follow the powers of a generator
+    table = relabelled(GroupSpec.parse("product:cyclic:6+cyclic:12").build().table, random.Random(23))
+    group = Group(table, "relabelled product:cyclic:6+cyclic:12")
+    group.validate()
+    groups.append(group)
     groups.append(_unitriangular_order_27())
     s5 = symmetric_group(5)
     for i, mask in enumerate(sorted(every_subgroup_worklist(s5))):
@@ -163,7 +180,8 @@ def _oracle_groups():
 
 def test_class_enumeration_matches_every_subgroup_oracle():
     groups = _oracle_groups()
-    assert len(groups) > 156 + 30
+    assert len(groups) > 156 + 30 + len(ABELIAN_ORACLE_SPECS)
+    assert sum(g.is_abelian for g in groups) > len(ABELIAN_ORACLE_SPECS)
     for group in groups:
         lat = enumerate_subgroups(group)
         masks = [s.mask for s in lat.subgroups]
@@ -174,13 +192,52 @@ def test_class_enumeration_matches_every_subgroup_oracle():
 
 
 def test_one_representative_per_class_regenerates_its_mask():
-    for spec in ["sym:4", "pq:3,7", "dihedral:6", "product:pq:2,3+cyclic:5", "cyclic:12"]:
+    for spec in ["sym:4", "pq:3,7", "dihedral:6", "product:pq:2,3+cyclic:5", "cyclic:12", "product:cyclic:4+cyclic:6"]:
         group, lat = lat_of(spec)
         for sub in lat.subgroups:
             orbit = {c.mask for c in conjugates(group, sub)}
             reps = [s for s in lat.subgroups if s.mask in orbit and s.gens is not None]
             assert len(reps) == 1, (spec, sub)
             assert generated_mask(group, reps[0].gens) == reps[0].mask, spec
+
+
+def test_abelian_groups_run_no_closure_and_no_conjugation(monkeypatch):
+    # abelian groups extend by prime steps, each a union of cosets read off
+    # the Cayley table, and every class is a single subgroup
+    groups = [GroupSpec.parse(spec).build() for spec in ["cyclic:360", "product:elem:2,2+cyclic:9"]]
+    want = {g.label: every_subgroup_worklist(g) for g in groups}
+
+    def forbidden(*args, **kwargs):
+        raise AssertionError("called on an abelian group")
+
+    monkeypatch.setattr(latsum.lattice, "generated_mask", forbidden)
+    monkeypatch.setattr(latsum.lattice, "conjugates", forbidden)
+    for group in groups:
+        lat = enumerate_subgroups(group)
+        assert {s.mask for s in lat.subgroups} == want[group.label], group.label
+        maximals = descending_maximal_scan(group.order, lat.subgroups)
+        assert [m.mask for m in maximal_subgroups(lat)] == [m.mask for m in maximals], group.label
+
+
+def test_prime_step_covers_its_whole_extension():
+    # the one prime step from the trivial subgroup of C_p gives the whole
+    # group and covers all of it, so no other element is powered: the
+    # Cayley table is read O(p) times, not once per power of every element
+    group = cyclic_group(997)
+    assert group.is_abelian
+
+    class CountingTable(list):
+        reads = 0
+
+        def __getitem__(self, i):
+            CountingTable.reads += 1
+            return list.__getitem__(self, i)
+
+    group.table = CountingTable(group.table)
+    lat = enumerate_subgroups(group)
+    assert lat.census == {1: 1, 997: 1}
+    assert [m.order for m in maximal_subgroups(lat)] == [1]
+    assert CountingTable.reads < 3 * group.order
 
 
 def test_nonabelian_exponent_p_group_avoids_subspace_route():
@@ -222,10 +279,12 @@ def test_lattice_too_large():
         _enumerate_worklist(symmetric_group(4), 10)
 
 
-@pytest.mark.parametrize("spec, count", [("pq:2,241", 244), ("product:cyclic:4+cyclic:4", 15)])
+@pytest.mark.parametrize(
+    "spec, count", [("pq:2,241", 244), ("product:cyclic:4+cyclic:4", 15), ("cyclic:720", 30)]
+)
 def test_lattice_cap_boundary(spec, count):
-    # a nonabelian group, whose classes enter the count whole, and an abelian
-    # one on the worklist route, where every class is a single subgroup
+    # a nonabelian group, whose classes enter the count whole, and abelian
+    # ones on the worklist route, where every class is a single subgroup
     group = GroupSpec.parse(spec).build()
     with pytest.raises(LatticeTooLarge):
         enumerate_subgroups(group, max_subgroups=count - 1)
