@@ -199,10 +199,10 @@ def _run_entry(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
     try:
         if isinstance(source, GroupSpec):
             group = source.build(max_order)
+        elif len(source) > max_order:
+            raise OrderCapExceeded(f"order {len(source)} exceeds cap {max_order}")
         else:
             group = Group([list(row) for row in source], label)
-        if group.order > max_order:
-            raise OrderCapExceeded(f"order {group.order} exceeds cap {max_order}")
         return EntryResult(label, analyze_group(group, max_subgroups, label=label), None)
     except Exception as exc:  # a bug in one entry is reported against it, never aborts the run
         return EntryResult(label, None, f"{type(exc).__name__}: {exc}")

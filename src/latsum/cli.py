@@ -47,6 +47,7 @@ from .groups import (
     GroupSpec,
     group_from_perm_file,
     group_from_raw_table,
+    read_group_file,
 )
 from .lattice import DEFAULT_MAX_SUBGROUPS
 
@@ -75,17 +76,12 @@ def load_group(source: str, max_order: int) -> Group:
     """Resolve a CLI group source: spec string, or a raw-table / generator file."""
     if ":" in source and not Path(source).exists():
         return GroupSpec.parse(source).build(max_order)
-    path = Path(source)
-    if not path.is_file():
+    if not Path(source).is_file():
         raise InvalidSpec(f"no such spec or file: {source}")
-    text = path.read_text(encoding="utf-8")
-    first = text.lstrip().splitlines()[0] if text.strip() else ""
-    if first.startswith("perm"):
+    text = read_group_file(source)
+    if text.lstrip().startswith("perm"):
         return group_from_perm_file(text, max_order=max_order, label=source)
-    group = group_from_raw_table(text, label=source)
-    if group.order > max_order:
-        raise OrderCapExceeded(f"table order {group.order} exceeds cap {max_order}")
-    return group
+    return group_from_raw_table(text, max_order=max_order, label=source)
 
 
 def _print_report(report: AnalysisReport, as_json: bool) -> None:

@@ -16,7 +16,7 @@ from fractions import Fraction
 from .arith import is_prime, nth_prime
 from .errors import InvariantViolation, SearchCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group, semidirect_pq_group
-from .lattice import DEFAULT_MAX_SUBGROUPS, enumerate_subgroups, is_nilpotent
+from .lattice import DEFAULT_MAX_SUBGROUPS, enumerate_subgroups, recognize
 from .sigma import classify, sigma1
 
 
@@ -94,11 +94,11 @@ def build_witness(
         raise InvariantViolation(f"unexpected census for p={p}, q={q}: {census}")
     if value != formula:
         raise InvariantViolation(f"lattice sigma1 {value} != formula {formula}")
-    nilpotent = is_nilpotent(group, lat)
-    if nilpotent:
+    profile = recognize(group, lat)
+    if profile.is_nilpotent:
         raise InvariantViolation(f"pq-group of order {p * q} must not be nilpotent")
-    verdict = classify(group, lat).verdict
-    return PQWitness(index, p, q, formula, group, value, census, nilpotent, verdict)
+    verdict = classify(group, lat, profile).verdict
+    return PQWitness(index, p, q, formula, group, value, census, profile.is_nilpotent, verdict)
 
 
 @dataclass(frozen=True)

@@ -405,11 +405,22 @@ def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def group_from_raw_table(text: str, label: str | None = None) -> Group:
+def read_group_file(path: str) -> str:
+    """Text of a table or generator file: unreadable is InvalidSpec, non-UTF-8 InvalidTable."""
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except OSError as exc:
+        raise InvalidSpec(f"cannot read {path!r}: {exc}") from exc
+    except UnicodeDecodeError as exc:
+        raise InvalidTable(f"{path!r} is not UTF-8 text: {exc}") from exc
+
+
+def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: str | None = None) -> Group:
     """Parse the raw table format: line 1 is n, then n rows of n indices.
 
-    The parsed table is fully validated (Latin square, identity at 0,
-    inverses, associativity).
+    n is checked against ``max_order`` before any row is read.  The rows,
+    whitespace-separated decimal integers with no comments, are parsed in one
+    ``np.loadtxt`` pass; ``Group.validate`` alone checks range and the laws.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -420,17 +431,17 @@ def group_from_raw_table(text: str, label: str | None = None) -> Group:
         raise InvalidTable(f"first line must be the order, got {lines[0]!r}") from exc
     if n < 1:
         raise InvalidTable(f"order must be >= 1, got {n}")
+    if n > max_order:
+        raise OrderCapExceeded(f"table order {n} exceeds cap {max_order}")
+    # np.loadtxt only warns on empty input, so the row count is checked here
     if len(lines) != n + 1:
         raise InvalidTable(f"expected {n} table rows, got {len(lines) - 1}")
-    table = []
-    for i, line in enumerate(lines[1:], start=1):
-        try:
-            row = [int(v) for v in line.split()]
-        except ValueError as exc:
-            raise InvalidTable(f"non-integer entry on line {i + 1}") from exc
-        if len(row) != n or any(not 0 <= v < n for v in row):
-            raise InvalidTable(f"row {i} must hold {n} entries in 0..{n - 1}")
-        table.append(row)
+    try:
+        table = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2, comments=None).tolist()
+    except ValueError as exc:
+        # numpy's hint after the ';' is about its own usecols argument
+        raise InvalidTable(f"table rows must be whitespace-separated integers: {str(exc).partition(';')[0]}") from exc
+    del lines  # validate allocates its own arrays; the text lines are no longer needed
     group = Group(table, label or "raw-table")
     group.validate()
     return group
@@ -538,33 +549,24 @@ class GroupSpec:
         return None
 
     def build(self, max_order: int = DEFAULT_ORDER_CAP) -> Group:
+        """Construct the group; OrderCapExceeded comes before any table above
+        ``max_order`` is allocated: from the predicted order, from the built
+        parts' orders of a product, or from the file reader."""
         predicted = self.predicted_order()
         if predicted is not None and predicted > max_order:
-            raise OrderCapExceeded(
-                f"{self} has order {predicted}, above the cap {max_order}"
-            )
+            raise OrderCapExceeded(f"{self} has order {predicted}, above the cap {max_order}")
         if self.kind in _FAMILIES:
             return _FAMILIES[self.kind][0](*self.params)
         if self.kind == "product":
             built = [p.build(max_order) for p in self.parts]
-            group = direct_product_group(built, label=str(self))
-            if group.order > max_order:
-                raise OrderCapExceeded(f"{self} exceeds the cap {max_order}")
-            return group
-        if self.kind == "table":
-            group = group_from_raw_table(self._read_file(), label=str(self))
-            if group.order > max_order:
-                raise OrderCapExceeded(f"{self} exceeds the cap {max_order}")
-            return group
-        if self.kind == "perm":
-            return group_from_perm_file(self._read_file(), max_order=max_order, label=str(self))
+            order = math.prod(g.order for g in built)
+            if order > max_order:
+                raise OrderCapExceeded(f"{self} has order {order}, above the cap {max_order}")
+            return direct_product_group(built, label=str(self))
+        if self.kind in ("table", "perm"):
+            reader = group_from_raw_table if self.kind == "table" else group_from_perm_file
+            return reader(read_group_file(self.path or ""), max_order=max_order, label=str(self))
         raise InvalidSpec(f"unknown spec kind {self.kind!r}")
-
-    def _read_file(self) -> str:
-        try:
-            return Path(self.path or "").read_text(encoding="utf-8")
-        except OSError as exc:
-            raise InvalidSpec(f"cannot read {self.path!r}: {exc}") from exc
 
     @staticmethod
     def parse(text: str) -> "GroupSpec":

@@ -85,6 +85,16 @@ def test_analyze_missing_file_exit_2(capsys):
     assert code == 2
 
 
+def test_non_utf8_file_exit_4(tmp_path, capsys):
+    path = tmp_path / "latin1.txt"
+    path.write_bytes("1\n0\n# \u00e9\n".encode("latin-1"))
+    for command in ("analyze", "dump-table"):
+        for source in (str(path), f"table:{path}"):
+            code, out, err = run_cli(capsys, command, source)
+            assert (code, out) == (4, ""), (command, source)
+            assert err.startswith(f"{source}: ") and "UTF-8" in err
+
+
 def test_dump_table_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dump-table", "pq:2,3")
     assert code == 0

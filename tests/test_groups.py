@@ -194,6 +194,8 @@ def test_raw_table_round_trip():
     g = semidirect_pq_group(2, 3)
     again = group_from_raw_table(g.dump_table())
     assert again.table == g.table
+    table = relabelled(GroupSpec.parse("product:pq:2,3+cyclic:73").build().table, random.Random(438))
+    assert group_from_raw_table(Group(table).dump_table()).table == table
 
 
 def test_raw_table_rejects_bad_input():
@@ -205,6 +207,19 @@ def test_raw_table_rejects_bad_input():
         group_from_raw_table("2\n1 0\n0 1\n")  # identity not at 0
     with pytest.raises(InvalidTable):
         group_from_raw_table("3\n0 1 2\n1 2 0\n")  # missing row
+    c11 = cyclic_group(11).dump_table()
+    for bad in (
+        "3\n0 1 2\n1 2 0\n2 0\n",  # ragged row
+        c11.replace("\n1 2 ", "\n1.0 2 ", 1),
+        c11.replace("\n1 2 3 4 5 6 7 8 9 10 0\n", "\n1 2 3 4 5 6 7 8 9 10 0 # C11\n", 1),  # no comments
+        "2\n0 1\n1 -1\n",
+        "2\n0 1\n1 2\n",  # the value n
+        f"2\n0 1\n1 {2**63 + 1}\n",  # above int64
+        c11.replace("\n10 0 ", "\n1_0 0 ", 1),
+    ):
+        assert bad != c11
+        with pytest.raises(InvalidTable):
+            group_from_raw_table(bad)
     assert associativity_failure(LOOP_5) is not None
     with pytest.raises(InvalidTable):
         group_from_raw_table(Group(LOOP_5).dump_table())

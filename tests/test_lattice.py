@@ -16,6 +16,7 @@ from latsum import (
     Lattice,
     LatticeTooLarge,
     NotAPGroup,
+    OrderCapExceeded,
     conjugates,
     cyclic_group,
     dihedral_group,
@@ -37,7 +38,7 @@ import latsum.lattice
 from latsum.arith import divisors
 from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
 from latsum.errors import InvariantViolation
-from latsum.groups import generated_mask
+from latsum.groups import generated_mask, group_from_raw_table
 from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_orders
 
 from helpers import (
@@ -308,6 +309,25 @@ def test_subspace_route_cap_checked_before_allocation():
     finally:
         tracemalloc.stop()
     assert peak < 1 << 20
+
+
+def test_raw_table_cap_checked_against_line_1_before_the_rows():
+    with pytest.raises(OrderCapExceeded):
+        group_from_raw_table("13\n", max_order=12)
+
+
+def test_product_of_table_files_cap_checked_before_allocation(tmp_path):
+    path = tmp_path / "c50.txt"
+    path.write_text(cyclic_group(50).dump_table())
+    spec = GroupSpec.parse(f"product:table:{path}+table:{path}")
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceeded):
+            spec.build(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 5 << 20
 
 
 def test_normality():
