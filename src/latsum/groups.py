@@ -137,12 +137,13 @@ class Group:
         include the identity, so it suffices to check every g in
         ``generating_set()``, whose right-multiplication closure from the
         identity is the whole table.  That is one n x n gather pair per
-        generator.  Raises InvalidTable on the first failure.
+        generator.  Raises InvalidTable on the first failure; an entry out
+        of 0..n-1 fails the Latin-square check.  ``group_from_raw_table``
+        checks the range itself, before ``Group`` looks for the identity
+        and the inverses.
         """
         n = self.order
         arr = np.asarray(self.table, dtype=np.int64)
-        if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
-            raise InvalidTable("table entries out of range")
         expected = np.arange(n, dtype=np.int64)
         if not (np.sort(arr, axis=1) == expected).all():
             raise InvalidTable("some row is not a permutation of 0..n-1")
@@ -420,7 +421,8 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
 
     n is checked against ``max_order`` before any row is read.  The rows,
     whitespace-separated decimal integers with no comments, are parsed in one
-    ``np.loadtxt`` pass; ``Group.validate`` alone checks range and the laws.
+    ``np.loadtxt`` pass and checked to be n x n entries in 0..n-1 before
+    ``Group`` reads them; ``Group.validate`` then checks the laws.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -437,12 +439,15 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
     if len(lines) != n + 1:
         raise InvalidTable(f"expected {n} table rows, got {len(lines) - 1}")
     try:
-        table = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2, comments=None).tolist()
+        arr = np.loadtxt(lines[1:], dtype=np.int64, ndmin=2, comments=None)
     except ValueError as exc:
         # numpy's hint after the ';' is about its own usecols argument
         raise InvalidTable(f"table rows must be whitespace-separated integers: {str(exc).partition(';')[0]}") from exc
     del lines  # validate allocates its own arrays; the text lines are no longer needed
-    group = Group(table, label or "raw-table")
+    if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
+        raise InvalidTable("table entries out of range")
+    group = Group(arr.tolist(), label or "raw-table")
+    del arr
     group.validate()
     return group
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import math
 from collections import Counter
+from collections.abc import Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -14,6 +15,10 @@ from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, conjugate_mask, generated_mask
 
 DEFAULT_MAX_SUBGROUPS = 100_000
+
+# Rows of one echelon pivot pattern that the subspace route builds at a
+# time; the numpy temporaries of a chunk stay near a megabyte at order 256.
+SUBSPACE_CHUNK_ROWS = 4096
 
 # The structure names classify() reports, each mapped to the name that
 # recognize() reports in ``recognized_as``: one name table for both.
@@ -36,8 +41,10 @@ class Subgroup:
 
     Bit a of ``mask`` is set exactly when element a belongs to the subgroup;
     ``gens`` is an optional small generating set kept to speed up closures.
-    The worklist route sets it on class representatives only, and the
-    subspace route never sets it.
+    The worklist route sets it on class representatives only.  The subspace
+    route keeps bare masks and makes a Subgroup, with no ``gens``, each
+    time ``Lattice.subgroups`` is read, so two reads of the same position
+    give equal but distinct objects.
     """
 
     __slots__ = ("mask", "order", "gens")
@@ -63,17 +70,43 @@ class Subgroup:
         return self.mask & other.mask == other.mask
 
 
+class _MaskView(Sequence):
+    """Read-only Subgroup sequence over a list of masks: an index or an
+    iteration makes each Subgroup on demand, and a slice is a list."""
+
+    __slots__ = ("_masks",)
+
+    def __init__(self, masks: list[int]):
+        self._masks = masks
+
+    def __len__(self) -> int:
+        return len(self._masks)
+
+    def __getitem__(self, i):
+        if isinstance(i, slice):
+            return [Subgroup(m) for m in self._masks[i]]
+        return Subgroup(self._masks[i])
+
+    def __iter__(self):
+        return map(Subgroup, self._masks)
+
+
 @dataclass
 class Lattice:
     """All subgroups of a group, canonically sorted by (order, mask).
 
-    ``maximals`` holds the maximal subgroups in the same order, as
-    ``enumerate_subgroups`` records them; a lattice built by hand may leave
-    it None, and ``maximal_subgroups`` then refuses it.
+    ``subgroups`` is a plain list on the worklist route and a read-only
+    view over the sorted masks on the subspace route.  ``census`` maps each
+    order, ascending, to its number of subgroups; ``subgroups_of_order``
+    reads its block straight from the census offsets, so a lattice built
+    by hand must keep ``subgroups`` canonically sorted and its census
+    matching.  ``maximals`` holds the maximal subgroups in the same order,
+    as ``enumerate_subgroups`` records them; a lattice built by hand may
+    leave it None, and ``maximal_subgroups`` then refuses it.
     """
 
     group: Group
-    subgroups: list[Subgroup]
+    subgroups: Sequence[Subgroup]
     census: dict[int, int]
     maximals: list[Subgroup] | None = None
 
@@ -81,7 +114,12 @@ class Lattice:
         return len(self.subgroups)
 
     def subgroups_of_order(self, order: int) -> list[Subgroup]:
-        return [s for s in self.subgroups if s.order == order]
+        start = 0
+        for o, count in self.census.items():
+            if o == order:
+                return list(self.subgroups[start : start + count])
+            start += count
+        return []
 
     @property
     def trivial(self) -> Subgroup:
@@ -113,32 +151,41 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     a power lands in H; when that order k of Hx in G/H is prime it builds
     the k cosets straight from the Cayley table, with no closure, and
     covers all of them, since every element of K - H gives the same K.
-    A coset of composite order is covered and nothing more.  An abelian
-    group is nilpotent, so H is maximal exactly when its index is prime.
+    A coset Hx of composite order k gives no prime step, and neither does
+    any Hx^j with j coprime to k, which has order k as well: all of these
+    are covered from the powers of x already computed, and nothing more.
+    An abelian group is nilpotent, so H is maximal exactly when its index
+    is prime.
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which produces the identical lattice but scales to the rank-8
     case over GF(2).  For each reduced-echelon pivot pattern over GF(p) it
-    builds all the subspaces of that pattern at once in numpy, growing the
-    spans by gathers on the Cayley table, and sorts each order block as it
-    goes, so only the worklist route's result needs sorting.  Its maximal
-    subgroups are the order-|G|/p block, the hyperplanes.  The two routes
-    are cross-checked in the test suite.
+    builds the subspaces of that pattern in numpy, ``SUBSPACE_CHUNK_ROWS``
+    at a time, growing the spans by gathers on the Cayley table, and sorts
+    each order block as it goes, so only the worklist route's result needs
+    sorting.  It keeps bare masks: ``subgroups`` is a read-only view that
+    makes each Subgroup when it is read, and the census is the length of
+    each order block.  Its maximal subgroups are the order-|G|/p block,
+    the hyperplanes.  The two routes are cross-checked in the test suite.
 
     On the worklist route only class representatives keep ``gens``; the
     other subgroups, and every subgroup from the subspace route, carry
     None.  Raises LatticeTooLarge when the subgroup count exceeds
     ``max_subgroups``; the subspace route checks its closed-form count
-    before it allocates anything.
+    before it allocates anything.  Raises InvariantViolation when some
+    order does not divide |G| (both routes), and on the subspace route
+    when a row of a block does not have p^r elements or an order block
+    does not hold the closed-form number of subspaces.
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
-        subs, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
+        masks, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
+        subs = _MaskView(masks)
     else:
         subs, maximals = _enumerate_worklist(group, max_subgroups)
         subs.sort(key=_canonical)
         maximals.sort(key=_canonical)
-    census = dict(sorted(Counter(s.order for s in subs).items()))
+        census = dict(sorted(Counter(s.order for s in subs).items()))
     if any(group.order % order for order in census):
         raise InvariantViolation(f"Lagrange violated on {group.label}: census {census}")
     return Lattice(group=group, subgroups=subs, census=census, maximals=maximals)
@@ -184,16 +231,22 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
             for x in range(1, n):
                 if covered[x]:
                     continue
-                coset = [table[h][x] for h in members]
-                # k is the order of Hx in G/H
-                k, y = 2, table[x][x]
+                # k is the order of Hx in G/H; powers[j - 1] is x^j
+                powers, y = [x], table[x][x]
                 while not in_sub[y]:
-                    k, y = k + 1, table[y][x]
+                    powers.append(y)
+                    y = table[y][x]
+                k = len(powers) + 1
                 if not is_prime(k):
-                    for c in coset:
-                        covered[c] = 1
+                    # Hx^j has order k too for every j coprime to k, so
+                    # none of these cosets can give a prime step
+                    for j, xj in enumerate(powers, 1):
+                        if math.gcd(j, k) == 1:
+                            for h in members:
+                                covered[table[h][xj]] = 1
                     continue
                 # K = H u Hx u ... u Hx^(k-1); every y in K - H extends H to K
+                coset = [table[h][x] for h in members]
                 mask = sub.mask
                 for _ in range(k - 1):
                     for c in coset:
@@ -240,9 +293,13 @@ def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
     return (p, k) if group.is_abelian else None
 
 
-def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
-    """(every subspace in (order, mask) order, the hyperplanes), one numpy block per echelon pivot pattern."""
-    total = sum(gaussian_subgroup_count(k, p, i) for i in range(k + 1))
+def _enumerate_elementary_abelian(
+    group: Group, p: int, k: int, max_subgroups: int
+) -> tuple[list[int], dict[int, int], list[Subgroup]]:
+    """(every subspace's mask in (order, mask) order, the census, the
+    hyperplanes), built in numpy row chunks per echelon pivot pattern."""
+    counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
+    total = sum(counts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
     table = group.table
@@ -267,32 +324,45 @@ def _enumerate_elementary_abelian(group: Group, p: int, k: int, max_subgroups: i
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
     cayley, coords = np.asarray(table), np.asarray(elems)
     nbytes = -(-group.order // 8)  # packbits pads each row to whole bytes
-    subs: list[Subgroup] = []
+    masks: list[int] = []
+    census: dict[int, int] = {}
+    maximals: list[Subgroup] = []
     for r in range(k + 1):
         block: list[int] = []
         for pivots in combinations(range(k), r):
             free = [(row, col) for row in range(r) for col in range(pivots[row] + 1, k) if col not in pivots]
-            # one row of echelon codes per assignment of the free slots
-            index = np.arange(p ** len(free))
-            codes = np.tile(np.array([p**c for c in pivots], dtype=np.intp), (len(index), 1))
-            for j, (row, col) in enumerate(free):
-                codes[:, row] += index // p**j % p * p**col
-            span = np.zeros((len(index), 1), dtype=np.intp)
-            for v in coords[codes].T:  # the span grows p-fold per basis row
-                parts = [span]
-                for _ in range(p - 1):
-                    parts.append(cayley[parts[-1], v[:, None]])
-                span = np.concatenate(parts, axis=1)
-            # packbits reads each row big-endian, so bit e of a mask is the e-th column from the right
-            bits = np.zeros((len(index), 8 * nbytes), dtype=bool)
-            np.put_along_axis(bits, 8 * nbytes - 1 - span, True, axis=1)
-            raw = np.packbits(bits, axis=1).tobytes()
-            block += [int.from_bytes(raw[i : i + nbytes], "big") for i in range(0, len(raw), nbytes)]
+            pivot_codes = np.array([p**c for c in pivots], dtype=np.intp)
+            rows = p ** len(free)
+            for lo in range(0, rows, SUBSPACE_CHUNK_ROWS):
+                # one row of echelon codes per assignment of the free slots
+                index = np.arange(lo, min(lo + SUBSPACE_CHUNK_ROWS, rows))
+                codes = np.tile(pivot_codes, (len(index), 1))
+                for j, (row, col) in enumerate(free):
+                    codes[:, row] += index // p**j % p * p**col
+                span = np.zeros((len(index), 1), dtype=np.intp)
+                for v in coords[codes].T:  # the span grows p-fold per basis row
+                    parts = [span]
+                    for _ in range(p - 1):
+                        parts.append(cayley[parts[-1], v[:, None]])
+                    span = np.concatenate(parts, axis=1)
+                # packbits reads each row big-endian, so bit e of a mask is the e-th column from the right
+                bits = np.zeros((len(index), 8 * nbytes), dtype=bool)
+                np.put_along_axis(bits, 8 * nbytes - 1 - span, True, axis=1)
+                # r independent rows span p^r distinct elements
+                if (np.count_nonzero(bits, axis=1) != p**r).any():
+                    raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
+                raw = np.packbits(bits, axis=1).tobytes()
+                block += [int.from_bytes(raw[i : i + nbytes], "big") for i in range(0, len(raw), nbytes)]
+        if len(block) != counts[r]:
+            raise InvariantViolation(
+                f"subspace route found {len(block)} subgroups of order {p**r}, expected {counts[r]}"
+            )
         block.sort()
-        subs.extend(map(Subgroup, block))
-    if len(subs) != total:
-        raise InvariantViolation(f"subspace route found {len(subs)} subgroups, expected {total}")
-    return subs, [s for s in subs if s.order * p == group.order]
+        census[p**r] = len(block)
+        masks += block
+        if r == k - 1:
+            maximals = [Subgroup(m) for m in block]
+    return masks, census, maximals
 
 
 # ---------------------------------------------------------------------------

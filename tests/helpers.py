@@ -192,6 +192,18 @@ def intercalates(table: list[list[int]]) -> list[tuple[int, int, int, int]]:
     return out
 
 
+class CountingTable(list):
+    """A Cayley table that counts in ``reads`` how often a row is read."""
+
+    def __init__(self, rows):
+        super().__init__(rows)
+        self.reads = 0
+
+    def __getitem__(self, i):
+        self.reads += 1
+        return list.__getitem__(self, i)
+
+
 def relabelled(table: list[list[int]], rng: random.Random) -> list[list[int]]:
     """The same group with its non-identity elements renamed at random."""
     n = len(table)

@@ -76,6 +76,17 @@ def test_analyze_bad_table_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+@pytest.mark.parametrize("text", ["2\n0 1\n1 2\n", "2\n0 1\n1 -1\n", "2\n0 1 0\n1 0 1\n"])
+def test_out_of_range_table_is_reported_as_out_of_range(tmp_path, capsys, text):
+    # checked before the identity and the inverses are looked for, which
+    # would otherwise report these tables as lacking them
+    path = tmp_path / "range.txt"
+    path.write_text(text)
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (4, "")
+    assert err == f"{path}: table entries out of range\n"
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "analyze", "/does/not/exist.txt")
     assert code == 2

@@ -39,9 +39,11 @@ from latsum.arith import divisors
 from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
 from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask, group_from_raw_table
+from latsum.analysis import analyze_group
 from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_orders
 
 from helpers import (
+    CountingTable,
     brute_force_subgroup_masks,
     descending_maximal_scan,
     every_subgroup_worklist,
@@ -133,6 +135,50 @@ def test_subspace_blocks_match_loop_oracle():
         assert all(s.gens is None for s in lat.subgroups), group.label
 
 
+def test_subspace_view_matches_its_mask_list():
+    group = elementary_abelian_group(3, 3)
+    lat = enumerate_subgroups(group)
+    masks = subspace_masks_by_loop(group, 3, 3)
+    view = lat.subgroups
+    assert not isinstance(view, list) and len(view) == len(masks) == len(lat) == 28
+    assert [s.mask for s in view] == masks
+    for i in (0, 1, 13, 27, -1, -2, -28):
+        assert view[i].mask == masks[i] and view[i].order == masks[i].bit_count(), i
+    with pytest.raises(IndexError):
+        view[28]
+    for part in (slice(None, 1), slice(2, None), slice(5, 9), slice(None, None, -3), slice(-4, None)):
+        got = view[part]
+        assert isinstance(got, list) and [s.mask for s in got] == masks[part], part
+    assert [s.mask for s in view[:1] + view[2:]] == masks[:1] + masks[2:]
+    assert lat.trivial.mask == masks[0] == 1 and lat.full.mask == masks[-1] == (1 << 27) - 1
+
+
+@pytest.mark.parametrize("spec", ["elem:2,5", "elem:3,3", "sym:4", "pq:3,7", "cyclic:12", "product:elem:2,2+cyclic:9"])
+def test_subgroups_of_order_matches_filter_scan(spec):
+    group, lat = lat_of(spec)
+    for order in [*lat.census, group.order + 1]:
+        want = [s.mask for s in lat.subgroups if s.order == order]
+        assert [s.mask for s in lat.subgroups_of_order(order)] == want, (spec, order)
+        assert len(want) == lat.census.get(order, 0), (spec, order)
+
+
+def test_subspace_route_makes_subgroups_only_for_what_is_read(monkeypatch):
+    # elem:2,8 has 417,199 subgroups; an analysis reads its 255 hyperplanes,
+    # one Sylow block of one subgroup, and the Frattini subgroup
+    calls = 0
+    init = Subgroup.__init__
+
+    def counting_init(self, *args, **kwargs):
+        nonlocal calls
+        calls += 1
+        init(self, *args, **kwargs)
+
+    monkeypatch.setattr(Subgroup, "__init__", counting_init)
+    report = analyze_group(elementary_abelian_group(2, 8), 500_000)
+    assert report.subgroup_count == 417_199
+    assert calls <= 300
+
+
 def _unitriangular_order_27():
     # (a, b, c) with (a1,b1,c1)(a2,b2,c2) = (a1+a2, b1+b2, c1+c2+a1*b2) mod 3
     def idx(a, b, c):
@@ -154,6 +200,7 @@ def _unitriangular_order_27():
 ABELIAN_ORACLE_SPECS = [f"cyclic:{n}" for n in range(1, 65)] + [
     "cyclic:360",
     "cyclic:720",
+    "cyclic:1920",
     # abelian p-groups that are not elementary, so they take the worklist route
     "product:cyclic:2+cyclic:4+cyclic:8",
     "product:cyclic:9+cyclic:3",
@@ -226,19 +273,22 @@ def test_prime_step_covers_its_whole_extension():
     # Cayley table is read O(p) times, not once per power of every element
     group = cyclic_group(997)
     assert group.is_abelian
-
-    class CountingTable(list):
-        reads = 0
-
-        def __getitem__(self, i):
-            CountingTable.reads += 1
-            return list.__getitem__(self, i)
-
     group.table = CountingTable(group.table)
     lat = enumerate_subgroups(group)
     assert lat.census == {1: 1, 997: 1}
     assert [m.order for m in maximal_subgroups(lat)] == [1]
-    assert CountingTable.reads < 3 * group.order
+    assert group.table.reads < 3 * group.order
+
+
+def test_composite_cosets_cover_every_generator_of_their_section():
+    # a coset Hx of composite order k also covers every Hx^j with j coprime
+    # to k, so no generator of <Hx> in G/H is powered again to its order k
+    group = cyclic_group(1920)
+    assert group.is_abelian
+    group.table = CountingTable(group.table)
+    lat = enumerate_subgroups(group)
+    assert lat.census == {d: 1 for d in divisors(1920)}
+    assert group.table.reads < 200_000
 
 
 def test_nonabelian_exponent_p_group_avoids_subspace_route():
@@ -403,11 +453,18 @@ def test_invariant_violation_survives_python_O():
     # cyclic:6 without its order-2 subgroup: the maximals the scan finds in
     # what is left (the order-3 subgroup) are all normal, but there is no
     # Sylow 2-subgroup, so the two nilpotency criteria disagree.  Then an
-    # unvalidated order-4 table in which element 1 has order 3.
+    # unvalidated order-4 table in which element 1 has order 3.  Then the
+    # three enumeration checks: elem:2,4 whose numpy table sends 1*2 to 0,
+    # so the span <1, 2> has three elements; elem:2,4 against a closed form
+    # that promises one subgroup of order 2 too many; and an unvalidated
+    # commutative order-5 table in which 1*1 = 0, so {0, 1} is a subgroup.
     code = textwrap.dedent(
         """
         from collections import Counter
+        import numpy as np
+        import latsum.lattice
         from latsum import Group, GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, is_nilpotent
+        from latsum.arith import gaussian_subgroup_count
         from helpers import descending_maximal_scan
 
         group = GroupSpec.parse("cyclic:6").build()
@@ -425,6 +482,29 @@ def test_invariant_violation_survives_python_O():
             bogus.element_order(1)
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
+
+        class OneProductOff(list):
+            def __array__(self, dtype=None, copy=None):
+                arr = np.array(list(self), dtype=dtype)
+                arr[1, 2] = 0
+                return arr
+
+        elem = GroupSpec.parse("elem:2,4").build()
+        elem.table = OneProductOff(elem.table)
+        z5 = [[(a + b) % 5 for b in range(5)] for a in range(5)]
+        z5[1][1] = 0
+        overcount = lambda k, p, i: gaussian_subgroup_count(k, p, i) + (i == 1)
+        cases = [
+            (elem, gaussian_subgroup_count),
+            (GroupSpec.parse("elem:2,4").build(), overcount),
+            (Group(z5, "bogus-5"), gaussian_subgroup_count),
+        ]
+        for group, count in cases:
+            latsum.lattice.gaussian_subgroup_count = count
+            try:
+                enumerate_subgroups(group)
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
         """
     )
     tests_dir = Path(__file__).parent
@@ -432,10 +512,15 @@ def test_invariant_violation_survives_python_O():
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
     done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
     assert done.returncode == 0, done.stderr
-    first, second, third = done.stdout.splitlines()
+    first, second, third, *enumeration = done.stdout.splitlines()
     assert first == "debug False maximal orders [3]"
     assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
     assert third == "InvariantViolation: element order 3 does not divide 4", third
+    assert enumeration == [
+        "InvariantViolation: a subspace of rank 2 in elem:2,4 does not have 4 elements",
+        "InvariantViolation: subspace route found 15 subgroups of order 2, expected 16",
+        "InvariantViolation: Lagrange violated on bogus-5: census {1: 1, 2: 1, 5: 1}",
+    ], enumeration
 
 
 def test_non_normal_maximals_self_normalize():
