@@ -9,7 +9,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import permutations
+from itertools import combinations, permutations
 from pathlib import Path
 from typing import Sequence
 
@@ -53,21 +53,26 @@ class Group:
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
 
-    def element_order(self, a: int) -> int:
-        """Least k >= 1 with a^k = identity; always divides the group order."""
-        k = 1
-        x = a
-        table = self.table
-        while x != 0:
-            x = table[x][a]
-            k += 1
-        if self.order % k:
-            raise InvariantViolation(f"element order {k} does not divide {self.order}")
-        return k
-
     def element_orders(self) -> tuple[int, ...]:
+        """Least k >= 1 with a^k = identity, for each a: one power walk per a
+        that no earlier walk met, which also gives each a^j order k / gcd(j, k).
+        Raises InvariantViolation when a walked k does not divide the order."""
         if self._element_orders is None:
-            self._element_orders = tuple(self.element_order(a) for a in range(self.order))
+            n, table = self.order, self.table
+            orders = [1] + [0] * (n - 1)
+            for a in range(1, n):
+                if orders[a]:
+                    continue
+                powers, y = [a], table[a][a]
+                while y != 0:
+                    powers.append(y)
+                    y = table[y][a]
+                k = len(powers) + 1
+                if n % k:
+                    raise InvariantViolation(f"element order {k} does not divide {n}")
+                for j, aj in enumerate(powers, 1):
+                    orders[aj] = k // math.gcd(j, k)
+            self._element_orders = tuple(orders)
         return self._element_orders
 
     def exponent(self) -> int:
@@ -75,13 +80,13 @@ class Group:
 
     @property
     def is_abelian(self) -> bool:
+        """True when the elements of ``generating_set()`` commute in pairs: exact
+        for a group table, since G = <gens>, and every group source gives one,
+        the constructors by construction and ``group_from_raw_table`` after
+        ``validate``."""
         if self._abelian is None:
-            table = self.table
-            self._abelian = all(
-                table[a][b] == table[b][a]
-                for a in range(1, self.order)
-                for b in range(1, a)
-            )
+            gens, table = self.generating_set(), self.table
+            self._abelian = all(table[a][b] == table[b][a] for a, b in combinations(gens, 2))
         return self._abelian
 
     @property

@@ -66,9 +66,6 @@ class Subgroup:
     def members(self) -> list[int]:
         return _mask_members(self.mask)
 
-    def contains_subgroup(self, other: "Subgroup") -> bool:
-        return self.mask & other.mask == other.mask
-
 
 class _MaskView(Sequence):
     """Read-only Subgroup sequence over a list of masks: an index or an
@@ -136,8 +133,13 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
     The general route is the cyclic extension method (Neubüser 1960): seed
     a worklist with the trivial subgroup, then for a queued subgroup H and
-    each coset representative x outside H, find <H, x>; the extensions of
-    the trivial subgroup are the cyclic subgroups <x>.  Only one
+    each element x not yet covered, find <H, x>; the extensions of the
+    trivial subgroup are the cyclic subgroups <x>.  For each such x it
+    powers x until a power lands in H, which gives the least k with x^k
+    in H.  Then every h*x^j with j coprime to k extends H to <H, x> too,
+    since <H, h*x^j> holds x^j and x^k, hence x; so the cosets Hx^j for
+    those j are covered from the walked powers, with one closure for all
+    of them, and neither commutativity nor normality is needed.  Only one
     subgroup per conjugacy class is queued, but its whole class is recorded
     at once: the extensions of gHg^-1 are the conjugates of the extensions
     of H, so the lattice stays complete.  A queued H is maximal exactly
@@ -147,15 +149,13 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     In an abelian group every class is a single subgroup, and the worklist
     extends only by prime steps.  Every subgroup K > 1 has a subgroup H of
     prime index p, and then K = H u Hx u ... u Hx^(p-1) for any x in K - H.
-    So for a queued H and each coset Hx not yet covered, it powers x until
-    a power lands in H; when that order k of Hx in G/H is prime it builds
-    the k cosets straight from the Cayley table, with no closure, and
-    covers all of them, since every element of K - H gives the same K.
-    A coset Hx of composite order k gives no prime step, and neither does
-    any Hx^j with j coprime to k, which has order k as well: all of these
-    are covered from the powers of x already computed, and nothing more.
-    An abelian group is nilpotent, so H is maximal exactly when its index
-    is prime.
+    So when k, now the order of Hx in G/H, is prime, the walk builds the k
+    cosets straight from the Cayley table, with no closure, and covers all
+    of them, since every element of K - H gives the same K.  A coset Hx of
+    composite order k gives no prime step, and neither does any Hx^j with
+    j coprime to k, which has order k as well: these cosets are covered as
+    above, and nothing more is done.  An abelian group is nilpotent, so H
+    is maximal exactly when its index is prime.
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which produces the identical lattice but scales to the rank-8
@@ -196,7 +196,8 @@ def _canonical(sub: Subgroup) -> tuple[int, int]:
 
 
 def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
-    """(every subgroup, the maximal subgroups), extending one subgroup per class."""
+    """(every subgroup, the maximal subgroups), extending one subgroup per
+    class by one power walk per uncovered element."""
     table = group.table
     n = group.order
     full_mask = (1 << n) - 1
@@ -223,28 +224,19 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
         covered = bytearray(n)
         for h in members:
             covered[h] = 1
-        if abelian:
-            # G is nilpotent, so H is maximal exactly when its index is prime
-            if is_prime(n // sub.order):
-                maximals.append(sub)
-            in_sub = bytes(covered)
-            for x in range(1, n):
-                if covered[x]:
-                    continue
-                # k is the order of Hx in G/H; powers[j - 1] is x^j
-                powers, y = [x], table[x][x]
-                while not in_sub[y]:
-                    powers.append(y)
-                    y = table[y][x]
-                k = len(powers) + 1
-                if not is_prime(k):
-                    # Hx^j has order k too for every j coprime to k, so
-                    # none of these cosets can give a prime step
-                    for j, xj in enumerate(powers, 1):
-                        if math.gcd(j, k) == 1:
-                            for h in members:
-                                covered[table[h][xj]] = 1
-                    continue
+        in_sub = bytes(covered)
+        # an abelian G is nilpotent, so H is maximal exactly when its index is prime
+        maximal = is_prime(n // sub.order) if abelian else True
+        for x in range(1, n):
+            if covered[x]:
+                continue
+            # x^k is the least power of x in H; powers[j - 1] is x^j
+            powers, y = [x], table[x][x]
+            while not in_sub[y]:
+                powers.append(y)
+                y = table[y][x]
+            k = len(powers) + 1
+            if abelian and is_prime(k):
                 # K = H u Hx u ... u Hx^(k-1); every y in K - H extends H to K
                 coset = [table[h][x] for h in members]
                 mask = sub.mask
@@ -256,14 +248,15 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
                 if mask not in seen:
                     new = Subgroup(mask, sub.gens + (x,))
                     add_class(new, [new])
-            continue
-        maximal = True
-        for x in range(1, n):
-            if covered[x]:
                 continue
-            # elements of the coset H*x all generate the same extension
-            for h in members:
-                covered[table[h][x]] = 1
+            # x^k lies in H, so for j coprime to k every h*x^j extends H to
+            # <H, x>; in an abelian group Hx^j has order k, and gives no prime step
+            for j, xj in enumerate(powers, 1):
+                if math.gcd(j, k) == 1:
+                    for h in members:
+                        covered[table[h][xj]] = 1
+            if abelian:
+                continue
             new_gens = sub.gens + (x,)
             new_mask = generated_mask(group, new_gens, seed_mask=sub.mask)
             if new_mask not in seen:

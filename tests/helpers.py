@@ -130,6 +130,29 @@ def subspace_masks_by_loop(group: Group, p: int, k: int) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
+def contains_subgroup(big: Subgroup, small: Subgroup) -> bool:
+    return big.mask & small.mask == small.mask
+
+
+def is_abelian_by_scan(group: Group) -> bool:
+    """Commutativity by comparing a*b with b*a for every pair of elements."""
+    table = group.table
+    return all(table[a][b] == table[b][a] for a in range(1, group.order) for b in range(1, a))
+
+
+def element_orders_by_walk(group: Group) -> list[int]:
+    """The order of each element by powering it on its own until the identity."""
+    table = group.table
+    orders = []
+    for a in range(group.order):
+        k, x = 1, a
+        while x != 0:
+            x = table[x][a]
+            k += 1
+        orders.append(k)
+    return orders
+
+
 def descending_maximal_scan(order: int, subgroups) -> list[Subgroup]:
     """Maximal subgroups by scanning ``subgroups`` in descending order.
 
@@ -141,7 +164,7 @@ def descending_maximal_scan(order: int, subgroups) -> list[Subgroup]:
     for sub in sorted(subgroups, key=lambda s: -s.order):
         if sub.order == order:
             continue
-        if not any(m.contains_subgroup(sub) for m in maximals):
+        if not any(contains_subgroup(m, sub) for m in maximals):
             maximals.append(sub)
     maximals.sort(key=lambda s: (s.order, s.mask))
     return maximals

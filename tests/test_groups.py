@@ -28,8 +28,11 @@ from latsum.corpus import build_default_corpus, group_fingerprint, subgroup_as_g
 from latsum.groups import parse_cycles, smallest_order_p_residue
 
 from helpers import (
+    CountingTable,
     associativity_failure,
+    element_orders_by_walk,
     intercalates,
+    is_abelian_by_scan,
     naive_permutation_closure,
     power,
     relabelled,
@@ -47,14 +50,14 @@ def assert_valid(group):
 def test_trivial_group():
     g = GroupSpec.cyclic(1).build()
     assert g.order == 1
-    assert g.element_order(0) == 1
+    assert g.element_orders()[0] == 1
     assert_valid(g)
 
 
 def test_cyclic_basics():
     g = cyclic_group(12)
     assert_valid(g)
-    assert g.element_order(1) == 12
+    assert g.element_orders()[1] == 12
     assert g.is_cyclic and g.is_abelian
     assert g.inverse[5] == 7
 
@@ -63,7 +66,7 @@ def test_elementary_abelian_exponent():
     g = elementary_abelian_group(3, 2)
     assert_valid(g)
     assert g.order == 9 and g.exponent() == 3
-    assert all(g.element_order(a) == 3 for a in range(1, 9))
+    assert all(g.element_orders()[a] == 3 for a in range(1, 9))
 
 
 def test_semidirect_is_s3():
@@ -165,7 +168,7 @@ def test_quotient_s3_by_rotations():
     g = semidirect_pq_group(2, 3)
     mask = 0
     for a in range(6):
-        if g.element_order(a) in (1, 3):
+        if g.element_orders()[a] in (1, 3):
             mask |= 1 << a
     q = quotient_group(g, mask)
     assert q.order == 2
@@ -344,6 +347,40 @@ def test_generating_set_spans():
         gens = g.generating_set()
         assert generated_mask(g, gens) == (1 << g.order) - 1
         assert len(gens) <= math.ceil(math.log2(max(g.order, 2)))
+
+
+@pytest.fixture(scope="module")
+def corpus_groups():
+    groups = [
+        source.build() if isinstance(source, GroupSpec) else Group(source, label)
+        for label, source in build_default_corpus()
+    ]
+    # relabelled raw tables, whose greedy generating sets differ from the constructors'
+    for spec, seed in [("product:pq:2,3+cyclic:7", 11), ("product:cyclic:6+cyclic:12", 23)]:
+        table = relabelled(GroupSpec.parse(spec).build().table, random.Random(seed))
+        groups.append(group_from_raw_table(Group(table).dump_table(), label=f"relabelled {spec}"))
+    return groups
+
+
+def test_is_abelian_from_generators_agrees_with_pairwise_scan(corpus_groups):
+    assert len(corpus_groups) == 343
+    flags = [g.is_abelian for g in corpus_groups]
+    assert 0 < sum(flags) < len(flags)
+    for group, flag in zip(corpus_groups, flags):
+        assert flag is is_abelian_by_scan(group), group.label
+
+
+def test_element_orders_from_shared_walks_agree_with_per_element_walks(corpus_groups):
+    for group in corpus_groups:
+        assert list(group.element_orders()) == element_orders_by_walk(group), group.label
+
+
+def test_element_orders_walk_each_cyclic_subgroup_once():
+    # one walk from the generator meets every element of C_1999 and sets its order
+    group = cyclic_group(1999)
+    group.table = CountingTable(group.table)
+    assert Counter(group.element_orders()) == {1: 1, 1999: 1998}
+    assert group.table.reads < 3 * group.order
 
 
 def test_power():

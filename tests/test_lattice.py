@@ -45,6 +45,7 @@ from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_o
 from helpers import (
     CountingTable,
     brute_force_subgroup_masks,
+    contains_subgroup,
     descending_maximal_scan,
     every_subgroup_worklist,
     naive_order_census,
@@ -212,7 +213,16 @@ ABELIAN_ORACLE_SPECS = [f"cyclic:{n}" for n in range(1, 65)] + [
 
 def _oracle_groups():
     groups = [spec.build() for spec in pq_specs(120) + dihedral_specs(30)]
-    for text in ["sym:3", "sym:4", "product:pq:2,3+cyclic:5", "product:sym:4+cyclic:5", *ABELIAN_ORACLE_SPECS]:
+    for text in [
+        "sym:3",
+        "sym:4",
+        "product:pq:2,3+cyclic:5",
+        "product:sym:4+cyclic:5",
+        # nonabelian groups with elements of large composite order
+        "dihedral:100",
+        "product:sym:4+cyclic:25",
+        *ABELIAN_ORACLE_SPECS,
+    ]:
         groups.append(GroupSpec.parse(text).build())
     # a relabelled abelian table, whose element indices do not follow the powers of a generator
     table = relabelled(GroupSpec.parse("product:cyclic:6+cyclic:12").build().table, random.Random(23))
@@ -265,6 +275,33 @@ def test_abelian_groups_run_no_closure_and_no_conjugation(monkeypatch):
         assert {s.mask for s in lat.subgroups} == want[group.label], group.label
         maximals = descending_maximal_scan(group.order, lat.subgroups)
         assert [m.mask for m in maximal_subgroups(lat)] == [m.mask for m in maximals], group.label
+
+
+def test_nonabelian_worklist_runs_one_closure_per_class_of_coset_powers(monkeypatch):
+    # h*x^j with j coprime to the least k with x^k in H extends H to <H, x>,
+    # so the coset powers of x are covered without a closure of their own
+    closures = 0
+
+    def counting(*args, **kwargs):
+        nonlocal closures
+        closures += 1
+        return generated_mask(*args, **kwargs)
+
+    monkeypatch.setattr(latsum.lattice, "generated_mask", counting)
+    for spec, bound in [("dihedral:500", 1300), ("pq:2,241", 260)]:
+        closures = 0
+        group, lat = lat_of(spec)
+        assert not group.is_abelian
+        assert closures <= bound, (spec, closures)
+    # D_n has one cyclic subgroup of order d and n/d dihedral ones of order
+    # 2d for each d | n: tau(n) + sigma(n) subgroups in all
+    group, lat = lat_of("dihedral:500")
+    want: dict[int, int] = {}
+    for d in divisors(500):
+        want[d] = want.get(d, 0) + 1
+        want[2 * d] = want.get(2 * d, 0) + 500 // d
+    assert lat.census == dict(sorted(want.items()))
+    assert len(lat) == len(divisors(500)) + sum(divisors(500)) == 1104
 
 
 def test_prime_step_covers_its_whole_extension():
@@ -435,7 +472,7 @@ def test_maximal_subgroups_brute(seed=3):
                 continue
             proper_over = [
                 k for k in lat.subgroups
-                if k.order != group.order and k.mask != sub.mask and k.contains_subgroup(sub)
+                if k.order != group.order and k.mask != sub.mask and contains_subgroup(k, sub)
             ]
             if not proper_over:
                 want.append(sub.mask)
@@ -479,7 +516,7 @@ def test_invariant_violation_survives_python_O():
             print("InvariantViolation:", exc)
         bogus = Group([[0, 1, 2, 3], [1, 2, 0, 3], [2, 0, 1, 3], [3, 3, 3, 0]], "bogus")
         try:
-            bogus.element_order(1)
+            bogus.element_orders()
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
 
