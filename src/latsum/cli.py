@@ -45,9 +45,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     GroupSpec,
-    group_from_perm_file,
-    group_from_raw_table,
-    read_group_file,
+    group_from_file,
 )
 from .lattice import DEFAULT_MAX_SUBGROUPS
 
@@ -78,10 +76,7 @@ def load_group(source: str, max_order: int) -> Group:
         return GroupSpec.parse(source).build(max_order)
     if not Path(source).is_file():
         raise InvalidSpec(f"no such spec or file: {source}")
-    text = read_group_file(source)
-    if text.lstrip().startswith("perm"):
-        return group_from_perm_file(text, max_order=max_order, label=source)
-    return group_from_raw_table(text, max_order=max_order, label=source)
+    return group_from_file(source, max_order=max_order, label=source)
 
 
 def _print_report(report: AnalysisReport, as_json: bool) -> None:

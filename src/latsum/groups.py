@@ -215,6 +215,17 @@ def conjugate_mask(group: Group, mask: int, x: int) -> int:
     return out
 
 
+def is_normal_mask(group: Group, mask: int) -> bool:
+    """True when the subgroup with membership bitmask ``mask`` is normal.
+
+    Every subgroup of an abelian group is normal, so there it reads only
+    ``is_abelian``.  Otherwise it checks x * H * x^-1 == H for each x in
+    ``generating_set()``: the normalizer is a subgroup, so containing the
+    generators means it is the whole group.
+    """
+    return group.is_abelian or all(conjugate_mask(group, mask, x) == mask for x in group.generating_set())
+
+
 def _mask_members(mask: int) -> list[int]:
     out = []
     while mask:
@@ -384,14 +395,14 @@ def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> 
 
     Cosets are represented by their minimal member and indexed in ascending
     representative order, which puts the identity coset at index 0.  Raises
-    NotNormal when the subgroup is not invariant under conjugation.
+    NotNormal when ``is_normal_mask`` finds the subgroup is not normal.
     """
     n = group.order
     table = group.table
     members = _mask_members(normal_mask)
     if not normal_mask & 1:
         raise NotNormal("subgroup mask does not contain the identity")
-    if any(conjugate_mask(group, normal_mask, x) != normal_mask for x in group.generating_set()):
+    if not is_normal_mask(group, normal_mask):
         raise NotNormal(f"subgroup of order {len(members)} is not normal in {group.label}")
     coset_of = [-1] * n
     reps: list[int] = []
@@ -411,14 +422,49 @@ def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> 
 # ---------------------------------------------------------------------------
 
 
-def read_group_file(path: str) -> str:
-    """Text of a table or generator file: unreadable is InvalidSpec, non-UTF-8 InvalidTable."""
+def group_from_file(
+    path: str, max_order: int = DEFAULT_ORDER_CAP, label: str | None = None, kind: str | None = None
+) -> Group:
+    """Read a raw-table (``kind`` "table") or generator ("perm") file; with
+    no kind, a file whose first non-blank line starts with "perm" is a
+    generator file.
+
+    The first non-blank line is read before the rest of the file, and a raw
+    table's order on it is checked against ``max_order`` first, so an
+    over-cap table raises OrderCapExceeded whatever its size or body.  An
+    unreadable file is InvalidSpec, and text that is not UTF-8 InvalidTable.
+    """
     try:
-        return Path(path).read_text(encoding="utf-8")
+        with open(path, "rb") as f:
+            head = ""
+            for line in f:
+                head = line.decode("utf-8")
+                if head.strip():
+                    break
+            if kind is None:
+                kind = "perm" if head.lstrip().startswith("perm") else "table"
+            if kind == "table" and head.strip():
+                _table_order(next(ln for ln in head.splitlines() if ln.strip()), max_order)
+            text = head + f.read().decode("utf-8")
     except OSError as exc:
         raise InvalidSpec(f"cannot read {path!r}: {exc}") from exc
     except UnicodeDecodeError as exc:
         raise InvalidTable(f"{path!r} is not UTF-8 text: {exc}") from exc
+    reader = group_from_raw_table if kind == "table" else group_from_perm_file
+    return reader(text, max_order=max_order, label=label)
+
+
+def _table_order(line: str, max_order: int) -> int:
+    """The order n on a raw table's first line, checked against ``max_order``."""
+    try:
+        n = int(line.strip())
+    except ValueError as exc:
+        raise InvalidTable(f"first line must be the order, got {line!r}") from exc
+    if n < 1:
+        raise InvalidTable(f"order must be >= 1, got {n}")
+    if n > max_order:
+        raise OrderCapExceeded(f"table order {n} exceeds cap {max_order}")
+    return n
 
 
 def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: str | None = None) -> Group:
@@ -432,14 +478,7 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
         raise InvalidTable("empty table file")
-    try:
-        n = int(lines[0].strip())
-    except ValueError as exc:
-        raise InvalidTable(f"first line must be the order, got {lines[0]!r}") from exc
-    if n < 1:
-        raise InvalidTable(f"order must be >= 1, got {n}")
-    if n > max_order:
-        raise OrderCapExceeded(f"table order {n} exceeds cap {max_order}")
+    n = _table_order(lines[0], max_order)
     # np.loadtxt only warns on empty input, so the row count is checked here
     if len(lines) != n + 1:
         raise InvalidTable(f"expected {n} table rows, got {len(lines) - 1}")
@@ -574,8 +613,7 @@ class GroupSpec:
                 raise OrderCapExceeded(f"{self} has order {order}, above the cap {max_order}")
             return direct_product_group(built, label=str(self))
         if self.kind in ("table", "perm"):
-            reader = group_from_raw_table if self.kind == "table" else group_from_perm_file
-            return reader(read_group_file(self.path or ""), max_order=max_order, label=str(self))
+            return group_from_file(self.path or "", max_order=max_order, label=str(self), kind=self.kind)
         raise InvalidSpec(f"unknown spec kind {self.kind!r}")
 
     @staticmethod

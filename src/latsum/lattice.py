@@ -12,13 +12,16 @@ import numpy as np
 
 from .arith import factorize, gaussian_subgroup_count, is_prime
 from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
-from .groups import Group, _mask_members, conjugate_mask, generated_mask
+from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_normal_mask
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
 # Rows of one echelon pivot pattern that the subspace route builds at a
 # time; the numpy temporaries of a chunk stay near a megabyte at order 256.
 SUBSPACE_CHUNK_ROWS = 4096
+
+# the number of set bits of each byte value
+_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
 
 # The structure names classify() reports, each mapped to the name that
 # recognize() reports in ``recognized_as``: one name table for both.
@@ -42,9 +45,9 @@ class Subgroup:
     Bit a of ``mask`` is set exactly when element a belongs to the subgroup;
     ``gens`` is an optional small generating set kept to speed up closures.
     The worklist route sets it on class representatives only.  The subspace
-    route keeps bare masks and makes a Subgroup, with no ``gens``, each
-    time ``Lattice.subgroups`` is read, so two reads of the same position
-    give equal but distinct objects.
+    route keeps its masks packed in one numpy array and makes a Subgroup,
+    with no ``gens``, each time ``Lattice.subgroups`` is read, so two reads
+    of the same position give equal but distinct objects.
     """
 
     __slots__ = ("mask", "order", "gens")
@@ -68,36 +71,43 @@ class Subgroup:
 
 
 class _MaskView(Sequence):
-    """Read-only Subgroup sequence over a list of masks: an index or an
-    iteration makes each Subgroup on demand, and a slice is a list."""
+    """Read-only Subgroup sequence over packed masks: row i of the uint8
+    array is mask i, big-endian, and an index, a slice or an iteration makes
+    a Subgroup from each row it reads; a slice is a list."""
 
-    __slots__ = ("_masks",)
+    __slots__ = ("_rows",)
 
-    def __init__(self, masks: list[int]):
-        self._masks = masks
+    def __init__(self, rows: np.ndarray):
+        self._rows = rows
 
     def __len__(self) -> int:
-        return len(self._masks)
+        return len(self._rows)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return [Subgroup(m) for m in self._masks[i]]
-        return Subgroup(self._masks[i])
+            return [_row_subgroup(row) for row in self._rows[i]]
+        return _row_subgroup(self._rows[i])
 
     def __iter__(self):
-        return map(Subgroup, self._masks)
+        return map(_row_subgroup, self._rows)
+
+
+def _row_subgroup(row: np.ndarray) -> Subgroup:
+    # read the uint8 row, never an S item: numpy strips an S item's trailing NUL bytes
+    return Subgroup(int.from_bytes(row.tobytes(), "big"))
 
 
 @dataclass
 class Lattice:
     """All subgroups of a group, canonically sorted by (order, mask).
 
-    ``subgroups`` is a plain list on the worklist route and a read-only
-    view over the sorted masks on the subspace route.  ``census`` maps each
-    order, ascending, to its number of subgroups; ``subgroups_of_order``
-    reads its block straight from the census offsets, so a lattice built
-    by hand must keep ``subgroups`` canonically sorted and its census
-    matching.  ``maximals`` holds the maximal subgroups in the same order,
+    ``subgroups`` is a plain list on the worklist route and, on the
+    subspace route, a read-only view over one uint8 array of packed
+    big-endian mask rows.  ``census`` maps each order, ascending, to its
+    number of subgroups; ``subgroups_of_order`` reads its block straight
+    from the census offsets, so a lattice built by hand must keep
+    ``subgroups`` canonically sorted and its census matching.
+    ``maximals`` holds the maximal subgroups in the same order,
     as ``enumerate_subgroups`` records them; a lattice built by hand may
     leave it None, and ``maximal_subgroups`` then refuses it.
     """
@@ -159,14 +169,19 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which produces the identical lattice but scales to the rank-8
-    case over GF(2).  For each reduced-echelon pivot pattern over GF(p) it
-    builds the subspaces of that pattern in numpy, ``SUBSPACE_CHUNK_ROWS``
-    at a time, growing the spans by gathers on the Cayley table, and sorts
-    each order block as it goes, so only the worklist route's result needs
-    sorting.  It keeps bare masks: ``subgroups`` is a read-only view that
-    makes each Subgroup when it is read, and the census is the length of
-    each order block.  Its maximal subgroups are the order-|G|/p block,
-    the hyperplanes.  The two routes are cross-checked in the test suite.
+    case over GF(2).  It allocates one uint8 array with a row of
+    ceil(|G|/8) bytes for each of the closed-form number of subspaces.  For
+    each reduced-echelon pivot pattern over GF(p) it builds the subspaces
+    of that pattern in numpy, ``SUBSPACE_CHUNK_ROWS`` at a time, growing
+    the spans by gathers on the Cayley table, and packs each chunk's masks
+    straight into the rows of its order block.  Each packed row is
+    big-endian and fixed-width, so the finished block sorts in place as
+    the unsigned ints it encodes, and only the worklist route's result
+    needs sorting in Python.  ``subgroups`` is a read-only view over the
+    array that makes each Subgroup when it is read, and the census is the
+    closed-form count of each order block.  Its maximal subgroups, the
+    hyperplanes of order |G|/p, are the one block made into Subgroup
+    objects.  The two routes are cross-checked in the test suite.
 
     On the worklist route only class representatives keep ``gens``; the
     other subgroups, and every subgroup from the subspace route, carry
@@ -174,13 +189,15 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     ``max_subgroups``; the subspace route checks its closed-form count
     before it allocates anything.  Raises InvariantViolation when some
     order does not divide |G| (both routes), and on the subspace route
-    when a row of a block does not have p^r elements or an order block
-    does not hold the closed-form number of subspaces.
+    when a row as written does not have p^r bits set, or when the rows
+    written to an order block are not its closed-form number of subspaces
+    (checked before any write past the block's end, and before the block
+    is read).
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
-        masks, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
-        subs = _MaskView(masks)
+        packed, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
+        subs = _MaskView(packed)
     else:
         subs, maximals = _enumerate_worklist(group, max_subgroups)
         subs.sort(key=_canonical)
@@ -288,9 +305,10 @@ def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
 
 def _enumerate_elementary_abelian(
     group: Group, p: int, k: int, max_subgroups: int
-) -> tuple[list[int], dict[int, int], list[Subgroup]]:
-    """(every subspace's mask in (order, mask) order, the census, the
-    hyperplanes), built in numpy row chunks per echelon pivot pattern."""
+) -> tuple[np.ndarray, dict[int, int], list[Subgroup]]:
+    """(every subspace's mask as one packed row, in (order, mask) order, the
+    census, the hyperplanes), built in numpy row chunks per echelon pivot
+    pattern straight into one preallocated array."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
@@ -317,11 +335,13 @@ def _enumerate_elementary_abelian(
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
     cayley, coords = np.asarray(table), np.asarray(elems)
     nbytes = -(-group.order // 8)  # packbits pads each row to whole bytes
-    masks: list[int] = []
+    # row i is mask i, big-endian; block r holds rows start..end-1
+    packed = np.empty((total, nbytes), dtype=np.uint8)
     census: dict[int, int] = {}
-    maximals: list[Subgroup] = []
+    end = 0
     for r in range(k + 1):
-        block: list[int] = []
+        start, end = end, end + counts[r]
+        pos = start  # rows written so far
         for pivots in combinations(range(k), r):
             free = [(row, col) for row in range(r) for col in range(pivots[row] + 1, k) if col not in pivots]
             pivot_codes = np.array([p**c for c in pivots], dtype=np.intp)
@@ -329,6 +349,10 @@ def _enumerate_elementary_abelian(
             for lo in range(0, rows, SUBSPACE_CHUNK_ROWS):
                 # one row of echelon codes per assignment of the free slots
                 index = np.arange(lo, min(lo + SUBSPACE_CHUNK_ROWS, rows))
+                if pos + len(index) > end:
+                    raise InvariantViolation(
+                        f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
+                    )
                 codes = np.tile(pivot_codes, (len(index), 1))
                 for j, (row, col) in enumerate(free):
                     codes[:, row] += index // p**j % p * p**col
@@ -341,21 +365,23 @@ def _enumerate_elementary_abelian(
                 # packbits reads each row big-endian, so bit e of a mask is the e-th column from the right
                 bits = np.zeros((len(index), 8 * nbytes), dtype=bool)
                 np.put_along_axis(bits, 8 * nbytes - 1 - span, True, axis=1)
-                # r independent rows span p^r distinct elements
-                if (np.count_nonzero(bits, axis=1) != p**r).any():
+                chunk = packed[pos : pos + len(index)]
+                chunk[:] = np.packbits(bits, axis=1)
+                # r independent rows span p^r distinct elements; counted on the
+                # rows as written, so a row left unwritten fails here too
+                if (_POPCOUNT[chunk].sum(axis=1, dtype=np.intp) != p**r).any():
                     raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
-                raw = np.packbits(bits, axis=1).tobytes()
-                block += [int.from_bytes(raw[i : i + nbytes], "big") for i in range(0, len(raw), nbytes)]
-        if len(block) != counts[r]:
+                pos += len(index)
+        if pos != end:
             raise InvariantViolation(
-                f"subspace route found {len(block)} subgroups of order {p**r}, expected {counts[r]}"
+                f"subspace route found {pos - start} subgroups of order {p**r}, expected {counts[r]}"
             )
-        block.sort()
-        census[p**r] = len(block)
-        masks += block
-        if r == k - 1:
-            maximals = [Subgroup(m) for m in block]
-    return masks, census, maximals
+        # fixed-width big-endian rows sort as the unsigned ints they encode
+        packed[start:end].view(f"S{nbytes}")[:, 0].sort()
+        census[p**r] = counts[r]
+    # the order-|G|/p block ends just before the whole group's row
+    hyperplanes = packed[total - 1 - counts[k - 1] : total - 1]
+    return packed, census, [_row_subgroup(row) for row in hyperplanes]
 
 
 # ---------------------------------------------------------------------------
@@ -364,13 +390,10 @@ def _enumerate_elementary_abelian(
 
 
 def is_normal(group: Group, sub: Subgroup) -> bool:
-    """True when x * H * x^-1 == H for every x.
-
-    Conjugation stability under a generating set of the parent suffices:
-    the normalizer is a subgroup, so containing the generators means it is
-    the whole group.
-    """
-    return all(conjugate_mask(group, sub.mask, x) == sub.mask for x in group.generating_set())
+    """True when x * H * x^-1 == H for every x: at once in an abelian group,
+    else by conjugating H by a generating set (``groups.is_normal_mask``,
+    the test ``quotient_group`` makes too)."""
+    return is_normal_mask(group, sub.mask)
 
 
 def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:

@@ -7,7 +7,7 @@ from itertools import combinations, product
 import numpy as np
 
 from latsum import Group, Subgroup
-from latsum.groups import _mask_members, generated_mask
+from latsum.groups import _mask_members, conjugate_mask, generated_mask
 
 
 def trial_division_sigma(n: int) -> int:
@@ -132,6 +132,12 @@ def subspace_masks_by_loop(group: Group, p: int, k: int) -> list[int]:
 
 def contains_subgroup(big: Subgroup, small: Subgroup) -> bool:
     return big.mask & small.mask == small.mask
+
+
+def is_normal_by_conjugation(group: Group, sub: Subgroup) -> bool:
+    """Normality by conjugating H by every generator of the parent, with no
+    shortcut for abelian groups."""
+    return all(conjugate_mask(group, sub.mask, x) == sub.mask for x in group.generating_set())
 
 
 def is_abelian_by_scan(group: Group) -> bool:

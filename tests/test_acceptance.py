@@ -37,12 +37,12 @@ from latsum import (
     sigma1,
 )
 from latsum.analysis import AnalysisReport, EntryResult, VerificationSummary
-from latsum.arith import is_prime
+from latsum.arith import factorize, is_prime
 from latsum.corpus import DEFAULT_VERIFY_MAX_SUBGROUPS, build_default_corpus
 from latsum.lattice import all_maximals_normal, sylow_decomposition
 from latsum.sigma import VERDICT_AT, VERDICT_BELOW
 
-from helpers import trial_division_sigma
+from helpers import is_normal_by_conjugation, trial_division_sigma
 from make_golden_lattices import GOLDEN_PATH, lattice_record
 
 
@@ -139,6 +139,20 @@ def test_verify_json_matches_pinned_digest(corpus_objects):
         results.append(EntryResult(label, report, None))
     stdout = json.dumps(VerificationSummary(results).to_dict(), indent=2) + "\n"
     assert hashlib.sha256(stdout.encode()).hexdigest() == VERIFY_JSON_SHA256
+
+
+def test_abelian_maximal_and_sylow_subgroups_are_normal_by_conjugation(corpus_objects):
+    # is_normal answers an abelian group without conjugating; the scan it skips agrees
+    objects, _ = corpus_objects
+    checked = 0
+    for label, (group, lat, _, _) in objects.items():
+        if not group.is_abelian:
+            continue
+        sylows = [s for p, a in factorize(group.order).items() for s in lat.subgroups_of_order(p**a)]
+        for sub in maximal_subgroups(lat) + sylows:
+            assert is_normal(group, sub) and is_normal_by_conjugation(group, sub), (label, sub.order)
+            checked += 1
+    assert checked > 1000
 
 
 def test_criterion_4_below_threshold_nilpotent(corpus_objects):

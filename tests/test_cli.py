@@ -106,6 +106,16 @@ def test_non_utf8_file_exit_4(tmp_path, capsys):
             assert err.startswith(f"{source}: ") and "UTF-8" in err
 
 
+def test_over_cap_table_file_exits_3_whatever_its_body(tmp_path, capsys):
+    # line 1 is read and checked against the cap before the rest of the file
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"\n 2100 \n" + "# \u00e9\n".encode("latin-1"))
+    for source in (str(path), f"table:{path}"):
+        code, out, err = run_cli(capsys, "analyze", source)
+        assert (code, out) == (3, ""), source
+        assert err == f"{source}: table order 2100 exceeds cap 2000\n", source
+
+
 def test_dump_table_round_trip(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "dump-table", "pq:2,3")
     assert code == 0

@@ -48,6 +48,7 @@ from helpers import (
     contains_subgroup,
     descending_maximal_scan,
     every_subgroup_worklist,
+    is_normal_by_conjugation,
     naive_order_census,
     relabelled,
     subgroup_generators,
@@ -137,21 +138,52 @@ def test_subspace_blocks_match_loop_oracle():
 
 
 def test_subspace_view_matches_its_mask_list():
-    group = elementary_abelian_group(3, 3)
-    lat = enumerate_subgroups(group)
-    masks = subspace_masks_by_loop(group, 3, 3)
-    view = lat.subgroups
-    assert not isinstance(view, list) and len(view) == len(masks) == len(lat) == 28
-    assert [s.mask for s in view] == masks
-    for i in (0, 1, 13, 27, -1, -2, -28):
-        assert view[i].mask == masks[i] and view[i].order == masks[i].bit_count(), i
-    with pytest.raises(IndexError):
-        view[28]
-    for part in (slice(None, 1), slice(2, None), slice(5, 9), slice(None, None, -3), slice(-4, None)):
-        got = view[part]
-        assert isinstance(got, list) and [s.mask for s in got] == masks[part], part
-    assert [s.mask for s in view[:1] + view[2:]] == masks[:1] + masks[2:]
-    assert lat.trivial.mask == masks[0] == 1 and lat.full.mask == masks[-1] == (1 << 27) - 1
+    # elem:3,5 has 243 elements, so its packed rows are 31 bytes wide
+    for p, k in [(3, 3), (3, 5)]:
+        group = elementary_abelian_group(p, k)
+        lat = enumerate_subgroups(group)
+        masks = subspace_masks_by_loop(group, p, k)
+        view = lat.subgroups
+        size = sum(gaussian_subgroup_count(k, p, r) for r in range(k + 1))
+        assert not isinstance(view, list) and len(view) == len(masks) == len(lat) == size
+        assert [s.mask for s in view] == masks
+        for i in (0, 1, 13, size - 1, -1, -2, -size):
+            assert view[i].mask == masks[i] and view[i].order == masks[i].bit_count(), (group.label, i)
+        with pytest.raises(IndexError):
+            view[size]
+        for part in (slice(None, 1), slice(2, None), slice(5, 9), slice(None, None, -3), slice(-4, None)):
+            got = view[part]
+            assert isinstance(got, list) and [s.mask for s in got] == masks[part], (group.label, part)
+        assert [s.mask for s in view[:1] + view[2:]] == masks[:1] + masks[2:]
+        assert lat.trivial.mask == masks[0] == 1 and lat.full.mask == masks[-1] == (1 << group.order) - 1
+
+
+def test_subspace_route_peak_memory():
+    # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB); the list of
+    # mask ints it replaced peaked at 34.8 MB
+    group = elementary_abelian_group(2, 8)
+    tracemalloc.start()
+    try:
+        lat = enumerate_subgroups(group, 500_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 417_199
+    assert peak < 26 << 20, peak
+
+
+def test_subspace_block_count_checked_against_rows_written(monkeypatch):
+    # a closed form one short fires before the block's last chunk is written
+    # past its end; one too many leaves a row unwritten, which is never read
+    group = elementary_abelian_group(2, 4)
+    for off, message in [
+        (-1, "subspace route found more than the expected 14 subgroups of order 2"),
+        (1, "subspace route found 15 subgroups of order 2, expected 16"),
+    ]:
+        count = lambda k, p, i, off=off: gaussian_subgroup_count(k, p, i) + off * (i == 1)
+        monkeypatch.setattr(latsum.lattice, "gaussian_subgroup_count", count)
+        with pytest.raises(InvariantViolation, match=message):
+            enumerate_subgroups(group)
 
 
 @pytest.mark.parametrize("spec", ["elem:2,5", "elem:3,3", "sym:4", "pq:3,7", "cyclic:12", "product:elem:2,2+cyclic:9"])
@@ -403,6 +435,19 @@ def test_raw_table_cap_checked_against_line_1_before_the_rows():
         group_from_raw_table("13\n", max_order=12)
 
 
+def test_table_file_cap_checked_before_the_rest_is_read(tmp_path):
+    path = tmp_path / "big.txt"
+    path.write_bytes(b"2100\n" + b"\xff" * (4 << 20))
+    tracemalloc.start()
+    try:
+        with pytest.raises(OrderCapExceeded, match="table order 2100 exceeds cap 2000"):
+            GroupSpec.parse(f"table:{path}").build(2000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 1 << 20
+
+
 def test_product_of_table_files_cap_checked_before_allocation(tmp_path):
     path = tmp_path / "c50.txt"
     path.write_text(cyclic_group(50).dump_table())
@@ -424,6 +469,15 @@ def test_normality():
     assert lat.full.order == 6 and is_normal(group, lat.full)
     for sub in lat.subgroups_of_order(2):
         assert not is_normal(group, sub)
+
+
+@pytest.mark.parametrize("spec", ["elem:3,3", "cyclic:60", "product:elem:2,2+cyclic:9", "sym:4", "dihedral:5"])
+def test_is_normal_matches_conjugation_scan(spec):
+    group, lat = lat_of(spec)
+    normal = [is_normal(group, s) for s in lat.subgroups]
+    assert normal == [is_normal_by_conjugation(group, s) for s in lat.subgroups], spec
+    # every subgroup of an abelian group is normal; sym:4 and dihedral:5 are not abelian
+    assert all(normal) == group.is_abelian, spec
 
 
 def test_conjugates_and_normalizer_s3():
