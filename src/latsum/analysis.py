@@ -202,7 +202,7 @@ def _run_entry(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
         elif len(source) > max_order:
             raise OrderCapExceeded(f"order {len(source)} exceeds cap {max_order}")
         else:
-            group = Group([list(row) for row in source], label)
+            group = Group(source, label)
         return EntryResult(label, analyze_group(group, max_subgroups, label=label), None)
     except Exception as exc:  # a bug in one entry is reported against it, never aborts the run
         return EntryResult(label, None, f"{type(exc).__name__}: {exc}")

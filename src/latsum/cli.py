@@ -7,6 +7,7 @@ Exit codes: 0 success, 1 classification violation, 2 parse/usage error,
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import os
 import sys
@@ -227,7 +228,11 @@ def _positive(value: str) -> int:
     return n
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of this process, built on first use: parsing leaves it
+    unchanged, and building it costs about a millisecond, a sizeable part of
+    a small ``analyze`` request."""
     parser = argparse.ArgumentParser(
         prog="latsum",
         description="Exact subgroup-order sums over full subgroup lattices of finite groups.",
@@ -275,9 +280,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
     try:
-        args = parser.parse_args(argv)
+        args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return 0 if exc.code in (0, None) else EXIT_USAGE

@@ -4,6 +4,8 @@ from __future__ import annotations
 
 from typing import Iterable
 
+import numpy as np
+
 from .arith import is_prime
 from .errors import InvalidSpec
 from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec
@@ -68,9 +70,9 @@ def group_fingerprint(group: Group) -> tuple:
 def subgroup_as_group(parent: Group, sub: Subgroup, label: str) -> Group:
     """Reindex a subgroup's elements (ascending) into a standalone group."""
     members = sub.members()
-    local = {e: i for i, e in enumerate(members)}
-    table = [[local[parent.table[a][b]] for b in members] for a in members]
-    return Group(table, label)
+    local = np.zeros(parent.order, dtype=parent.array.dtype)
+    local[members] = np.arange(len(members))
+    return Group(local[parent.array[np.ix_(members, members)]], label)
 
 
 def ambient_subgroup_entries(max_degree: int, max_order: int = DEFAULT_ORDER_CAP) -> list[CorpusEntry]:

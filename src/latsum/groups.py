@@ -1,7 +1,7 @@
 """Finite groups as dense multiplication tables, plus the standard constructors.
 
 Elements of a group of order n are the indices 0..n-1 with the identity
-pinned at index 0; table[a][b] is the index of the product a*b.
+pinned at index 0; array[a, b] is the index of the product a*b.
 """
 
 from __future__ import annotations
@@ -29,23 +29,51 @@ DEFAULT_ORDER_CAP = 2000
 
 
 class Group:
-    """Finite group on elements 0..n-1 (identity 0) defined by its Cayley table."""
+    """Finite group on elements 0..n-1 (identity 0) defined by its Cayley table.
 
-    __slots__ = ("order", "table", "inverse", "label", "_element_orders", "_abelian", "_gens")
+    ``array`` is the one table: a read-only int16 numpy array (int32 above
+    order 32,768) with array[a, b] the index of a*b.  Every constructor
+    builds it directly; ``Group(rows)`` with a list of rows converts once.
+    At construction the entries are checked to lie in 0..n-1 (before the
+    cast, so none can wrap into range), row and column 0 to be the
+    identity, and every row to hold a 0; then ``table``, the same table as
+    list rows that share one int object per element for fast scalar reads,
+    and ``inverse`` are derived from it.  A Group is never mutated.
+    """
 
-    def __init__(self, table: list[list[int]], label: str = "group"):
+    __slots__ = ("order", "array", "table", "inverse", "label", "_element_orders", "_abelian", "_gens")
+
+    def __init__(self, table, label: str = "group"):
         n = len(table)
         if n == 0:
             raise InvalidTable("empty table")
-        if table[0] != list(range(n)) or any(table[a][0] != a for a in range(n)):
-            raise InvalidTable("identity is not at index 0")
-        self.order = n
-        self.table = table
-        self.label = label
         try:
-            self.inverse = [row.index(0) for row in table]
-        except ValueError as exc:
-            raise InvalidTable("some element has no inverse") from exc
+            arr = np.asarray(table)
+        except (ValueError, OverflowError) as exc:  # ragged rows, or entries past int64
+            raise InvalidTable("table entries out of range") from exc
+        if arr.shape != (n, n) or arr.dtype.kind not in "iu" or arr.min() < 0 or arr.max() >= n:
+            raise InvalidTable("table entries out of range")
+        arr = arr.astype(_index_dtype(n), copy=False).view()
+        arr.flags.writeable = False
+        expected = np.arange(n)
+        if (arr[0] != expected).any() or (arr[:, 0] != expected).any():
+            raise InvalidTable("identity is not at index 0")
+        inverse = np.argmin(arr, axis=1)  # the first 0 of each row, if it has one
+        if (arr[expected, inverse] != 0).any():
+            raise InvalidTable("some element has no inverse")
+        self.order = n
+        self.array = arr
+        self.label = label
+        if n <= 256:
+            self.table = arr.tolist()  # CPython shares the ints up to 256
+        else:
+            # gathered from one int object per element, 64 rows at a time,
+            # so the object temporary stays small
+            pool = np.arange(n).astype(object)
+            self.table = []
+            for lo in range(0, n, 64):
+                self.table += pool[arr[lo : lo + 64]].tolist()
+        self.inverse = inverse.tolist()
         self._element_orders: tuple[int, ...] | None = None
         self._abelian: bool | None = None
         self._gens: tuple[int, ...] | None = None
@@ -134,7 +162,8 @@ class Group:
         return "\n".join(lines) + "\n"
 
     def validate(self) -> None:
-        """Check the Latin-square, identity, inverse, and associativity laws exactly.
+        """Check the Latin-square and associativity laws exactly; the entry
+        range, the identity and the inverses are checked at construction.
 
         Associativity uses Light's test (Clifford & Preston, *The Algebraic
         Theory of Semigroups* I, 1961, section 1.2): the elements g with
@@ -142,23 +171,14 @@ class Group:
         include the identity, so it suffices to check every g in
         ``generating_set()``, whose right-multiplication closure from the
         identity is the whole table.  That is one n x n gather pair per
-        generator.  Raises InvalidTable on the first failure; an entry out
-        of 0..n-1 fails the Latin-square check.  ``group_from_raw_table``
-        checks the range itself, before ``Group`` looks for the identity
-        and the inverses.
+        generator.  Raises InvalidTable on the first failure.
         """
-        n = self.order
-        arr = np.asarray(self.table, dtype=np.int64)
-        expected = np.arange(n, dtype=np.int64)
+        arr = self.array
+        expected = np.arange(self.order, dtype=arr.dtype)
         if not (np.sort(arr, axis=1) == expected).all():
             raise InvalidTable("some row is not a permutation of 0..n-1")
         if not (np.sort(arr, axis=0) == expected[:, None]).all():
             raise InvalidTable("some column is not a permutation of 0..n-1")
-        if not (arr[0] == expected).all() or not (arr[:, 0] == expected).all():
-            raise InvalidTable("identity law fails at index 0")
-        inv = np.asarray(self.inverse, dtype=np.int64)
-        if not (arr[expected, inv] == 0).all():
-            raise InvalidTable("inverse law fails")
         for g in self.generating_set():
             # (x*g)*y vs x*(g*y) for all x, y at once
             if not (arr[arr[:, g]] == arr[:, arr[g]]).all():
@@ -235,10 +255,24 @@ def _mask_members(mask: int) -> list[int]:
     return out
 
 
-def _rows_from_array(arr: np.ndarray) -> list[list[int]]:
-    # share one int object per element index across the whole table
-    pool = list(range(arr.shape[0]))
-    return [[pool[v] for v in row] for row in arr.tolist()]
+def _index_dtype(n: int) -> type:
+    """The dtype of an order-n Cayley array: int16 while it holds n - 1."""
+    return np.int16 if n <= 1 << 15 else np.int32
+
+
+def _cyclic_array(n: int, dtype: type) -> np.ndarray:
+    """(a + b) mod n for all a, b: row a is a window at a over two copies of
+    0..n-1, a read-only view of 2n entries."""
+    base = np.arange(n, dtype=dtype)
+    return np.lib.stride_tricks.sliding_window_view(np.concatenate([base, base]), n)[:n]
+
+
+def _product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """The direct product's table, the pair (x, y) linearized as x * |B| + y."""
+    na, nb = len(a), len(b)
+    dtype = _index_dtype(na * nb)
+    out = a.astype(dtype)[:, None, :, None] * nb + b.astype(dtype)[None, :, None, :]
+    return out.reshape(na * nb, na * nb)
 
 
 # ---------------------------------------------------------------------------
@@ -249,54 +283,41 @@ def _rows_from_array(arr: np.ndarray) -> list[list[int]]:
 def cyclic_group(n: int, label: str | None = None) -> Group:
     if n < 1:
         raise InvalidSpec(f"cyclic order must be >= 1, got {n}")
-    base = list(range(n))
-    table = [base[a:] + base[:a] for a in range(n)]
-    return Group(table, label or f"cyclic:{n}")
+    return Group(_cyclic_array(n, _index_dtype(n)), label or f"cyclic:{n}")
 
 
 def elementary_abelian_group(p: int, k: int, label: str | None = None) -> Group:
-    """Direct product of k copies of the cyclic group of prime order p."""
+    """Direct product of k copies of the cyclic group of prime order p; the
+    element with base-p digits d_j is sum d_j * p^j."""
     if not is_prime(p):
         raise InvalidSpec(f"p must be prime, got {p}")
     if k < 1:
         raise InvalidSpec(f"rank must be >= 1, got {k}")
-    n = p**k
-    idx = np.arange(n)
-    digits = np.empty((n, k), dtype=np.int64)
-    rest = idx.copy()
-    for j in range(k):
-        digits[:, j] = rest % p
-        rest //= p
-    arr = np.zeros((n, n), dtype=np.int64)
-    for j in range(k):
-        dj = digits[:, j]
-        arr += ((dj[:, None] + dj[None, :]) % p) * p**j
-    return Group(_rows_from_array(arr), label or f"elem:{p},{k}")
+    cp = _cyclic_array(p, _index_dtype(p))
+    arr = cp
+    for _ in range(k - 1):
+        arr = _product_array(arr, cp)
+    return Group(arr, label or f"elem:{p},{k}")
 
 
 def dihedral_group(n: int, label: str | None = None) -> Group:
     """Symmetries of the regular n-gon, order 2n; index r + n*s for rotation r, flip s."""
     if n < 1:
         raise InvalidSpec(f"dihedral parameter must be >= 1, got {n}")
-    idx = np.arange(2 * n)
-    r, s = idx % n, idx // n
-    sign = np.where(s == 0, 1, -1)
-    rot = (r[:, None] + sign[:, None] * r[None, :]) % n
-    flip = (s[:, None] + s[None, :]) % 2
-    return Group(_rows_from_array(rot + n * flip), label or f"dihedral:{n}")
+    turn = _cyclic_array(n, _index_dtype(2 * n))  # r1 + r2 mod n
+    back = turn[:, -np.arange(n) % n]  # r1 - r2 mod n
+    return Group(np.block([[turn, turn + n], [back + n, back]]), label or f"dihedral:{n}")
 
 
 def symmetric_group(m: int, label: str | None = None) -> Group:
     """All permutations of m points, indexed in lexicographic one-line order."""
     if m < 1:
         raise InvalidSpec(f"symmetric degree must be >= 1, got {m}")
-    perms = list(permutations(range(m)))
-    index = {perm: i for i, perm in enumerate(perms)}
-    table = []
-    for pa in perms:
-        row = [index[tuple(pa[x] for x in pb)] for pb in perms]
-        table.append(row)
-    return Group(table, label or f"sym:{m}")
+    perms = np.array(list(permutations(range(m))), dtype=np.int8)
+    # base-m codes of the one-line forms ascend in lexicographic order
+    weights = m ** np.arange(m - 1, -1, -1)
+    products = perms[:, perms]  # [a, b, x] = pa[pb[x]]
+    return Group(np.searchsorted(perms @ weights, products @ weights), label or f"sym:{m}")
 
 
 def smallest_order_p_residue(p: int, q: int) -> int:
@@ -324,30 +345,24 @@ def semidirect_pq_group(p: int, q: int, t: int | None = None, label: str | None 
         # p is prime, so t^p = 1 with t != 1 means order exactly p
         raise InvalidSpec(f"t={t} does not have order exactly {p} modulo {q}")
     n = p * q
-    idx = np.arange(n)
-    x, y = idx % q, idx // q
-    tpow = np.array([pow(t, int(e), q) for e in range(p)], dtype=np.int64)
-    new_x = (x[:, None] + tpow[y][:, None] * x[None, :]) % q
-    new_y = (y[:, None] + y[None, :]) % p
-    return Group(_rows_from_array(new_x + q * new_y), label or f"pq:{p},{q}")
+    dtype = _index_dtype(n)
+    y = np.arange(p)
+    scaled = np.array([pow(t, e, q) for e in range(p)])[:, None] * np.arange(q) % q  # [y1, x2]: t^y1 * x2
+    new_x = _cyclic_array(q, dtype)[:, scaled].transpose(1, 0, 2)  # [y1, x1, x2]
+    new_y = ((y[:, None] + y) % p * q).astype(dtype)  # [y1, y2]
+    arr = np.add(new_x[:, :, None, :], new_y[:, None, :, None], order="C")  # [y1, x1, y2, x2]
+    return Group(arr.reshape(n, n), label or f"pq:{p},{q}")
 
 
 def direct_product_group(parts: Sequence[Group], label: str | None = None) -> Group:
     """Direct product; the pair (a, b) is linearized as a * |B| + b, left fold."""
     if not parts:
         raise InvalidSpec("direct product needs at least one factor")
-    acc = parts[0]
+    arr, name = parts[0].array, parts[0].label
     for nxt in parts[1:]:
-        na, nb = acc.order, nxt.order
-        idx = np.arange(na * nb)
-        ia, ib = idx // nb, idx % nb
-        ta = np.asarray(acc.table, dtype=np.int64)
-        tb = np.asarray(nxt.table, dtype=np.int64)
-        arr = ta[ia[:, None], ia[None, :]] * nb + tb[ib[:, None], ib[None, :]]
-        acc = Group(_rows_from_array(arr), f"({acc.label})x({nxt.label})")
-    if label is not None:
-        acc.label = label
-    return acc
+        arr = _product_array(arr, nxt.array)
+        name = f"({name})x({nxt.label})"
+    return Group(arr, name if label is None else label)
 
 
 def group_from_permutations(
@@ -360,6 +375,10 @@ def group_from_permutations(
 
     Elements are indexed deterministically: identity first, then breadth-first
     discovery order with lexicographic tie-breaking on the one-line form.
+    The walk visits each element w once and forms w*g for every generator g,
+    which gives R_g, right multiplication by g on the element indices.  Each
+    element b after the identity was first found as w*g with w before it, so
+    column b of the table is R_g applied to column w: one gather per column.
     """
     gen_tuples = []
     for g in gens:
@@ -368,26 +387,36 @@ def group_from_permutations(
             raise NotAPermutation(f"{g!r} is not a permutation of 0..{degree - 1}")
         gen_tuples.append(tg)
     ident = tuple(range(degree))
-    elems = [ident]
-    seen = {ident}
+    index = {ident: 0}
+    found_as = [(0, 0)]  # (w, generator number) with element b = w*g
+    right: list[list[tuple[int, ...]]] = [[] for _ in gen_tuples]  # right[i][w] = w*g_i
     frontier = [ident]
     while frontier:
-        new: set[tuple[int, ...]] = set()
-        for w in frontier:
-            for g in gen_tuples:
+        new: dict[tuple[int, ...], tuple[int, int]] = {}
+        for w in frontier:  # in index order, so right[i] is filled in index order
+            iw = index[w]
+            for i, g in enumerate(gen_tuples):
                 u = tuple(w[x] for x in g)
-                if u not in seen:
-                    new.add(u)
+                right[i].append(u)
+                if u not in index and u not in new:
+                    new[u] = (iw, i)
         frontier = sorted(new)
-        seen.update(frontier)
-        elems.extend(frontier)
-        if len(elems) > max_order:
+        for u in frontier:
+            index[u] = len(index)
+            found_as.append(new[u])
+        if len(index) > max_order:
             raise OrderCapExceeded(
                 f"permutation closure exceeded the order cap {max_order}"
             )
-    index = {perm: i for i, perm in enumerate(elems)}
-    table = [[index[tuple(pa[x] for x in pb)] for pb in elems] for pa in elems]
-    return Group(table, label or f"perm-closure(deg {degree})")
+    n = len(index)
+    dtype = _index_dtype(n)
+    right_index = np.array([[index[u] for u in products] for products in right], dtype=dtype).reshape(-1, n)
+    columns = np.empty((n, n), dtype=dtype)
+    columns[0] = np.arange(n)
+    for b in range(1, n):
+        w, i = found_as[b]
+        columns[b] = right_index[i][columns[w]]
+    return Group(columns.T.copy(), label or f"perm-closure(deg {degree})")
 
 
 def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> Group:
@@ -397,24 +426,19 @@ def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> 
     representative order, which puts the identity coset at index 0.  Raises
     NotNormal when ``is_normal_mask`` finds the subgroup is not normal.
     """
-    n = group.order
-    table = group.table
+    arr = group.array
     members = _mask_members(normal_mask)
     if not normal_mask & 1:
         raise NotNormal("subgroup mask does not contain the identity")
     if not is_normal_mask(group, normal_mask):
         raise NotNormal(f"subgroup of order {len(members)} is not normal in {group.label}")
-    coset_of = [-1] * n
+    coset_of = np.full(group.order, -1, dtype=arr.dtype)
     reps: list[int] = []
-    for a in range(n):
-        if coset_of[a] != -1:
-            continue
-        cid = len(reps)
-        reps.append(a)
-        for h in members:
-            coset_of[table[h][a]] = cid
-    q_table = [[coset_of[table[ra][rb]] for rb in reps] for ra in reps]
-    return Group(q_table, label or f"{group.label}/(order {len(members)})")
+    for a in range(group.order):
+        if coset_of[a] < 0:
+            coset_of[arr[members, a]] = len(reps)
+            reps.append(a)
+    return Group(coset_of[arr[np.ix_(reps, reps)]], label or f"{group.label}/(order {len(members)})")
 
 
 # ---------------------------------------------------------------------------
@@ -472,8 +496,8 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
 
     n is checked against ``max_order`` before any row is read.  The rows,
     whitespace-separated decimal integers with no comments, are parsed in one
-    ``np.loadtxt`` pass and checked to be n x n entries in 0..n-1 before
-    ``Group`` reads them; ``Group.validate`` then checks the laws.
+    ``np.loadtxt`` pass into the array that ``Group`` checks to be n x n
+    entries in 0..n-1 and keeps; ``Group.validate`` then checks the laws.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -488,9 +512,7 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
         # numpy's hint after the ';' is about its own usecols argument
         raise InvalidTable(f"table rows must be whitespace-separated integers: {str(exc).partition(';')[0]}") from exc
     del lines  # validate allocates its own arrays; the text lines are no longer needed
-    if arr.shape != (n, n) or arr.min() < 0 or arr.max() >= n:
-        raise InvalidTable("table entries out of range")
-    group = Group(arr.tolist(), label or "raw-table")
+    group = Group(arr, label or "raw-table")
     del arr
     group.validate()
     return group

@@ -17,7 +17,7 @@ from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_nor
 DEFAULT_MAX_SUBGROUPS = 100_000
 
 # Rows of one echelon pivot pattern that the subspace route builds at a
-# time; the numpy temporaries of a chunk stay near a megabyte at order 256.
+# time; at order 256 a chunk's spans, in the Cayley array's int16, take 2 MB.
 SUBSPACE_CHUNK_ROWS = 4096
 
 # the number of set bits of each byte value
@@ -173,8 +173,8 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     ceil(|G|/8) bytes for each of the closed-form number of subspaces.  For
     each reduced-echelon pivot pattern over GF(p) it builds the subspaces
     of that pattern in numpy, ``SUBSPACE_CHUNK_ROWS`` at a time, growing
-    the spans by gathers on the Cayley table, and packs each chunk's masks
-    straight into the rows of its order block.  Each packed row is
+    the spans by gathers on ``group.array``, in its int16, and packs each
+    chunk's masks straight into the rows of its order block.  Each packed row is
     big-endian and fixed-width, so the finished block sorts in place as
     the unsigned ints it encodes, and only the worklist route's result
     needs sorting in Python.  ``subgroups`` is a read-only view over the
@@ -313,7 +313,7 @@ def _enumerate_elementary_abelian(
     total = sum(counts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    table = group.table
+    table, cayley = group.table, group.array
     # greedy basis: every element outside the current span is independent;
     # elems[c] is the element whose coordinates are the base-p digits of c
     basis: list[int] = []
@@ -333,7 +333,7 @@ def _enumerate_elementary_abelian(
         elems = grown
     if len(basis) != k:
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
-    cayley, coords = np.asarray(table), np.asarray(elems)
+    coords = np.array(elems, dtype=cayley.dtype)
     nbytes = -(-group.order // 8)  # packbits pads each row to whole bytes
     # row i is mask i, big-endian; block r holds rows start..end-1
     packed = np.empty((total, nbytes), dtype=np.uint8)
@@ -356,7 +356,7 @@ def _enumerate_elementary_abelian(
                 codes = np.tile(pivot_codes, (len(index), 1))
                 for j, (row, col) in enumerate(free):
                     codes[:, row] += index // p**j % p * p**col
-                span = np.zeros((len(index), 1), dtype=np.intp)
+                span = np.zeros((len(index), 1), dtype=cayley.dtype)
                 for v in coords[codes].T:  # the span grows p-fold per basis row
                     parts = [span]
                     for _ in range(p - 1):

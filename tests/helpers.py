@@ -187,6 +187,21 @@ def naive_permutation_closure(degree: int, gens) -> set[tuple[int, ...]]:
         elems |= new
 
 
+def permutation_table_by_composition(degree: int, gens) -> list[list[int]]:
+    """The Cayley table of the closure of ``gens``, with every one of the n^2
+    products composed as a tuple and looked up, in the library's numbering:
+    identity first, then breadth-first discovery, ties in lexicographic order."""
+    gen_tuples = [tuple(g) for g in gens]
+    ident = tuple(range(degree))
+    elems, seen, frontier = [ident], {ident}, [ident]
+    while frontier:
+        frontier = sorted({tuple(w[x] for x in g) for w in frontier for g in gen_tuples} - seen)
+        seen.update(frontier)
+        elems.extend(frontier)
+    index = {perm: i for i, perm in enumerate(elems)}
+    return [[index[tuple(pa[x] for x in pb)] for pb in elems] for pa in elems]
+
+
 def naive_order_census(group: Group) -> dict[int, int]:
     """Subgroup census via the brute-force subset oracle."""
     census: dict[int, int] = {}

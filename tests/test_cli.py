@@ -87,6 +87,17 @@ def test_out_of_range_table_is_reported_as_out_of_range(tmp_path, capsys, text):
     assert err == f"{path}: table entries out of range\n"
 
 
+def test_entry_that_wraps_into_range_in_int16_is_out_of_range(tmp_path, capsys):
+    # 65536 + 3 is 3 in int16, which would make this table C4's own
+    path = tmp_path / "wrap.txt"
+    path.write_text("4\n0 1 2 3\n1 2 65539 0\n2 3 0 1\n3 0 1 2\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (4, "")
+    assert err == f"{path}: table entries out of range\n"
+    path.write_text(path.read_text().replace("65539", "3"))
+    assert run_cli(capsys, "analyze", str(path))[0] == 0
+
+
 def test_analyze_missing_file_exit_2(capsys):
     code, _, _ = run_cli(capsys, "analyze", "/does/not/exist.txt")
     assert code == 2

@@ -1,7 +1,9 @@
 import math
 import random
+import tracemalloc
 from collections import Counter
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -20,6 +22,7 @@ from latsum import (
     enumerate_subgroups,
     group_from_permutations,
     group_from_raw_table,
+    is_normal,
     quotient_group,
     semidirect_pq_group,
     symmetric_group,
@@ -34,6 +37,7 @@ from helpers import (
     intercalates,
     is_abelian_by_scan,
     naive_permutation_closure,
+    permutation_table_by_composition,
     power,
     relabelled,
     swap_intercalate,
@@ -141,6 +145,13 @@ def test_permutation_closure_matches_naive_oracle():
     assert group_from_permutations(5, gens).order == len(naive_permutation_closure(5, gens))
 
 
+@settings(max_examples=80, deadline=None)
+@given(degree=st.integers(1, 5), data=st.data())
+def test_permutation_table_by_column_gathers_matches_composition(degree, data):
+    gens = data.draw(st.lists(st.permutations(range(degree)), max_size=3))
+    assert group_from_permutations(degree, gens).table == permutation_table_by_composition(degree, gens)
+
+
 def test_permutation_closure_deterministic():
     gens = [(1, 2, 0, 3), (1, 0, 2, 3)]
     a = group_from_permutations(4, gens)
@@ -228,10 +239,63 @@ def test_raw_table_rejects_bad_input():
         group_from_raw_table(Group(LOOP_5).dump_table())
 
 
+def assert_array_is_the_table(group):
+    n = group.order
+    arr = group.array
+    assert arr.dtype == np.int16 and arr.shape == (n, n) and not arr.flags.writeable
+    assert arr.tolist() == group.table
+    assert all(group.table[a][b] == 0 for a, b in enumerate(group.inverse))
+    assert (arr[np.arange(n), group.inverse] == 0).all()
+    # the rows share one int object per element
+    assert len({id(v) for row in group.table for v in row}) == n
+
+
+@pytest.mark.parametrize(
+    "spec",
+    ["cyclic:1", "cyclic:12", "cyclic:257", "cyclic:600", "elem:2,1", "elem:3,2", "elem:2,8", "elem:3,6",
+     "dihedral:1", "dihedral:5", "dihedral:200", "sym:1", "sym:2", "sym:5", "sym:6", "pq:2,3", "pq:3,7,4",
+     "pq:2,251", "product:cyclic:5", "product:sym:3+cyclic:2+dihedral:3", "product:elem:2,3+pq:3,13"],
+)
+def test_array_is_the_table_on_every_constructor(spec):
+    group = GroupSpec.parse(spec).build()
+    assert_array_is_the_table(group)
+    group.validate()
+
+
+def test_array_is_the_table_on_quotients_subgroups_and_files():
+    g = dihedral_group(6)
+    for sub in enumerate_subgroups(g).subgroups:
+        if is_normal(g, sub):
+            assert_array_is_the_table(quotient_group(g, sub.mask))
+    for m in range(2, 6):
+        ambient = symmetric_group(m)
+        for i, sub in enumerate(enumerate_subgroups(ambient).subgroups):
+            assert_array_is_the_table(subgroup_as_group(ambient, sub, f"sym{m}-sub{i}"))
+    assert_array_is_the_table(group_from_permutations(5, [(1, 2, 3, 4, 0), (1, 0, 2, 3, 4)]))
+    table = relabelled(GroupSpec.parse("product:pq:2,3+cyclic:73").build().table, random.Random(7))
+    group = group_from_raw_table(Group(table).dump_table())
+    assert group.table == table
+    assert_array_is_the_table(group)
+
+
+def test_pq_build_peak_memory():
+    # pq:2,997 keeps an 8 MB int16 array and 31 MB of shared-int rows, and
+    # peaks at 43 MB; through int64 arrays and n^2 ints it peaked at 258 MB
+    tracemalloc.start()
+    try:
+        group = GroupSpec.parse("pq:2,997").build()
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 1994
+    assert peak < 48 << 20, peak
+
+
 def test_validate_catches_tampering():
-    g = cyclic_group(6)
-    g.table[3] = g.table[3][:]
-    g.table[3][4] = 2  # break the Latin property
+    table = cyclic_group(6).table
+    table[3] = table[3][:]
+    table[3][4] = 2  # break the Latin property
+    g = Group(table)
     with pytest.raises(InvalidTable):
         g.validate()
 
