@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import math
+import mmap
 from collections import Counter
 from collections.abc import Sequence
 from dataclasses import dataclass
@@ -92,6 +93,16 @@ class _MaskView(Sequence):
         return map(_row_subgroup, self._rows)
 
 
+def _mapped_rows(rows: int, width: int) -> np.ndarray:
+    """A zeroed (rows, width) uint8 array in an anonymous private mapping of
+    its own.  Dropping it unmaps the pages at once.  From the malloc heap,
+    one freed block of 13 MB (elem:2,8) was carved by the small allocations
+    that came after it, the next same-sized block no longer fitted, and the
+    heap grew by 9 MB more on some runs and not on others."""
+    buf = mmap.mmap(-1, rows * width, flags=mmap.MAP_PRIVATE)
+    return np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
+
+
 def _row_subgroup(row: np.ndarray) -> Subgroup:
     # read the uint8 row, never an S item: numpy strips an S item's trailing NUL bytes
     return Subgroup(int.from_bytes(row.tobytes(), "big"))
@@ -169,9 +180,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which produces the identical lattice but scales to the rank-8
-    case over GF(2).  It allocates one uint8 array with a row of
-    ceil(|G|/8) bytes for each of the closed-form number of subspaces.  For
-    each reduced-echelon pivot pattern over GF(p) it builds the subspaces
+    case over GF(2).  It allocates one uint8 array, in an anonymous mapping
+    of its own, with a row of ceil(|G|/8) bytes for each of the closed-form
+    number of subspaces.  For each reduced-echelon pivot pattern over
+    GF(p) it builds the subspaces
     of that pattern in numpy, ``SUBSPACE_CHUNK_ROWS`` at a time, growing
     the spans by gathers on ``group.array``, in its int16, and packs each
     chunk's masks straight into the rows of its order block.  Each packed row is
@@ -336,7 +348,7 @@ def _enumerate_elementary_abelian(
     coords = np.array(elems, dtype=cayley.dtype)
     nbytes = -(-group.order // 8)  # packbits pads each row to whole bytes
     # row i is mask i, big-endian; block r holds rows start..end-1
-    packed = np.empty((total, nbytes), dtype=np.uint8)
+    packed = _mapped_rows(total, nbytes)
     census: dict[int, int] = {}
     end = 0
     for r in range(k + 1):
