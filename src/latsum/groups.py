@@ -478,12 +478,19 @@ def group_from_file(
     return reader(text, max_order=max_order, label=label)
 
 
+def _decimal(text: str) -> int | None:
+    """The int that ``text`` spells in ASCII decimal digits once whitespace
+    is stripped, else None: no sign, no underscore and no digit of another
+    script, all of which ``int`` accepts."""
+    digits = text.strip()
+    return int(digits) if digits.isascii() and digits.isdigit() else None
+
+
 def _table_order(line: str, max_order: int) -> int:
     """The order n on a raw table's first line, checked against ``max_order``."""
-    try:
-        n = int(line.strip())
-    except ValueError as exc:
-        raise InvalidTable(f"first line must be the order, got {line!r}") from exc
+    n = _decimal(line)
+    if n is None:
+        raise InvalidTable(f"first line must be the order, got {line!r}")
     if n < 1:
         raise InvalidTable(f"order must be >= 1, got {n}")
     if n > max_order:
@@ -529,10 +536,10 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
         raise NotAPermutation(f"cannot parse cycle notation: {text!r}")
     perm = list(range(degree))
     for body in _CYCLE_RE.findall(stripped):
-        pts = [int(v) for v in body.replace(",", " ").split()]
+        pts = [_decimal(v) for v in body.replace(",", " ").split()]
         if not pts:
             continue
-        if any(not 0 <= v < degree for v in pts) or len(set(pts)) != len(pts):
+        if None in pts or any(not 0 <= v < degree for v in pts) or len(set(pts)) != len(pts):
             raise NotAPermutation(f"bad cycle {body!r} for degree {degree}")
         for a, b in zip(pts, pts[1:] + pts[:1]):
             if perm[a] != a:
@@ -547,9 +554,9 @@ def group_from_perm_file(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
     if not lines or not lines[0].startswith("perm"):
         raise InvalidTable("permutation file must start with 'perm <degree>'")
     parts = lines[0].split()
-    if len(parts) != 2 or not parts[1].isdigit():
+    degree = _decimal(parts[1]) if len(parts) == 2 else None
+    if degree is None:
         raise InvalidTable(f"bad header {lines[0]!r}")
-    degree = int(parts[1])
     if degree < 1:
         raise InvalidTable(f"degree must be >= 1, got {degree}")
     gens = [parse_cycles(ln, degree) for ln in lines[1:]]
@@ -660,10 +667,9 @@ class GroupSpec:
             if not rest:
                 raise InvalidSpec(f"{kind} spec needs a file path")
             return GroupSpec(kind, path=rest)
-        try:
-            params = tuple(int(v) for v in rest.split(","))
-        except ValueError as exc:
-            raise InvalidSpec(f"non-integer parameters in {text!r}") from exc
+        params = tuple(_decimal(v) for v in rest.split(","))
+        if None in params:
+            raise InvalidSpec(f"parameters must be decimal integers in {text!r}")
         if len(params) not in _FAMILIES[kind][1]:
             raise InvalidSpec(f"wrong parameter count for {kind} in {text!r}")
         if any(v < 1 for v in params):

@@ -4,8 +4,10 @@ from __future__ import annotations
 
 import math
 import mmap
+import queue
+import threading
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
 from itertools import combinations
 
@@ -17,12 +19,15 @@ from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_nor
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
-# Rows of one echelon pivot pattern that the subspace route builds at a
-# time; at order 256 a chunk's spans, in the Cayley array's int16, take 2 MB.
+# Rows of one rank's echelon code stream that the subspace route builds at
+# a time; at order 256 a chunk's spans, in the Cayley array's int16, take 2 MB.
 SUBSPACE_CHUNK_ROWS = 4096
 
-# the number of set bits of each byte value
-_POPCOUNT = np.array([bin(b).count("1") for b in range(256)], dtype=np.uint8)
+# the SWAR popcount's masks and multiplier, as uint64 scalars
+_M1 = np.uint64(0x5555555555555555)
+_M2 = np.uint64(0x3333333333333333)
+_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
+_H01 = np.uint64(0x0101010101010101)
 
 # The structure names classify() reports, each mapped to the name that
 # recognize() reports in ``recognized_as``: one name table for both.
@@ -182,18 +187,22 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     route, which produces the identical lattice but scales to the rank-8
     case over GF(2).  It allocates one uint8 array, in an anonymous mapping
     of its own, with a row of ceil(|G|/8) bytes for each of the closed-form
-    number of subspaces.  For each reduced-echelon pivot pattern over
-    GF(p) it builds the subspaces
-    of that pattern in numpy, ``SUBSPACE_CHUNK_ROWS`` at a time, growing
+    number of subspaces.  For each rank r it streams the reduced-echelon
+    bases of every pivot pattern over GF(p), each basis row's code looked
+    up from its free-slot digits, and builds the subspaces in numpy,
+    ``SUBSPACE_CHUNK_ROWS`` at a time across pattern boundaries: it grows
     the spans by gathers on ``group.array``, in its int16, and packs each
-    chunk's masks straight into the rows of its order block.  Each packed row is
-    big-endian and fixed-width, so the finished block sorts in place as
-    the unsigned ints it encodes, and only the worklist route's result
-    needs sorting in Python.  ``subgroups`` is a read-only view over the
-    array that makes each Subgroup when it is read, and the census is the
-    closed-form count of each order block.  Its maximal subgroups, the
-    hyperplanes of order |G|/p, are the one block made into Subgroup
-    objects.  The two routes are cross-checked in the test suite.
+    chunk's masks straight into the rows of order block r.  Each packed
+    row is big-endian and fixed-width, so the finished block sorts in
+    place as the unsigned ints it encodes, and only the worklist route's
+    result needs sorting in Python.  That sort runs on one helper thread
+    while the next block is built; the thread is joined before this
+    returns or raises, and the hyperplanes are read after the join.
+    ``subgroups`` is a read-only view over the array that makes each
+    Subgroup when it is read, and the census is the closed-form count of
+    each order block.  Its maximal subgroups, the hyperplanes of order
+    |G|/p, are the one block made into Subgroup objects.  The two routes
+    are cross-checked in the test suite.
 
     On the worklist route only class representatives keep ``gens``; the
     other subgroups, and every subgroup from the subspace route, carry
@@ -201,10 +210,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     ``max_subgroups``; the subspace route checks its closed-form count
     before it allocates anything.  Raises InvariantViolation when some
     order does not divide |G| (both routes), and on the subspace route
-    when a row as written does not have p^r bits set, or when the rows
-    written to an order block are not its closed-form number of subspaces
-    (checked before any write past the block's end, and before the block
-    is read).
+    when a row as written does not have p^r bits set (counted per uint64
+    word), or when the rows written to an order block are not its
+    closed-form number of subspaces (checked before any write past the
+    block's end, and before the block is read).
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
@@ -319,8 +328,9 @@ def _enumerate_elementary_abelian(
     group: Group, p: int, k: int, max_subgroups: int
 ) -> tuple[np.ndarray, dict[int, int], list[Subgroup]]:
     """(every subspace's mask as one packed row, in (order, mask) order, the
-    census, the hyperplanes), built in numpy row chunks per echelon pivot
-    pattern straight into one preallocated array."""
+    census, the hyperplanes), built in numpy row chunks of each rank's
+    echelon code stream straight into one preallocated array; each finished
+    order block sorts on one helper thread while the next one is built."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
@@ -350,50 +360,134 @@ def _enumerate_elementary_abelian(
     # row i is mask i, big-endian; block r holds rows start..end-1
     packed = _mapped_rows(total, nbytes)
     census: dict[int, int] = {}
-    end = 0
-    for r in range(k + 1):
-        start, end = end, end + counts[r]
-        pos = start  # rows written so far
-        for pivots in combinations(range(k), r):
-            free = [(row, col) for row in range(r) for col in range(pivots[row] + 1, k) if col not in pivots]
-            pivot_codes = np.array([p**c for c in pivots], dtype=np.intp)
-            rows = p ** len(free)
-            for lo in range(0, rows, SUBSPACE_CHUNK_ROWS):
-                # one row of echelon codes per assignment of the free slots
-                index = np.arange(lo, min(lo + SUBSPACE_CHUNK_ROWS, rows))
-                if pos + len(index) > end:
+    # one helper thread sorts each finished block while the next is built;
+    # it is joined before this returns or raises
+    blocks: queue.SimpleQueue = queue.SimpleQueue()
+    failures: list[BaseException] = []
+    helper = threading.Thread(target=_sort_blocks, args=(blocks, failures), name="latsum-block-sort")
+    helper.start()
+    try:
+        end = 0
+        for r in range(k + 1):
+            start, end = end, end + counts[r]
+            pos = start  # rows written so far
+            for codes in _echelon_code_chunks(p, k, r, cayley.dtype):
+                rows = codes.shape[1]
+                if pos + rows > end:
                     raise InvariantViolation(
                         f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
                     )
-                codes = np.tile(pivot_codes, (len(index), 1))
-                for j, (row, col) in enumerate(free):
-                    codes[:, row] += index // p**j % p * p**col
-                span = np.zeros((len(index), 1), dtype=cayley.dtype)
-                for v in coords[codes].T:  # the span grows p-fold per basis row
-                    parts = [span]
-                    for _ in range(p - 1):
-                        parts.append(cayley[parts[-1], v[:, None]])
-                    span = np.concatenate(parts, axis=1)
-                # packbits reads each row big-endian, so bit e of a mask is the e-th column from the right
-                bits = np.zeros((len(index), 8 * nbytes), dtype=bool)
-                np.put_along_axis(bits, 8 * nbytes - 1 - span, True, axis=1)
-                chunk = packed[pos : pos + len(index)]
-                chunk[:] = np.packbits(bits, axis=1)
+                chunk = packed[pos : pos + rows]
+                chunk[:] = _packed_spans(cayley, coords[codes], p, nbytes)
                 # r independent rows span p^r distinct elements; counted on the
                 # rows as written, so a row left unwritten fails here too
-                if (_POPCOUNT[chunk].sum(axis=1, dtype=np.intp) != p**r).any():
+                if (_popcounts(chunk) != p**r).any():
                     raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
-                pos += len(index)
-        if pos != end:
-            raise InvariantViolation(
-                f"subspace route found {pos - start} subgroups of order {p**r}, expected {counts[r]}"
-            )
-        # fixed-width big-endian rows sort as the unsigned ints they encode
-        packed[start:end].view(f"S{nbytes}")[:, 0].sort()
-        census[p**r] = counts[r]
+                pos += rows
+            if pos != end:
+                raise InvariantViolation(
+                    f"subspace route found {pos - start} subgroups of order {p**r}, expected {counts[r]}"
+                )
+            # fixed-width big-endian rows sort as the unsigned ints they encode
+            blocks.put(packed[start:end].view(f"S{nbytes}")[:, 0])
+            census[p**r] = counts[r]
+    finally:
+        blocks.put(None)
+        helper.join()
+    if failures:
+        raise failures[0]
     # the order-|G|/p block ends just before the whole group's row
     hyperplanes = packed[total - 1 - counts[k - 1] : total - 1]
     return packed, census, [_row_subgroup(row) for row in hyperplanes]
+
+
+def _sort_blocks(blocks: queue.SimpleQueue, failures: list[BaseException]) -> None:
+    """Sort each array taken from ``blocks`` in place, until None arrives;
+    numpy's sort releases the GIL, so this overlaps the caller's numpy work.
+    A sort that raises is recorded in ``failures``, and the rest still run."""
+    while (block := blocks.get()) is not None:
+        try:
+            block.sort()
+        except BaseException as exc:  # re-raised by the caller after the join
+            failures.append(exc)
+
+
+def _echelon_code_chunks(p: int, k: int, r: int, dtype) -> Iterator[np.ndarray]:
+    """The reduced-echelon bases of every rank-r subspace of GF(p)^k, one
+    stream over all pivot patterns, as (r, n) arrays with n at most
+    ``SUBSPACE_CHUNK_ROWS``.  Entry (j, i) is the base-p code of basis row
+    j of subspace i: p^pivot plus each free slot's digit times p^column."""
+    out = np.empty((r, SUBSPACE_CHUNK_ROWS), dtype=dtype)
+    fill = 0
+    for pivots in combinations(range(k), r):
+        # row j's code, per assignment of its free slots (the later
+        # non-pivot columns): a lookup table of p^(free slots) codes
+        luts = []
+        for c in pivots:
+            lut = [p**c]
+            for col in range(c + 1, k):
+                if col not in pivots:
+                    lut = [v + d * p**col for d in range(p) for v in lut]
+            luts.append(np.array(lut, dtype=dtype))
+        rows = math.prod(len(lut) for lut in luts)
+        lo = 0
+        while lo < rows:
+            n = min(rows - lo, SUBSPACE_CHUNK_ROWS - fill)
+            # assignment a of the pattern reads row j's digits as a mixed-radix field of a
+            index = np.arange(lo, lo + n)
+            radix = 1
+            for j, lut in enumerate(luts):
+                out[j, fill : fill + n] = lut[index // radix % len(lut)]
+                radix *= len(lut)
+            lo += n
+            fill += n
+            if fill == SUBSPACE_CHUNK_ROWS:
+                yield out
+                out = np.empty_like(out)
+                fill = 0
+    if fill:
+        yield out[:, :fill]
+
+
+def _packed_spans(cayley: np.ndarray, bases: np.ndarray, p: int, nbytes: int) -> np.ndarray:
+    """Row i is the mask of the span of the r elements in column i of
+    ``bases``, packed big-endian into ``nbytes`` bytes; the span grows
+    p-fold per element by gathers on the Cayley array, in its dtype."""
+    r, n = bases.shape
+    # column i holds subspace i's elements
+    span = np.zeros((p**r, n), dtype=cayley.dtype)
+    width = 1
+    for v in bases:
+        for j in range(1, p):
+            span[j * width : (j + 1) * width] = cayley[span[(j - 1) * width : j * width], v]
+        width *= p
+    # packbits reads each row big-endian, so bit e of mask i is bit
+    # 8 * nbytes - 1 - e of row i; int32 indexes every bit of an int16 table's rows
+    bits = np.zeros(n * 8 * nbytes, dtype=bool)
+    bits[np.arange(8 * nbytes - 1, len(bits), 8 * nbytes, dtype=np.int32) - span] = True
+    return np.packbits(bits).reshape(n, nbytes)
+
+
+def _popcounts(rows: np.ndarray) -> np.ndarray:
+    """The number of set bits in each row of a 2-D uint8 array whose rows
+    are contiguous, counted per uint64 word by the SWAR bit trick; rows
+    whose width is not a multiple of 8 are read through a zero-padded copy."""
+    n, width = rows.shape
+    if width % 8:
+        padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
+        padded[:, :width] = rows
+        rows = padded
+    words = rows.view(np.uint64)
+    x = words - ((words >> 1) & _M1)  # each 2-bit field holds its count
+    t = x >> 2
+    t &= _M2
+    x &= _M2
+    x += t  # each 4-bit field
+    x += x >> 4
+    x &= _M4  # each byte
+    x *= _H01
+    x >>= 56  # the top byte sums them all
+    return x.sum(axis=1)
 
 
 # ---------------------------------------------------------------------------

@@ -3,6 +3,7 @@ import json
 
 import pytest
 
+import latsum
 import latsum.analysis
 import latsum.cli
 from latsum.cli import main
@@ -160,6 +161,37 @@ def test_perm_file_analysis(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 0
     assert json.loads(out)["order"] == 10
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "perm ²\n(0 1)\n",  # str.isdigit accepts "²", which int() refuses
+        "perm 11\n(0 1_0)\n",  # int() reads "1_0" as 10
+        "perm 3\n(0 x)\n",
+        "perm +3\n(0 1)\n",
+        "perm 3 3\n(0 1)\n",
+    ],
+)
+def test_bad_perm_file_numbers_exit_4(tmp_path, capsys, text):
+    path = tmp_path / "gens.txt"
+    path.write_text(text, encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (4, ""), err
+    assert err.startswith(f"{path}: ")
+
+
+@pytest.mark.parametrize("head", ["1_0", "\uff11\uff10", "+10"])
+def test_table_order_line_must_be_ascii_decimal_exit_4(tmp_path, capsys, head):
+    # int() reads each of these as 10, and ten rows of C10 follow
+    rows = latsum.cyclic_group(10).dump_table().split("\n", 1)[1]
+    path = tmp_path / "c10.txt"
+    path.write_text(f"{head}\n{rows}", encoding="utf-8")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (4, "")
+    assert err == f"{path}: first line must be the order, got {head!r}\n"
+    path.write_text(f" 10 \n{rows}")
+    assert run_cli(capsys, "analyze", str(path))[0] == 0
 
 
 def test_sigma_scan(capsys):

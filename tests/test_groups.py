@@ -358,6 +358,11 @@ def test_parse_cycles():
         parse_cycles("(0 9)", 3)
     with pytest.raises(NotAPermutation):
         parse_cycles("0 1 2", 3)
+    assert parse_cycles("( 0 , 1 )", 2) == (1, 0)
+    # only ASCII decimal points: int() takes each of these
+    for text in ["(0 1_0)", "(0 \uff11)", "(0 +1)", "(0 \u0661)"]:
+        with pytest.raises(NotAPermutation, match="bad cycle"):
+            parse_cycles(text, 11)
 
 
 def test_spec_parse_and_str_round_trip():
@@ -372,6 +377,11 @@ def test_spec_parse_rejects_garbage():
     for text in ["bogus:1", "cyclic:", "cyclic:x", "cyclic:2,3", "elem:4", "pq:2", "pq:2,3,2,1", "product:", "cyclic:-3", "plain"]:
         with pytest.raises(InvalidSpec):
             GroupSpec.parse(text)
+    # int() takes each of these, so cyclic:1_2 used to build C12 under that label
+    for text in ["cyclic:1_2", "cyclic:\uff11\uff12", "cyclic:+12", "cyclic:\u00b2", "elem:2,\u0663"]:
+        with pytest.raises(InvalidSpec, match="decimal integers"):
+            GroupSpec.parse(text)
+    assert GroupSpec.parse(" pq: 3 , 7 ") == GroupSpec.semidirect_pq(3, 7)
 
 
 def test_spec_order_cap():

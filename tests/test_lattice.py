@@ -1,11 +1,14 @@
 import os
+import queue
 import random
 import subprocess
 import sys
 import textwrap
+import threading
 import tracemalloc
 from pathlib import Path
 
+import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
@@ -40,7 +43,7 @@ from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
 from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask, group_from_raw_table
 from latsum.analysis import analyze_group
-from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_orders
+from latsum.lattice import Subgroup, _enumerate_worklist, _popcounts, _sort_blocks, nilpotent_by_element_orders
 
 from helpers import (
     CountingTable,
@@ -160,8 +163,9 @@ def test_subspace_view_matches_its_mask_list():
 
 def test_subspace_route_peak_memory():
     # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB) and peaks at
-    # 15.7 MB with its spans grown in the array's int16; as np.intp spans it
-    # peaked at 20.8 MB, and the list of mask ints before that at 34.8 MB.
+    # 15.5 MB with its spans grown in the array's int16 and packed through
+    # int32 bit indexes; as np.intp spans it peaked at 20.8 MB, and the list
+    # of mask ints before that at 34.8 MB.
     # The rows live in their own mapping, which tracemalloc does not see, so
     # their bytes are added to the traced peak.
     group = elementary_abelian_group(2, 8)
@@ -205,6 +209,67 @@ def test_subspace_block_count_checked_against_rows_written(monkeypatch):
         monkeypatch.setattr(latsum.lattice, "gaussian_subgroup_count", count)
         with pytest.raises(InvariantViolation, match=message):
             enumerate_subgroups(group)
+
+
+def test_word_popcount_matches_int_bit_count():
+    # every width from 1 to 40 bytes, so rows that are not whole uint64
+    # words (elem:7,2 is 7 bytes wide, elem:3,5 is 31) are counted too
+    rng = np.random.default_rng(14)
+    for width in range(1, 41):
+        rows = rng.integers(0, 256, size=(50, width), dtype=np.uint8)
+        rows[0] = 0
+        rows[1] = 255
+        want = [int.from_bytes(row.tobytes(), "big").bit_count() for row in rows]
+        assert _popcounts(rows).tolist() == want, width
+        # a strided view, as a slice of wider rows
+        wide = np.concatenate([rows, rows], axis=1)
+        assert _popcounts(wide[:, :width]).tolist() == want, width
+
+
+def _one_product_off(spec: str, a: int, b: int) -> Group:
+    # a * b sent to the identity, so a span that multiplies them holds a
+    # repeated element; the list rows stay right, and the greedy basis with them
+    group = GroupSpec.parse(spec).build()
+    wrong = group.array.copy()
+    wrong[a, b] = 0
+    group.array = wrong
+    return group
+
+
+@pytest.mark.parametrize("spec, a, b, r", [("elem:2,4", 1, 2, 2), ("elem:3,3", 1, 3, 2), ("elem:2,8", 3, 4, 2)])
+def test_repeated_span_element_raises(spec, a, b, r):
+    group = _one_product_off(spec, a, b)
+    with pytest.raises(InvariantViolation, match=f"a subspace of rank {r} in {spec} does not have"):
+        enumerate_subgroups(group, 500_000)
+
+
+def test_block_sort_thread_ends_with_the_call():
+    # on a whole lattice, on a cap refusal, and on a check that raises after
+    # the first blocks were handed to the sort thread
+    before = threading.enumerate()
+    assert len(enumerate_subgroups(elementary_abelian_group(2, 8), 500_000)) == 417_199
+    assert threading.enumerate() == before
+    with pytest.raises(LatticeTooLarge):
+        enumerate_subgroups(elementary_abelian_group(2, 8), 417_198)
+    assert threading.enumerate() == before
+    with pytest.raises(InvariantViolation, match="a subspace of rank 2 in elem:2,4"):
+        enumerate_subgroups(_one_product_off("elem:2,4", 1, 2))
+    assert threading.enumerate() == before
+
+
+def test_block_sort_failure_is_recorded_and_later_blocks_still_sort():
+    class Unsortable:
+        def sort(self):
+            raise MemoryError("no room to sort")
+
+    blocks = queue.SimpleQueue()
+    later = np.array([b"\x02", b"\x01"])
+    for block in (Unsortable(), later, None):
+        blocks.put(block)
+    failures = []
+    _sort_blocks(blocks, failures)
+    assert [type(exc) for exc in failures] == [MemoryError]
+    assert later.tolist() == [b"\x01", b"\x02"]
 
 
 @pytest.mark.parametrize("spec", ["elem:2,5", "elem:3,3", "sym:4", "pq:3,7", "cyclic:12", "product:elem:2,2+cyclic:9"])
