@@ -12,12 +12,25 @@ import numpy as np
 
 from .errors import InvariantViolation, LimitTooLarge
 
-# sigma(n) < n * (1 + ln n) stays far below 2**63 for any limit we allow,
-# so the sieve table is one int64 array: 8 bytes per integer, 400 MB at the cap.
+# sigma(n) <= n * H_n < n * (1 + ln n), with H_n the n-th harmonic number, is
+# at most 9.4e8 for n up to the cap, below 2**31; the scans' ramps 2n + 4 and
+# 8n + 4 are smaller still.  So the sieve table is one int32 array, 4 bytes
+# per integer, 200 MB at the cap, and the sieve and both scans run in int32.
 # The sieve and both scans work through SIEVE_BLOCK integers at a time, so
 # their temporaries add a few MB to the table, not a multiple of it.
 MAX_SIEVE_LIMIT = 50_000_000
 SIEVE_BLOCK = 1 << 18
+SIEVE_DTYPE = np.dtype(np.int32)
+
+
+def sigma_upper_bound(n: int) -> float:
+    """n * (1 + ln n), an upper bound on sigma(m) for every 1 <= m <= n."""
+    return n * (1 + math.log(n))
+
+
+# a real check, not an assert, so that it also runs under python -O
+if max(sigma_upper_bound(MAX_SIEVE_LIMIT), 8 * MAX_SIEVE_LIMIT + 4) >= np.iinfo(SIEVE_DTYPE).max:
+    raise InvariantViolation(f"sigma(n) for n <= {MAX_SIEVE_LIMIT} may overflow the {SIEVE_DTYPE} sieve table")
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
@@ -113,7 +126,7 @@ class SigmaSieve:
 
 
 def build_sieve(limit: int) -> SigmaSieve:
-    """Compute sigma(n) for all n <= limit with a divisor-pair sieve, 8 bytes per integer.
+    """Compute sigma(n) for all n <= limit with a divisor-pair sieve, 4 bytes per integer.
 
     Every divisor pair d * k = n with 2 <= d <= k contributes d + k, added in
     strided steps of at most SIEVE_BLOCK cofactors k per d <= isqrt(limit);
@@ -125,17 +138,17 @@ def build_sieve(limit: int) -> SigmaSieve:
     if limit > MAX_SIEVE_LIMIT:
         raise LimitTooLarge(
             f"sieve limit {limit} exceeds supported maximum {MAX_SIEVE_LIMIT}"
-            f" (its table would take {8 * (limit + 1):,} bytes)"
+            f" (its table would take {SIEVE_DTYPE.itemsize * (limit + 1):,} bytes)"
         )
-    table = np.arange(1, limit + 2, dtype=np.int64)
+    table = np.arange(1, limit + 2, dtype=SIEVE_DTYPE)
     table[:2] = 0, 1
     for d in range(2, math.isqrt(limit) + 1):
         # n = d * k gains d + k for each cofactor d <= k <= limit // d
         k, top = d, limit // d
         while top - k >= SIEVE_BLOCK:
-            table[d * k : d * (k + SIEVE_BLOCK) : d] += np.arange(k + d, k + d + SIEVE_BLOCK)
+            table[d * k : d * (k + SIEVE_BLOCK) : d] += np.arange(k + d, k + d + SIEVE_BLOCK, dtype=SIEVE_DTYPE)
             k += SIEVE_BLOCK
-        table[d * k :: d] += np.arange(k + d, top + d + 1)
+        table[d * k :: d] += np.arange(k + d, top + d + 1, dtype=SIEVE_DTYPE)
         table[d * d] -= d
     return SigmaSieve(limit=limit, table=table)
 
@@ -156,7 +169,7 @@ def scan_threshold(sieve: SigmaSieve) -> ThresholdScan:
     equal: list[int] = []
     for lo in range(1, sieve.limit + 1, SIEVE_BLOCK):
         hi = min(lo + SIEVE_BLOCK, sieve.limit + 1)
-        diff = np.arange(2 * lo + 4, 2 * hi + 4, 2)  # 2n + 4 for lo <= n < hi
+        diff = np.arange(2 * lo + 4, 2 * hi + 4, 2, dtype=SIEVE_DTYPE)  # 2n + 4 for lo <= n < hi
         np.subtract(sieve.table[lo:hi], diff, out=diff)
         below += int(np.count_nonzero(diff < 0))
         equal += (np.flatnonzero(diff == 0) + lo).tolist()
@@ -194,15 +207,18 @@ def odd_part_inequality_scan(limit: int, sieve: SigmaSieve | None = None) -> Odd
     """Verify 11*sigma(n') > 8n' + 4 (hence also != ) for every odd n' with 1 < n' <= limit.
 
     n' = 1 is excluded: it corresponds to the bare rank-2 group of order 4,
-    which the classification handles separately.
+    which the classification handles separately.  For an integer sigma,
+    11*sigma <= 8n' + 4 exactly when sigma <= (8n' + 4) // 11, so the test
+    runs in the table's int32 without ever forming 11*sigma.
     """
     if sieve is None or sieve.limit < limit:
         sieve = build_sieve(limit)
     violations: list[int] = []
     for lo in range(3, limit + 1, 2 * SIEVE_BLOCK):
         hi = min(lo + 2 * SIEVE_BLOCK, limit + 1)  # one block of odd n: lo, lo + 2, ...
-        lhs = 11 * sieve.table[lo:hi:2]
-        violations += (np.flatnonzero(lhs <= np.arange(8 * lo + 4, 8 * hi + 4, 16)) * 2 + lo).tolist()
+        rhs = np.arange(8 * lo + 4, 8 * hi + 4, 16, dtype=SIEVE_DTYPE)  # 8n + 4
+        rhs //= 11
+        violations += (np.flatnonzero(sieve.table[lo:hi:2] <= rhs) * 2 + lo).tolist()
     return OddPartScanReport(limit=limit, checked=len(range(3, limit + 1, 2)), violations=tuple(violations))
 
 

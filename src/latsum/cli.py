@@ -1,7 +1,8 @@
 """Command-line surface: analyze, verify, sigma-scan, sequence, dump-table.
 
 Exit codes: 0 success, 1 classification violation, 2 parse/usage error,
-3 cap exceeded, 4 invalid table, 5 infrastructure error.
+3 cap exceeded, 4 invalid table, 5 infrastructure error, 141 standard
+output closed by its reader.
 """
 
 from __future__ import annotations
@@ -56,6 +57,7 @@ EXIT_USAGE = 2
 EXIT_CAP = 3
 EXIT_BAD_TABLE = 4
 EXIT_INFRA = 5
+EXIT_BROKEN_PIPE = 141  # what a shell reports for a process ended by SIGPIPE
 
 # the exit code of each library error, first match wins
 _EXIT_CODES = (
@@ -281,12 +283,26 @@ def build_parser() -> argparse.ArgumentParser:
 
 def main(argv: list[str] | None = None) -> int:
     try:
+        code = _dispatch(argv)
+        sys.stdout.flush()  # a closed pipe shows here, not at interpreter exit
+        return code
+    except BrokenPipeError:
+        # the reader went away (``latsum ... | head``): point stdout at devnull
+        # so the exit flush cannot raise again, and exit quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
+
+
+def _dispatch(argv: list[str] | None) -> int:
+    try:
         args = build_parser().parse_args(argv)
     except SystemExit as exc:
         # argparse exits 2 on usage errors and 0 for --help
         return 0 if exc.code in (0, None) else EXIT_USAGE
     try:
         return args.func(args)
+    except BrokenPipeError:
+        raise  # for main: a closed stdout is not an internal error
     except LatsumError as exc:
         code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
         return _fail(code, f"{getattr(args, 'source', 'error')}: {exc}")

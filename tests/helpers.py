@@ -1,13 +1,33 @@
 """Brute-force oracles, deliberately independent of the library's algorithms,
 and the small group utilities that only the tests use."""
 
+import os
 import random
+import subprocess
+import sys
 from itertools import combinations, product
+from pathlib import Path
 
 import numpy as np
 
 from latsum import Group, Subgroup
 from latsum.groups import _mask_members, conjugate_mask, generated_mask
+
+
+def python_child(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.Popen:
+    """Start ``python *args`` in a child that imports latsum from this checkout,
+    with ``env`` added to this process's environment."""
+    tests_dir = Path(__file__).parent
+    path = [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path), **(env or {}))
+    return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
+
+
+def run_python(*args: str) -> tuple[int, str, str]:
+    """Run ``python *args`` in such a child: its exit code, stdout and stderr."""
+    child = python_child(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    out, err = child.communicate(timeout=60)
+    return child.returncode, out, err
 
 
 def trial_division_sigma(n: int) -> int:

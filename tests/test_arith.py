@@ -13,9 +13,18 @@ from latsum import (
     odd_part_inequality_scan,
     scan_threshold,
 )
-from latsum.arith import MAX_SIEVE_LIMIT, SIEVE_BLOCK, factorize, is_prime, nth_prime, primes
+from latsum.arith import (
+    MAX_SIEVE_LIMIT,
+    SIEVE_BLOCK,
+    SIEVE_DTYPE,
+    factorize,
+    is_prime,
+    nth_prime,
+    primes,
+    sigma_upper_bound,
+)
 
-from helpers import trial_division_sigma
+from helpers import run_python, trial_division_sigma
 
 
 def test_sigma_small_values():
@@ -75,6 +84,57 @@ def test_sieve_matches_trial_division_at_sqrt_edges():
     assert all(sieve.sigma(n) == divisor_sigma(n) for n in range(1, 10_202))
 
 
+def test_sieve_table_is_int32_and_sigma_returns_python_ints():
+    sieve = build_sieve(100)
+    assert sieve.table.dtype == np.int32
+    assert sieve.table.nbytes == 4 * 101
+    assert type(sieve.sigma(96)) is int and sieve.sigma(96) == 252
+
+
+def test_int32_range_check_holds_at_the_cap():
+    # the bound that ties the cap to int32, with room to spare
+    assert sigma_upper_bound(MAX_SIEVE_LIMIT) < 0.5 * np.iinfo(SIEVE_DTYPE).max
+    assert MAX_SIEVE_LIMIT == 50_000_000
+
+
+_RANGE_CHECK_PROBE = """
+import types
+import latsum.arith as arith
+from latsum.errors import InvariantViolation
+
+if __debug__:
+    raise SystemExit("asserts are on: run with python -O")
+cap = "MAX_SIEVE_LIMIT = 50_000_000"
+source = open(arith.__file__).read()
+if cap not in source:
+    raise SystemExit(f"no line {cap!r} in {arith.__file__}")
+probe = types.ModuleType("latsum.arith_probe")
+probe.__package__ = "latsum"
+try:
+    exec(compile(source.replace(cap, "MAX_SIEVE_LIMIT = 200_000_000"), arith.__file__, "exec"), probe.__dict__)
+except InvariantViolation as exc:
+    print("refused:", exc)
+"""
+
+
+def test_int32_range_check_runs_under_python_O():
+    # arith.py with a cap whose bound passes 2**31 refuses to import, also
+    # with asserts stripped
+    status, out, err = run_python("-O", "-c", _RANGE_CHECK_PROBE)
+    assert status == 0, err
+    assert out.startswith("refused: ") and "200000000" in out
+
+
+def test_sigma_below_the_int32_bound_over_a_million():
+    sieve = build_sieve(1_000_000)
+    n = np.arange(1, sieve.limit + 1)
+    sigma = sieve.table[1:]
+    bound = n * (1 + np.log(n))
+    assert sigma[0] == bound[0] == 1  # H_1 = 1 + ln 1
+    assert (sigma[1:] < bound[1:]).all()
+    assert int(sigma.max()) < sigma_upper_bound(sieve.limit)
+
+
 def test_sieve_limit_checked_before_allocation():
     tracemalloc.start()
     try:
@@ -105,13 +165,14 @@ def test_blocked_sieve_and_scans_match_whole_table_expressions():
     planted = (3, first_edge - 2, first_edge, limit - 2)
     sieve.table[list(planted)] = 0
     odd = np.arange(3, limit + 1, 2)
-    assert odd_part_inequality_scan(limit, sieve).violations == tuple(odd[11 * sieve.table[odd] <= 8 * odd + 4])
+    oracle = odd[11 * sieve.table[odd].astype(np.int64) <= 8 * odd + 4]
+    assert odd_part_inequality_scan(limit, sieve).violations == tuple(oracle)
     assert odd_part_inequality_scan(limit, sieve).violations == planted
 
 
 def test_sieve_and_scans_peak_near_the_table_size():
-    # the table is 8 * (limit + 1) bytes; the blocked adds and scans keep
-    # their temporaries to a few blocks on top of it
+    # the blocked adds and scans keep their temporaries to a few blocks on
+    # top of the table
     limit = 4_000_000
     tracemalloc.start()
     try:
@@ -121,7 +182,7 @@ def test_sieve_and_scans_peak_near_the_table_size():
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert peak < 1.25 * 8 * (limit + 1)
+    assert peak < 1.25 * sieve.table.nbytes
 
 
 def test_scans_match_loop_and_return_python_ints():

@@ -1,5 +1,6 @@
 import hashlib
 import json
+import subprocess
 
 import pytest
 
@@ -7,6 +8,8 @@ import latsum
 import latsum.analysis
 import latsum.cli
 from latsum.cli import main
+
+from helpers import python_child
 
 
 def run_cli(capsys, *argv):
@@ -181,6 +184,40 @@ def test_bad_perm_file_numbers_exit_4(tmp_path, capsys, text):
     assert err.startswith(f"{path}: ")
 
 
+@pytest.mark.parametrize("head", ["permx 3", "perm3", "permutation 3"])
+def test_perm_header_word_must_be_exactly_perm_exit_4(tmp_path, capsys, head):
+    # "permx 3\n(0 1)\n" was once read as a degree-3 generator file
+    path = tmp_path / "gens.txt"
+    path.write_text(f"{head}\n(0 1)\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (4, ""), err
+    assert err.startswith(f"{path}: ")
+    code, out, err = run_cli(capsys, "analyze", f"perm:{path}")
+    assert (code, out) == (4, "") and "must start with 'perm <degree>'" in err
+
+
+@pytest.mark.parametrize(
+    "argv, unbuffered",
+    [
+        (("analyze", "cyclic:12", "--json"), ""),
+        (("analyze", "cyclic:12", "--json"), "1"),
+        (("dump-table", "cyclic:300"), ""),
+        (("dump-table", "cyclic:300"), "1"),
+        (("--help",), ""),  # unbuffered, argparse swallows the write error and exits 0
+    ],
+)
+def test_closed_stdout_exits_141_quietly(argv, unbuffered):
+    # the reader is gone before the child writes: a buffered small report or
+    # help text meets the closed pipe at the final flush, anything else on
+    # its first write
+    script = f"import sys, latsum.cli; sys.exit(latsum.cli.main({list(argv)!r}))"
+    env = {"PYTHONUNBUFFERED": unbuffered}
+    child = python_child("-c", script, env=env, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    child.stdout.close()
+    _, err = child.communicate(timeout=60)
+    assert (child.returncode, err) == (141, "")
+
+
 @pytest.mark.parametrize("head", ["1_0", "\uff11\uff10", "+10"])
 def test_table_order_line_must_be_ascii_decimal_exit_4(tmp_path, capsys, head):
     # int() reads each of these as 10, and ten rows of C10 follow
@@ -231,7 +268,7 @@ def test_sigma_scan_limit_errors(capsys):
     assert code == 2
     code, _, err = run_cli(capsys, "sigma-scan", "999999999")
     assert code == 3
-    assert "8,000,000,000 bytes" in err
+    assert "4,000,000,000 bytes" in err  # 4 bytes per integer
 
 
 def test_sequence(capsys):

@@ -5,7 +5,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from latsum import (
     Group,
@@ -346,6 +346,30 @@ def test_property_validate_matches_brute_force_associativity(spec, seed, swap):
     else:
         with pytest.raises(InvalidTable, match="associativity"):
             group.validate()
+
+
+@settings(max_examples=120, deadline=None)
+@given(
+    spec=st.sampled_from([s for s in SMALL_GROUPS if GroupSpec.parse(s).predicted_order() > 2]),
+    seed=st.integers(0, 2**32 - 1),
+    cells=st.integers(1, 3),
+)
+def test_property_validate_rejects_non_latin_tables(spec, seed, cells):
+    # validate has no Latin-square check of its own: a table that keeps row
+    # 0, column 0 and a 0 in every row passes construction, and Light's test
+    # must then find that it is not a group
+    rng = random.Random(seed)
+    table = [row[:] for row in relabelled(GroupSpec.parse(spec).build().table, rng)]
+    n = len(table)
+    for _ in range(cells):
+        r, c = rng.randrange(1, n), rng.randrange(1, n)
+        if table[r][c]:  # keep the row's 0
+            table[r][c] = rng.choice([v for v in range(n) if v != table[r][c]])
+    full = set(range(n))
+    assume(not all(set(row) == full for row in table) or not all(set(col) == full for col in zip(*table)))
+    group = Group(table)
+    with pytest.raises(InvalidTable):
+        group.validate()
 
 
 def test_parse_cycles():

@@ -1,8 +1,6 @@
 import os
 import queue
 import random
-import subprocess
-import sys
 import textwrap
 import threading
 import tracemalloc
@@ -54,6 +52,7 @@ from helpers import (
     is_normal_by_conjugation,
     naive_order_census,
     relabelled,
+    run_python,
     subgroup_generators,
     subspace_masks_by_loop,
 )
@@ -679,12 +678,9 @@ def test_invariant_violation_survives_python_O():
                 print("InvariantViolation:", exc)
         """
     )
-    tests_dir = Path(__file__).parent
-    path = [str(tests_dir.parent / "src"), str(tests_dir), os.environ.get("PYTHONPATH", "")]
-    env = dict(os.environ, PYTHONPATH=os.pathsep.join(path))
-    done = subprocess.run([sys.executable, "-O", "-c", code], capture_output=True, text=True, env=env, timeout=60)
-    assert done.returncode == 0, done.stderr
-    first, second, third, *enumeration = done.stdout.splitlines()
+    status, out, err = run_python("-O", "-c", code)
+    assert status == 0, err
+    first, second, third, *enumeration = out.splitlines()
     assert first == "debug False maximal orders [3]"
     assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
     assert third == "InvariantViolation: element order 3 does not divide 4", third
