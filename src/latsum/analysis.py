@@ -216,12 +216,13 @@ def verify_classification(
 ) -> VerificationSummary:
     """Classify every corpus entry, isolating per-entry failures.
 
-    Entries may be processed by a worker pool; results are sorted by label,
+    Entries may be processed by a pool of at most one worker per entry
+    (forked pools start every worker at once); results are sorted by label,
     so the summary is identical regardless of scheduling.
     """
     payloads = [(entry, max_order, max_subgroups) for entry in entries]
     if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=workers) as pool:
+        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
             results = list(pool.map(_run_entry, payloads, chunksize=4))
     else:
         results = [_run_entry(p) for p in payloads]

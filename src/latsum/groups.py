@@ -232,7 +232,7 @@ def conjugate_mask(group: Group, mask: int, x: int) -> int:
     return out
 
 
-def is_normal_mask(group: Group, mask: int) -> bool:
+def is_normal(group: Group, mask: int) -> bool:
     """True when the subgroup with membership bitmask ``mask`` is normal.
 
     Every subgroup of an abelian group is normal, so there it reads only
@@ -421,13 +421,13 @@ def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> 
 
     Cosets are represented by their minimal member and indexed in ascending
     representative order, which puts the identity coset at index 0.  Raises
-    NotNormal when ``is_normal_mask`` finds the subgroup is not normal.
+    NotNormal when ``is_normal`` finds the subgroup is not normal.
     """
     arr = group.array
     members = _mask_members(normal_mask)
     if not normal_mask & 1:
         raise NotNormal("subgroup mask does not contain the identity")
-    if not is_normal_mask(group, normal_mask):
+    if not is_normal(group, normal_mask):
         raise NotNormal(f"subgroup of order {len(members)} is not normal in {group.label}")
     coset_of = np.full(group.order, -1, dtype=arr.dtype)
     reps: list[int] = []

@@ -4,8 +4,6 @@ from __future__ import annotations
 
 import math
 import mmap
-import queue
-import threading
 from collections import Counter
 from collections.abc import Iterator, Sequence
 from dataclasses import dataclass
@@ -15,19 +13,13 @@ import numpy as np
 
 from .arith import factorize, gaussian_subgroup_count, is_prime
 from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
-from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_normal_mask
+from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_normal
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
 # Rows of one rank's echelon code stream that the subspace route builds at
 # a time; at order 256 a chunk's spans, in the Cayley array's int16, take 2 MB.
 SUBSPACE_CHUNK_ROWS = 4096
-
-# the SWAR popcount's masks and multiplier, as uint64 scalars
-_M1 = np.uint64(0x5555555555555555)
-_M2 = np.uint64(0x3333333333333333)
-_M4 = np.uint64(0x0F0F0F0F0F0F0F0F)
-_H01 = np.uint64(0x0101010101010101)
 
 # The structure names classify() reports, each mapped to the name that
 # recognize() reports in ``recognized_as``: one name table for both.
@@ -79,22 +71,41 @@ class Subgroup:
 class _MaskView(Sequence):
     """Read-only Subgroup sequence over packed masks: row i of the uint8
     array is mask i, big-endian, and an index, a slice or an iteration makes
-    a Subgroup from each row it reads; a slice is a list."""
+    a Subgroup from each row it reads; a slice is a list.
 
-    __slots__ = ("_rows",)
+    ``unsorted`` maps the first row of each order block not yet sorted to
+    that block's rows viewed as fixed-width bytes (numpy dtype S), which
+    sort as the unsigned ints they encode.  A read first sorts, in place, every such
+    block it reaches, so rows read in canonical order while a block nobody
+    reads is never sorted.  The sort writes on a read, so a view is not for
+    reading from two threads at once."""
 
-    def __init__(self, rows: np.ndarray):
+    __slots__ = ("_rows", "_unsorted")
+
+    def __init__(self, rows: np.ndarray, unsorted: dict[int, np.ndarray]):
         self._rows = rows
+        self._unsorted = unsorted
 
     def __len__(self) -> int:
         return len(self._rows)
 
+    def _sort_reached(self, lo: int, hi: int) -> None:
+        """Sort each unsorted block holding a row in lo..hi."""
+        for first in [f for f, block in self._unsorted.items() if f <= hi and lo < f + len(block)]:
+            self._unsorted.pop(first).sort()
+
     def __getitem__(self, i):
+        # range indexing raises IndexError and resolves negative indexes and steps as the rows do
+        reads = range(len(self._rows))[i]
         if isinstance(i, slice):
+            if reads:
+                self._sort_reached(*sorted((reads[0], reads[-1])))
             return [_row_subgroup(row) for row in self._rows[i]]
-        return _row_subgroup(self._rows[i])
+        self._sort_reached(reads, reads)
+        return _row_subgroup(self._rows[reads])
 
     def __iter__(self):
+        self._sort_reached(0, len(self._rows) - 1)
         return map(_row_subgroup, self._rows)
 
 
@@ -119,10 +130,12 @@ class Lattice:
 
     ``subgroups`` is a plain list on the worklist route and, on the
     subspace route, a read-only view over one uint8 array of packed
-    big-endian mask rows.  ``census`` maps each order, ascending, to its
-    number of subgroups; ``subgroups_of_order`` reads its block straight
-    from the census offsets, so a lattice built by hand must keep
-    ``subgroups`` canonically sorted and its census matching.
+    big-endian mask rows, whose order blocks each sort in place when a
+    read first reaches them, so every read sees canonical order.
+    ``census`` maps each order, ascending, to its number of subgroups;
+    ``subgroups_of_order`` reads its block straight from the census
+    offsets, so a lattice built by hand must keep ``subgroups``
+    canonically sorted and its census matching.
     ``maximals`` holds the maximal subgroups in the same order,
     as ``enumerate_subgroups`` records them; a lattice built by hand may
     leave it None, and ``maximal_subgroups`` then refuses it.
@@ -193,16 +206,15 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     ``SUBSPACE_CHUNK_ROWS`` at a time across pattern boundaries: it grows
     the spans by gathers on ``group.array``, in its int16, and packs each
     chunk's masks straight into the rows of order block r.  Each packed
-    row is big-endian and fixed-width, so the finished block sorts in
-    place as the unsigned ints it encodes, and only the worklist route's
-    result needs sorting in Python.  That sort runs on one helper thread
-    while the next block is built; the thread is joined before this
-    returns or raises, and the hyperplanes are read after the join.
-    ``subgroups`` is a read-only view over the array that makes each
-    Subgroup when it is read, and the census is the closed-form count of
-    each order block.  Its maximal subgroups, the hyperplanes of order
-    |G|/p, are the one block made into Subgroup objects.  The two routes
-    are cross-checked in the test suite.
+    row is big-endian and fixed-width, so a block sorts in place in numpy
+    as the unsigned ints it encodes, and only the worklist route's result
+    needs sorting in Python.  Only the hyperplane block is sorted here;
+    every other block sorts when a read of ``subgroups`` first reaches it,
+    so a block nobody reads is never sorted.  ``subgroups`` is a read-only
+    view over the array that makes each Subgroup when it is read, and the
+    census is the closed-form count of each order block.  Its maximal
+    subgroups, the hyperplanes of order |G|/p, are the one block made into
+    Subgroup objects.  The two routes are cross-checked in the test suite.
 
     On the worklist route only class representatives keep ``gens``; the
     other subgroups, and every subgroup from the subspace route, carry
@@ -210,15 +222,15 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     ``max_subgroups``; the subspace route checks its closed-form count
     before it allocates anything.  Raises InvariantViolation when some
     order does not divide |G| (both routes), and on the subspace route
-    when a row as written does not have p^r bits set (counted per uint64
-    word), or when the rows written to an order block are not its
-    closed-form number of subspaces (checked before any write past the
-    block's end, and before the block is read).
+    when a row as written does not have p^r bits set, or when the rows
+    written to an order block are not its closed-form number of subspaces
+    (checked before any write past the block's end, and before the block
+    is read).
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
-        packed, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
-        subs = _MaskView(packed)
+        packed, unsorted, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
+        subs = _MaskView(packed, unsorted)
     else:
         subs, maximals = _enumerate_worklist(group, max_subgroups)
         subs.sort(key=_canonical)
@@ -326,11 +338,12 @@ def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
 
 def _enumerate_elementary_abelian(
     group: Group, p: int, k: int, max_subgroups: int
-) -> tuple[np.ndarray, dict[int, int], list[Subgroup]]:
-    """(every subspace's mask as one packed row, in (order, mask) order, the
-    census, the hyperplanes), built in numpy row chunks of each rank's
-    echelon code stream straight into one preallocated array; each finished
-    order block sorts on one helper thread while the next one is built."""
+) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int], list[Subgroup]]:
+    """(every subspace's mask as one packed row, grouped into order blocks
+    by rank, each block left unsorted as an S view keyed by its first row,
+    the census, the hyperplanes), built in numpy row chunks of each rank's
+    echelon code stream straight into one preallocated array; only the
+    hyperplane block is sorted here."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
@@ -360,56 +373,35 @@ def _enumerate_elementary_abelian(
     # row i is mask i, big-endian; block r holds rows start..end-1
     packed = _mapped_rows(total, nbytes)
     census: dict[int, int] = {}
-    # one helper thread sorts each finished block while the next is built;
-    # it is joined before this returns or raises
-    blocks: queue.SimpleQueue = queue.SimpleQueue()
-    failures: list[BaseException] = []
-    helper = threading.Thread(target=_sort_blocks, args=(blocks, failures), name="latsum-block-sort")
-    helper.start()
-    try:
-        end = 0
-        for r in range(k + 1):
-            start, end = end, end + counts[r]
-            pos = start  # rows written so far
-            for codes in _echelon_code_chunks(p, k, r, cayley.dtype):
-                rows = codes.shape[1]
-                if pos + rows > end:
-                    raise InvariantViolation(
-                        f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
-                    )
-                chunk = packed[pos : pos + rows]
-                chunk[:] = _packed_spans(cayley, coords[codes], p, nbytes)
-                # r independent rows span p^r distinct elements; counted on the
-                # rows as written, so a row left unwritten fails here too
-                if (_popcounts(chunk) != p**r).any():
-                    raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
-                pos += rows
-            if pos != end:
+    unsorted: dict[int, np.ndarray] = {}
+    end = 0
+    for r in range(k + 1):
+        start, end = end, end + counts[r]
+        pos = start  # rows written so far
+        for codes in _echelon_code_chunks(p, k, r, cayley.dtype):
+            rows = codes.shape[1]
+            if pos + rows > end:
                 raise InvariantViolation(
-                    f"subspace route found {pos - start} subgroups of order {p**r}, expected {counts[r]}"
+                    f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
                 )
-            # fixed-width big-endian rows sort as the unsigned ints they encode
-            blocks.put(packed[start:end].view(f"S{nbytes}")[:, 0])
-            census[p**r] = counts[r]
-    finally:
-        blocks.put(None)
-        helper.join()
-    if failures:
-        raise failures[0]
+            chunk = packed[pos : pos + rows]
+            chunk[:] = _packed_spans(cayley, coords[codes], p, nbytes)
+            # r independent rows span p^r distinct elements; counted on the
+            # rows as written, so a row left unwritten fails here too
+            if (np.bitwise_count(chunk).sum(axis=1) != p**r).any():
+                raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
+            pos += rows
+        if pos != end:
+            raise InvariantViolation(
+                f"subspace route found {pos - start} subgroups of order {p**r}, expected {counts[r]}"
+            )
+        # fixed-width big-endian rows sort as the unsigned ints they encode
+        unsorted[start] = packed[start:end].view(f"S{nbytes}")[:, 0]
+        census[p**r] = counts[r]
     # the order-|G|/p block ends just before the whole group's row
-    hyperplanes = packed[total - 1 - counts[k - 1] : total - 1]
-    return packed, census, [_row_subgroup(row) for row in hyperplanes]
-
-
-def _sort_blocks(blocks: queue.SimpleQueue, failures: list[BaseException]) -> None:
-    """Sort each array taken from ``blocks`` in place, until None arrives;
-    numpy's sort releases the GIL, so this overlaps the caller's numpy work.
-    A sort that raises is recorded in ``failures``, and the rest still run."""
-    while (block := blocks.get()) is not None:
-        try:
-            block.sort()
-        except BaseException as exc:  # re-raised by the caller after the join
-            failures.append(exc)
+    first = total - 1 - counts[k - 1]
+    unsorted.pop(first).sort()
+    return packed, unsorted, census, [_row_subgroup(row) for row in packed[first : total - 1]]
 
 
 def _echelon_code_chunks(p: int, k: int, r: int, dtype) -> Iterator[np.ndarray]:
@@ -468,38 +460,9 @@ def _packed_spans(cayley: np.ndarray, bases: np.ndarray, p: int, nbytes: int) ->
     return np.packbits(bits).reshape(n, nbytes)
 
 
-def _popcounts(rows: np.ndarray) -> np.ndarray:
-    """The number of set bits in each row of a 2-D uint8 array whose rows
-    are contiguous, counted per uint64 word by the SWAR bit trick; rows
-    whose width is not a multiple of 8 are read through a zero-padded copy."""
-    n, width = rows.shape
-    if width % 8:
-        padded = np.zeros((n, -(-width // 8) * 8), dtype=np.uint8)
-        padded[:, :width] = rows
-        rows = padded
-    words = rows.view(np.uint64)
-    x = words - ((words >> 1) & _M1)  # each 2-bit field holds its count
-    t = x >> 2
-    t &= _M2
-    x &= _M2
-    x += t  # each 4-bit field
-    x += x >> 4
-    x &= _M4  # each byte
-    x *= _H01
-    x >>= 56  # the top byte sums them all
-    return x.sum(axis=1)
-
-
 # ---------------------------------------------------------------------------
 # structural operations
 # ---------------------------------------------------------------------------
-
-
-def is_normal(group: Group, sub: Subgroup) -> bool:
-    """True when x * H * x^-1 == H for every x: at once in an abelian group,
-    else by conjugating H by a generating set (``groups.is_normal_mask``,
-    the test ``quotient_group`` makes too)."""
-    return is_normal_mask(group, sub.mask)
 
 
 def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
@@ -516,15 +479,6 @@ def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
                     nxt.append(c)
         frontier = nxt
     return sorted(seen.values(), key=lambda s: s.mask)
-
-
-def normalizer(group: Group, sub: Subgroup) -> Subgroup:
-    """The largest subgroup in which ``sub`` is normal."""
-    mask = 0
-    for x in range(group.order):
-        if conjugate_mask(group, sub.mask, x) == sub.mask:
-            mask |= 1 << x
-    return Subgroup(mask)
 
 
 def maximal_subgroups(lat: Lattice) -> list[Subgroup]:
@@ -575,7 +529,7 @@ def sylow_decomposition(group: Group, lat: Lattice) -> list[Subgroup] | None:
     out: list[Subgroup] = []
     for p, a in sorted(factorize(group.order).items()):
         target = p**a
-        normal = [s for s in lat.subgroups_of_order(target) if is_normal(group, s)]
+        normal = [s for s in lat.subgroups_of_order(target) if is_normal(group, s.mask)]
         if not normal:
             return None
         if len(normal) > 1:
@@ -587,7 +541,7 @@ def sylow_decomposition(group: Group, lat: Lattice) -> list[Subgroup] | None:
 
 
 def all_maximals_normal(group: Group, lat: Lattice) -> bool:
-    return all(is_normal(group, m) for m in maximal_subgroups(lat))
+    return all(is_normal(group, m.mask) for m in maximal_subgroups(lat))
 
 
 def nilpotent_by_element_orders(group: Group) -> bool:

@@ -160,6 +160,16 @@ def is_normal_by_conjugation(group: Group, sub: Subgroup) -> bool:
     return all(conjugate_mask(group, sub.mask, x) == sub.mask for x in group.generating_set())
 
 
+def normalizer(group: Group, sub: Subgroup) -> Subgroup:
+    """The largest subgroup in which ``sub`` is normal, by conjugating it by
+    every element."""
+    mask = 0
+    for x in range(group.order):
+        if conjugate_mask(group, sub.mask, x) == sub.mask:
+            mask |= 1 << x
+    return Subgroup(mask)
+
+
 def is_abelian_by_scan(group: Group) -> bool:
     """Commutativity by comparing a*b with b*a for every pair of elements."""
     table = group.table

@@ -1,5 +1,4 @@
 import os
-import queue
 import random
 import textwrap
 import threading
@@ -18,6 +17,7 @@ from latsum import (
     LatticeTooLarge,
     NotAPGroup,
     OrderCapExceeded,
+    classify,
     conjugates,
     cyclic_group,
     dihedral_group,
@@ -29,7 +29,6 @@ from latsum import (
     is_nilpotent,
     is_normal,
     maximal_subgroups,
-    normalizer,
     recognize,
     semidirect_pq_group,
     symmetric_group,
@@ -41,7 +40,7 @@ from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
 from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask, group_from_raw_table
 from latsum.analysis import analyze_group
-from latsum.lattice import Subgroup, _enumerate_worklist, _popcounts, _sort_blocks, nilpotent_by_element_orders
+from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_orders
 
 from helpers import (
     CountingTable,
@@ -51,6 +50,7 @@ from helpers import (
     every_subgroup_worklist,
     is_normal_by_conjugation,
     naive_order_census,
+    normalizer,
     relabelled,
     run_python,
     subgroup_generators,
@@ -160,6 +160,55 @@ def test_subspace_view_matches_its_mask_list():
         assert lat.trivial.mask == masks[0] == 1 and lat.full.mask == masks[-1] == (1 << group.order) - 1
 
 
+def _block_firsts(lat) -> dict[int, int]:
+    """{order: index of the order block's first row in ``lat.subgroups``}"""
+    firsts, start = {}, 0
+    for order, count in lat.census.items():
+        firsts[order] = start
+        start += count
+    return firsts
+
+
+def test_subspace_blocks_sort_when_a_read_first_reaches_them():
+    # every read in turn on one lattice, and each again on a fresh lattice
+    # where nothing it reaches was sorted before
+    rng = random.Random(31)
+    relabelled_2_6 = Group(relabelled(elementary_abelian_group(2, 6).table, rng), "relabelled elem:2,6")
+    for group, p, k in [(elementary_abelian_group(3, 4), 3, 4), (relabelled_2_6, 2, 6)]:
+        masks = subspace_masks_by_loop(group, p, k)
+        lat = enumerate_subgroups(group)
+        middle = p ** (k // 2)
+        assert [s.mask for s in lat.subgroups_of_order(middle)] == [m for m in masks if m.bit_count() == middle]
+        firsts = [f for order, f in _block_firsts(lat).items() if order != middle]
+        n = len(masks)
+        indexes = [i for f in firsts for i in (f, f + 1 - n)] + [-1, n - 2]
+        slices = [s for f in firsts[1:] for s in (slice(f - 2, f + 3), slice(f + 2, f - 3, -1), slice(f, f))]
+        slices += [slice(None, None, -7), slice(1, None, 97), slice(5, 2), slice(2, 5, -1), slice(n, None)]
+        for read in indexes + slices:
+            for view in (lat.subgroups, enumerate_subgroups(group).subgroups):
+                got = view[read]
+                if isinstance(read, slice):
+                    assert [s.mask for s in got] == masks[read], (group.label, read)
+                else:
+                    assert got.mask == masks[read], (group.label, read)
+        for view in (lat.subgroups, enumerate_subgroups(group).subgroups):
+            assert [s.mask for s in view] == masks, group.label
+
+
+def test_analysis_leaves_every_block_but_the_hyperplanes_unsorted():
+    group = elementary_abelian_group(2, 8)
+    lat = enumerate_subgroups(group, 500_000)
+    classify(group, lat, recognize(group, lat))
+    unsorted = lat.subgroups._unsorted
+    firsts = _block_firsts(lat)
+    assert firsts[128] not in unsorted
+    for order in (2, 4, 8, 16, 32, 64):
+        block = unsorted[firsts[order]]
+        assert len(block) == lat.census[order], order
+        # still in the order the rows were written
+        assert not np.array_equal(block, np.sort(block)), order
+
+
 def test_subspace_route_peak_memory():
     # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB) and peaks at
     # 15.5 MB with its spans grown in the array's int16 and packed through
@@ -210,21 +259,6 @@ def test_subspace_block_count_checked_against_rows_written(monkeypatch):
             enumerate_subgroups(group)
 
 
-def test_word_popcount_matches_int_bit_count():
-    # every width from 1 to 40 bytes, so rows that are not whole uint64
-    # words (elem:7,2 is 7 bytes wide, elem:3,5 is 31) are counted too
-    rng = np.random.default_rng(14)
-    for width in range(1, 41):
-        rows = rng.integers(0, 256, size=(50, width), dtype=np.uint8)
-        rows[0] = 0
-        rows[1] = 255
-        want = [int.from_bytes(row.tobytes(), "big").bit_count() for row in rows]
-        assert _popcounts(rows).tolist() == want, width
-        # a strided view, as a slice of wider rows
-        wide = np.concatenate([rows, rows], axis=1)
-        assert _popcounts(wide[:, :width]).tolist() == want, width
-
-
 def _one_product_off(spec: str, a: int, b: int) -> Group:
     # a * b sent to the identity, so a span that multiplies them holds a
     # repeated element; the list rows stay right, and the greedy basis with them
@@ -254,21 +288,6 @@ def test_block_sort_thread_ends_with_the_call():
     with pytest.raises(InvariantViolation, match="a subspace of rank 2 in elem:2,4"):
         enumerate_subgroups(_one_product_off("elem:2,4", 1, 2))
     assert threading.enumerate() == before
-
-
-def test_block_sort_failure_is_recorded_and_later_blocks_still_sort():
-    class Unsortable:
-        def sort(self):
-            raise MemoryError("no room to sort")
-
-    blocks = queue.SimpleQueue()
-    later = np.array([b"\x02", b"\x01"])
-    for block in (Unsortable(), later, None):
-        blocks.put(block)
-    failures = []
-    _sort_blocks(blocks, failures)
-    assert [type(exc) for exc in failures] == [MemoryError]
-    assert later.tolist() == [b"\x01", b"\x02"]
 
 
 @pytest.mark.parametrize("spec", ["elem:2,5", "elem:3,3", "sym:4", "pq:3,7", "cyclic:12", "product:elem:2,2+cyclic:9"])
@@ -550,16 +569,16 @@ def test_product_of_table_files_cap_checked_before_allocation(tmp_path):
 def test_normality():
     group, lat = lat_of("pq:2,3")
     order3 = lat.subgroups_of_order(3)[0]
-    assert is_normal(group, order3)
-    assert lat.full.order == 6 and is_normal(group, lat.full)
+    assert is_normal(group, order3.mask)
+    assert lat.full.order == 6 and is_normal(group, lat.full.mask)
     for sub in lat.subgroups_of_order(2):
-        assert not is_normal(group, sub)
+        assert not is_normal(group, sub.mask)
 
 
 @pytest.mark.parametrize("spec", ["elem:3,3", "cyclic:60", "product:elem:2,2+cyclic:9", "sym:4", "dihedral:5"])
 def test_is_normal_matches_conjugation_scan(spec):
     group, lat = lat_of(spec)
-    normal = [is_normal(group, s) for s in lat.subgroups]
+    normal = [is_normal(group, s.mask) for s in lat.subgroups]
     assert normal == [is_normal_by_conjugation(group, s) for s in lat.subgroups], spec
     # every subgroup of an abelian group is normal; sym:4 and dihedral:5 are not abelian
     assert all(normal) == group.is_abelian, spec
@@ -695,7 +714,7 @@ def test_non_normal_maximals_self_normalize():
     for spec in ["pq:2,3", "sym:4", "dihedral:5", "pq:5,11"]:
         group, lat = lat_of(spec)
         for m in maximal_subgroups(lat):
-            if not is_normal(group, m):
+            if not is_normal(group, m.mask):
                 assert normalizer(group, m).mask == m.mask, spec
 
 
@@ -846,4 +865,4 @@ def test_property_conjugacy_laws(spec):
         orbit = conjugates(group, sub)
         assert len(orbit) * normalizer(group, sub).order == group.order
         assert all(c.mask in masks for c in orbit)
-        assert (len(orbit) == 1) == is_normal(group, sub)
+        assert (len(orbit) == 1) == is_normal(group, sub.mask)

@@ -16,6 +16,7 @@ from latsum import (
     threshold,
     verify_classification,
 )
+import latsum.analysis as analysis
 from latsum.lattice import (
     STRUCTURE_CYCLIC,
     STRUCTURE_OTHER,
@@ -156,6 +157,34 @@ def test_verify_classification_named_trio():
         "elem:3,2": VERDICT_AT,
         "pq:2,3": VERDICT_AT,
     }
+
+
+def test_verify_starts_at_most_one_worker_per_entry(monkeypatch):
+    # a stand-in pool that records its size and runs every entry in this
+    # process, so no worker process is started
+    sizes = []
+
+    class InProcessPool:
+        def __init__(self, max_workers):
+            sizes.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, items, chunksize=1):
+            return map(fn, items)
+
+    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
+    entries = [(f"cyclic:{n}", GroupSpec.cyclic(n)) for n in (4, 6, 9)]
+    serial = verify_classification(entries).to_dict()
+    for workers, started in [(64, 3), (3, 3), (2, 2)]:
+        assert verify_classification(entries, workers=workers).to_dict() == serial
+        assert sizes.pop() == started, workers
+    verify_classification(entries[:1], workers=64)
+    assert sizes == []
 
 
 def test_verify_isolates_per_entry_failures():
