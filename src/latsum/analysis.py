@@ -26,11 +26,12 @@ from .sigma import VERDICT_AT, VERDICT_BELOW, Classification, classify
 DISPLAY_DIGITS = 12
 
 
-def decimal_display(value: Fraction, digits: int = DISPLAY_DIGITS) -> str:
-    """Fixed-point rendering (round-half-even); for human eyes only, never compared."""
+def decimal_display(value: Fraction) -> str:
+    """Fixed-point rendering to ``DISPLAY_DIGITS`` places (round-half-even);
+    for human eyes only, never compared."""
     with localcontext() as ctx:
-        ctx.prec = digits + len(str(value.numerator // value.denominator)) + 2
-        quantum = Decimal(1).scaleb(-digits)
+        ctx.prec = DISPLAY_DIGITS + len(str(value.numerator // value.denominator)) + 2
+        quantum = Decimal(1).scaleb(-DISPLAY_DIGITS)
         d = Decimal(value.numerator) / Decimal(value.denominator)
         return str(d.quantize(quantum, rounding=ROUND_HALF_EVEN))
 

@@ -91,19 +91,6 @@ def factorize(n: int) -> dict[int, int]:
     return out
 
 
-def divisors(n: int) -> list[int]:
-    """All positive divisors of n, ascending."""
-    small, large = [], []
-    d = 1
-    while d * d <= n:
-        if n % d == 0:
-            small.append(d)
-            if d != n // d:
-                large.append(n // d)
-        d += 1
-    return small + large[::-1]
-
-
 def divisor_sigma(n: int) -> int:
     """sigma(n): the sum of all positive divisors of n."""
     total = 1

@@ -47,6 +47,7 @@ from .groups import (
     DEFAULT_ORDER_CAP,
     Group,
     GroupSpec,
+    _decimal,
     group_from_file,
 )
 from .lattice import DEFAULT_MAX_SUBGROUPS
@@ -74,10 +75,11 @@ def _fail(code: int, message: str) -> int:
 
 
 def load_group(source: str, max_order: int) -> Group:
-    """Resolve a CLI group source: spec string, or a raw-table / generator file."""
-    if ":" in source and not Path(source).exists():
+    """Resolve a CLI group source: spec string, or a raw-table / generator file.
+    A name the file system cannot look up (too long, say) names no file."""
+    if ":" in source and not os.path.exists(source):
         return GroupSpec.parse(source).build(max_order)
-    if not Path(source).is_file():
+    if not os.path.isfile(source):
         raise InvalidSpec(f"no such spec or file: {source}")
     return group_from_file(source, max_order=max_order, label=source)
 
@@ -202,8 +204,8 @@ def cmd_sequence(args) -> int:
                 "index": r.index,
                 "p": r.p,
                 "q": r.q,
-                "sigma1": fraction_dict(r.sigma1),
-                "sigma1_decimal_display": decimal_display(r.sigma1),
+                "sigma1": fraction_dict(r.sigma1_formula),
+                "sigma1_decimal_display": decimal_display(r.sigma1_formula),
                 "excess": fraction_dict(r.excess),
                 "enumerated": r.enumerated,
                 "verdict": r.verdict,
@@ -215,19 +217,32 @@ def cmd_sequence(args) -> int:
         print(f"{'n':>3} {'p':>6} {'q':>8} {'sigma1':>12} {'decimal':>16} {'sigma1-2':>10} enum")
         for r in report.rows:
             print(
-                f"{r.index:>3} {r.p:>6} {r.q:>8} {str(r.sigma1):>12} "
-                f"{decimal_display(r.sigma1):>16} {str(r.excess):>10} "
+                f"{r.index:>3} {r.p:>6} {r.q:>8} {str(r.sigma1_formula):>12} "
+                f"{decimal_display(r.sigma1_formula):>16} {str(r.excess):>10} "
                 f"{'yes' if r.enumerated else 'no'}"
             )
         print(f"observed strictly decreasing: {report.observed_monotone}")
     return EXIT_OK
 
 
-def _positive(value: str) -> int:
-    n = int(value)
-    if n < 1:
-        raise argparse.ArgumentTypeError(f"must be >= 1, got {n}")
-    return n
+def _at_least(least: int):
+    """The argparse type of an int >= ``least`` in ASCII decimal digits, read
+    by the rule every number latsum reads follows (``groups._decimal``)."""
+
+    def read(value: str) -> int:
+        try:
+            n = _decimal(value)
+        except OrderCapExceeded:  # more digits than any number latsum reads
+            n = None
+        if n is None or n < least:
+            raise argparse.ArgumentTypeError(f"expected an integer >= {least} in ASCII decimal digits, got {value!r}")
+        return n
+
+    return read
+
+
+_positive = _at_least(1)
+_nonnegative = _at_least(0)  # a corpus family bound, where 0 disables the family
 
 
 @functools.cache
@@ -253,16 +268,16 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("dump-table", help="print a group's raw multiplication table")
     p.add_argument("source")
-    common(p)
+    p.add_argument("--max-order", type=_positive, default=DEFAULT_ORDER_CAP)
     p.set_defaults(func=cmd_dump_table)
 
     p = sub.add_parser("verify", help="classify a corpus and check it against the threshold theorems")
     common(p, subgroup_cap=DEFAULT_VERIFY_MAX_SUBGROUPS)
-    p.add_argument("--cyclic-max", type=int, default=DEFAULT_CYCLIC_MAX, help="cyclic groups up to this order (0 disables)")
-    p.add_argument("--elem-max", type=int, default=DEFAULT_ELEM_MAX, help="elementary abelian groups up to this order (0 disables)")
-    p.add_argument("--dihedral-max", type=int, default=DEFAULT_DIHEDRAL_MAX, help="dihedral parameter bound (0 disables)")
-    p.add_argument("--pq-max", type=int, default=DEFAULT_PQ_MAX, help="pq-group order bound (0 disables)")
-    p.add_argument("--ambient-sym", type=int, default=DEFAULT_AMBIENT_SYM, help="include all subgroups of symmetric groups up to this degree (0 disables)")
+    p.add_argument("--cyclic-max", type=_nonnegative, default=DEFAULT_CYCLIC_MAX, help="cyclic groups up to this order (0 disables)")
+    p.add_argument("--elem-max", type=_nonnegative, default=DEFAULT_ELEM_MAX, help="elementary abelian groups up to this order (0 disables)")
+    p.add_argument("--dihedral-max", type=_nonnegative, default=DEFAULT_DIHEDRAL_MAX, help="dihedral parameter bound (0 disables)")
+    p.add_argument("--pq-max", type=_nonnegative, default=DEFAULT_PQ_MAX, help="pq-group order bound (0 disables)")
+    p.add_argument("--ambient-sym", type=_nonnegative, default=DEFAULT_AMBIENT_SYM, help="include all subgroups of symmetric groups up to this degree (0 disables)")
     p.add_argument("--extra", action="append", default=[], metavar="SPEC", help="additional group spec (repeatable)")
     p.add_argument("--workers", type=_positive, default=os.cpu_count() or 1)
     p.set_defaults(func=cmd_verify)

@@ -26,7 +26,7 @@ DEFAULT_VERIFY_MAX_SUBGROUPS = 500_000
 
 
 def cyclic_specs(max_n: int) -> list[GroupSpec]:
-    return [GroupSpec.cyclic(n) for n in range(1, max_n + 1)]
+    return [GroupSpec("cyclic", (n,)) for n in range(1, max_n + 1)]
 
 
 def elementary_abelian_specs(max_order: int) -> list[GroupSpec]:
@@ -37,14 +37,14 @@ def elementary_abelian_specs(max_order: int) -> list[GroupSpec]:
         if is_prime(p):
             k = 2
             while p**k <= max_order:
-                out.append(GroupSpec.elementary_abelian(p, k))
+                out.append(GroupSpec("elem", (p, k)))
                 k += 1
         p += 1
     return out
 
 
 def dihedral_specs(max_n: int) -> list[GroupSpec]:
-    return [GroupSpec.dihedral(n) for n in range(1, max_n + 1)]
+    return [GroupSpec("dihedral", (n,)) for n in range(1, max_n + 1)]
 
 
 def pq_specs(max_order: int) -> list[GroupSpec]:
@@ -56,7 +56,7 @@ def pq_specs(max_order: int) -> list[GroupSpec]:
             q = p + 1
             while p * q <= max_order:
                 if is_prime(q):
-                    out.append(GroupSpec.semidirect_pq(p, q))
+                    out.append(GroupSpec("pq", (p, q)))
                 q += p
         p += 1
     return out
@@ -85,7 +85,7 @@ def ambient_subgroup_entries(max_degree: int, max_order: int = DEFAULT_ORDER_CAP
     entries: list[CorpusEntry] = []
     seen: set[tuple] = set()
     for m in range(2, max_degree + 1):
-        ambient = GroupSpec.symmetric(m).build(max_order)
+        ambient = GroupSpec("sym", (m,)).build(max_order)
         lat = enumerate_subgroups(ambient, DEFAULT_MAX_SUBGROUPS)
         for i, sub in enumerate(lat.subgroups):
             label = f"sym{m}-sub{i:03d}-ord{sub.order}"

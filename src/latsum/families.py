@@ -13,11 +13,11 @@ import math
 from dataclasses import dataclass
 from fractions import Fraction
 
+from .analysis import analyze_group
 from .arith import is_prime, nth_prime
 from .errors import InvariantViolation, SearchCapExceeded
-from .groups import DEFAULT_ORDER_CAP, Group, semidirect_pq_group
-from .lattice import DEFAULT_MAX_SUBGROUPS, enumerate_subgroups, recognize
-from .sigma import classify, sigma1
+from .groups import DEFAULT_ORDER_CAP, semidirect_pq_group
+from .lattice import DEFAULT_MAX_SUBGROUPS
 
 
 def default_search_cap(p: int) -> int:
@@ -44,13 +44,13 @@ def dirichlet_search(p: int, search_cap: int | None = None) -> int:
 
 @dataclass
 class PQWitness:
-    """One member of the convergent family, with formula and lattice views."""
+    """One member of the convergent family: the closed form, and the lattice
+    view when the member was enumerated."""
 
     index: int
     p: int
     q: int
     sigma1_formula: Fraction
-    group: Group | None
     sigma1_lattice: Fraction | None
     census: dict[int, int] | None
     nilpotent: bool | None
@@ -58,7 +58,7 @@ class PQWitness:
 
     @property
     def enumerated(self) -> bool:
-        return self.group is not None
+        return self.census is not None
 
     @property
     def excess(self) -> Fraction:
@@ -74,8 +74,8 @@ def build_witness(
 ) -> PQWitness:
     """Construct the index-th family member (index >= 1, so index 1 uses p = 2).
 
-    When p*q fits under the order cap the group is built and enumerated and
-    every invariant is checked: the census must be {1: 1, p: q, q: 1, pq: 1},
+    When p*q fits under the order cap the group is built and analyzed, and
+    the closed forms are checked: the census must be {1: 1, p: q, q: 1, pq: 1},
     the lattice sum must equal the closed form, and the group must not be
     nilpotent.  Larger members keep the closed-form value only.
     """
@@ -85,36 +85,21 @@ def build_witness(
     q = dirichlet_search(p, search_cap)
     formula = 2 + Fraction(1 + Fraction(1, q), p)
     if p * q > max_order:
-        return PQWitness(index, p, q, formula, None, None, None, None, None)
-    group = semidirect_pq_group(p, q)
-    lat = enumerate_subgroups(group, max_subgroups)
-    value = sigma1(group, lat)
-    census = dict(lat.census)
+        return PQWitness(index, p, q, formula, None, None, None, None)
+    report = analyze_group(semidirect_pq_group(p, q), max_subgroups)
+    census, value, nilpotent = report.census, report.classification.sigma1, report.profile.is_nilpotent
     if census != {1: 1, p: q, q: 1, p * q: 1}:
         raise InvariantViolation(f"unexpected census for p={p}, q={q}: {census}")
     if value != formula:
         raise InvariantViolation(f"lattice sigma1 {value} != formula {formula}")
-    profile = recognize(group, lat)
-    if profile.is_nilpotent:
+    if nilpotent:
         raise InvariantViolation(f"pq-group of order {p * q} must not be nilpotent")
-    verdict = classify(group, lat, profile).verdict
-    return PQWitness(index, p, q, formula, group, value, census, profile.is_nilpotent, verdict)
-
-
-@dataclass(frozen=True)
-class ConvergenceRow:
-    index: int
-    p: int
-    q: int
-    sigma1: Fraction
-    excess: Fraction
-    enumerated: bool
-    verdict: str | None
+    return PQWitness(index, p, q, formula, value, census, nilpotent, report.verdict)
 
 
 @dataclass(frozen=True)
 class ConvergenceReport:
-    rows: tuple[ConvergenceRow, ...]
+    rows: tuple[PQWitness, ...]
     observed_monotone: bool
 
 
@@ -139,16 +124,6 @@ def convergence_report(
             raise InvariantViolation(f"sigma1 {w.sigma1_formula} of member {index} is not above 2")
         if w.excess > Fraction(2, w.p):
             raise InvariantViolation(f"sigma1 - 2 = {w.excess} of member {index} exceeds 2/{w.p}")
-        rows.append(
-            ConvergenceRow(
-                index=index,
-                p=w.p,
-                q=w.q,
-                sigma1=w.sigma1_formula,
-                excess=w.excess,
-                enumerated=w.enumerated,
-                verdict=w.verdict,
-            )
-        )
-    monotone = all(a.sigma1 > b.sigma1 for a, b in zip(rows, rows[1:]))
+        rows.append(w)
+    monotone = all(a.sigma1_formula > b.sigma1_formula for a, b in zip(rows, rows[1:]))
     return ConvergenceReport(rows=tuple(rows), observed_monotone=monotone)

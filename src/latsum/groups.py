@@ -9,9 +9,9 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from itertools import combinations, permutations
+from itertools import chain, combinations, permutations, repeat
 from pathlib import Path
-from typing import Sequence
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -475,17 +475,31 @@ def group_from_file(
     return reader(text, max_order=max_order, label=label)
 
 
-def _decimal(text: str) -> int | None:
+# the most significant digits a number without a cap of its own may have:
+# half of the 4300 that ``int`` converts by default, so that the product of
+# two such numbers still converts back to a string
+_MAX_DIGITS = 2150
+
+
+def _decimal(text: str, cap: int | None = None) -> int | None:
     """The int that ``text`` spells in ASCII decimal digits once whitespace
     is stripped, else None: no sign, no underscore and no digit of another
-    script, all of which ``int`` accepts."""
+    script, all of which ``int`` accepts.  A number with more significant
+    digits than ``cap`` has, or than ``_MAX_DIGITS`` without a cap, raises
+    OrderCapExceeded before it is read."""
     digits = text.strip()
-    return int(digits) if digits.isascii() and digits.isdigit() else None
+    if not (digits.isascii() and digits.isdigit()):
+        return None
+    length = len(digits.lstrip("0"))
+    if length > (_MAX_DIGITS if cap is None else len(str(cap))):
+        above = f"the {_MAX_DIGITS}-digit limit" if cap is None else f"the cap {cap}"
+        raise OrderCapExceeded(f"a number of {length} digits is above {above}")
+    return int(digits)
 
 
 def _table_order(line: str, max_order: int) -> int:
     """The order n on a raw table's first line, checked against ``max_order``."""
-    n = _decimal(line)
+    n = _decimal(line, max_order)
     if n is None:
         raise InvalidTable(f"first line must be the order, got {line!r}")
     if n < 1:
@@ -564,16 +578,33 @@ def group_from_perm_file(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
 # declarative specs
 # ---------------------------------------------------------------------------
 
-# each parameterised kind: (constructor, allowed parameter counts, order
-# computed from the parameters without building the group)
+# each parameterised kind: (constructor, allowed parameter counts, factors
+# of the order, from the parameters without building the group); 1^k is
+# the one factor 1, since a running product of 1s never passes a cap
 _FAMILIES = {
-    "cyclic": (cyclic_group, (1,), lambda n: n),
-    "elem": (elementary_abelian_group, (2,), lambda p, k: p**k),
-    "dihedral": (dihedral_group, (1,), lambda n: 2 * n),
-    "sym": (symmetric_group, (1,), math.factorial),
-    "pq": (semidirect_pq_group, (2, 3), lambda p, q, t=None: p * q),
+    "cyclic": (cyclic_group, (1,), lambda n: (n,)),
+    "elem": (elementary_abelian_group, (2,), lambda p, k: repeat(p, k if p > 1 else 1)),
+    "dihedral": (dihedral_group, (1,), lambda n: (2, n)),
+    "sym": (symmetric_group, (1,), lambda m: range(1, m + 1)),
+    "pq": (semidirect_pq_group, (2, 3), lambda p, q, t=None: (p, q)),
 }
 _SPEC_KINDS = (*_FAMILIES, "product", "table", "perm")
+
+
+def _product(factors: Iterable[int], cap: int | None, spec: "GroupSpec") -> int:
+    """The product of ``factors``, the order of ``spec``.  Raises
+    OrderCapExceeded once a running product passes ``cap``, naming the order
+    only when no factor is left, so that no order too large to compute or
+    to print is formed."""
+    order = 1
+    factors = iter(factors)
+    for f in factors:
+        order *= f
+        if cap is not None and order > cap:
+            if next(factors, None) is None:
+                raise OrderCapExceeded(f"{spec} has order {order}, above the cap {cap}")
+            raise OrderCapExceeded(f"{spec} has an order above the cap {cap}")
+    return order
 
 
 @dataclass(frozen=True)
@@ -585,26 +616,6 @@ class GroupSpec:
     parts: tuple["GroupSpec", ...] = ()
     path: str | None = None
 
-    @classmethod
-    def cyclic(cls, n: int) -> "GroupSpec":
-        return cls("cyclic", (n,))
-
-    @classmethod
-    def elementary_abelian(cls, p: int, k: int) -> "GroupSpec":
-        return cls("elem", (p, k))
-
-    @classmethod
-    def dihedral(cls, n: int) -> "GroupSpec":
-        return cls("dihedral", (n,))
-
-    @classmethod
-    def symmetric(cls, m: int) -> "GroupSpec":
-        return cls("sym", (m,))
-
-    @classmethod
-    def semidirect_pq(cls, p: int, q: int, t: int | None = None) -> "GroupSpec":
-        return cls("pq", (p, q) if t is None else (p, q, t))
-
     def __str__(self) -> str:
         if self.kind == "product":
             return "product:" + "+".join(str(p) for p in self.parts)
@@ -612,31 +623,31 @@ class GroupSpec:
             return f"{self.kind}:{self.path}"
         return f"{self.kind}:{','.join(map(str, self.params))}"
 
-    def predicted_order(self) -> int | None:
-        """Order the built group will have, when known without construction."""
+    def predicted_order(self, cap: int | None = None) -> int | None:
+        """Order the built group will have, when known without construction.
+        With a ``cap``, raises OrderCapExceeded when the order is above it,
+        having multiplied its factors only until they pass the cap."""
+        factors = self._order_factors()
+        return None if factors is None else _product(factors, cap, self)
+
+    def _order_factors(self) -> Iterable[int] | None:
         if self.kind in _FAMILIES:
             return _FAMILIES[self.kind][2](*self.params)
         if self.kind == "product":
-            orders = [p.predicted_order() for p in self.parts]
-            if any(o is None for o in orders):
-                return None
-            return math.prod(orders)  # type: ignore[arg-type]
+            parts = [p._order_factors() for p in self.parts]
+            return None if any(f is None for f in parts) else chain.from_iterable(parts)
         return None
 
     def build(self, max_order: int = DEFAULT_ORDER_CAP) -> Group:
         """Construct the group; OrderCapExceeded comes before any table above
         ``max_order`` is allocated: from the predicted order, from the built
         parts' orders of a product, or from the file reader."""
-        predicted = self.predicted_order()
-        if predicted is not None and predicted > max_order:
-            raise OrderCapExceeded(f"{self} has order {predicted}, above the cap {max_order}")
+        self.predicted_order(max_order)  # raises OrderCapExceeded above the cap
         if self.kind in _FAMILIES:
             return _FAMILIES[self.kind][0](*self.params)
         if self.kind == "product":
             built = [p.build(max_order) for p in self.parts]
-            order = math.prod(g.order for g in built)
-            if order > max_order:
-                raise OrderCapExceeded(f"{self} has order {order}, above the cap {max_order}")
+            _product((g.order for g in built), max_order, self)
             return direct_product_group(built, label=str(self))
         if self.kind in ("table", "perm"):
             return group_from_file(self.path or "", max_order=max_order, label=str(self), kind=self.kind)

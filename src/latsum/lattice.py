@@ -349,22 +349,17 @@ def _enumerate_elementary_abelian(
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
     table, cayley = group.table, group.array
-    # greedy basis: every element outside the current span is independent;
-    # elems[c] is the element whose coordinates are the base-p digits of c
-    basis: list[int] = []
+    # the greedy generating set is a basis: each generator lies outside the
+    # span of those before it; elems[c] is the element whose coordinates
+    # are the base-p digits of c
+    basis = group.generating_set()
     elems = [0]
-    span_mask = 1
-    for a in range(1, group.order):
-        if span_mask >> a & 1:
-            continue
-        basis.append(a)
+    for a in basis:
         grown = list(elems)
         cur = elems
         for _ in range(p - 1):
             cur = [table[x][a] for x in cur]
             grown.extend(cur)
-            for e in cur:
-                span_mask |= 1 << e
         elems = grown
     if len(basis) != k:
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")

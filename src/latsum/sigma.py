@@ -21,8 +21,8 @@ from .lattice import (
     STRUCTURE_Z2XZ2,
     STRUCTURE_Z3XZ3,
     Lattice,
+    StructuralProfile,
     enumerate_subgroups,
-    recognize,
 )
 
 VERDICT_BELOW = "BelowThreshold"
@@ -61,7 +61,9 @@ class Classification:
     threshold: Fraction
 
 
-def classify(group: Group, lat: Lattice, profile=None) -> Classification:
+def classify(group: Group, lat: Lattice, profile: StructuralProfile) -> Classification:
+    """The verdict of ``group`` against 2 + 4/|G|; ``profile`` is
+    ``recognize(group, lat)``."""
     value = sigma1(group, lat)
     cut = threshold(group.order)
     if value < cut:
@@ -70,8 +72,6 @@ def classify(group: Group, lat: Lattice, profile=None) -> Classification:
         verdict = VERDICT_AT
     else:
         verdict = VERDICT_ABOVE
-    if profile is None:
-        profile = recognize(group, lat)
     structure = profile.structure
     # structure recognition runs independently of the verdict; consistency is
     # then a real check, capable of falsifying the classification

@@ -35,6 +35,19 @@ def trial_division_sigma(n: int) -> int:
     return sum(d for d in range(1, n + 1) if n % d == 0)
 
 
+def divisors(n: int) -> list[int]:
+    """All positive divisors of n, ascending."""
+    small, large = [], []
+    d = 1
+    while d * d <= n:
+        if n % d == 0:
+            small.append(d)
+            if d != n // d:
+                large.append(n // d)
+        d += 1
+    return small + large[::-1]
+
+
 def brute_force_subgroup_masks(group: Group) -> set[int]:
     """All subgroup bitmasks by testing every identity-containing subset.
 

@@ -222,7 +222,7 @@ def test_criterion_7_convergent_family():
     report = convergence_report(100, max_order=1)
     assert len(report.rows) == 100
     for row in report.rows:
-        assert row.sigma1 > 2
+        assert row.sigma1_formula > 2
         assert row.excess <= Fraction(2, row.p)
     _report("criterion 7: non-nilpotent family converging to 2", started, budget=60.0)
 

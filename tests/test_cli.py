@@ -1,6 +1,7 @@
 import hashlib
 import json
 import subprocess
+import time
 
 import pytest
 
@@ -109,6 +110,94 @@ def test_analyze_missing_file_exit_2(capsys):
     assert code == 2
     code, _, _ = run_cli(capsys, "analyze", "/tmp")  # a directory, not a table
     assert code == 2
+
+
+def test_spec_longer_than_a_file_name_is_analyzed(capsys):
+    # 277 bytes, past the 255 a file name may have: the path probe fails
+    # with ENAMETOOLONG, which means no such file
+    spec = "product:" + "+".join(["cyclic:1"] * 30)
+    assert len(spec) == 277
+    code, out, _ = run_cli(
+        capsys,
+        "verify", "--cyclic-max", "0", "--elem-max", "0", "--dihedral-max", "0",
+        "--pq-max", "0", "--ambient-sym", "0", "--extra", spec, "--json",
+    )
+    assert code == 0
+    [entry] = json.loads(out)["entries"]
+    code, out, _ = run_cli(capsys, "analyze", spec, "--json")
+    assert code == 0
+    assert json.loads(out)["census"] == entry["census"] == {"1": 1}
+    assert run_cli(capsys, "dump-table", spec) == (0, "1\n0\n", "")
+
+
+def test_missing_path_longer_than_a_file_name_exit_2(capsys):
+    path = "/" + "x" * 299
+    for command in ("analyze", "dump-table"):
+        code, out, err = run_cli(capsys, command, path)
+        assert (code, out) == (2, ""), command
+        assert err == f"{path}: no such spec or file: {path}\n"
+
+
+@pytest.mark.parametrize(
+    "spec",
+    [
+        "sym:3000",
+        "elem:2,20000",
+        "product:cyclic:2+sym:3000",
+        "elem:3,1000000000",
+        pytest.param("cyclic:" + "9" * 5000, id="cyclic:9...9"),
+        pytest.param("pq:2,3," + "9" * 5000, id="pq:2,3,9...9"),
+    ],
+)
+def test_order_too_large_to_print_exits_3_at_once(capsys, spec):
+    started = time.perf_counter()
+    code, out, err = run_cli(capsys, "analyze", spec)
+    assert (code, out) == (3, "")
+    assert time.perf_counter() - started < 1.0
+    assert "above" in err and len(err) < len(spec) + 200
+
+
+def test_huge_rank_of_a_non_prime_is_not_walked(capsys):
+    # 1^k never passes the cap, so its k factors must not be multiplied out
+    started = time.perf_counter()
+    code, _, err = run_cli(capsys, "analyze", "elem:1,1000000000")
+    assert time.perf_counter() - started < 1.0
+    assert (code, err) == (2, "elem:1,1000000000: p must be prime, got 1\n")
+
+
+def test_table_order_of_5000_digits_exits_3(tmp_path, capsys):
+    path = tmp_path / "big.txt"
+    path.write_text("9" * 5000 + "\n0\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (3, "")
+    assert err == f"{path}: a number of 5000 digits is above the cap 2000\n"
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["sigma-scan", "1_000"],
+        ["sigma-scan", "+30"],
+        ["sigma-scan", "\u0663\u0660"],
+        ["analyze", "cyclic:6", "--max-order", "1_0"],
+        ["verify", "--workers", "\u0662"],
+        ["verify", "--cyclic-max", "-5"],
+        ["verify", "--pq-max", "1_0"],
+        ["sequence", "9" * 5000],
+    ],
+    ids=lambda argv: " ".join(argv)[:40],
+)
+def test_integer_options_take_ascii_digits_only(capsys, argv):
+    code, out, err = run_cli(capsys, *argv)
+    assert (code, out) == (2, "")
+    assert "error: argument" in err
+
+
+def test_dump_table_takes_only_max_order(capsys):
+    for option in (["--json"], ["--max-subgroups", "10"]):
+        assert run_cli(capsys, "dump-table", "pq:2,3", *option)[:2] == (2, "")
+    code, out, err = run_cli(capsys, "dump-table", "pq:2,3", "--max-order", "5")
+    assert (code, out, err) == (3, "", "pq:2,3: pq:2,3 has order 6, above the cap 5\n")
 
 
 def test_non_utf8_file_exit_4(tmp_path, capsys):

@@ -74,7 +74,7 @@ def test_convergence_report_first_rows():
         Fraction(12, 55),
         Fraction(30, 203),
     ]
-    assert all(r.sigma1 > 2 for r in report.rows)
+    assert all(r.sigma1_formula > 2 for r in report.rows)
     assert all(r.excess <= Fraction(2, r.p) for r in report.rows)
     assert report.rows[0].verdict == "AtThreshold"
     assert all(r.verdict == "AboveThreshold" for r in report.rows[1:])
@@ -83,7 +83,7 @@ def test_convergence_report_first_rows():
 def test_convergence_bound_formula_only():
     report = convergence_report(40, max_order=1)
     assert all(not r.enumerated for r in report.rows)
-    assert all(2 < r.sigma1 <= 2 + Fraction(2, r.p) for r in report.rows)
+    assert all(2 < r.sigma1_formula <= 2 + Fraction(2, r.p) for r in report.rows)
 
 
 def test_convergence_count_validation():

@@ -52,7 +52,7 @@ def assert_valid(group):
 
 
 def test_trivial_group():
-    g = GroupSpec.cyclic(1).build()
+    g = GroupSpec("cyclic", (1,)).build()
     assert g.order == 1
     assert g.element_orders()[0] == 1
     assert_valid(g)
@@ -405,15 +405,15 @@ def test_spec_parse_rejects_garbage():
     for text in ["cyclic:1_2", "cyclic:\uff11\uff12", "cyclic:+12", "cyclic:\u00b2", "elem:2,\u0663"]:
         with pytest.raises(InvalidSpec, match="decimal integers"):
             GroupSpec.parse(text)
-    assert GroupSpec.parse(" pq: 3 , 7 ") == GroupSpec.semidirect_pq(3, 7)
+    assert GroupSpec.parse(" pq: 3 , 7 ") == GroupSpec("pq", (3, 7))
 
 
 def test_spec_order_cap():
     with pytest.raises(OrderCapExceeded):
-        GroupSpec.symmetric(7).build()
+        GroupSpec("sym", (7,)).build()
     with pytest.raises(OrderCapExceeded):
-        GroupSpec.cyclic(50).build(max_order=49)
-    assert GroupSpec.symmetric(6).predicted_order() == 720
+        GroupSpec("cyclic", (50,)).build(max_order=49)
+    assert GroupSpec("sym", (6,)).predicted_order() == 720
 
 
 def test_corpus_checks_the_order_cap_on_ambient_groups():

@@ -35,7 +35,6 @@ from latsum import (
     sylow_decomposition,
 )
 import latsum.lattice
-from latsum.arith import divisors
 from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
 from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask, group_from_raw_table
@@ -47,6 +46,7 @@ from helpers import (
     brute_force_subgroup_masks,
     contains_subgroup,
     descending_maximal_scan,
+    divisors,
     every_subgroup_worklist,
     is_normal_by_conjugation,
     naive_order_census,
@@ -829,14 +829,14 @@ def test_subgroup_generators_regenerate():
 # -- property-based checks over a zoo of small groups ------------------------
 
 small_specs = st.one_of(
-    st.integers(1, 24).map(GroupSpec.cyclic),
+    st.integers(1, 24).map(lambda n: GroupSpec("cyclic", (n,))),
     st.sampled_from([(2, 2), (2, 3), (2, 4), (3, 2), (3, 3), (5, 2)]).map(
-        lambda pk: GroupSpec.elementary_abelian(*pk)
+        lambda pk: GroupSpec("elem", pk)
     ),
-    st.integers(1, 8).map(GroupSpec.dihedral),
-    st.integers(2, 4).map(GroupSpec.symmetric),
+    st.integers(1, 8).map(lambda n: GroupSpec("dihedral", (n,))),
+    st.integers(2, 4).map(lambda m: GroupSpec("sym", (m,))),
     st.sampled_from([(2, 3), (2, 5), (2, 7), (3, 7), (2, 11), (5, 11), (3, 13)]).map(
-        lambda pq: GroupSpec.semidirect_pq(*pq)
+        lambda pq: GroupSpec("pq", pq)
     ),
 )
 

@@ -12,6 +12,7 @@ from latsum import (
     classify,
     cyclic_group,
     enumerate_subgroups,
+    recognize,
     sigma1,
     threshold,
     verify_classification,
@@ -70,7 +71,7 @@ def test_classify_fixture_verdicts():
         ("sym:4", VERDICT_ABOVE, STRUCTURE_OTHER),
     ]:
         group, lat = analyze(spec)
-        got = classify(group, lat)
+        got = classify(group, lat, recognize(group, lat))
         assert (got.verdict, got.structure) == (verdict, structure), spec
         assert got.theorem_consistent, spec
 
@@ -78,7 +79,7 @@ def test_classify_fixture_verdicts():
 def test_classify_exactness_at_threshold():
     # sigma(12) = 28 = 2*12 + 4, so Z12 sits exactly at the threshold
     group, lat = analyze("cyclic:12")
-    got = classify(group, lat)
+    got = classify(group, lat, recognize(group, lat))
     assert got.sigma1 == got.threshold == Fraction(7, 3)
     assert trial_division_sigma(12) == 28
 
@@ -135,7 +136,7 @@ def test_quotient_monotonicity_specific_values():
 
 
 def test_verify_classification_cyclic_range():
-    entries = [(f"cyclic:{n}", GroupSpec.cyclic(n)) for n in range(1, 101)]
+    entries = [(f"cyclic:{n}", GroupSpec("cyclic", (n,))) for n in range(1, 101)]
     summary = verify_classification(entries)
     assert not summary.errors
     assert not summary.inconsistent
@@ -145,9 +146,9 @@ def test_verify_classification_cyclic_range():
 
 def test_verify_classification_named_trio():
     entries = [
-        ("elem:2,2", GroupSpec.elementary_abelian(2, 2)),
-        ("elem:3,2", GroupSpec.elementary_abelian(3, 2)),
-        ("pq:2,3", GroupSpec.semidirect_pq(2, 3)),
+        ("elem:2,2", GroupSpec("elem", (2, 2))),
+        ("elem:3,2", GroupSpec("elem", (3, 2))),
+        ("pq:2,3", GroupSpec("pq", (2, 3))),
     ]
     summary = verify_classification(entries)
     assert not summary.inconsistent
@@ -178,7 +179,7 @@ def test_verify_starts_at_most_one_worker_per_entry(monkeypatch):
             return map(fn, items)
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
-    entries = [(f"cyclic:{n}", GroupSpec.cyclic(n)) for n in (4, 6, 9)]
+    entries = [(f"cyclic:{n}", GroupSpec("cyclic", (n,))) for n in (4, 6, 9)]
     serial = verify_classification(entries).to_dict()
     for workers, started in [(64, 3), (3, 3), (2, 2)]:
         assert verify_classification(entries, workers=workers).to_dict() == serial
@@ -189,8 +190,8 @@ def test_verify_starts_at_most_one_worker_per_entry(monkeypatch):
 
 def test_verify_isolates_per_entry_failures():
     entries = [
-        ("cyclic:6", GroupSpec.cyclic(6)),
-        ("cyclic:9999", GroupSpec.cyclic(9999)),  # over the order cap
+        ("cyclic:6", GroupSpec("cyclic", (6,))),
+        ("cyclic:9999", GroupSpec("cyclic", (9999,))),  # over the order cap
     ]
     summary = verify_classification(entries)
     assert len(summary.errors) == 1
@@ -209,10 +210,10 @@ def test_verify_raw_table_over_order_cap_records_order_cap_exceeded():
 def test_reference_spot_check_sigma_at_most_2_is_cyclic():
     # groups with sigma1 <= 2 in a small zoo are all cyclic
     specs = (
-        [GroupSpec.cyclic(n) for n in range(1, 60)]
-        + [GroupSpec.elementary_abelian(2, 2), GroupSpec.elementary_abelian(3, 2)]
-        + [GroupSpec.dihedral(n) for n in range(2, 10)]
-        + [GroupSpec.semidirect_pq(2, 5), GroupSpec.semidirect_pq(3, 7)]
+        [GroupSpec("cyclic", (n,)) for n in range(1, 60)]
+        + [GroupSpec("elem", (2, 2)), GroupSpec("elem", (3, 2))]
+        + [GroupSpec("dihedral", (n,)) for n in range(2, 10)]
+        + [GroupSpec("pq", (2, 5)), GroupSpec("pq", (3, 7))]
     )
     for spec in specs:
         group = spec.build()
@@ -249,7 +250,7 @@ def test_property_multiplicativity(pair):
 def test_property_verdict_trichotomy(n):
     group = cyclic_group(n)
     lat = enumerate_subgroups(group)
-    got = classify(group, lat)
+    got = classify(group, lat, recognize(group, lat))
     cut = threshold(n)
     matches = [
         (got.verdict == VERDICT_BELOW) == (got.sigma1 < cut),
