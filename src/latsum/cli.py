@@ -320,7 +320,11 @@ def _dispatch(argv: list[str] | None) -> int:
         raise  # for main: a closed stdout is not an internal error
     except LatsumError as exc:
         code = next(code for kinds, code in _EXIT_CODES if isinstance(exc, kinds))
-        return _fail(code, f"{getattr(args, 'source', 'error')}: {exc}")
+        source = getattr(args, "source", None)
+        if source is None:
+            return _fail(code, f"error: {exc}")
+        # a spec's cap message starts with the spec itself: name it once
+        return _fail(code, f"{source}: {str(exc).removeprefix(source + ' ')}")
     except Exception as exc:  # exit 1 is reserved for a classification violation
         at = traceback.extract_tb(exc.__traceback__)[-1]
         return _fail(EXIT_INFRA, f"internal error: {type(exc).__name__}: {exc} (at {Path(at.filename).name}:{at.lineno})")

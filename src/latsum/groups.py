@@ -513,9 +513,10 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
     """Parse the raw table format: line 1 is n, then n rows of n indices.
 
     n is checked against ``max_order`` before any row is read.  The rows,
-    whitespace-separated decimal integers with no comments, are parsed in one
-    ``np.loadtxt`` pass into the array that ``Group`` checks to be n x n
-    entries in 0..n-1 and keeps; ``Group.validate`` then checks the laws.
+    whitespace-separated decimal integers with no sign and no comments, are
+    parsed in one ``np.loadtxt`` pass into the array that ``Group`` checks
+    to be n x n entries in 0..n-1 and keeps; ``Group.validate`` then checks
+    the laws.
     """
     lines = [ln for ln in text.splitlines() if ln.strip()]
     if not lines:
@@ -532,6 +533,10 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
     del lines  # validate allocates its own arrays; the text lines are no longer needed
     group = Group(arr, label or "raw-table")
     del arr
+    # np.loadtxt reads "+1" and "-0" as 1 and 0; a negative entry was
+    # reported out of range by Group, and the order line is digits only
+    if "+" in text or "-" in text:
+        raise InvalidTable("table entries must be digits only, with no '+' or '-'")
     group.validate()
     return group
 
@@ -539,13 +544,14 @@ def group_from_raw_table(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
 _CYCLE_RE = re.compile(r"\(([^()]*)\)")
 
 
-def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
-    """Parse disjoint-cycle notation like ``(0 1 2)(3 4)`` into one-line form."""
+def parse_cycles(text: str, degree: int) -> dict[int, int]:
+    """Parse disjoint-cycle notation like ``(0 1 2)(3 4)`` into the image of
+    each point its cycles name; every other point of 0..degree-1 is fixed."""
     stripped = text.strip()
     leftovers = _CYCLE_RE.sub("", stripped).strip()
     if leftovers:
         raise NotAPermutation(f"cannot parse cycle notation: {text!r}")
-    perm = list(range(degree))
+    images: dict[int, int] = {}
     for body in _CYCLE_RE.findall(stripped):
         pts = [_decimal(v) for v in body.replace(",", " ").split()]
         if not pts:
@@ -553,14 +559,21 @@ def parse_cycles(text: str, degree: int) -> tuple[int, ...]:
         if None in pts or any(not 0 <= v < degree for v in pts) or len(set(pts)) != len(pts):
             raise NotAPermutation(f"bad cycle {body!r} for degree {degree}")
         for a, b in zip(pts, pts[1:] + pts[:1]):
-            if perm[a] != a:
+            if images.get(a, a) != a:
                 raise NotAPermutation(f"cycles are not disjoint in {text!r}")
-            perm[a] = b
-    return tuple(perm)
+            images[a] = b
+    return images
 
 
 def group_from_perm_file(text: str, max_order: int = DEFAULT_ORDER_CAP, label: str | None = None) -> Group:
-    """Parse the generator format: ``perm <degree>`` then one generator per line."""
+    """Parse the generator format: ``perm <degree>`` then one generator per line.
+
+    The closure runs on the points the generators name, in ascending order.
+    Every other point is fixed by every element and decides no comparison
+    of one-line forms, so the elements, their numbering and the table are
+    those of the closure on all ``degree`` points, at a cost that does not
+    grow with the degree.
+    """
     lines = [ln.strip() for ln in text.splitlines() if ln.strip()]
     parts = lines[0].split() if lines else []
     if parts[:1] != ["perm"]:
@@ -570,8 +583,11 @@ def group_from_perm_file(text: str, max_order: int = DEFAULT_ORDER_CAP, label: s
         raise InvalidTable(f"bad header {lines[0]!r}")
     if degree < 1:
         raise InvalidTable(f"degree must be >= 1, got {degree}")
-    gens = [parse_cycles(ln, degree) for ln in lines[1:]]
-    return group_from_permutations(degree, gens, max_order=max_order, label=label)
+    cycles = [parse_cycles(ln, degree) for ln in lines[1:]]
+    points = sorted(set().union(*cycles))
+    rank = {a: i for i, a in enumerate(points)}
+    gens = [tuple(rank[images.get(a, a)] for a in points) for images in cycles]
+    return group_from_permutations(len(points), gens, max_order, label or f"perm-closure(deg {degree})")
 
 
 # ---------------------------------------------------------------------------

@@ -18,8 +18,10 @@ from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_nor
 DEFAULT_MAX_SUBGROUPS = 100_000
 
 # Rows of one rank's echelon code stream that the subspace route builds at
-# a time; at order 256 a chunk's spans, in the Cayley array's int16, take 2 MB.
-SUBSPACE_CHUNK_ROWS = 4096
+# a time.  At order 256 a rank-4 chunk's spans take 64 KB in the Cayley
+# array's int16 and its np.intp bit indexes 256 KB, and the 512 KB bool
+# scratch that packbits reads stays in L2.
+SUBSPACE_CHUNK_ROWS = 2048
 
 # The structure names classify() reports, each mapped to the name that
 # recognize() reports in ``recognized_as``: one name table for both.
@@ -204,17 +206,19 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     bases of every pivot pattern over GF(p), each basis row's code looked
     up from its free-slot digits, and builds the subspaces in numpy,
     ``SUBSPACE_CHUNK_ROWS`` at a time across pattern boundaries: it grows
-    the spans by gathers on ``group.array``, in its int16, and packs each
-    chunk's masks straight into the rows of order block r.  Each packed
-    row is big-endian and fixed-width, so a block sorts in place in numpy
-    as the unsigned ints it encodes, and only the worklist route's result
-    needs sorting in Python.  Only the hyperplane block is sorted here;
-    every other block sorts when a read of ``subgroups`` first reaches it,
-    so a block nobody reads is never sorted.  ``subgroups`` is a read-only
-    view over the array that makes each Subgroup when it is read, and the
-    census is the closed-form count of each order block.  Its maximal
-    subgroups, the hyperplanes of order |G|/p, are the one block made into
-    Subgroup objects.  The two routes are cross-checked in the test suite.
+    the spans by ``np.take`` on the flattened ``group.array``, indexed in
+    np.intp and keeping the array's dtype, and packs each chunk's masks,
+    scattered through np.intp bit indexes, straight into the rows of order
+    block r.  Each packed row is big-endian and fixed-width, so a block
+    sorts in place in numpy as the unsigned ints it encodes, and only the
+    worklist route's result needs sorting in Python.  Only the hyperplane
+    block is sorted here; every other block sorts when a read of
+    ``subgroups`` first reaches it, so a block nobody reads is never
+    sorted.  ``subgroups`` is a read-only view over the array that makes
+    each Subgroup when it is read, and the census is the closed-form count
+    of each order block.  Its maximal subgroups, the hyperplanes of order
+    |G|/p, are the one block made into Subgroup objects.  The two routes
+    are cross-checked in the test suite.
 
     On the worklist route only class representatives keep ``gens``; the
     other subgroups, and every subgroup from the subspace route, carry
@@ -363,7 +367,9 @@ def _enumerate_elementary_abelian(
         elems = grown
     if len(basis) != k:
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
-    coords = np.array(elems, dtype=cayley.dtype)
+    # in np.intp, as the column offsets of the flat gathers
+    coords = np.array(elems, dtype=np.intp)
+    flat = cayley.ravel()  # once: an array not in C order is copied here, not per chunk
     nbytes = -(-group.order // 8)  # packbits pads each row to whole bytes
     # row i is mask i, big-endian; block r holds rows start..end-1
     packed = _mapped_rows(total, nbytes)
@@ -380,10 +386,10 @@ def _enumerate_elementary_abelian(
                     f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
                 )
             chunk = packed[pos : pos + rows]
-            chunk[:] = _packed_spans(cayley, coords[codes], p, nbytes)
+            chunk[:] = _packed_spans(flat, coords[codes], p, nbytes)
             # r independent rows span p^r distinct elements; counted on the
             # rows as written, so a row left unwritten fails here too
-            if (np.bitwise_count(chunk).sum(axis=1) != p**r).any():
+            if (np.einsum("ij->i", np.bitwise_count(chunk), dtype=np.int32) != p**r).any():
                 raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
             pos += rows
         if pos != end:
@@ -436,22 +442,26 @@ def _echelon_code_chunks(p: int, k: int, r: int, dtype) -> Iterator[np.ndarray]:
         yield out[:, :fill]
 
 
-def _packed_spans(cayley: np.ndarray, bases: np.ndarray, p: int, nbytes: int) -> np.ndarray:
+def _packed_spans(flat: np.ndarray, bases: np.ndarray, p: int, nbytes: int) -> np.ndarray:
     """Row i is the mask of the span of the r elements in column i of
-    ``bases``, packed big-endian into ``nbytes`` bytes; the span grows
-    p-fold per element by gathers on the Cayley array, in its dtype."""
+    ``bases``, packed big-endian into ``nbytes`` bytes.  ``flat`` is the
+    raveled Cayley array, whose entry a * |G| + v is a * v; the span grows
+    p-fold per element by ``np.take`` on it and keeps its dtype."""
     r, n = bases.shape
+    # a * |G| + v is formed in np.intp, the dtype numpy indexes with, so
+    # take converts nothing; a Python int |G| would keep the int16 of a
+    order = np.intp(math.isqrt(flat.size))
     # column i holds subspace i's elements
-    span = np.zeros((p**r, n), dtype=cayley.dtype)
+    span = np.zeros((p**r, n), dtype=flat.dtype)
     width = 1
     for v in bases:
         for j in range(1, p):
-            span[j * width : (j + 1) * width] = cayley[span[(j - 1) * width : j * width], v]
+            span[j * width : (j + 1) * width] = flat.take(span[(j - 1) * width : j * width] * order + v)
         width *= p
     # packbits reads each row big-endian, so bit e of mask i is bit
-    # 8 * nbytes - 1 - e of row i; int32 indexes every bit of an int16 table's rows
+    # 8 * nbytes - 1 - e of row i
     bits = np.zeros(n * 8 * nbytes, dtype=bool)
-    bits[np.arange(8 * nbytes - 1, len(bits), 8 * nbytes, dtype=np.int32) - span] = True
+    bits[np.arange(8 * nbytes - 1, len(bits), 8 * nbytes, dtype=np.intp) - span] = True
     return np.packbits(bits).reshape(n, nbytes)
 
 

@@ -81,6 +81,15 @@ def test_analyze_bad_table_exit_4(tmp_path, capsys):
     assert code == 4
 
 
+def test_signed_table_entry_exit_4(tmp_path, capsys):
+    # np.loadtxt reads +1 and -0 as 1 and 0, which would make this C2
+    path = tmp_path / "signed.txt"
+    path.write_text("2\n0 1\n+1 -0\n")
+    code, out, err = run_cli(capsys, "analyze", str(path))
+    assert (code, out) == (4, "")
+    assert err == f"{path}: table entries must be digits only, with no '+' or '-'\n"
+
+
 @pytest.mark.parametrize("text", ["2\n0 1\n1 2\n", "2\n0 1\n1 -1\n", "2\n0 1 0\n1 0 1\n"])
 def test_out_of_range_table_is_reported_as_out_of_range(tmp_path, capsys, text):
     # checked before the identity and the inverses are looked for, which
@@ -197,7 +206,7 @@ def test_dump_table_takes_only_max_order(capsys):
     for option in (["--json"], ["--max-subgroups", "10"]):
         assert run_cli(capsys, "dump-table", "pq:2,3", *option)[:2] == (2, "")
     code, out, err = run_cli(capsys, "dump-table", "pq:2,3", "--max-order", "5")
-    assert (code, out, err) == (3, "", "pq:2,3: pq:2,3 has order 6, above the cap 5\n")
+    assert (code, out, err) == (3, "", "pq:2,3: has order 6, above the cap 5\n")
 
 
 def test_non_utf8_file_exit_4(tmp_path, capsys):
@@ -253,6 +262,45 @@ def test_perm_file_analysis(tmp_path, capsys):
     code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
     assert code == 0
     assert json.loads(out)["order"] == 10
+
+
+def test_perm_degree_does_not_bound_the_work(tmp_path, capsys):
+    # a closure over every point of 0..degree-1 built 10^9-entry tuples
+    path = tmp_path / "gens.txt"
+    path.write_text("perm 1000000000\n(0 1)\n")
+    start = time.perf_counter()
+    code, out, _ = run_cli(capsys, "analyze", str(path), "--json")
+    assert time.perf_counter() - start < 1
+    assert code == 0 and json.loads(out)["order"] == 2
+
+
+def _one_line(cycles: str, degree: int) -> tuple[int, ...]:
+    perm = list(range(degree))
+    for body in cycles.replace(")", "").split("(")[1:]:
+        pts = [int(v) for v in body.split()]
+        for a, b in zip(pts, pts[1:] + pts[:1]):
+            perm[a] = b
+    return tuple(perm)
+
+
+@pytest.mark.parametrize(
+    "text",
+    [
+        "perm 5\n(0 1 2 3 4)\n(1 4)(2 3)\n",
+        "perm 9\n(2 7)(4 8)\n(1 7 4)\n",
+        "perm 12\n(10 3 6)\n(0 11)(3 10)\n(5)\n",
+        "perm 8\n(0 1 2 3)(4 5 6 7)\n(0 4)(1 5)(2 6)(3 7)\n",
+        "perm 7\n(6 0)\n",
+    ],
+)
+def test_perm_file_table_is_the_closure_on_every_point(tmp_path, capsys, text):
+    # the closure runs on the points the generators name; run on the one-line
+    # forms over all points, it numbers the elements and writes the table alike
+    degree = int(text.split()[1])
+    want = latsum.group_from_permutations(degree, [_one_line(ln, degree) for ln in text.splitlines()[1:]])
+    path = tmp_path / "gens.txt"
+    path.write_text(text)
+    assert run_cli(capsys, "dump-table", str(path)) == (0, want.dump_table(), "")
 
 
 @pytest.mark.parametrize(

@@ -28,7 +28,7 @@ from latsum import (
     symmetric_group,
 )
 from latsum.corpus import build_default_corpus, group_fingerprint, subgroup_as_group
-from latsum.groups import parse_cycles, smallest_order_p_residue
+from latsum.groups import group_from_perm_file, parse_cycles, smallest_order_p_residue
 
 from helpers import (
     CountingTable,
@@ -227,6 +227,8 @@ def test_raw_table_rejects_bad_input():
         c11.replace("\n1 2 ", "\n1.0 2 ", 1),
         c11.replace("\n1 2 3 4 5 6 7 8 9 10 0\n", "\n1 2 3 4 5 6 7 8 9 10 0 # C11\n", 1),  # no comments
         "2\n0 1\n1 -1\n",
+        "2\n0 1\n+1 0\n",  # np.loadtxt reads +1 as 1
+        "2\n0 1\n1 -0\n",  # and -0 as 0
         "2\n0 1\n1 2\n",  # the value n
         f"2\n0 1\n1 {2**63 + 1}\n",  # above int64
         c11.replace("\n10 0 ", "\n1_0 0 ", 1),
@@ -373,20 +375,29 @@ def test_property_validate_rejects_non_latin_tables(spec, seed, cells):
 
 
 def test_parse_cycles():
-    assert parse_cycles("(0 1 2)(3 4)", 5) == (1, 2, 0, 4, 3)
-    assert parse_cycles("", 4) == (0, 1, 2, 3)
-    assert parse_cycles("(1 3)", 4) == (0, 3, 2, 1)
+    assert parse_cycles("(0 1 2)(3 4)", 5) == {0: 1, 1: 2, 2: 0, 3: 4, 4: 3}
+    assert parse_cycles("", 4) == {}
+    assert parse_cycles("(1 3)", 4) == {1: 3, 3: 1}
     with pytest.raises(NotAPermutation):
         parse_cycles("(0 1)(1 2)", 3)
     with pytest.raises(NotAPermutation):
         parse_cycles("(0 9)", 3)
     with pytest.raises(NotAPermutation):
         parse_cycles("0 1 2", 3)
-    assert parse_cycles("( 0 , 1 )", 2) == (1, 0)
+    assert parse_cycles("( 0 , 1 )", 2) == {0: 1, 1: 0}
     # only ASCII decimal points: int() takes each of these
     for text in ["(0 1_0)", "(0 \uff11)", "(0 +1)", "(0 \u0661)"]:
         with pytest.raises(NotAPermutation, match="bad cycle"):
             parse_cycles(text, 11)
+
+
+def test_perm_file_closes_over_the_named_points():
+    # the label names the file's degree, not the number of points moved
+    group = group_from_perm_file("perm 40\n(3 17)\n(5 39)\n")
+    assert (group.order, group.label) == (4, "perm-closure(deg 40)")
+    for text in ["perm 6\n", "perm 6\n()\n", "perm 6\n()\n( )\n"]:
+        group = group_from_perm_file(text)
+        assert (group.order, group.table, group.label) == (1, [[0]], "perm-closure(deg 6)"), text
 
 
 def test_spec_parse_and_str_round_trip():

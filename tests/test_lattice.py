@@ -139,6 +139,23 @@ def test_subspace_blocks_match_loop_oracle():
         assert all(s.gens is None for s in lat.subgroups), group.label
 
 
+def test_subspace_route_does_not_depend_on_chunk_size(monkeypatch):
+    # one row per chunk puts every pattern boundary and the last partial
+    # chunk on a chunk edge; seven rows put pattern boundaries inside a
+    # chunk, and elem:3,5 packs its rows into 31 bytes
+    rng = random.Random(23)
+    relabelled_5_2 = Group(relabelled(elementary_abelian_group(5, 2).table, rng), "relabelled elem:5,2")
+    small = [(elementary_abelian_group(2, 4), 2, 4), (elementary_abelian_group(3, 3), 3, 3), (relabelled_5_2, 5, 2)]
+    for rows, groups in [(1, small), (7, _subspace_route_groups())]:
+        monkeypatch.setattr(latsum.lattice, "SUBSPACE_CHUNK_ROWS", rows)
+        for group, p, k in groups:
+            lat = enumerate_subgroups(group)
+            want = subspace_masks_by_loop(group, p, k)
+            assert [s.mask for s in lat.subgroups] == want, (rows, group.label)
+            hyperplanes = [m for m in want if m.bit_count() * p == group.order]
+            assert [m.mask for m in maximal_subgroups(lat)] == hyperplanes, (rows, group.label)
+
+
 def test_subspace_view_matches_its_mask_list():
     # elem:3,5 has 243 elements, so its packed rows are 31 bytes wide
     for p, k in [(3, 3), (3, 5)]:
@@ -211,9 +228,10 @@ def test_analysis_leaves_every_block_but_the_hyperplanes_unsorted():
 
 def test_subspace_route_peak_memory():
     # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB) and peaks at
-    # 15.5 MB with its spans grown in the array's int16 and packed through
-    # int32 bit indexes; as np.intp spans it peaked at 20.8 MB, and the list
-    # of mask ints before that at 34.8 MB.
+    # 14.8 MB with its spans grown in the array's int16 and packed through
+    # np.intp bit indexes, 2,048 rows at a time; with 4,096-row chunks and
+    # int32 bit indexes it peaked at 15.5 MB, as np.intp spans at 20.8 MB,
+    # and the list of mask ints before that at 34.8 MB.
     # The rows live in their own mapping, which tracemalloc does not see, so
     # their bytes are added to the traced peak.
     group = elementary_abelian_group(2, 8)
