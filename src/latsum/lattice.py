@@ -5,9 +5,9 @@ from __future__ import annotations
 import math
 import mmap
 from collections import Counter
-from collections.abc import Iterator, Sequence
+from collections.abc import Sequence
 from dataclasses import dataclass
-from itertools import combinations
+from itertools import accumulate, combinations
 
 import numpy as np
 
@@ -16,12 +16,6 @@ from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_normal
 
 DEFAULT_MAX_SUBGROUPS = 100_000
-
-# Rows of one rank's echelon code stream that the subspace route builds at
-# a time.  At order 256 a rank-4 chunk's spans take 64 KB in the Cayley
-# array's int16 and its np.intp bit indexes 256 KB, and the 512 KB bool
-# scratch that packbits reads stays in L2.
-SUBSPACE_CHUNK_ROWS = 2048
 
 # The structure names classify() reports, each mapped to the name that
 # recognize() reports in ``recognized_as``: one name table for both.
@@ -202,16 +196,18 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     route, which produces the identical lattice but scales to the rank-8
     case over GF(2).  It allocates one uint8 array, in an anonymous mapping
     of its own, with a row of ceil(|G|/8) bytes for each of the closed-form
-    number of subspaces.  For each rank r it streams the reduced-echelon
-    bases of every pivot pattern over GF(p), each basis row's code looked
-    up from its free-slot digits, and builds the subspaces in numpy,
-    ``SUBSPACE_CHUNK_ROWS`` at a time across pattern boundaries: it grows
-    the spans by ``np.take`` on the flattened ``group.array``, indexed in
-    np.intp and keeping the array's dtype, and packs each chunk's masks,
-    scattered through np.intp bit indexes, straight into the rows of order
-    block r.  Each packed row is big-endian and fixed-width, so a block
-    sorts in place in numpy as the unsigned ints it encodes, and only the
-    worklist route's result needs sorting in Python.  Only the hyperplane
+    number of subspaces.  It reads the coordinates of every element from
+    ``group.array`` over the greedy basis and packs the kernel of each
+    functional over GF(p) once.  A rank-r subspace is the intersection of
+    the kernels of a basis of its annihilator, a rank-(k - r) subspace of
+    the dual, so each row of order block r is the AND of the kernels of
+    the rows of one reduced echelon form of rank k - r.  numpy writes
+    these ANDs straight into the rows of block r, one pivot pattern at a
+    time, from the rows of the pattern with one pivot fewer, which are
+    already in block r + 1.  Each packed row is big-endian and
+    fixed-width, so a block sorts in place in numpy as the unsigned ints
+    it encodes, and only the worklist route's result needs sorting in
+    Python.  Only the hyperplane
     block is sorted here; every other block sorts when a read of
     ``subgroups`` first reaches it, so a block nobody reads is never
     sorted.  ``subgroups`` is a read-only view over the array that makes
@@ -345,124 +341,91 @@ def _enumerate_elementary_abelian(
 ) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int], list[Subgroup]]:
     """(every subspace's mask as one packed row, grouped into order blocks
     by rank, each block left unsorted as an S view keyed by its first row,
-    the census, the hyperplanes), built in numpy row chunks of each rank's
-    echelon code stream straight into one preallocated array; only the
-    hyperplane block is sorted here."""
+    the census, the hyperplanes), written straight into one preallocated
+    array; only the hyperplane block is sorted here.
+
+    A rank-r subspace W of GF(p)^k is the intersection of the kernels of
+    a basis of its annihilator W°, and W -> W° is a bijection onto the
+    rank-(k - r) subspaces of the dual (Halmos, Finite-Dimensional Vector
+    Spaces, section 17).  So block r has one row per reduced echelon form
+    of rank k - r: the AND of the packed kernels of the form's rows.  The
+    forms with pivots (c, *later) are the forms with pivots ``later``, each
+    with one more row headed at column c.  So the blocks are written from
+    the hyperplanes down, one pivot pattern at a time, each pattern's rows
+    the AND of its later pattern's rows, already written to block r + 1,
+    with the kernel of each row headed at c."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    table, cayley = group.table, group.array
     # the greedy generating set is a basis: each generator lies outside the
-    # span of those before it; elems[c] is the element whose coordinates
-    # are the base-p digits of c
+    # span of those before it
     basis = group.generating_set()
-    elems = [0]
-    for a in basis:
-        grown = list(elems)
-        cur = elems
-        for _ in range(p - 1):
-            cur = [table[x][a] for x in cur]
-            grown.extend(cur)
-        elems = grown
     if len(basis) != k:
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
-    # in np.intp, as the column offsets of the flat gathers
-    coords = np.array(elems, dtype=np.intp)
-    flat = cayley.ravel()  # once: an array not in C order is copied here, not per chunk
-    nbytes = -(-group.order // 8)  # packbits pads each row to whole bytes
-    # row i is mask i, big-endian; block r holds rows start..end-1
+    # elems[x] is the element whose coordinates are the base-p digits of x,
+    # read from the array.  A wrong product there repeats an element, so some
+    # coordinates reach no bit below; the hyperplanes cover GF(p)^k, so then
+    # some hyperplane's row is short of p^(k-1) bits.
+    elems = np.zeros(1, dtype=np.intp)
+    for a in basis:
+        powers = [elems]
+        for _ in range(p - 1):
+            powers.append(group.array[powers[-1], a])
+        elems = np.concatenate(powers)
+    # row x: the base-p digits of x, in a dtype that holds a dot product of two rows
+    digits = (np.arange(p**k)[:, None] // p ** np.arange(k) % p).astype(np.min_scalar_type(k * (p - 1) ** 2))
+    # the functionals that head a row of a reduced echelon form: first nonzero digit 1
+    forms = np.concatenate([p**c + p ** (c + 1) * np.arange(p ** (k - 1 - c)) for c in range(k)])
+    # hyper[f] is the kernel of f packed big-endian: bit e of a mask is bit
+    # 8 * nbytes - 1 - e of its row, and packbits pads each row to whole bytes
+    nbytes = -(-group.order // 8)
+    bits = np.zeros((len(forms), 8 * nbytes), dtype=bool)
+    bits[:, 8 * nbytes - 1 - elems] = digits[forms] @ digits.T % p == 0
+    hyper = np.zeros((p**k, nbytes), dtype=np.uint8)
+    hyper[forms] = np.packbits(bits, axis=1)
+    # row i is mask i; block r holds rows starts[r]..starts[r + 1]-1
     packed = _mapped_rows(total, nbytes)
-    census: dict[int, int] = {}
+    starts = list(accumulate(counts, initial=0))
+    # (first row, rows) of each pattern written so far, by its pivots; the
+    # one form of rank 0 has the whole group as its kernel: the low |G| bits
+    packed[-1] = np.frombuffer(((1 << group.order) - 1).to_bytes(nbytes, "big"), dtype=np.uint8)
+    patterns = {(): (total - 1, 1)}
     unsorted: dict[int, np.ndarray] = {}
-    end = 0
-    for r in range(k + 1):
-        start, end = end, end + counts[r]
-        pos = start  # rows written so far
-        for codes in _echelon_code_chunks(p, k, r, cayley.dtype):
-            rows = codes.shape[1]
-            if pos + rows > end:
+    for r in range(k - 1, -1, -1):
+        pos = starts[r]  # rows written so far
+        for pivots in combinations(range(k), k - r):
+            # the codes of the rows headed at c: p^c plus each free slot's
+            # (later non-pivot column's) digit times p^column
+            c, later = pivots[0], pivots[1:]
+            lut = [p**c]
+            for col in range(c + 1, k):
+                if col not in later:
+                    lut = [v + d * p**col for d in range(p) for v in lut]
+            kernel = hyper[lut]
+            first, n = patterns[later]
+            rows = n * len(kernel)
+            if pos + rows > starts[r + 1]:
                 raise InvariantViolation(
                     f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
                 )
-            chunk = packed[pos : pos + rows]
-            chunk[:] = _packed_spans(flat, coords[codes], p, nbytes)
-            # r independent rows span p^r distinct elements; counted on the
-            # rows as written, so a row left unwritten fails here too
-            if (np.einsum("ij->i", np.bitwise_count(chunk), dtype=np.int32) != p**r).any():
+            out = packed[pos : pos + rows]
+            np.bitwise_and(packed[first : first + n, None], kernel, out=out.reshape(n, -1, nbytes))
+            # a rank-r subspace has p^r elements; counted on the rows as written
+            if (np.einsum("ij->i", np.bitwise_count(out), dtype=np.int32) != p**r).any():
                 raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
+            patterns[pivots] = (pos, rows)
             pos += rows
-        if pos != end:
+        if pos != starts[r + 1]:
             raise InvariantViolation(
-                f"subspace route found {pos - start} subgroups of order {p**r}, expected {counts[r]}"
+                f"subspace route found {pos - starts[r]} subgroups of order {p**r}, expected {counts[r]}"
             )
         # fixed-width big-endian rows sort as the unsigned ints they encode
-        unsorted[start] = packed[start:end].view(f"S{nbytes}")[:, 0]
-        census[p**r] = counts[r]
-    # the order-|G|/p block ends just before the whole group's row
-    first = total - 1 - counts[k - 1]
-    unsorted.pop(first).sort()
-    return packed, unsorted, census, [_row_subgroup(row) for row in packed[first : total - 1]]
-
-
-def _echelon_code_chunks(p: int, k: int, r: int, dtype) -> Iterator[np.ndarray]:
-    """The reduced-echelon bases of every rank-r subspace of GF(p)^k, one
-    stream over all pivot patterns, as (r, n) arrays with n at most
-    ``SUBSPACE_CHUNK_ROWS``.  Entry (j, i) is the base-p code of basis row
-    j of subspace i: p^pivot plus each free slot's digit times p^column."""
-    out = np.empty((r, SUBSPACE_CHUNK_ROWS), dtype=dtype)
-    fill = 0
-    for pivots in combinations(range(k), r):
-        # row j's code, per assignment of its free slots (the later
-        # non-pivot columns): a lookup table of p^(free slots) codes
-        luts = []
-        for c in pivots:
-            lut = [p**c]
-            for col in range(c + 1, k):
-                if col not in pivots:
-                    lut = [v + d * p**col for d in range(p) for v in lut]
-            luts.append(np.array(lut, dtype=dtype))
-        rows = math.prod(len(lut) for lut in luts)
-        lo = 0
-        while lo < rows:
-            n = min(rows - lo, SUBSPACE_CHUNK_ROWS - fill)
-            # assignment a of the pattern reads row j's digits as a mixed-radix field of a
-            index = np.arange(lo, lo + n)
-            radix = 1
-            for j, lut in enumerate(luts):
-                out[j, fill : fill + n] = lut[index // radix % len(lut)]
-                radix *= len(lut)
-            lo += n
-            fill += n
-            if fill == SUBSPACE_CHUNK_ROWS:
-                yield out
-                out = np.empty_like(out)
-                fill = 0
-    if fill:
-        yield out[:, :fill]
-
-
-def _packed_spans(flat: np.ndarray, bases: np.ndarray, p: int, nbytes: int) -> np.ndarray:
-    """Row i is the mask of the span of the r elements in column i of
-    ``bases``, packed big-endian into ``nbytes`` bytes.  ``flat`` is the
-    raveled Cayley array, whose entry a * |G| + v is a * v; the span grows
-    p-fold per element by ``np.take`` on it and keeps its dtype."""
-    r, n = bases.shape
-    # a * |G| + v is formed in np.intp, the dtype numpy indexes with, so
-    # take converts nothing; a Python int |G| would keep the int16 of a
-    order = np.intp(math.isqrt(flat.size))
-    # column i holds subspace i's elements
-    span = np.zeros((p**r, n), dtype=flat.dtype)
-    width = 1
-    for v in bases:
-        for j in range(1, p):
-            span[j * width : (j + 1) * width] = flat.take(span[(j - 1) * width : j * width] * order + v)
-        width *= p
-    # packbits reads each row big-endian, so bit e of mask i is bit
-    # 8 * nbytes - 1 - e of row i
-    bits = np.zeros(n * 8 * nbytes, dtype=bool)
-    bits[np.arange(8 * nbytes - 1, len(bits), 8 * nbytes, dtype=np.intp) - span] = True
-    return np.packbits(bits).reshape(n, nbytes)
+        unsorted[starts[r]] = packed[starts[r] : starts[r + 1]].view(f"S{nbytes}")[:, 0]
+    census = {p**r: counts[r] for r in range(k + 1)}
+    hyperplanes = starts[k - 1]
+    unsorted.pop(hyperplanes).sort()
+    return packed, unsorted, census, [_row_subgroup(row) for row in packed[hyperplanes : starts[k]]]
 
 
 # ---------------------------------------------------------------------------

@@ -117,8 +117,10 @@ def subspace_masks_by_loop(group: Group, p: int, k: int) -> list[int]:
     (order, mask) order, by building each GF(p)-subspace element by element.
 
     Walks the reduced echelon forms over the greedy basis one free-slot
-    assignment at a time, in plain Python; the library builds the same
-    subspaces in numpy blocks.
+    assignment at a time, in plain Python, and builds the span of each
+    form's rows from the list rows of the table.  The library instead
+    intersects the kernels of functionals on the annihilator side, in
+    numpy over ``group.array``, so the two share only the greedy basis.
     """
     table = group.table
     # greedy basis: elems[c] is the element whose coordinates are the base-p digits of c

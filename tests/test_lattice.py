@@ -1,7 +1,6 @@
 import os
 import random
 import textwrap
-import threading
 import tracemalloc
 from pathlib import Path
 
@@ -124,6 +123,9 @@ def _subspace_route_groups():
         group = Group(relabelled(elementary_abelian_group(p, k).table, rng), f"relabelled elem:{p},{k}")
         group.validate()
         groups.append((group, p, k))
+    group = Group(relabelled(elementary_abelian_group(5, 2).table, random.Random(23)), "relabelled elem:5,2")
+    group.validate()
+    groups.append((group, 5, 2))
     return groups
 
 
@@ -137,23 +139,6 @@ def test_subspace_blocks_match_loop_oracle():
         hyperplanes = [m for m in want if m.bit_count() * p == group.order]
         assert [m.mask for m in maximal_subgroups(lat)] == hyperplanes, group.label
         assert all(s.gens is None for s in lat.subgroups), group.label
-
-
-def test_subspace_route_does_not_depend_on_chunk_size(monkeypatch):
-    # one row per chunk puts every pattern boundary and the last partial
-    # chunk on a chunk edge; seven rows put pattern boundaries inside a
-    # chunk, and elem:3,5 packs its rows into 31 bytes
-    rng = random.Random(23)
-    relabelled_5_2 = Group(relabelled(elementary_abelian_group(5, 2).table, rng), "relabelled elem:5,2")
-    small = [(elementary_abelian_group(2, 4), 2, 4), (elementary_abelian_group(3, 3), 3, 3), (relabelled_5_2, 5, 2)]
-    for rows, groups in [(1, small), (7, _subspace_route_groups())]:
-        monkeypatch.setattr(latsum.lattice, "SUBSPACE_CHUNK_ROWS", rows)
-        for group, p, k in groups:
-            lat = enumerate_subgroups(group)
-            want = subspace_masks_by_loop(group, p, k)
-            assert [s.mask for s in lat.subgroups] == want, (rows, group.label)
-            hyperplanes = [m for m in want if m.bit_count() * p == group.order]
-            assert [m.mask for m in maximal_subgroups(lat)] == hyperplanes, (rows, group.label)
 
 
 def test_subspace_view_matches_its_mask_list():
@@ -228,10 +213,10 @@ def test_analysis_leaves_every_block_but_the_hyperplanes_unsorted():
 
 def test_subspace_route_peak_memory():
     # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB) and peaks at
-    # 14.8 MB with its spans grown in the array's int16 and packed through
-    # np.intp bit indexes, 2,048 rows at a time; with 4,096-row chunks and
-    # int32 bit indexes it peaked at 15.5 MB, as np.intp spans at 20.8 MB,
-    # and the list of mask ints before that at 34.8 MB.
+    # 15.1 MiB with them: each pivot pattern's rows are written in place as
+    # the AND of rows already written and an 8 KB table of kernels, and the
+    # largest pattern's 65,536 rows are bit-counted through a 2 MB
+    # temporary.
     # The rows live in their own mapping, which tracemalloc does not see, so
     # their bytes are added to the traced peak.
     group = elementary_abelian_group(2, 8)
@@ -264,7 +249,7 @@ def test_subspace_rows_returned_when_the_lattice_is_dropped():
 
 
 def test_subspace_block_count_checked_against_rows_written(monkeypatch):
-    # a closed form one short fires before the block's last chunk is written
+    # a closed form one short fires before the block's last pattern is written
     # past its end; one too many leaves a row unwritten, which is never read
     group = elementary_abelian_group(2, 4)
     for off, message in [
@@ -278,8 +263,10 @@ def test_subspace_block_count_checked_against_rows_written(monkeypatch):
 
 
 def _one_product_off(spec: str, a: int, b: int) -> Group:
-    # a * b sent to the identity, so a span that multiplies them holds a
-    # repeated element; the list rows stay right, and the greedy basis with them
+    # a * b sent to the identity, so the coordinates read from the array
+    # reach one element twice and another never, and the first block
+    # written, the hyperplanes, has a row short of p^(k-1) elements; the
+    # list rows stay right, and the greedy basis with them
     group = GroupSpec.parse(spec).build()
     wrong = group.array.copy()
     wrong[a, b] = 0
@@ -287,25 +274,11 @@ def _one_product_off(spec: str, a: int, b: int) -> Group:
     return group
 
 
-@pytest.mark.parametrize("spec, a, b, r", [("elem:2,4", 1, 2, 2), ("elem:3,3", 1, 3, 2), ("elem:2,8", 3, 4, 2)])
+@pytest.mark.parametrize("spec, a, b, r", [("elem:2,4", 1, 2, 3), ("elem:3,3", 1, 3, 2), ("elem:2,8", 3, 4, 7)])
 def test_repeated_span_element_raises(spec, a, b, r):
     group = _one_product_off(spec, a, b)
     with pytest.raises(InvariantViolation, match=f"a subspace of rank {r} in {spec} does not have"):
         enumerate_subgroups(group, 500_000)
-
-
-def test_block_sort_thread_ends_with_the_call():
-    # on a whole lattice, on a cap refusal, and on a check that raises after
-    # the first blocks were handed to the sort thread
-    before = threading.enumerate()
-    assert len(enumerate_subgroups(elementary_abelian_group(2, 8), 500_000)) == 417_199
-    assert threading.enumerate() == before
-    with pytest.raises(LatticeTooLarge):
-        enumerate_subgroups(elementary_abelian_group(2, 8), 417_198)
-    assert threading.enumerate() == before
-    with pytest.raises(InvariantViolation, match="a subspace of rank 2 in elem:2,4"):
-        enumerate_subgroups(_one_product_off("elem:2,4", 1, 2))
-    assert threading.enumerate() == before
 
 
 @pytest.mark.parametrize("spec", ["elem:2,5", "elem:3,3", "sym:4", "pq:3,7", "cyclic:12", "product:elem:2,2+cyclic:9"])
@@ -667,10 +640,11 @@ def test_invariant_violation_survives_python_O():
     # what is left (the order-3 subgroup) are all normal, but there is no
     # Sylow 2-subgroup, so the two nilpotency criteria disagree.  Then an
     # unvalidated order-4 table in which element 1 has order 3.  Then the
-    # three enumeration checks: elem:2,4 whose array sends 1*2 to 0,
-    # so the span <1, 2> has three elements; elem:2,4 against a closed form
-    # that promises one subgroup of order 2 too many; and an unvalidated
-    # commutative order-5 table in which 1*1 = 0, so {0, 1} is a subgroup.
+    # three enumeration checks: elem:2,4 whose array sends 1*2 to 0, so
+    # its coordinates reach 0 twice and 3 never, and a hyperplane's row
+    # comes up short; elem:2,4 against a closed form that promises one
+    # subgroup of order 2 too many; and an unvalidated commutative order-5
+    # table in which 1*1 = 0, so {0, 1} is a subgroup.
     code = textwrap.dedent(
         """
         from collections import Counter
@@ -722,7 +696,7 @@ def test_invariant_violation_survives_python_O():
     assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
     assert third == "InvariantViolation: element order 3 does not divide 4", third
     assert enumeration == [
-        "InvariantViolation: a subspace of rank 2 in elem:2,4 does not have 4 elements",
+        "InvariantViolation: a subspace of rank 3 in elem:2,4 does not have 8 elements",
         "InvariantViolation: subspace route found 15 subgroups of order 2, expected 16",
         "InvariantViolation: Lagrange violated on bogus-5: census {1: 1, 2: 1, 5: 1}",
     ], enumeration
