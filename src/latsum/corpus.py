@@ -107,8 +107,9 @@ def build_default_corpus(
     extra_specs: Iterable[GroupSpec] = (),
     max_order: int = DEFAULT_ORDER_CAP,
 ) -> list[CorpusEntry]:
-    """Assemble the labelled corpus; raises InvalidSpec when it ends up empty,
-    and OrderCapExceeded when an ambient symmetric group is above ``max_order``."""
+    """Assemble the labelled corpus, keeping the first entry of each label;
+    raises InvalidSpec when it ends up empty, and OrderCapExceeded when an
+    ambient symmetric group is above ``max_order``."""
     entries: list[CorpusEntry] = []
     specs: list[GroupSpec] = []
     specs.extend(cyclic_specs(cyclic_max))
@@ -121,4 +122,7 @@ def build_default_corpus(
         entries.extend(ambient_subgroup_entries(ambient_sym, max_order))
     if not entries:
         raise InvalidSpec("empty corpus: every family is disabled and no extra spec is given")
-    return entries
+    by_label: dict[str, CorpusEntry] = {}
+    for entry in entries:
+        by_label.setdefault(entry[0], entry)
+    return list(by_label.values())

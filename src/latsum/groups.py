@@ -264,6 +264,18 @@ def _cyclic_array(n: int, dtype: type) -> np.ndarray:
     return np.lib.stride_tricks.sliding_window_view(np.concatenate([base, base]), n)[:n]
 
 
+def _semidirect_array(q: int, p: int, t: int) -> np.ndarray:
+    """C_q x| C_p with the generator of C_p acting as x -> t*x: pairs (x, y),
+    index x + q*y, and (x1, y1)(x2, y2) = (x1 + t^y1 * x2 mod q, y1 + y2 mod p)."""
+    dtype = _index_dtype(p * q)
+    y = np.arange(p)
+    scaled = np.array([pow(t, e, q) for e in range(p)])[:, None] * np.arange(q) % q  # [y1, x2]: t^y1 * x2
+    new_x = _cyclic_array(q, dtype)[:, scaled].transpose(1, 0, 2)  # [y1, x1, x2]
+    new_y = ((y[:, None] + y) % p * q).astype(dtype)  # [y1, y2]
+    arr = np.add(new_x[:, :, None, :], new_y[:, None, :, None], order="C")  # [y1, x1, y2, x2]
+    return arr.reshape(p * q, p * q)
+
+
 def _product_array(a: np.ndarray, b: np.ndarray) -> np.ndarray:
     """The direct product's table, the pair (x, y) linearized as x * |B| + y."""
     na, nb = len(a), len(b)
@@ -290,20 +302,15 @@ def elementary_abelian_group(p: int, k: int, label: str | None = None) -> Group:
         raise InvalidSpec(f"p must be prime, got {p}")
     if k < 1:
         raise InvalidSpec(f"rank must be >= 1, got {k}")
-    cp = _cyclic_array(p, _index_dtype(p))
-    arr = cp
-    for _ in range(k - 1):
-        arr = _product_array(arr, cp)
-    return Group(arr, label or f"elem:{p},{k}")
+    return direct_product_group([cyclic_group(p)] * k, label or f"elem:{p},{k}")
 
 
 def dihedral_group(n: int, label: str | None = None) -> Group:
-    """Symmetries of the regular n-gon, order 2n; index r + n*s for rotation r, flip s."""
+    """Symmetries of the regular n-gon, order 2n: C_n x| C_2 with the flip
+    acting as r -> -r, index r + n*s for rotation r, flip s."""
     if n < 1:
         raise InvalidSpec(f"dihedral parameter must be >= 1, got {n}")
-    turn = _cyclic_array(n, _index_dtype(2 * n))  # r1 + r2 mod n
-    back = turn[:, -np.arange(n) % n]  # r1 - r2 mod n
-    return Group(np.block([[turn, turn + n], [back + n, back]]), label or f"dihedral:{n}")
+    return Group(_semidirect_array(n, 2, n - 1), label or f"dihedral:{n}")
 
 
 def symmetric_group(m: int, label: str | None = None) -> Group:
@@ -341,14 +348,7 @@ def semidirect_pq_group(p: int, q: int, t: int | None = None, label: str | None 
     elif not 2 <= t < q or pow(t, p, q) != 1:
         # p is prime, so t^p = 1 with t != 1 means order exactly p
         raise InvalidSpec(f"t={t} does not have order exactly {p} modulo {q}")
-    n = p * q
-    dtype = _index_dtype(n)
-    y = np.arange(p)
-    scaled = np.array([pow(t, e, q) for e in range(p)])[:, None] * np.arange(q) % q  # [y1, x2]: t^y1 * x2
-    new_x = _cyclic_array(q, dtype)[:, scaled].transpose(1, 0, 2)  # [y1, x1, x2]
-    new_y = ((y[:, None] + y) % p * q).astype(dtype)  # [y1, y2]
-    arr = np.add(new_x[:, :, None, :], new_y[:, None, :, None], order="C")  # [y1, x1, y2, x2]
-    return Group(arr.reshape(n, n), label or f"pq:{p},{q}")
+    return Group(_semidirect_array(q, p, t), label or f"pq:{p},{q}")
 
 
 def direct_product_group(parts: Sequence[Group], label: str | None = None) -> Group:
@@ -680,9 +680,9 @@ class GroupSpec:
         if kind not in _SPEC_KINDS:
             raise InvalidSpec(f"unknown spec kind {kind!r} in {text!r}")
         if kind == "product":
-            part_texts = [p for p in rest.split("+") if p]
-            if not part_texts:
-                raise InvalidSpec(f"empty product spec: {text!r}")
+            part_texts = rest.split("+")
+            if not all(part_texts):
+                raise InvalidSpec(f"empty factor in product spec: {text!r}")
             parts = tuple(GroupSpec.parse(p) for p in part_texts)
             if any(p.kind == "product" for p in parts):
                 raise InvalidSpec("nested products are not supported")

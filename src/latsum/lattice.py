@@ -169,28 +169,31 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     The general route is the cyclic extension method (Neubüser 1960): seed
     a worklist with the trivial subgroup, then for a queued subgroup H and
     each element x not yet covered, find <H, x>; the extensions of the
-    trivial subgroup are the cyclic subgroups <x>.  For each such x it
-    powers x until a power lands in H, which gives the least k with x^k
-    in H.  Then every h*x^j with j coprime to k extends H to <H, x> too,
-    since <H, h*x^j> holds x^j and x^k, hence x; so the cosets Hx^j for
-    those j are covered from the walked powers, with one closure for all
-    of them, and neither commutativity nor normality is needed.  Only one
-    subgroup per conjugacy class is queued, but its whole class is recorded
-    at once: the extensions of gHg^-1 are the conjugates of the extensions
-    of H, so the lattice stays complete.  A queued H is maximal exactly
-    when every extension <H, x> is the whole group, and then so is every
-    conjugate of H.
+    trivial subgroup are the cyclic subgroups <x>.  Every group takes one
+    walk per such x: it powers x until a power lands in H, which gives the
+    least k with x^k in H, and covers the cells h*x^j for every h in H and
+    every j coprime to k.  Each cell extends H to <H, x> too, since
+    <H, h*x^j> holds x^j and x^k, hence x; neither commutativity nor
+    normality is needed.  A nonabelian group takes one closure for <H, x>.
+    Only one subgroup per conjugacy class is queued, but its whole class is
+    recorded at once: the extensions of gHg^-1 are the conjugates of the
+    extensions of H, so the lattice stays complete.  A queued H is maximal
+    when every extension found from it is the whole group, and then so is
+    every conjugate of H.
 
     In an abelian group every class is a single subgroup, and the worklist
     extends only by prime steps.  Every subgroup K > 1 has a subgroup H of
     prime index p, and then K = H u Hx u ... u Hx^(p-1) for any x in K - H.
-    So when k, now the order of Hx in G/H, is prime, the walk builds the k
-    cosets straight from the Cayley table, with no closure, and covers all
-    of them, since every element of K - H gives the same K.  A coset Hx of
-    composite order k gives no prime step, and neither does any Hx^j with
-    j coprime to k, which has order k as well: these cosets are covered as
-    above, and nothing more is done.  An abelian group is nilpotent, so H
-    is maximal exactly when its index is prime.
+    So when k, now the order of Hx in G/H, is prime, every j < k is coprime
+    to k and the cells are exactly K - H: the new mask is H's with the
+    cells set, with no closure.  A coset Hx of composite order k gives no
+    prime step, and neither does any Hx^j with j coprime to k, which has
+    order k as well: its cells are covered and nothing more is done.  The
+    one maximality rule holds here too.  If |G/H| is composite, G/H has an
+    element yH of prime order p < |G/H|.  A composite walk covers only
+    elements of composite order mod H, so y is either reached uncovered
+    and takes a prime step, or was covered by an earlier prime step whose
+    K - H holds it; either step finds <H, y>, of order p|H| < |G|.
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which produces the identical lattice but scales to the rank-8
@@ -247,7 +250,9 @@ def _canonical(sub: Subgroup) -> tuple[int, int]:
 
 def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
     """(every subgroup, the maximal subgroups), extending one subgroup per
-    class by one power walk per uncovered element."""
+    class by one walk per uncovered element x: the powers of x, then the
+    cells h*x^j that extend H to <H, x>.  H is maximal when every
+    extension found from it is the whole group."""
     table = group.table
     n = group.order
     full_mask = (1 << n) - 1
@@ -275,8 +280,7 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
         for h in members:
             covered[h] = 1
         in_sub = bytes(covered)
-        # an abelian G is nilpotent, so H is maximal exactly when its index is prime
-        maximal = is_prime(n // sub.order) if abelian else True
+        maximal = True  # until an extension of H is not the whole group
         for x in range(1, n):
             if covered[x]:
                 continue
@@ -286,34 +290,21 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
                 powers.append(y)
                 y = table[y][x]
             k = len(powers) + 1
-            if abelian and is_prime(k):
-                # K = H u Hx u ... u Hx^(k-1); every y in K - H extends H to K
-                coset = [table[h][x] for h in members]
-                mask = sub.mask
-                for _ in range(k - 1):
-                    for c in coset:
-                        covered[c] = 1
-                        mask |= 1 << c
-                    coset = [table[c][x] for c in coset]
-                if mask not in seen:
-                    new = Subgroup(mask, sub.gens + (x,))
-                    add_class(new, [new])
-                continue
-            # x^k lies in H, so for j coprime to k every h*x^j extends H to
-            # <H, x>; in an abelian group Hx^j has order k, and gives no prime step
-            for j, xj in enumerate(powers, 1):
-                if math.gcd(j, k) == 1:
-                    for h in members:
-                        covered[table[h][xj]] = 1
-            if abelian:
-                continue
-            new_gens = sub.gens + (x,)
-            new_mask = generated_mask(group, new_gens, seed_mask=sub.mask)
+            # x^k lies in H, so for j coprime to k every h*x^j extends H to <H, x>
+            cells = [table[h][xj] for j, xj in enumerate(powers, 1) if math.gcd(j, k) == 1 for h in members]
+            for c in cells:
+                covered[c] = 1
+            if not abelian:
+                new_mask = generated_mask(group, sub.gens + (x,), seed_mask=sub.mask)
+            elif is_prime(k):
+                # every j < k is coprime to k: the cells are <H, x> - H
+                new_mask = sub.mask | sum(1 << c for c in cells)
+            else:
+                continue  # Hx^j has composite order k in G/H: no prime step
             if new_mask not in seen:
-                new = Subgroup(new_mask, new_gens)
-                add_class(new, conjugates(group, new))
-            if new_mask != full_mask:
-                maximal = False
+                new = Subgroup(new_mask, sub.gens + (x,))
+                add_class(new, [new] if abelian else conjugates(group, new))
+            maximal = maximal and new_mask == full_mask
         if maximal:
             maximals.extend(orbit)
     return list(seen.values()), maximals

@@ -63,6 +63,12 @@ def test_analyze_parse_error_exit_2(capsys):
     assert "wat" in err
 
 
+def test_analyze_product_with_an_empty_factor_exit_2(capsys):
+    code, out, err = run_cli(capsys, "analyze", "product:cyclic:2++cyclic:3")
+    assert (code, out) == (2, "")
+    assert "empty factor" in err
+
+
 def test_analyze_cap_exit_3(capsys):
     code, _, err = run_cli(capsys, "analyze", "cyclic:9999")
     assert code == 3
@@ -515,6 +521,22 @@ def test_verify_extra_specs_and_error_isolation(capsys):
     assert "cyclic:99999" in doc["errors"]
     assert any(e["label"] == "pq:3,7" for e in doc["entries"])
     assert "cyclic:99999" in err
+
+
+def test_verify_analyzes_a_repeated_label_once(capsys):
+    # cyclic:3 is in the cyclic family, and cyclic:03 has the same label
+    code, out, _ = run_cli(
+        capsys,
+        "verify",
+        "--cyclic-max", "3", "--elem-max", "0", "--dihedral-max", "0",
+        "--pq-max", "0", "--ambient-sym", "0",
+        "--extra", "cyclic:3", "--extra", "cyclic:03", "--workers", "1", "--json",
+    )
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["corpus_size"] == 3
+    assert [e["label"] for e in doc["entries"]] == ["cyclic:1", "cyclic:2", "cyclic:3"]
+    assert doc["below"] == ["cyclic:1", "cyclic:2", "cyclic:3"]
 
 
 @pytest.mark.parametrize("workers", ["1", "2"])

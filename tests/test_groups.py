@@ -119,6 +119,11 @@ def test_dihedral():
     assert_valid(g)
     assert g.order == 8 and not g.is_abelian
     assert sorted(g.element_orders()) == [1, 2, 2, 2, 2, 2, 4, 4]
+    # index r + n*s, and (r1, s1)(r2, s2) = (r1 + (-1)^s1 * r2 mod n, s1 + s2 mod 2)
+    for n in range(1, 41):
+        pairs = [(r, s) for s in range(2) for r in range(n)]
+        want = [[(r1 + (-1) ** s1 * r2) % n + n * ((s1 + s2) % 2) for r2, s2 in pairs] for r1, s1 in pairs]
+        assert dihedral_group(n).array.tolist() == want, n
 
 
 def test_symmetric():
@@ -411,6 +416,10 @@ def test_spec_parse_and_str_round_trip():
 def test_spec_parse_rejects_garbage():
     for text in ["bogus:1", "cyclic:", "cyclic:x", "cyclic:2,3", "elem:4", "pq:2", "pq:2,3,2,1", "product:", "cyclic:-3", "plain"]:
         with pytest.raises(InvalidSpec):
+            GroupSpec.parse(text)
+    # an empty factor is an error, not a factor left out: the spec would not round-trip
+    for text in ["product:cyclic:2+", "product:+cyclic:3", "product:cyclic:2++cyclic:3"]:
+        with pytest.raises(InvalidSpec, match="empty factor"):
             GroupSpec.parse(text)
     # int() takes each of these, so cyclic:1_2 used to build C12 under that label
     for text in ["cyclic:1_2", "cyclic:\uff11\uff12", "cyclic:+12", "cyclic:\u00b2", "elem:2,\u0663"]:
