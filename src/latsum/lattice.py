@@ -66,8 +66,9 @@ class Subgroup:
 
 class _MaskView(Sequence):
     """Read-only Subgroup sequence over packed masks: row i of the uint8
-    array is mask i, big-endian, and an index, a slice or an iteration makes
-    a Subgroup from each row it reads; a slice is a list.
+    array is mask i, big-endian, with leading zero bytes up to a whole
+    number of 64-bit words, and an index, a slice or an iteration makes a
+    Subgroup from each row it reads; a slice is a list.
 
     ``unsorted`` maps the first row of each order block not yet sorted to
     that block's rows viewed as fixed-width bytes (numpy dtype S), which
@@ -107,11 +108,14 @@ class _MaskView(Sequence):
 
 def _mapped_rows(rows: int, width: int) -> np.ndarray:
     """A zeroed (rows, width) uint8 array in an anonymous private mapping of
-    its own.  Dropping it unmaps the pages at once.  From the malloc heap,
-    one freed block of 13 MB (elem:2,8) was carved by the small allocations
-    that came after it, the next same-sized block no longer fitted, and the
-    heap grew by 9 MB more on some runs and not on others."""
-    buf = mmap.mmap(-1, rows * width, flags=mmap.MAP_PRIVATE)
+    its own, faulted in when it is made (MAP_POPULATE, where the platform
+    has it) rather than page by page as the rows are first written: for
+    elem:2,8 that is 3,259 pages.  Dropping it unmaps the pages at once.
+    From the malloc heap, one freed block of 13 MB (elem:2,8) was carved by
+    the small allocations that came after it, the next same-sized block no
+    longer fitted, and the heap grew by 9 MB more on some runs and not on
+    others."""
+    buf = mmap.mmap(-1, rows * width, flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
     return np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
 
 
@@ -197,9 +201,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which produces the identical lattice but scales to the rank-8
-    case over GF(2).  It allocates one uint8 array, in an anonymous mapping
-    of its own, with a row of ceil(|G|/8) bytes for each of the closed-form
-    number of subspaces.  It reads the coordinates of every element from
+    case over GF(2).  It allocates one uint8 array, in a prefaulted
+    anonymous mapping of its own, with a row of 8 * ceil(|G|/64) bytes, a
+    whole number of 64-bit words, for each of the closed-form number of
+    subspaces.  It reads the coordinates of every element from
     ``group.array`` over the greedy basis and packs the kernel of each
     functional over GF(p) once.  A rank-r subspace is the intersection of
     the kernels of a basis of its annihilator, a rank-(k - r) subspace of
@@ -207,17 +212,18 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     the rows of one reduced echelon form of rank k - r.  numpy writes
     these ANDs straight into the rows of block r, one pivot pattern at a
     time, from the rows of the pattern with one pivot fewer, which are
-    already in block r + 1.  Each packed row is big-endian and
-    fixed-width, so a block sorts in place in numpy as the unsigned ints
-    it encodes, and only the worklist route's result needs sorting in
-    Python.  Only the hyperplane
-    block is sorted here; every other block sorts when a read of
-    ``subgroups`` first reaches it, so a block nobody reads is never
-    sorted.  ``subgroups`` is a read-only view over the array that makes
-    each Subgroup when it is read, and the census is the closed-form count
-    of each order block.  Its maximal subgroups, the hyperplanes of order
-    |G|/p, are the one block made into Subgroup objects.  The two routes
-    are cross-checked in the test suite.
+    already in block r + 1.  Once a block's last pattern is written, its
+    rows' set bits are counted, once per block, over 64-bit words.  Each
+    packed row is big-endian and fixed-width, so a block sorts in place in
+    numpy as the unsigned ints it encodes, and only the worklist route's
+    result needs sorting in Python.  Only the hyperplane block is sorted
+    here; every other block sorts when a read of ``subgroups`` first
+    reaches it, so a block nobody reads is never sorted.  ``subgroups`` is
+    a read-only view over the array that makes each Subgroup when it is
+    read, and the census is the closed-form count of each order block.
+    Its maximal subgroups, the hyperplanes of order |G|/p, are the one
+    block made into Subgroup objects.  The two routes are cross-checked in
+    the test suite.
 
     On the worklist route only class representatives keep ``gens``; the
     other subgroups, and every subgroup from the subspace route, carry
@@ -225,10 +231,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     ``max_subgroups``; the subspace route checks its closed-form count
     before it allocates anything.  Raises InvariantViolation when some
     order does not divide |G| (both routes), and on the subspace route
-    when a row as written does not have p^r bits set, or when the rows
-    written to an order block are not its closed-form number of subspaces
-    (checked before any write past the block's end, and before the block
-    is read).
+    when the rows written to an order block are not its closed-form number
+    of subspaces (checked before any write past the block's end), or when
+    a row of a block as written does not have p^r bits set (checked after
+    the count, and before the next block reads the block).
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
@@ -344,7 +350,10 @@ def _enumerate_elementary_abelian(
     with one more row headed at column c.  So the blocks are written from
     the hyperplanes down, one pivot pattern at a time, each pattern's rows
     the AND of its later pattern's rows, already written to block r + 1,
-    with the kernel of each row headed at c."""
+    with the kernel of each row headed at c.  Each row is 8 * ceil(|G|/64)
+    bytes, so a block is also a uint64 array, and its set bits are counted
+    word by word once the block is written and before the next block
+    reads it."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
@@ -369,8 +378,9 @@ def _enumerate_elementary_abelian(
     # the functionals that head a row of a reduced echelon form: first nonzero digit 1
     forms = np.concatenate([p**c + p ** (c + 1) * np.arange(p ** (k - 1 - c)) for c in range(k)])
     # hyper[f] is the kernel of f packed big-endian: bit e of a mask is bit
-    # 8 * nbytes - 1 - e of its row, and packbits pads each row to whole bytes
-    nbytes = -(-group.order // 8)
+    # 8 * nbytes - 1 - e of its row, a whole number of 64-bit words whose
+    # leading bits are zero
+    nbytes = 8 * -(-group.order // 64)
     bits = np.zeros((len(forms), 8 * nbytes), dtype=bool)
     bits[:, 8 * nbytes - 1 - elems] = digits[forms] @ digits.T % p == 0
     hyper = np.zeros((p**k, nbytes), dtype=np.uint8)
@@ -402,17 +412,23 @@ def _enumerate_elementary_abelian(
                 )
             out = packed[pos : pos + rows]
             np.bitwise_and(packed[first : first + n, None], kernel, out=out.reshape(n, -1, nbytes))
-            # a rank-r subspace has p^r elements; counted on the rows as written
-            if (np.einsum("ij->i", np.bitwise_count(out), dtype=np.int32) != p**r).any():
-                raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
             patterns[pivots] = (pos, rows)
             pos += rows
         if pos != starts[r + 1]:
             raise InvariantViolation(
                 f"subspace route found {pos - starts[r]} subgroups of order {p**r}, expected {counts[r]}"
             )
+        # a rank-r subspace has p^r elements: the block's rows as written,
+        # counted in 64-bit words before block r - 1 reads them
+        block = packed[starts[r] : starts[r + 1]]
+        words = np.bitwise_count(block.view(np.uint64))
+        elements = words[:, 0].astype(np.min_scalar_type(group.order))
+        for column in words.T[1:]:
+            elements += column
+        if (elements != p**r).any():
+            raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
         # fixed-width big-endian rows sort as the unsigned ints they encode
-        unsorted[starts[r]] = packed[starts[r] : starts[r + 1]].view(f"S{nbytes}")[:, 0]
+        unsorted[starts[r]] = block.view(f"S{nbytes}")[:, 0]
     census = {p**r: counts[r] for r in range(k + 1)}
     hyperplanes = starts[k - 1]
     unsorted.pop(hyperplanes).sort()

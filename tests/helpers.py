@@ -5,12 +5,14 @@ import os
 import random
 import subprocess
 import sys
+from collections import Counter
 from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 
-from latsum import Group, Subgroup
+from latsum import Group, Subgroup, enumerate_subgroups, group_from_permutations
+from latsum.corpus import group_fingerprint, subgroup_as_group
 from latsum.groups import _mask_members, conjugate_mask, generated_mask
 
 
@@ -347,3 +349,42 @@ def subgroup_generators(group: Group, sub: Subgroup) -> tuple[int, ...]:
                 break
         sub.gens = gens
     return sub.gens
+
+
+# The Sylow 2-subgroup of S8 and Sylow 3-subgroup of S9, which are iterated
+# wreath products (Kaloujnine 1948), and C2 wr C4 in S8: (degree, generators
+# in cycle notation)
+SYLOW_WREATH_PRODUCTS = {
+    "C2wrC2wrC2": (8, [[(0, 1)], [(0, 2), (1, 3)], [(0, 4), (1, 5), (2, 6), (3, 7)]]),
+    "C3wrC3": (9, [[(0, 1, 2)], [(0, 3, 6), (1, 4, 7), (2, 5, 8)]]),
+    "C2wrC4": (8, [[(0, 1)], [(0, 2, 4, 6), (1, 3, 5, 7)]]),
+}
+
+
+def permutation_from_cycles(degree: int, cycles) -> list[int]:
+    """The one-line form of the product of disjoint ``cycles`` on 0..degree-1."""
+    image = list(range(degree))
+    for cycle in cycles:
+        for a, b in zip(cycle, cycle[1:] + cycle[:1]):
+            image[a] = b
+    return image
+
+
+def sylow_wreath_product(name: str) -> Group:
+    degree, gens = SYLOW_WREATH_PRODUCTS[name]
+    return group_from_permutations(degree, [permutation_from_cycles(degree, c) for c in gens], label=name)
+
+
+def subgroup_classes(group: Group) -> list[Group]:
+    """One subgroup of ``group`` per (fingerprint, census) key, as a
+    standalone group, in (order, mask) order; the last is the group itself.
+
+    The census of H counts the subgroups of ``group`` that H contains; it
+    keeps apart subgroups that the element orders alone would merge."""
+    subs = list(enumerate_subgroups(group).subgroups)
+    kept: dict[tuple, Group] = {}
+    for i, sub in enumerate(subs):
+        census = Counter(k.order for k in subs if k.mask & sub.mask == k.mask)
+        as_group = subgroup_as_group(group, sub, f"{group.label}-sub{i:03d}-ord{sub.order}")
+        kept.setdefault((group_fingerprint(as_group), tuple(sorted(census.items()))), as_group)
+    return list(kept.values())

@@ -52,8 +52,10 @@ from helpers import (
     normalizer,
     relabelled,
     run_python,
+    subgroup_classes,
     subgroup_generators,
     subspace_masks_by_loop,
+    sylow_wreath_product,
 )
 
 
@@ -130,8 +132,8 @@ def _subspace_route_groups():
 
 
 def test_subspace_blocks_match_loop_oracle():
-    # orders 4, 9, 25, 27, 49, 81, 125 and 243 are not multiples of 8, so
-    # their mask rows carry packbits padding
+    # every order here but 64 and 128 is not a multiple of 64, so its mask
+    # rows carry leading zero bits up to a whole 64-bit word
     for group, p, k in _subspace_route_groups():
         lat = enumerate_subgroups(group)
         want = subspace_masks_by_loop(group, p, k)
@@ -142,7 +144,8 @@ def test_subspace_blocks_match_loop_oracle():
 
 
 def test_subspace_view_matches_its_mask_list():
-    # elem:3,5 has 243 elements, so its packed rows are 31 bytes wide
+    # elem:3,5 has 243 elements, so its packed rows are 32 bytes wide, the
+    # first 13 bits of each zero
     for p, k in [(3, 3), (3, 5)]:
         group = elementary_abelian_group(p, k)
         lat = enumerate_subgroups(group)
@@ -213,10 +216,10 @@ def test_analysis_leaves_every_block_but_the_hyperplanes_unsorted():
 
 def test_subspace_route_peak_memory():
     # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB) and peaks at
-    # 15.1 MiB with them: each pivot pattern's rows are written in place as
+    # 14.5 MiB with them: each pivot pattern's rows are written in place as
     # the AND of rows already written and an 8 KB table of kernels, and the
-    # largest pattern's 65,536 rows are bit-counted through a 2 MB
-    # temporary.
+    # largest order block's 200,787 rows are bit-counted through 0.8 MB of
+    # per-word counts and a 0.4 MB sum.
     # The rows live in their own mapping, which tracemalloc does not see, so
     # their bytes are added to the traced peak.
     group = elementary_abelian_group(2, 8)
@@ -374,6 +377,25 @@ def test_class_enumeration_matches_every_subgroup_oracle():
         assert set(masks) == every_subgroup_worklist(group), group.label
         want = descending_maximal_scan(group.order, lat.subgroups)
         assert [m.mask for m in maximal_subgroups(lat)] == [m.mask for m in want], group.label
+
+
+@pytest.mark.parametrize("name, classes, nonabelian", [("C2wrC2wrC2", 35, 25), ("C3wrC3", 8, 3), ("C2wrC4", 16, 8)])
+def test_sylow_wreath_product_subgroups_match_the_oracles(name, classes, nonabelian):
+    # nonabelian p-groups of orders 128, 81 and 64; C2 wr C2 wr C2 has 31
+    # fingerprints, and its census splits four of them in two
+    group = sylow_wreath_product(name)
+    kept = subgroup_classes(group)
+    assert (len(kept), sum(not g.is_abelian for g in kept)) == (classes, nonabelian)
+    assert np.array_equal(kept[-1].array, group.array)
+    for sub in kept:
+        lat = enumerate_subgroups(sub)
+        masks = [s.mask for s in lat.subgroups]
+        assert len(masks) == len(set(masks)), sub.label
+        assert set(masks) == every_subgroup_worklist(sub), sub.label
+        want = descending_maximal_scan(sub.order, lat.subgroups)
+        assert [m.mask for m in maximal_subgroups(lat)] == [m.mask for m in want], sub.label
+        profile = recognize(sub, lat)
+        assert profile.is_nilpotent and classify(sub, lat, profile).theorem_consistent, sub.label
 
 
 def test_one_representative_per_class_regenerates_its_mask():
@@ -643,11 +665,14 @@ def test_invariant_violation_survives_python_O():
     # three enumeration checks: elem:2,4 whose array sends 1*2 to 0, so
     # its coordinates reach 0 twice and 3 never, and a hyperplane's row
     # comes up short; elem:2,4 against a closed form that promises one
-    # subgroup of order 2 too many; and an unvalidated commutative order-5
-    # table in which 1*1 = 0, so {0, 1} is a subgroup.
+    # subgroup of order 2 too many; an unvalidated commutative order-5
+    # table in which 1*1 = 0, so {0, 1} is a subgroup; and elem:2,5 whose
+    # AND drops one bit of the first row of its rank-2 block, the third
+    # block written.
     code = textwrap.dedent(
         """
         from collections import Counter
+        import numpy
         import latsum.lattice
         from latsum import Group, GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, is_nilpotent
         from latsum.arith import gaussian_subgroup_count
@@ -687,6 +712,27 @@ def test_invariant_violation_survives_python_O():
                 enumerate_subgroups(group)
             except InvariantViolation as exc:
                 print("InvariantViolation:", exc)
+
+        class OneBitLost:
+            lost = False
+
+            def __getattr__(self, name):
+                return getattr(numpy, name)
+
+            def bitwise_and(self, rows, kernels, out):
+                numpy.bitwise_and(rows, kernels, out=out)
+                row = out[0, 0]
+                if not self.lost and numpy.bitwise_count(row).sum() == 4:
+                    j = row.nonzero()[0][0]
+                    row[j] &= row[j] - 1
+                    self.lost = True
+
+        latsum.lattice.gaussian_subgroup_count = gaussian_subgroup_count
+        latsum.lattice.np = OneBitLost()
+        try:
+            enumerate_subgroups(GroupSpec.parse("elem:2,5").build())
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
         """
     )
     status, out, err = run_python("-O", "-c", code)
@@ -699,6 +745,7 @@ def test_invariant_violation_survives_python_O():
         "InvariantViolation: a subspace of rank 3 in elem:2,4 does not have 8 elements",
         "InvariantViolation: subspace route found 15 subgroups of order 2, expected 16",
         "InvariantViolation: Lagrange violated on bogus-5: census {1: 1, 2: 1, 5: 1}",
+        "InvariantViolation: a subspace of rank 2 in elem:2,5 does not have 4 elements",
     ], enumeration
 
 
