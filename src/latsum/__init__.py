@@ -25,8 +25,6 @@ from .errors import (
     LimitTooLarge,
     NotAPGroup,
     NotAPermutation,
-    NotCoprime,
-    NotNormal,
     OrderCapExceeded,
     SearchCapExceeded,
 )
@@ -43,7 +41,6 @@ from .groups import (
     group_from_permutations,
     group_from_raw_table,
     is_normal,
-    quotient_group,
     semidirect_pq_group,
     symmetric_group,
 )
@@ -63,8 +60,6 @@ from .lattice import (
 )
 from .sigma import (
     Classification,
-    check_multiplicativity,
-    check_quotient_monotonicity,
     classify,
     sigma1,
     threshold,
@@ -88,8 +83,6 @@ __all__ = [
     "LimitTooLarge",
     "NotAPGroup",
     "NotAPermutation",
-    "NotCoprime",
-    "NotNormal",
     "OrderCapExceeded",
     "PQWitness",
     "SearchCapExceeded",
@@ -99,8 +92,6 @@ __all__ = [
     "analyze_group",
     "build_sieve",
     "build_witness",
-    "check_multiplicativity",
-    "check_quotient_monotonicity",
     "classify",
     "conjugates",
     "convergence_report",
@@ -121,7 +112,6 @@ __all__ = [
     "is_normal",
     "maximal_subgroups",
     "odd_part_inequality_scan",
-    "quotient_group",
     "rank_bound_exceeds_threshold",
     "recognize",
     "scan_threshold",

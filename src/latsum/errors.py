@@ -21,20 +21,12 @@ class InvalidTable(LatsumError):
     """A user-supplied multiplication table is not a valid group table."""
 
 
-class NotNormal(LatsumError):
-    """A quotient was requested by a subgroup that is not normal."""
-
-
 class LatticeTooLarge(LatsumError):
     """Subgroup enumeration exceeded the configured subgroup-count cap."""
 
 
 class NotAPGroup(LatsumError):
     """The operation requires a group of prime-power order."""
-
-
-class NotCoprime(LatsumError):
-    """The multiplicativity check requires pairwise coprime orders."""
 
 
 class SearchCapExceeded(LatsumError):

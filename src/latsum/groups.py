@@ -10,7 +10,6 @@ import math
 import re
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, repeat
-from pathlib import Path
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -21,7 +20,6 @@ from .errors import (
     InvalidTable,
     InvariantViolation,
     NotAPermutation,
-    NotNormal,
     OrderCapExceeded,
 )
 
@@ -320,8 +318,13 @@ def symmetric_group(m: int, label: str | None = None) -> Group:
     perms = np.array(list(permutations(range(m))), dtype=np.int8)
     # base-m codes of the one-line forms ascend in lexicographic order
     weights = m ** np.arange(m - 1, -1, -1)
-    products = perms[:, perms]  # [a, b, x] = pa[pb[x]]
-    return Group(np.searchsorted(perms @ weights, products @ weights), label or f"sym:{m}")
+    codes = perms @ weights
+    n = len(perms)
+    arr = np.empty((n, n), dtype=_index_dtype(n))
+    # row by row, so the int64 codes of the products take O(n m), not O(n^2 m)
+    for a, pa in enumerate(perms):
+        arr[a] = np.searchsorted(codes, pa[perms] @ weights)  # [b] is the code of pa[pb[x]]
+    return Group(arr, label or f"sym:{m}")
 
 
 def smallest_order_p_residue(p: int, q: int) -> int:
@@ -414,28 +417,6 @@ def group_from_permutations(
         w, i = found_as[b]
         columns[b] = right_index[i][columns[w]]
     return Group(columns.T.copy(), label or f"perm-closure(deg {degree})")
-
-
-def quotient_group(group: Group, normal_mask: int, label: str | None = None) -> Group:
-    """Quotient by the normal subgroup with the given membership bitmask.
-
-    Cosets are represented by their minimal member and indexed in ascending
-    representative order, which puts the identity coset at index 0.  Raises
-    NotNormal when ``is_normal`` finds the subgroup is not normal.
-    """
-    arr = group.array
-    members = _mask_members(normal_mask)
-    if not normal_mask & 1:
-        raise NotNormal("subgroup mask does not contain the identity")
-    if not is_normal(group, normal_mask):
-        raise NotNormal(f"subgroup of order {len(members)} is not normal in {group.label}")
-    coset_of = np.full(group.order, -1, dtype=arr.dtype)
-    reps: list[int] = []
-    for a in range(group.order):
-        if coset_of[a] < 0:
-            coset_of[arr[members, a]] = len(reps)
-            reps.append(a)
-    return Group(coset_of[arr[np.ix_(reps, reps)]], label or f"{group.label}/(order {len(members)})")
 
 
 # ---------------------------------------------------------------------------

@@ -6,23 +6,19 @@ because the classification hinges on deciding equality with 2 + 4/n.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Sequence
 
-from .arith import divisor_sigma
-from .errors import NotCoprime, NotNormal, OrderCapExceeded
-from .groups import DEFAULT_ORDER_CAP, Group, direct_product_group, quotient_group
+from .arith import divisor_sigma, factorize, rank_bound_exceeds_threshold
+from .errors import InvariantViolation
+from .groups import Group
 from .lattice import (
-    DEFAULT_MAX_SUBGROUPS,
     STRUCTURE_CYCLIC,
     STRUCTURE_S3,
     STRUCTURE_Z2XZ2,
     STRUCTURE_Z3XZ3,
     Lattice,
     StructuralProfile,
-    enumerate_subgroups,
 )
 
 VERDICT_BELOW = "BelowThreshold"
@@ -63,7 +59,11 @@ class Classification:
 
 def classify(group: Group, lat: Lattice, profile: StructuralProfile) -> Classification:
     """The verdict of ``group`` against 2 + 4/|G|; ``profile`` is
-    ``recognize(group, lat)``."""
+    ``recognize(group, lat)``.
+
+    Raises InvariantViolation when a non-cyclic p-group whose rank lemma
+    bound exceeds the threshold is not above it.
+    """
     value = sigma1(group, lat)
     cut = threshold(group.order)
     if value < cut:
@@ -72,6 +72,16 @@ def classify(group: Group, lat: Lattice, profile: StructuralProfile) -> Classifi
         verdict = VERDICT_AT
     else:
         verdict = VERDICT_ABOVE
+    p, k = profile.p_group_prime, profile.frattini_rank
+    # the paper's rank lemma bounds sigma1 of a non-cyclic p-group from below
+    # by its order and Frattini rank alone, never reading the census
+    if p is not None and not profile.is_cyclic and verdict != VERDICT_ABOVE:
+        n = factorize(group.order)[p]
+        if rank_bound_exceeds_threshold(p, n, k):
+            raise InvariantViolation(
+                f"rank lemma: {group.label} of order {p}^{n} and Frattini rank {k} lies above "
+                f"the threshold, but sigma1 = {value} is {verdict}"
+            )
     structure = profile.structure
     # structure recognition runs independently of the verdict; consistency is
     # then a real check, capable of falsifying the classification
@@ -92,45 +102,3 @@ def classify(group: Group, lat: Lattice, profile: StructuralProfile) -> Classifi
         sigma1=value,
         threshold=cut,
     )
-
-
-def check_multiplicativity(
-    parts: Sequence[Group],
-    max_order: int = DEFAULT_ORDER_CAP,
-    max_subgroups: int = DEFAULT_MAX_SUBGROUPS,
-) -> bool:
-    """Whether sigma1 of the direct product equals the product of the parts' values.
-
-    Requires pairwise coprime part orders; both sides are computed by full
-    lattice enumeration and compared exactly.
-    """
-    orders = [g.order for g in parts]
-    for i, a in enumerate(orders):
-        for b in orders[i + 1:]:
-            if math.gcd(a, b) != 1:
-                raise NotCoprime(f"orders {a} and {b} share a factor")
-    if math.prod(orders) > max_order:
-        raise OrderCapExceeded(f"product order {math.prod(orders)} exceeds {max_order}")
-    expected = Fraction(1)
-    for g in parts:
-        expected *= sigma1(g, enumerate_subgroups(g, max_subgroups))
-    product = direct_product_group(list(parts))
-    actual = sigma1(product, enumerate_subgroups(product, max_subgroups))
-    return actual == expected
-
-
-def check_quotient_monotonicity(
-    group: Group,
-    lat: Lattice,
-    max_subgroups: int = DEFAULT_MAX_SUBGROUPS,
-) -> bool:
-    """Whether sigma1(G) >= sigma1(G/N) holds for every normal subgroup N."""
-    bound = sigma1(group, lat)
-    for sub in lat.subgroups:
-        try:  # quotient_group makes the one normality test
-            quot = quotient_group(group, sub.mask)
-        except NotNormal:
-            continue
-        if sigma1(quot, enumerate_subgroups(quot, max_subgroups)) > bound:
-            return False
-    return True

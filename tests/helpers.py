@@ -6,12 +6,22 @@ import random
 import subprocess
 import sys
 from collections import Counter
+from fractions import Fraction
 from itertools import combinations, product
 from pathlib import Path
 
 import numpy as np
 
-from latsum import Group, Subgroup, enumerate_subgroups, group_from_permutations
+from latsum import (
+    Group,
+    Lattice,
+    Subgroup,
+    direct_product_group,
+    enumerate_subgroups,
+    group_from_permutations,
+    is_normal,
+    sigma1,
+)
 from latsum.corpus import group_fingerprint, subgroup_as_group
 from latsum.groups import _mask_members, conjugate_mask, generated_mask
 
@@ -185,6 +195,53 @@ def normalizer(group: Group, sub: Subgroup) -> Subgroup:
         if conjugate_mask(group, sub.mask, x) == sub.mask:
             mask |= 1 << x
     return Subgroup(mask)
+
+
+def quotient_group(group: Group, normal_mask: int) -> Group:
+    """Quotient by the normal subgroup with the given membership bitmask.
+
+    Cosets are represented by their minimal member and indexed in ascending
+    representative order, which puts the identity coset at index 0.  Raises
+    ValueError when the mask lacks the identity or ``is_normal`` finds the
+    subgroup is not normal.
+    """
+    arr = group.array
+    members = _mask_members(normal_mask)
+    if not normal_mask & 1:
+        raise ValueError("subgroup mask does not contain the identity")
+    if not is_normal(group, normal_mask):
+        raise ValueError(f"subgroup of order {len(members)} is not normal in {group.label}")
+    coset_of = np.full(group.order, -1, dtype=arr.dtype)
+    reps: list[int] = []
+    for a in range(group.order):
+        if coset_of[a] < 0:
+            coset_of[arr[members, a]] = len(reps)
+            reps.append(a)
+    return Group(coset_of[arr[np.ix_(reps, reps)]], f"{group.label}/(order {len(members)})")
+
+
+def check_multiplicativity(parts: list[Group]) -> bool:
+    """Whether sigma1 of the direct product equals the product of the parts'
+    values, each side from its own full enumeration; the part orders should
+    be pairwise coprime, or the two sides differ."""
+    expected = Fraction(1)
+    for g in parts:
+        expected *= sigma1(g, enumerate_subgroups(g))
+    product = direct_product_group(parts)
+    return sigma1(product, enumerate_subgroups(product)) == expected
+
+
+def check_quotient_monotonicity(group: Group, lat: Lattice) -> bool:
+    """Whether sigma1(G) >= sigma1(G/N) holds for every normal subgroup N."""
+    bound = sigma1(group, lat)
+    for sub in lat.subgroups:
+        try:  # quotient_group makes the one normality test
+            quot = quotient_group(group, sub.mask)
+        except ValueError:
+            continue
+        if sigma1(quot, enumerate_subgroups(quot)) > bound:
+            return False
+    return True
 
 
 def is_abelian_by_scan(group: Group) -> bool:

@@ -18,8 +18,6 @@ from latsum import (
     GroupSpec,
     build_sieve,
     build_witness,
-    check_multiplicativity,
-    check_quotient_monotonicity,
     classify,
     conjugates,
     convergence_report,
@@ -30,7 +28,6 @@ from latsum import (
     is_normal,
     maximal_subgroups,
     odd_part_inequality_scan,
-    quotient_group,
     recognize,
     scan_threshold,
     sigma1,
@@ -41,7 +38,13 @@ from latsum.corpus import DEFAULT_VERIFY_MAX_SUBGROUPS, build_default_corpus
 from latsum.lattice import all_maximals_normal, sylow_decomposition
 from latsum.sigma import VERDICT_AT, VERDICT_BELOW
 
-from helpers import is_normal_by_conjugation, normalizer, trial_division_sigma
+from helpers import (
+    check_multiplicativity,
+    check_quotient_monotonicity,
+    is_normal_by_conjugation,
+    normalizer,
+    trial_division_sigma,
+)
 from make_golden_lattices import GOLDEN_PATH, lattice_record
 
 

@@ -1,7 +1,9 @@
+import ast
 import hashlib
 import json
 import subprocess
 import time
+from pathlib import Path
 
 import pytest
 
@@ -587,3 +589,32 @@ def test_unexpected_exception_exits_5_not_1(capsys, monkeypatch):
     )
     assert code == 5
     assert "RuntimeError: injected" in err
+
+
+def test_every_public_definition_has_a_caller():
+    # a public top-level function or class must be named as code outside its
+    # own definition: in another part of src/latsum (the re-exports of
+    # __init__.py do not count) or in the benchmark's perfbench/*.py
+    repo = Path(__file__).parents[1]
+    package = repo / "src" / "latsum"
+    referenced: set[str] = set()
+    defined: dict[str, str] = {}
+    for path in [*package.glob("*.py"), *(repo / "perfbench").glob("*.py")]:
+        if path == package / "__init__.py":
+            continue
+        for stmt in ast.parse(path.read_text()).body:
+            names: set[str] = set()
+            for node in ast.walk(stmt):
+                if isinstance(node, ast.Name):
+                    names.add(node.id)
+                elif isinstance(node, ast.Attribute):
+                    names.add(node.attr)
+                elif isinstance(node, ast.ImportFrom):
+                    names.update(alias.name for alias in node.names)
+            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
+                names.discard(stmt.name)
+                if path.parent == package and not stmt.name.startswith("_"):
+                    defined[stmt.name] = path.name
+            referenced |= names
+    assert len(defined) > 50
+    assert {name: module for name, module in defined.items() if name not in referenced} == {}

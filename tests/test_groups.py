@@ -1,3 +1,4 @@
+import hashlib
 import math
 import random
 import tracemalloc
@@ -13,7 +14,6 @@ from latsum import (
     InvalidSpec,
     InvalidTable,
     NotAPermutation,
-    NotNormal,
     OrderCapExceeded,
     cyclic_group,
     dihedral_group,
@@ -23,7 +23,6 @@ from latsum import (
     group_from_permutations,
     group_from_raw_table,
     is_normal,
-    quotient_group,
     semidirect_pq_group,
     symmetric_group,
 )
@@ -39,6 +38,7 @@ from helpers import (
     naive_permutation_closure,
     permutation_table_by_composition,
     power,
+    quotient_group,
     relabelled,
     swap_intercalate,
 )
@@ -133,6 +133,37 @@ def test_symmetric():
     assert max(g.element_orders()) == 4
 
 
+# sha256 of symmetric_group(m).array as little-endian int16: the element
+# numbering of sym:m, which the corpus labels and the verify digest rest on
+SYMMETRIC_ARRAY_SHA256 = {
+    1: "96a296d224f285c67bee93c30f8a309157f0daa35dc5b87e410b78630a09cfc7",
+    2: "d4591cb6ac4aec034ec1ffa1cabfbeab608a54a1d4de06bde427fe7ff7ff7e47",
+    3: "b010f7c5a4fb881ba4e6f736a547d1a487eddb6a57f371e20659bb6c0cce4422",
+    4: "3887b43148f002d148e396101fd3cac23671fb620e2f64bd194ca6a351cbf5a4",
+    5: "ee5272bd3fad050213f147cdcf73cda771be35fad4b55fd23529d2b8d71eab23",
+    6: "c12f0651d95dea1cc73406d9b46e1e6b24858ee9346e9e24ad16156ba6556b2f",
+}
+
+
+def test_symmetric_arrays_keep_their_bytes():
+    for m, want in SYMMETRIC_ARRAY_SHA256.items():
+        array = symmetric_group(m).array
+        assert hashlib.sha256(array.astype("<i2").tobytes()).hexdigest() == want, m
+
+
+def test_symmetric_build_peak_memory():
+    # sym:6 keeps a 1 MB int16 array and 4 MB of shared-int rows; the whole
+    # (720, 720, 6) gather widened to int64 for the codes peaked at 31 MB
+    tracemalloc.start()
+    try:
+        group = symmetric_group(6)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert group.order == 720
+    assert peak < 8 << 20, peak
+
+
 def test_permutation_closure_sizes():
     g = group_from_permutations(3, [(1, 2, 0), (1, 0, 2)])
     assert g.order == 6
@@ -195,15 +226,15 @@ def test_quotient_rejects_non_normal():
     g = semidirect_pq_group(2, 3)
     lat = enumerate_subgroups(g)
     sub = lat.subgroups_of_order(2)[0]
-    with pytest.raises(NotNormal):
+    with pytest.raises(ValueError, match="not normal"):
         quotient_group(g, sub.mask)
+    with pytest.raises(ValueError, match="identity"):
+        quotient_group(g, sub.mask & ~1)
 
 
 def test_quotient_order_multiplies_back():
     g = dihedral_group(6)
     lat = enumerate_subgroups(g)
-    from latsum import is_normal
-
     for sub in lat.subgroups:
         if is_normal(g, sub.mask):
             assert quotient_group(g, sub.mask).order * sub.order == g.order

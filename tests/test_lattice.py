@@ -668,13 +668,18 @@ def test_invariant_violation_survives_python_O():
     # subgroup of order 2 too many; an unvalidated commutative order-5
     # table in which 1*1 = 0, so {0, 1} is a subgroup; and elem:2,5 whose
     # AND drops one bit of the first row of its rank-2 block, the third
-    # block written.
+    # block written.  Last, elem:2,3 with its real profile but a lattice of
+    # just the trivial group and itself: sigma1 = 9/8 is below the
+    # threshold, which the rank lemma forbids for rank 3 and order 2^3.
     code = textwrap.dedent(
         """
         from collections import Counter
         import numpy
         import latsum.lattice
-        from latsum import Group, GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, is_nilpotent
+        from latsum import (
+            Group, GroupSpec, InvariantViolation, Lattice, Subgroup, classify, enumerate_subgroups, is_nilpotent,
+            recognize,
+        )
         from latsum.arith import gaussian_subgroup_count
         from helpers import descending_maximal_scan
 
@@ -733,11 +738,20 @@ def test_invariant_violation_survives_python_O():
             enumerate_subgroups(GroupSpec.parse("elem:2,5").build())
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
+
+        latsum.lattice.np = numpy
+        elem = GroupSpec.parse("elem:2,3").build()
+        profile = recognize(elem, enumerate_subgroups(elem))
+        ends = Lattice(group=elem, subgroups=[Subgroup(1), Subgroup(255)], census={1: 1, 8: 1})
+        try:
+            classify(elem, ends, profile)
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
         """
     )
     status, out, err = run_python("-O", "-c", code)
     assert status == 0, err
-    first, second, third, *enumeration = out.splitlines()
+    first, second, third, *enumeration, rank_lemma = out.splitlines()
     assert first == "debug False maximal orders [3]"
     assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
     assert third == "InvariantViolation: element order 3 does not divide 4", third
@@ -747,6 +761,10 @@ def test_invariant_violation_survives_python_O():
         "InvariantViolation: Lagrange violated on bogus-5: census {1: 1, 2: 1, 5: 1}",
         "InvariantViolation: a subspace of rank 2 in elem:2,5 does not have 4 elements",
     ], enumeration
+    assert rank_lemma == (
+        "InvariantViolation: rank lemma: elem:2,3 of order 2^3 and Frattini rank 3 lies above the threshold, "
+        "but sigma1 = 9/8 is BelowThreshold"
+    ), rank_lemma
 
 
 def test_non_normal_maximals_self_normalize():
