@@ -15,6 +15,7 @@ from .arith import (
     odd_part_inequality_scan,
     rank_bound_exceeds_threshold,
     scan_threshold,
+    threshold,
 )
 from .errors import (
     InvalidSpec,
@@ -58,12 +59,7 @@ from .lattice import (
     recognize,
     sylow_decomposition,
 )
-from .sigma import (
-    Classification,
-    classify,
-    sigma1,
-    threshold,
-)
+from .sigma import Classification, classify, sigma1
 
 __version__ = "0.1.0"
 

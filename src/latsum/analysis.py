@@ -12,16 +12,16 @@ from typing import Sequence
 from .corpus import CorpusEntry
 from .errors import InvariantViolation, OrderCapExceeded
 from .groups import DEFAULT_ORDER_CAP, Group, GroupSpec
-from .lattice import (
-    DEFAULT_MAX_SUBGROUPS,
+from .lattice import DEFAULT_MAX_SUBGROUPS, StructuralProfile, enumerate_subgroups, recognize
+from .sigma import (
     STRUCTURE_CYCLIC,
     STRUCTURE_OTHER,
     STRUCTURE_S3,
-    StructuralProfile,
-    enumerate_subgroups,
-    recognize,
+    VERDICT_AT,
+    VERDICT_BELOW,
+    Classification,
+    classify,
 )
-from .sigma import VERDICT_AT, VERDICT_BELOW, Classification, classify
 
 DISPLAY_DIGITS = 12
 
@@ -58,10 +58,6 @@ class AnalysisReport:
             raise InvariantViolation(f"census {self.census} of {self.label} does not sum to {self.subgroup_count}")
 
     @property
-    def verdict(self) -> str:
-        return self.classification.verdict
-
-    @property
     def structure_label(self) -> str:
         """Canonical structure name used for threshold-hit reporting."""
         if self.classification.structure == STRUCTURE_CYCLIC:
@@ -89,7 +85,7 @@ class AnalysisReport:
                 "is_p_group": self.profile.is_p_group,
                 "p_group_prime": self.profile.p_group_prime,
                 "frattini_rank": self.profile.frattini_rank,
-                "recognized_as": self.profile.recognized_as,
+                "recognized_as": self.classification.recognized_as,
             },
         }
         if include_timing:
@@ -150,11 +146,11 @@ class VerificationSummary:
 
     @property
     def below_reports(self) -> list[AnalysisReport]:
-        return [r for r in self.reports if r.verdict == VERDICT_BELOW]
+        return [r for r in self.reports if r.classification.verdict == VERDICT_BELOW]
 
     @property
     def at_reports(self) -> list[AnalysisReport]:
-        return [r for r in self.reports if r.verdict == VERDICT_AT]
+        return [r for r in self.reports if r.classification.verdict == VERDICT_AT]
 
     @property
     def at_structures(self) -> set[str]:
@@ -170,10 +166,10 @@ class VerificationSummary:
         }
         for r in self.reports:
             counts["classification_consistent"][0 if r.classification.theorem_consistent else 1] += 1
-            if r.verdict == VERDICT_BELOW:
+            if r.classification.verdict == VERDICT_BELOW:
                 counts["below_implies_nilpotent"][0 if r.profile.is_nilpotent else 1] += 1
-            elif r.verdict == VERDICT_AT:
-                ok = r.profile.is_nilpotent or r.profile.structure == STRUCTURE_S3
+            elif r.classification.verdict == VERDICT_AT:
+                ok = r.profile.is_nilpotent or r.classification.structure == STRUCTURE_S3
                 counts["at_implies_nilpotent_or_s3"][0 if ok else 1] += 1
         return {name: {"pass": p, "fail": f} for name, (p, f) in counts.items()}
 

@@ -209,19 +209,23 @@ def odd_part_inequality_scan(limit: int, sieve: SigmaSieve | None = None) -> Odd
     return OddPartScanReport(limit=limit, checked=len(range(3, limit + 1, 2)), violations=tuple(violations))
 
 
+def threshold(n: int) -> Fraction:
+    """The classification threshold 2 + 4/n."""
+    return Fraction(2) + Fraction(4, n)
+
+
 def rank_bound_exceeds_threshold(p: int, n: int, k: int) -> bool:
     """Evaluate the subgroup-order lower bound for a rank-k group of order p^n.
 
-    Returns True when the bound strictly exceeds the threshold 2 + 4/p^n,
-    i.e. when a non-cyclic group with these parameters cannot sit at or
-    below the threshold.  k is the minimal generator count (rank of the
-    quotient by the Frattini subgroup); requires k >= 2 and n >= k.
+    Returns True when the bound strictly exceeds ``threshold(p**n)``, i.e.
+    when a non-cyclic group with these parameters cannot sit at or below
+    the threshold.  k is the minimal generator count (rank of the quotient
+    by the Frattini subgroup); requires k >= 2 and n >= k.
     """
     if not is_prime(p):
         raise ValueError(f"p must be prime, got {p}")
     if k < 2 or n < k:
         raise ValueError(f"need 2 <= k <= n, got k={k}, n={n}")
-    threshold = Fraction(2) + Fraction(4, p ** n)
     if k >= 3:
         # trivial subgroup, the rank-many smallest and largest proper layers, and the group
         a1 = (p**k - 1) // (p - 1)
@@ -231,4 +235,4 @@ def rank_bound_exceeds_threshold(p: int, n: int, k: int) -> bool:
     else:
         # k == n == 2: the exact value for the rank-2 group of order p^2
         bound = Fraction(1 + (p + 1) * p + p * p, p * p)
-    return bound > threshold
+    return bound > threshold(p**n)

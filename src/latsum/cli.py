@@ -97,7 +97,7 @@ def _print_report(report: AnalysisReport, as_json: bool) -> None:
     print(f"sigma1         {c.sigma1} (~{decimal_display(c.sigma1)})")
     print(f"threshold      {c.threshold} (2 + 4/{report.order})")
     print(f"verdict        {c.verdict}")
-    print(f"structure      {c.structure} (recognized: {p.recognized_as})")
+    print(f"structure      {c.structure} (recognized: {c.recognized_as})")
     flags = []
     for name, value in [
         ("cyclic", p.is_cyclic),

@@ -44,21 +44,18 @@ def dirichlet_search(p: int, search_cap: int | None = None) -> int:
 
 @dataclass
 class PQWitness:
-    """One member of the convergent family: the closed form, and the lattice
-    view when the member was enumerated."""
+    """One member of the convergent family: the closed form, and the verdict
+    when the member was enumerated; ``build_witness`` checks the rest."""
 
     index: int
     p: int
     q: int
     sigma1_formula: Fraction
-    sigma1_lattice: Fraction | None
-    census: dict[int, int] | None
-    nilpotent: bool | None
     verdict: str | None
 
     @property
     def enumerated(self) -> bool:
-        return self.census is not None
+        return self.verdict is not None
 
     @property
     def excess(self) -> Fraction:
@@ -77,7 +74,8 @@ def build_witness(
     When p*q fits under the order cap the group is built and analyzed, and
     the closed forms are checked: the census must be {1: 1, p: q, q: 1, pq: 1},
     the lattice sum must equal the closed form, and the group must not be
-    nilpotent.  Larger members keep the closed-form value only.
+    nilpotent; each check raises InvariantViolation, and the witness keeps
+    only the verdict.  Larger members keep the closed-form value only.
     """
     if index < 1:
         raise ValueError(f"witness index must be >= 1, got {index}")
@@ -85,7 +83,7 @@ def build_witness(
     q = dirichlet_search(p, search_cap)
     formula = 2 + Fraction(1 + Fraction(1, q), p)
     if p * q > max_order:
-        return PQWitness(index, p, q, formula, None, None, None, None)
+        return PQWitness(index, p, q, formula, None)
     report = analyze_group(semidirect_pq_group(p, q), max_subgroups)
     census, value, nilpotent = report.census, report.classification.sigma1, report.profile.is_nilpotent
     if census != {1: 1, p: q, q: 1, p * q: 1}:
@@ -94,7 +92,7 @@ def build_witness(
         raise InvariantViolation(f"lattice sigma1 {value} != formula {formula}")
     if nilpotent:
         raise InvariantViolation(f"pq-group of order {p * q} must not be nilpotent")
-    return PQWitness(index, p, q, formula, value, census, nilpotent, report.verdict)
+    return PQWitness(index, p, q, formula, report.classification.verdict)
 
 
 @dataclass(frozen=True)

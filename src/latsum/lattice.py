@@ -17,21 +17,6 @@ from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_nor
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
-# The structure names classify() reports, each mapped to the name that
-# recognize() reports in ``recognized_as``: one name table for both.
-STRUCTURE_CYCLIC = "Cyclic"
-STRUCTURE_Z2XZ2 = "Z2xZ2"
-STRUCTURE_Z3XZ3 = "Z3xZ3"
-STRUCTURE_S3 = "S3"
-STRUCTURE_OTHER = "Other"
-RECOGNIZED_AS = {
-    STRUCTURE_CYCLIC: "CyclicN",
-    STRUCTURE_Z2XZ2: "Z2xZ2",
-    STRUCTURE_Z3XZ3: "Z3xZ3",
-    STRUCTURE_S3: "S3",
-    STRUCTURE_OTHER: "None",
-}
-
 
 class Subgroup:
     """Subgroup of a fixed parent group, stored as a membership bitmask.
@@ -552,43 +537,32 @@ def is_nilpotent(group: Group, lat: Lattice) -> bool:
 
 @dataclass(frozen=True)
 class StructuralProfile:
-    """Structure flags plus recognition of the four named target groups."""
+    """The structure flags that the group and its lattice decide;
+    ``p_group_prime`` and ``frattini_rank`` are None unless |G| is a prime
+    power.  Which structure of the classification theorem G has is
+    ``classify``'s to say."""
 
     is_cyclic: bool
     is_abelian: bool
     is_nilpotent: bool
-    is_p_group: bool
     p_group_prime: int | None
     frattini_rank: int | None
-    structure: str
 
     @property
-    def recognized_as(self) -> str:
-        return RECOGNIZED_AS[self.structure]
+    def is_p_group(self) -> bool:
+        return self.p_group_prime is not None
 
 
 def recognize(group: Group, lat: Lattice) -> StructuralProfile:
-    """Fill all structure flags; recognition uses exact finite criteria only."""
-    n = group.order
-    cyclic = group.is_cyclic
-    abelian = group.is_abelian
+    """The structure flags of ``group``, from exact finite criteria only:
+    the Frattini rank reads the recorded maximals, and nilpotency is the
+    three-way vote of ``is_nilpotent``."""
     p = group.p_group_prime()
     rank = frattini_rank(group, lat) if p is not None else None
-    structure = STRUCTURE_OTHER
-    if cyclic:
-        structure = STRUCTURE_CYCLIC
-    elif n == 4 and group.exponent() == 2:
-        structure = STRUCTURE_Z2XZ2
-    elif n == 9 and group.exponent() == 3:
-        structure = STRUCTURE_Z3XZ3
-    elif n == 6 and not abelian:
-        structure = STRUCTURE_S3
     return StructuralProfile(
-        is_cyclic=cyclic,
-        is_abelian=abelian,
+        is_cyclic=group.is_cyclic,
+        is_abelian=group.is_abelian,
         is_nilpotent=is_nilpotent(group, lat),
-        is_p_group=p is not None,
         p_group_prime=p,
         frattini_rank=rank,
-        structure=structure,
     )

@@ -1,4 +1,4 @@
-"""Exact subgroup-order sums and classification against the 2 + 4/n threshold.
+"""Exact subgroup-order sums and the classification theorem against 2 + 4/n.
 
 Everything here is exact rational arithmetic; there is no tolerance anywhere,
 because the classification hinges on deciding equality with 2 + 4/n.
@@ -9,21 +9,31 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .arith import divisor_sigma, factorize, rank_bound_exceeds_threshold
+from .arith import divisor_sigma, factorize, rank_bound_exceeds_threshold, threshold
 from .errors import InvariantViolation
 from .groups import Group
-from .lattice import (
-    STRUCTURE_CYCLIC,
-    STRUCTURE_S3,
-    STRUCTURE_Z2XZ2,
-    STRUCTURE_Z3XZ3,
-    Lattice,
-    StructuralProfile,
-)
+from .lattice import Lattice, StructuralProfile
 
 VERDICT_BELOW = "BelowThreshold"
 VERDICT_AT = "AtThreshold"
 VERDICT_ABOVE = "AboveThreshold"
+
+STRUCTURE_CYCLIC = "Cyclic"
+STRUCTURE_Z2XZ2 = "Z2xZ2"
+STRUCTURE_Z3XZ3 = "Z3xZ3"
+STRUCTURE_S3 = "S3"
+STRUCTURE_OTHER = "Other"
+
+# The classification theorem: each structure, the name ``flags.recognized_as``
+# prints for it, and the verdict it forces.  A cyclic group of order n has
+# none fixed: it takes the sign of sigma(n) - (2n + 4).
+THEOREM = {
+    STRUCTURE_CYCLIC: ("CyclicN", None),
+    STRUCTURE_Z2XZ2: ("Z2xZ2", VERDICT_BELOW),
+    STRUCTURE_Z3XZ3: ("Z3xZ3", VERDICT_AT),
+    STRUCTURE_S3: ("S3", VERDICT_AT),
+    STRUCTURE_OTHER: ("None", VERDICT_ABOVE),
+}
 
 
 def sigma1(group: Group, lat: Lattice) -> Fraction:
@@ -32,22 +42,32 @@ def sigma1(group: Group, lat: Lattice) -> Fraction:
     return Fraction(total, group.order)
 
 
-def threshold(n: int) -> Fraction:
-    """The classification threshold 2 + 4/n."""
-    return Fraction(2) + Fraction(4, n)
+def _verdict(value, cut) -> str:
+    """The verdict of ``value`` against ``cut``, by the sign of their difference."""
+    return VERDICT_BELOW if value < cut else VERDICT_AT if value == cut else VERDICT_ABOVE
+
+
+def _structure(group: Group, profile: StructuralProfile) -> str:
+    """Which of the paper's named groups ``group`` is, by exact finite criteria."""
+    if profile.is_cyclic:
+        return STRUCTURE_CYCLIC
+    if group.order == 4 and group.exponent() == 2:
+        return STRUCTURE_Z2XZ2
+    if group.order == 9 and group.exponent() == 3:
+        return STRUCTURE_Z3XZ3
+    if group.order == 6 and not profile.is_abelian:
+        return STRUCTURE_S3
+    return STRUCTURE_OTHER
 
 
 @dataclass(frozen=True)
 class Classification:
-    """Verdict of a group against the threshold, with its recognized structure.
+    """Verdict of a group against the threshold, and the row of ``THEOREM``
+    its structure falls in.
 
-    ``theorem_consistent`` records whether the (verdict, structure) pair is
-    one the classification theorem permits: below the threshold only cyclic
-    groups with sigma(n) < 2n + 4 and the rank-2 group of order 4; at the
-    threshold only cyclic groups with sigma(n) = 2n + 4, the rank-2 group of
-    order 9, and the nonabelian group of order 6.  The check is two-sided:
-    a group whose structure predicts one verdict but lands at another is
-    flagged inconsistent.
+    ``theorem_consistent`` records whether the verdict is the one that row
+    forces.  The check is two-sided: a group whose structure forces one
+    verdict but lands at another is flagged inconsistent.
     """
 
     verdict: str
@@ -56,22 +76,23 @@ class Classification:
     sigma1: Fraction
     threshold: Fraction
 
+    @property
+    def recognized_as(self) -> str:
+        return THEOREM[self.structure][0]
+
 
 def classify(group: Group, lat: Lattice, profile: StructuralProfile) -> Classification:
-    """The verdict of ``group`` against 2 + 4/|G|; ``profile`` is
-    ``recognize(group, lat)``.
+    """The verdict of ``group`` against 2 + 4/|G| and the structure it is
+    recognized as; ``profile`` is ``recognize(group, lat)``.
 
+    The verdict reads sigma1 from the census, while the structure reads
+    only the group and its profile, so the theorem check is a real one.
     Raises InvariantViolation when a non-cyclic p-group whose rank lemma
     bound exceeds the threshold is not above it.
     """
     value = sigma1(group, lat)
     cut = threshold(group.order)
-    if value < cut:
-        verdict = VERDICT_BELOW
-    elif value == cut:
-        verdict = VERDICT_AT
-    else:
-        verdict = VERDICT_ABOVE
+    verdict = _verdict(value, cut)
     p, k = profile.p_group_prime, profile.frattini_rank
     # the paper's rank lemma bounds sigma1 of a non-cyclic p-group from below
     # by its order and Frattini rank alone, never reading the census
@@ -82,23 +103,12 @@ def classify(group: Group, lat: Lattice, profile: StructuralProfile) -> Classifi
                 f"rank lemma: {group.label} of order {p}^{n} and Frattini rank {k} lies above "
                 f"the threshold, but sigma1 = {value} is {verdict}"
             )
-    structure = profile.structure
-    # structure recognition runs independently of the verdict; consistency is
-    # then a real check, capable of falsifying the classification
-    if structure == STRUCTURE_CYCLIC:
-        n = group.order
-        diff = divisor_sigma(n) - (2 * n + 4)
-        predicted = VERDICT_BELOW if diff < 0 else VERDICT_AT if diff == 0 else VERDICT_ABOVE
-    elif structure == STRUCTURE_Z2XZ2:
-        predicted = VERDICT_BELOW
-    elif structure in (STRUCTURE_Z3XZ3, STRUCTURE_S3):
-        predicted = VERDICT_AT
-    else:
-        predicted = VERDICT_ABOVE
+    structure = _structure(group, profile)
+    forced = THEOREM[structure][1] or _verdict(divisor_sigma(group.order), 2 * group.order + 4)
     return Classification(
         verdict=verdict,
         structure=structure,
-        theorem_consistent=(predicted == verdict),
+        theorem_consistent=(forced == verdict),
         sigma1=value,
         threshold=cut,
     )

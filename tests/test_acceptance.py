@@ -16,6 +16,7 @@ import pytest
 from latsum import (
     Group,
     GroupSpec,
+    analyze_group,
     build_sieve,
     build_witness,
     classify,
@@ -30,6 +31,7 @@ from latsum import (
     odd_part_inequality_scan,
     recognize,
     scan_threshold,
+    semidirect_pq_group,
     sigma1,
 )
 from latsum.analysis import AnalysisReport, EntryResult, VerificationSummary
@@ -164,7 +166,7 @@ def test_criterion_4_below_threshold_nilpotent(corpus_objects):
         if cls.verdict == VERDICT_BELOW:
             assert profile.is_nilpotent, label
         elif cls.verdict == VERDICT_AT:
-            assert profile.is_nilpotent or profile.recognized_as == "S3", label
+            assert profile.is_nilpotent or cls.recognized_as == "S3", label
     # further restatements over the same corpus: the only non-cyclic group
     # below the threshold is the rank-2 group of order 4, and the only
     # nonabelian group at the threshold is the order-6 one; groups with
@@ -219,9 +221,11 @@ def test_criterion_7_convergent_family():
         assert w.sigma1_formula == 2 + Fraction(1 + Fraction(1, w.q), w.p)
         if w.p * w.q <= 2000:
             assert w.enumerated
-            assert w.sigma1_lattice == w.sigma1_formula
-            assert w.census == {1: 1, w.p: w.q, w.q: 1, w.p * w.q: 1}
-            assert w.nilpotent is False
+            report = analyze_group(semidirect_pq_group(w.p, w.q))
+            assert report.classification.sigma1 == w.sigma1_formula
+            assert report.census == {1: 1, w.p: w.q, w.q: 1, w.p * w.q: 1}
+            assert report.profile.is_nilpotent is False
+            assert report.classification.verdict == w.verdict
     report = convergence_report(100, max_order=1)
     assert len(report.rows) == 100
     for row in report.rows:

@@ -408,6 +408,130 @@ def test_sigma_scan_json_matches_pinned_digest(capsys):
     assert hashlib.sha256(data).hexdigest() == "10c15e533a54bd46f1e3f9b49016cd89be0bb58b5bb9930011733fb5ddc37de8"
 
 
+# `latsum analyze SPEC` as printed, less its `time` line
+ANALYZE_TEXT = {
+    "cyclic:12": """\
+group          cyclic:12
+order          12
+subgroups      6
+census         {1: 1, 2: 1, 3: 1, 4: 1, 6: 1, 12: 1}
+sigma1         7/3 (~2.333333333333)
+threshold      7/3 (2 + 4/12)
+verdict        AtThreshold
+structure      Cyclic (recognized: CyclicN)
+flags          cyclic, abelian, nilpotent
+consistent     True
+""",
+    "elem:2,2": """\
+group          elem:2,2
+order          4
+subgroups      5
+census         {1: 1, 2: 3, 4: 1}
+sigma1         11/4 (~2.750000000000)
+threshold      3 (2 + 4/4)
+verdict        BelowThreshold
+structure      Z2xZ2 (recognized: Z2xZ2)
+flags          non-cyclic, abelian, nilpotent, 2-group(rank 2)
+consistent     True
+""",
+    "elem:3,2": """\
+group          elem:3,2
+order          9
+subgroups      6
+census         {1: 1, 3: 4, 9: 1}
+sigma1         22/9 (~2.444444444444)
+threshold      22/9 (2 + 4/9)
+verdict        AtThreshold
+structure      Z3xZ3 (recognized: Z3xZ3)
+flags          non-cyclic, abelian, nilpotent, 3-group(rank 2)
+consistent     True
+""",
+    "pq:2,3": """\
+group          pq:2,3
+order          6
+subgroups      6
+census         {1: 1, 2: 3, 3: 1, 6: 1}
+sigma1         8/3 (~2.666666666667)
+threshold      8/3 (2 + 4/6)
+verdict        AtThreshold
+structure      S3 (recognized: S3)
+flags          non-cyclic, non-abelian, non-nilpotent
+consistent     True
+""",
+    "dihedral:4": """\
+group          dihedral:4
+order          8
+subgroups      10
+census         {1: 1, 2: 5, 4: 3, 8: 1}
+sigma1         31/8 (~3.875000000000)
+threshold      5/2 (2 + 4/8)
+verdict        AboveThreshold
+structure      Other (recognized: None)
+flags          non-cyclic, non-abelian, nilpotent, 2-group(rank 2)
+consistent     True
+""",
+}
+
+
+@pytest.mark.parametrize("spec", sorted(ANALYZE_TEXT))
+def test_analyze_text_is_pinned(capsys, spec):
+    code, out, _ = run_cli(capsys, "analyze", spec)
+    assert code == 0
+    *lines, time_line = out.splitlines(keepends=True)
+    assert time_line.startswith("time           ") and time_line.endswith(" ms\n")
+    assert "".join(lines) == ANALYZE_TEXT[spec]
+
+
+def test_sequence_json_matches_pinned_digest(capsys):
+    code, out, _ = run_cli(capsys, "sequence", "8", "--json")
+    assert code == 0
+    assert hashlib.sha256(out.encode()).hexdigest() == "acc62112c43d4f99db9e2b0c5540559407b38f6f3928b592490c08ab3a3dad03"
+
+
+def test_sequence_text_is_pinned(capsys):
+    code, out, _ = run_cli(capsys, "sequence", "8")
+    assert code == 0
+    assert out == """\
+  n      p        q       sigma1          decimal   sigma1-2 enum
+  1      2        3          8/3   2.666666666667        2/3 yes
+  2      3        7        50/21   2.380952380952       8/21 yes
+  3      5       11       122/55   2.218181818182      12/55 yes
+  4      7       29      436/203   2.147783251232     30/203 yes
+  5     11       23      530/253   2.094861660079     24/253 yes
+  6     13       53     1432/689   2.078374455733     54/689 yes
+  7     17      103    3606/1751   2.059394631639   104/1751 yes
+  8     19      191    7450/3629   2.052907136952   192/3629 no
+observed strictly decreasing: True
+"""
+
+
+def test_verify_text_is_pinned(capsys):
+    code, out, err = run_cli(
+        capsys,
+        "verify",
+        "--cyclic-max", "20", "--elem-max", "9", "--dihedral-max", "4",
+        "--pq-max", "21", "--ambient-sym", "3", "--workers", "1",
+    )
+    assert (code, err) == (0, "")
+    below = (
+        "cyclic:1, cyclic:10, cyclic:11, cyclic:13, cyclic:14, cyclic:15, cyclic:16, cyclic:17, cyclic:18, "
+        "cyclic:19, cyclic:2, cyclic:20, cyclic:3, cyclic:4, cyclic:5, cyclic:6, cyclic:7, cyclic:8, cyclic:9, "
+        "dihedral:1, dihedral:2, elem:2,2, sym2-sub000-ord1, sym2-sub001-ord2, sym3-sub004-ord3"
+    )
+    assert out == f"""\
+corpus size        35
+errors             0
+inconsistent       0
+classification_consistent          pass    35   fail 0
+below_implies_nilpotent            pass    25   fail 0
+at_implies_nilpotent_or_s3         pass     5   fail 0
+below threshold    25: {below}
+at threshold       5: cyclic:12, dihedral:3, elem:3,2, pq:2,3, sym3-sub005-ord6
+at structures      Cyclic(12), S3, Z3xZ3
+note               cyclic at-threshold hits are artifact-derived witnesses
+"""
+
+
 def test_sigma_scan_limit_errors(capsys):
     code, _, _ = run_cli(capsys, "sigma-scan", "0")
     assert code == 2
@@ -591,17 +715,23 @@ def test_unexpected_exception_exits_5_not_1(capsys, monkeypatch):
     assert "RuntimeError: injected" in err
 
 
+def _program_files() -> tuple[Path, list[Path]]:
+    """(the package directory, every .py file of src/latsum but __init__.py
+    and of the benchmark's perfbench/)."""
+    repo = Path(__file__).parents[1]
+    package = repo / "src" / "latsum"
+    paths = [*package.glob("*.py"), *(repo / "perfbench").glob("*.py")]
+    return package, [path for path in paths if path != package / "__init__.py"]
+
+
 def test_every_public_definition_has_a_caller():
     # a public top-level function or class must be named as code outside its
     # own definition: in another part of src/latsum (the re-exports of
     # __init__.py do not count) or in the benchmark's perfbench/*.py
-    repo = Path(__file__).parents[1]
-    package = repo / "src" / "latsum"
+    package, paths = _program_files()
     referenced: set[str] = set()
     defined: dict[str, str] = {}
-    for path in [*package.glob("*.py"), *(repo / "perfbench").glob("*.py")]:
-        if path == package / "__init__.py":
-            continue
+    for path in paths:
         for stmt in ast.parse(path.read_text()).body:
             names: set[str] = set()
             for node in ast.walk(stmt):
@@ -618,3 +748,54 @@ def test_every_public_definition_has_a_caller():
             referenced |= names
     assert len(defined) > 50
     assert {name: module for name, module in defined.items() if name not in referenced} == {}
+
+
+def test_every_dataclass_field_is_read():
+    # a field of a public dataclass in src/latsum must be read as an attribute
+    # somewhere in src/latsum (the re-exports of __init__.py do not count) or
+    # in perfbench/*.py: a stored value that no code reads is a second copy
+    # of a fact, or none at all
+    package, paths = _program_files()
+    read: set[str] = set()
+    fields: list[str] = []
+    for path in paths:
+        tree = ast.parse(path.read_text())
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load):
+                read.add(node.attr)
+        if path.parent != package:
+            continue
+        for stmt in tree.body:
+            if not isinstance(stmt, ast.ClassDef) or stmt.name.startswith("_"):
+                continue
+            decorators = [d.func if isinstance(d, ast.Call) else d for d in stmt.decorator_list]
+            if not any(isinstance(d, ast.Name) and d.id == "dataclass" for d in decorators):
+                continue
+            fields += [
+                f"{stmt.name}.{item.target.id}"
+                for item in stmt.body
+                if isinstance(item, ast.AnnAssign) and isinstance(item.target, ast.Name)
+            ]
+    assert len(fields) > 40
+    assert [field for field in fields if field.split(".")[1] not in read] == []
+
+
+def test_no_unused_imports():
+    # every name a src/latsum module imports is used in that module;
+    # __init__.py imports to re-export, so it is left out
+    package, paths = _program_files()
+    unused = {}
+    for path in paths:
+        if path.parent != package:
+            continue
+        tree = ast.parse(path.read_text())
+        imported: set[str] = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Import):
+                imported.update((alias.asname or alias.name).split(".")[0] for alias in node.names)
+            elif isinstance(node, ast.ImportFrom) and node.module != "__future__":
+                imported.update(alias.asname or alias.name for alias in node.names)
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        if imported - used:
+            unused[path.name] = sorted(imported - used)
+    assert unused == {}

@@ -1,8 +1,16 @@
+from dataclasses import astuple
 from fractions import Fraction
 
 import pytest
 
-from latsum import SearchCapExceeded, build_witness, convergence_report, dirichlet_search
+from latsum import (
+    SearchCapExceeded,
+    analyze_group,
+    build_witness,
+    convergence_report,
+    dirichlet_search,
+    semidirect_pq_group,
+)
 from latsum.families import default_search_cap
 
 
@@ -33,18 +41,20 @@ def test_first_witness_is_order_six():
     w = build_witness(1)
     assert (w.p, w.q) == (2, 3)
     assert w.sigma1_formula == Fraction(8, 3)
-    assert w.enumerated and w.sigma1_lattice == Fraction(8, 3)
-    assert w.census == {1: 1, 2: 3, 3: 1, 6: 1}
-    assert w.verdict == "AtThreshold"
-    assert w.nilpotent is False
+    report = analyze_group(semidirect_pq_group(w.p, w.q))
+    assert w.enumerated and report.classification.sigma1 == Fraction(8, 3)
+    assert report.census == {1: 1, 2: 3, 3: 1, 6: 1}
+    assert w.verdict == report.classification.verdict == "AtThreshold"
+    assert report.profile.is_nilpotent is False
 
 
 def test_second_witness_values():
     w = build_witness(2)
     assert (w.p, w.q) == (3, 7)
     assert w.sigma1_formula == 2 + Fraction(8, 21) == Fraction(50, 21)
-    assert w.census == {1: 1, 3: 7, 7: 1, 21: 1}
-    assert w.verdict == "AboveThreshold"
+    report = analyze_group(semidirect_pq_group(w.p, w.q))
+    assert report.census == {1: 1, 3: 7, 7: 1, 21: 1}
+    assert w.verdict == report.classification.verdict == "AboveThreshold"
 
 
 def test_third_witness_formula():
@@ -57,7 +67,8 @@ def test_witness_skips_enumeration_above_cap():
     w = build_witness(4, max_order=100)  # order 203 stays formula-only
     assert not w.enumerated
     assert w.sigma1_formula == 2 + Fraction(30, 203)
-    assert w.census is None and w.sigma1_lattice is None and w.verdict is None
+    # the witness holds no lattice fact: only the closed form and a verdict of None
+    assert astuple(w) == (4, 7, 29, 2 + Fraction(30, 203), None)
 
 
 def test_witness_index_validation():

@@ -671,6 +671,9 @@ def test_invariant_violation_survives_python_O():
     # block written.  Last, elem:2,3 with its real profile but a lattice of
     # just the trivial group and itself: sigma1 = 9/8 is below the
     # threshold, which the rank lemma forbids for rank 3 and order 2^3.
+    # Then build_witness(1), the group of order 6, with its analysis
+    # doctored three ways: a census one subgroup short, sigma1 off by 1/6,
+    # and the group called nilpotent.
     code = textwrap.dedent(
         """
         from collections import Counter
@@ -747,11 +750,32 @@ def test_invariant_violation_survives_python_O():
             classify(elem, ends, profile)
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
+
+        import dataclasses
+        from fractions import Fraction
+        import latsum.families
+
+        analyze_group = latsum.families.analyze_group
+        doctors = [
+            lambda r: dataclasses.replace(r, census={**r.census, 2: 2}, subgroup_count=r.subgroup_count - 1),
+            lambda r: dataclasses.replace(
+                r, classification=dataclasses.replace(r.classification, sigma1=r.classification.sigma1 + Fraction(1, 6))
+            ),
+            lambda r: dataclasses.replace(r, profile=dataclasses.replace(r.profile, is_nilpotent=True)),
+        ]
+        for doctor in doctors:
+            latsum.families.analyze_group = lambda group, *args: doctor(analyze_group(group, *args))
+            try:
+                latsum.families.build_witness(1)
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
+            else:
+                print("build_witness(1) raised nothing")
         """
     )
     status, out, err = run_python("-O", "-c", code)
     assert status == 0, err
-    first, second, third, *enumeration, rank_lemma = out.splitlines()
+    first, second, third, *enumeration, rank_lemma, census, sigma, nilpotent = out.splitlines()
     assert first == "debug False maximal orders [3]"
     assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
     assert third == "InvariantViolation: element order 3 does not divide 4", third
@@ -765,6 +789,9 @@ def test_invariant_violation_survives_python_O():
         "InvariantViolation: rank lemma: elem:2,3 of order 2^3 and Frattini rank 3 lies above the threshold, "
         "but sigma1 = 9/8 is BelowThreshold"
     ), rank_lemma
+    assert census == "InvariantViolation: unexpected census for p=2, q=3: {1: 1, 2: 2, 3: 1, 6: 1}", census
+    assert sigma == "InvariantViolation: lattice sigma1 17/6 != formula 8/3", sigma
+    assert nilpotent == "InvariantViolation: pq-group of order 6 must not be nilpotent", nilpotent
 
 
 def test_non_normal_maximals_self_normalize():
@@ -846,21 +873,21 @@ def test_is_nilpotent_raises_when_both_lattice_criteria_are_wrong(monkeypatch):
 
 
 def test_recognize():
-    g, lat = lat_of("cyclic:6")
-    prof = recognize(g, lat)
-    assert prof.is_cyclic and prof.recognized_as == "CyclicN"
-    g, lat = lat_of("pq:2,3")
-    assert recognize(g, lat).recognized_as == "S3"
-    g, lat = lat_of("elem:3,2")
-    prof = recognize(g, lat)
-    assert prof.recognized_as == "Z3xZ3" and prof.is_abelian and not prof.is_cyclic
-    g, lat = lat_of("elem:2,2")
-    assert recognize(g, lat).recognized_as == "Z2xZ2"
-    g, lat = lat_of("dihedral:2")  # order-4 group with exponent 2
-    assert recognize(g, lat).recognized_as == "Z2xZ2"
-    g, lat = lat_of("dihedral:4")
-    prof = recognize(g, lat)
-    assert prof.recognized_as == "None" and prof.is_p_group and prof.frattini_rank == 2
+    # recognize decides the flags; classify names the group from them
+    def recognized(spec):
+        g, lat = lat_of(spec)
+        prof = recognize(g, lat)
+        return prof, classify(g, lat, prof).recognized_as
+
+    prof, name = recognized("cyclic:6")
+    assert prof.is_cyclic and name == "CyclicN"
+    assert recognized("pq:2,3")[1] == "S3"
+    prof, name = recognized("elem:3,2")
+    assert name == "Z3xZ3" and prof.is_abelian and not prof.is_cyclic
+    assert recognized("elem:2,2")[1] == "Z2xZ2"
+    assert recognized("dihedral:2")[1] == "Z2xZ2"  # order-4 group with exponent 2
+    prof, name = recognized("dihedral:4")
+    assert name == "None" and prof.is_p_group and prof.frattini_rank == 2
 
 
 def test_intersection_closure_sampled():

@@ -13,14 +13,16 @@ from latsum import (
     verify_classification,
 )
 import latsum.analysis as analysis
-from latsum.lattice import (
+from latsum.sigma import (
     STRUCTURE_CYCLIC,
     STRUCTURE_OTHER,
     STRUCTURE_S3,
     STRUCTURE_Z2XZ2,
     STRUCTURE_Z3XZ3,
+    VERDICT_ABOVE,
+    VERDICT_AT,
+    VERDICT_BELOW,
 )
-from latsum.sigma import VERDICT_ABOVE, VERDICT_AT, VERDICT_BELOW
 
 from helpers import check_multiplicativity, check_quotient_monotonicity, quotient_group, trial_division_sigma
 
@@ -136,7 +138,7 @@ def test_verify_classification_named_trio():
     ]
     summary = verify_classification(entries)
     assert not summary.inconsistent
-    verdicts = {r.label: r.verdict for r in summary.reports}
+    verdicts = {r.label: r.classification.verdict for r in summary.reports}
     assert verdicts == {
         "elem:2,2": VERDICT_BELOW,
         "elem:3,2": VERDICT_AT,
