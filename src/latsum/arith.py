@@ -106,11 +106,6 @@ class SigmaSieve:
     limit: int
     table: np.ndarray = field(repr=False)
 
-    def sigma(self, n: int) -> int:
-        if not 1 <= n <= self.limit:
-            raise ValueError(f"n={n} outside sieve range 1..{self.limit}")
-        return int(self.table[n])
-
 
 def build_sieve(limit: int) -> SigmaSieve:
     """Compute sigma(n) for all n <= limit with a divisor-pair sieve, 4 bytes per integer.

@@ -79,15 +79,18 @@ def ambient_subgroup_entries(max_degree: int, max_order: int = DEFAULT_ORDER_CAP
     """All distinct subgroups of the symmetric groups up to ``max_degree``,
     as standalone groups, deduplicated by fingerprint.
 
-    Each symmetric group is checked against ``max_order`` before its table
-    is allocated, and raises OrderCapExceeded above it.
+    Each ambient lattice is numbered in (order, mask) order, which fixes
+    the ``sym{m}-sub{i:03d}`` labels and the member kept for each
+    fingerprint whatever order the enumeration gives inside an order
+    block.  Each symmetric group is checked against ``max_order`` before
+    its table is allocated, and raises OrderCapExceeded above it.
     """
     entries: list[CorpusEntry] = []
     seen: set[tuple] = set()
     for m in range(2, max_degree + 1):
         ambient = GroupSpec("sym", (m,)).build(max_order)
         lat = enumerate_subgroups(ambient, DEFAULT_MAX_SUBGROUPS)
-        for i, sub in enumerate(lat.subgroups):
+        for i, sub in enumerate(sorted(lat.subgroups, key=lambda s: (s.order, s.mask))):
             label = f"sym{m}-sub{i:03d}-ord{sub.order}"
             group = subgroup_as_group(ambient, sub, label)
             key = group_fingerprint(group)

@@ -21,20 +21,17 @@ DEFAULT_MAX_SUBGROUPS = 100_000
 class Subgroup:
     """Subgroup of a fixed parent group, stored as a membership bitmask.
 
-    Bit a of ``mask`` is set exactly when element a belongs to the subgroup;
-    ``gens`` is an optional small generating set kept to speed up closures.
-    The worklist route sets it on class representatives only.  The subspace
-    route keeps its masks packed in one numpy array and makes a Subgroup,
-    with no ``gens``, each time ``Lattice.subgroups`` is read, so two reads
-    of the same position give equal but distinct objects.
+    Bit a of ``mask`` is set exactly when element a belongs to the subgroup.
+    The subspace route keeps its masks packed in one numpy array and makes
+    a Subgroup each time ``Lattice.subgroups`` is read, so two reads of the
+    same position give equal but distinct objects.
     """
 
-    __slots__ = ("mask", "order", "gens")
+    __slots__ = ("mask", "order")
 
-    def __init__(self, mask: int, gens: tuple[int, ...] | None = None):
+    def __init__(self, mask: int):
         self.mask = mask
         self.order = mask.bit_count()
-        self.gens = gens
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Subgroup) and other.mask == self.mask
@@ -50,44 +47,26 @@ class Subgroup:
 
 
 class _MaskView(Sequence):
-    """Read-only Subgroup sequence over packed masks: row i of the uint8
+    """Subgroup sequence over packed masks: row i of the read-only uint8
     array is mask i, big-endian, with leading zero bytes up to a whole
     number of 64-bit words, and an index, a slice or an iteration makes a
-    Subgroup from each row it reads; a slice is a list.
+    Subgroup from each row it reads; a slice is a list.  A read never
+    writes."""
 
-    ``unsorted`` maps the first row of each order block not yet sorted to
-    that block's rows viewed as fixed-width bytes (numpy dtype S), which
-    sort as the unsigned ints they encode.  A read first sorts, in place, every such
-    block it reaches, so rows read in canonical order while a block nobody
-    reads is never sorted.  The sort writes on a read, so a view is not for
-    reading from two threads at once."""
+    __slots__ = ("_rows",)
 
-    __slots__ = ("_rows", "_unsorted")
-
-    def __init__(self, rows: np.ndarray, unsorted: dict[int, np.ndarray]):
+    def __init__(self, rows: np.ndarray):
         self._rows = rows
-        self._unsorted = unsorted
 
     def __len__(self) -> int:
         return len(self._rows)
 
-    def _sort_reached(self, lo: int, hi: int) -> None:
-        """Sort each unsorted block holding a row in lo..hi."""
-        for first in [f for f, block in self._unsorted.items() if f <= hi and lo < f + len(block)]:
-            self._unsorted.pop(first).sort()
-
     def __getitem__(self, i):
-        # range indexing raises IndexError and resolves negative indexes and steps as the rows do
-        reads = range(len(self._rows))[i]
         if isinstance(i, slice):
-            if reads:
-                self._sort_reached(*sorted((reads[0], reads[-1])))
             return [_row_subgroup(row) for row in self._rows[i]]
-        self._sort_reached(reads, reads)
-        return _row_subgroup(self._rows[reads])
+        return _row_subgroup(self._rows[i])
 
     def __iter__(self):
-        self._sort_reached(0, len(self._rows) - 1)
         return map(_row_subgroup, self._rows)
 
 
@@ -105,25 +84,25 @@ def _mapped_rows(rows: int, width: int) -> np.ndarray:
 
 
 def _row_subgroup(row: np.ndarray) -> Subgroup:
-    # read the uint8 row, never an S item: numpy strips an S item's trailing NUL bytes
     return Subgroup(int.from_bytes(row.tobytes(), "big"))
 
 
 @dataclass
 class Lattice:
-    """All subgroups of a group, canonically sorted by (order, mask).
+    """All subgroups of a group, in blocks of ascending order.
 
-    ``subgroups`` is a plain list on the worklist route and, on the
-    subspace route, a read-only view over one uint8 array of packed
-    big-endian mask rows, whose order blocks each sort in place when a
-    read first reaches them, so every read sees canonical order.
-    ``census`` maps each order, ascending, to its number of subgroups;
-    ``subgroups_of_order`` reads its block straight from the census
-    offsets, so a lattice built by hand must keep ``subgroups``
-    canonically sorted and its census matching.
-    ``maximals`` holds the maximal subgroups in the same order,
-    as ``enumerate_subgroups`` records them; a lattice built by hand may
-    leave it None, and ``maximal_subgroups`` then refuses it.
+    ``census`` maps each order, ascending, to its number of subgroups, and
+    ``subgroups`` holds one block per census entry, in census order, each
+    as long as its count; ``subgroups_of_order`` reads its block straight
+    from the census offsets, so a lattice built by hand must keep its
+    blocks matching its census.  Inside a block, subgroups keep the
+    deterministic order in which their route found them; no reader may
+    assume more.  ``subgroups`` is a plain list on the worklist route and,
+    on the subspace route, a view over one read-only uint8 array of packed
+    big-endian mask rows.
+    ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
+    records them; a lattice built by hand may leave it None, and
+    ``maximal_subgroups`` then refuses it.
     """
 
     group: Group
@@ -141,10 +120,6 @@ class Lattice:
                 return list(self.subgroups[start : start + count])
             start += count
         return []
-
-    @property
-    def trivial(self) -> Subgroup:
-        return self.subgroups[0]
 
     @property
     def full(self) -> Subgroup:
@@ -185,7 +160,7 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     K - H holds it; either step finds <H, y>, of order p|H| < |G|.
 
     Elementary abelian groups of rank >= 2 instead take the subspace
-    route, which produces the identical lattice but scales to the rank-8
+    route, which finds the same subgroups but scales to the rank-8
     case over GF(2).  It allocates one uint8 array, in a prefaulted
     anonymous mapping of its own, with a row of 8 * ceil(|G|/64) bytes, a
     whole number of 64-bit words, for each of the closed-form number of
@@ -198,21 +173,19 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     these ANDs straight into the rows of block r, one pivot pattern at a
     time, from the rows of the pattern with one pivot fewer, which are
     already in block r + 1.  Once a block's last pattern is written, its
-    rows' set bits are counted, once per block, over 64-bit words.  Each
-    packed row is big-endian and fixed-width, so a block sorts in place in
-    numpy as the unsigned ints it encodes, and only the worklist route's
-    result needs sorting in Python.  Only the hyperplane block is sorted
-    here; every other block sorts when a read of ``subgroups`` first
-    reaches it, so a block nobody reads is never sorted.  ``subgroups`` is
-    a read-only view over the array that makes each Subgroup when it is
-    read, and the census is the closed-form count of each order block.
-    Its maximal subgroups, the hyperplanes of order |G|/p, are the one
-    block made into Subgroup objects.  The two routes are cross-checked in
-    the test suite.
+    rows' set bits are counted, once per block, over 64-bit words, and
+    once the last block is counted the array becomes read-only.
+    ``subgroups`` is a view over the array that makes each Subgroup when
+    it is read, and the census is the closed-form count of each order
+    block.  Its maximal subgroups, the hyperplanes of order |G|/p, are the
+    one block made into Subgroup objects.  The two routes are
+    cross-checked in the test suite.
 
-    On the worklist route only class representatives keep ``gens``; the
-    other subgroups, and every subgroup from the subspace route, carry
-    None.  Raises LatticeTooLarge when the subgroup count exceeds
+    Inside each order block (see ``Lattice``) the subgroups come in
+    discovery order on the worklist route and in pivot-pattern order on
+    the subspace route, and the maximals in the order they were recorded.
+
+    Raises LatticeTooLarge when the subgroup count exceeds
     ``max_subgroups``; the subspace route checks its closed-form count
     before it allocates anything.  Raises InvariantViolation when some
     order does not divide |G| (both routes), and on the subspace route
@@ -223,47 +196,43 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
-        packed, unsorted, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
-        subs = _MaskView(packed, unsorted)
+        packed, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
+        subs = _MaskView(packed)
     else:
         subs, maximals = _enumerate_worklist(group, max_subgroups)
-        subs.sort(key=_canonical)
-        maximals.sort(key=_canonical)
+        subs.sort(key=lambda s: s.order)
         census = dict(sorted(Counter(s.order for s in subs).items()))
     if any(group.order % order for order in census):
         raise InvariantViolation(f"Lagrange violated on {group.label}: census {census}")
     return Lattice(group=group, subgroups=subs, census=census, maximals=maximals)
 
 
-def _canonical(sub: Subgroup) -> tuple[int, int]:
-    return (sub.order, sub.mask)
-
-
 def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
     """(every subgroup, the maximal subgroups), extending one subgroup per
     class by one walk per uncovered element x: the powers of x, then the
     cells h*x^j that extend H to <H, x>.  H is maximal when every
-    extension found from it is the whole group."""
+    extension found from it is the whole group.  Each queue entry carries
+    the generators of its class representative, from which the closures
+    of its extensions start."""
     table = group.table
     n = group.order
     full_mask = (1 << n) - 1
     abelian = group.is_abelian
     seen: dict[int, Subgroup] = {}
-    work: list[tuple[Subgroup, list[Subgroup]]] = []
+    work: list[tuple[Subgroup, tuple[int, ...], list[Subgroup]]] = []
 
-    def add_class(sub: Subgroup, orbit: list[Subgroup]) -> None:
-        # seen stays closed under conjugation, so the whole class is new;
-        # the orbit holds sub itself, the one member that keeps its gens
+    def add_class(sub: Subgroup, gens: tuple[int, ...], orbit: list[Subgroup]) -> None:
+        # seen stays closed under conjugation, so the whole class is new
         for c in orbit:
             seen[c.mask] = c
         if len(seen) > max_subgroups:
             raise LatticeTooLarge(f"more than {max_subgroups} subgroups")
-        work.append((sub, orbit))
+        work.append((sub, gens, orbit))
 
-    trivial = Subgroup(1, ())
-    add_class(trivial, [trivial])
+    trivial = Subgroup(1)
+    add_class(trivial, (), [trivial])
     maximals: list[Subgroup] = []
-    for sub, orbit in work:  # also visits the classes appended below
+    for sub, gens, orbit in work:  # also visits the classes appended below
         if sub.mask == full_mask:
             continue
         members = sub.members()
@@ -286,15 +255,15 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
             for c in cells:
                 covered[c] = 1
             if not abelian:
-                new_mask = generated_mask(group, sub.gens + (x,), seed_mask=sub.mask)
+                new_mask = generated_mask(group, gens + (x,), seed_mask=sub.mask)
             elif is_prime(k):
                 # every j < k is coprime to k: the cells are <H, x> - H
                 new_mask = sub.mask | sum(1 << c for c in cells)
             else:
                 continue  # Hx^j has composite order k in G/H: no prime step
             if new_mask not in seen:
-                new = Subgroup(new_mask, sub.gens + (x,))
-                add_class(new, [new] if abelian else conjugates(group, new))
+                new = Subgroup(new_mask)
+                add_class(new, gens + (x,), [new] if abelian else conjugates(group, new))
             maximal = maximal and new_mask == full_mask
         if maximal:
             maximals.extend(orbit)
@@ -320,11 +289,10 @@ def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
 
 def _enumerate_elementary_abelian(
     group: Group, p: int, k: int, max_subgroups: int
-) -> tuple[np.ndarray, dict[int, np.ndarray], dict[int, int], list[Subgroup]]:
+) -> tuple[np.ndarray, dict[int, int], list[Subgroup]]:
     """(every subspace's mask as one packed row, grouped into order blocks
-    by rank, each block left unsorted as an S view keyed by its first row,
-    the census, the hyperplanes), written straight into one preallocated
-    array; only the hyperplane block is sorted here.
+    by rank, the census, the hyperplanes), written straight into one
+    preallocated array that is read-only once every block is checked.
 
     A rank-r subspace W of GF(p)^k is the intersection of the kernels of
     a basis of its annihilator W°, and W -> W° is a bijection onto the
@@ -338,7 +306,8 @@ def _enumerate_elementary_abelian(
     with the kernel of each row headed at c.  Each row is 8 * ceil(|G|/64)
     bytes, so a block is also a uint64 array, and its set bits are counted
     word by word once the block is written and before the next block
-    reads it."""
+    reads it.  Inside a block the rows keep the order in which their pivot
+    patterns were written."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
@@ -377,7 +346,6 @@ def _enumerate_elementary_abelian(
     # one form of rank 0 has the whole group as its kernel: the low |G| bits
     packed[-1] = np.frombuffer(((1 << group.order) - 1).to_bytes(nbytes, "big"), dtype=np.uint8)
     patterns = {(): (total - 1, 1)}
-    unsorted: dict[int, np.ndarray] = {}
     for r in range(k - 1, -1, -1):
         pos = starts[r]  # rows written so far
         for pivots in combinations(range(k), k - r):
@@ -412,12 +380,9 @@ def _enumerate_elementary_abelian(
             elements += column
         if (elements != p**r).any():
             raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
-        # fixed-width big-endian rows sort as the unsigned ints they encode
-        unsorted[starts[r]] = block.view(f"S{nbytes}")[:, 0]
+    packed.flags.writeable = False
     census = {p**r: counts[r] for r in range(k + 1)}
-    hyperplanes = starts[k - 1]
-    unsorted.pop(hyperplanes).sort()
-    return packed, unsorted, census, [_row_subgroup(row) for row in packed[hyperplanes : starts[k]]]
+    return packed, census, [_row_subgroup(row) for row in packed[starts[k - 1] : starts[k]]]
 
 
 # ---------------------------------------------------------------------------
@@ -426,7 +391,8 @@ def _enumerate_elementary_abelian(
 
 
 def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
-    """All distinct conjugates of ``sub``, canonically sorted."""
+    """All distinct conjugates of ``sub``: ``sub`` itself first, then the
+    others in the order the walk under the generating set finds them."""
     seen = {sub.mask: sub}
     frontier = [sub.mask]
     while frontier:
@@ -438,12 +404,12 @@ def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
                     seen[c] = Subgroup(c)
                     nxt.append(c)
         frontier = nxt
-    return sorted(seen.values(), key=lambda s: s.mask)
+    return list(seen.values())
 
 
 def maximal_subgroups(lat: Lattice) -> list[Subgroup]:
     """Proper subgroups with nothing strictly between them and the group,
-    sorted by (order, mask), as ``enumerate_subgroups`` recorded them.
+    in the order in which ``enumerate_subgroups`` recorded them.
 
     Raises LatsumError on a lattice that carries no recorded maximals.
     """

@@ -393,19 +393,18 @@ def power(group: Group, a: int, k: int) -> int:
 
 
 def subgroup_generators(group: Group, sub: Subgroup) -> tuple[int, ...]:
-    """Generators for ``sub``, computing and caching a greedy set if absent."""
-    if sub.gens is None:
-        gens: tuple[int, ...] = ()
-        span = 1
-        for a in sub.members():
-            if span >> a & 1:
-                continue
-            gens = gens + (a,)
-            span = generated_mask(group, gens)
-            if span == sub.mask:
-                break
-        sub.gens = gens
-    return sub.gens
+    """A greedy generating set of ``sub``: each member not yet in the span
+    of those before it, until they span ``sub``."""
+    gens: tuple[int, ...] = ()
+    span = 1
+    for a in sub.members():
+        if span >> a & 1:
+            continue
+        gens = gens + (a,)
+        span = generated_mask(group, gens)
+        if span == sub.mask:
+            break
+    return gens
 
 
 # The Sylow 2-subgroup of S8 and Sylow 3-subgroup of S9, which are iterated
@@ -438,7 +437,7 @@ def subgroup_classes(group: Group) -> list[Group]:
 
     The census of H counts the subgroups of ``group`` that H contains; it
     keeps apart subgroups that the element orders alone would merge."""
-    subs = list(enumerate_subgroups(group).subgroups)
+    subs = sorted(enumerate_subgroups(group).subgroups, key=lambda s: (s.order, s.mask))
     kept: dict[tuple, Group] = {}
     for i, sub in enumerate(subs):
         census = Counter(k.order for k in subs if k.mask & sub.mask == k.mask)

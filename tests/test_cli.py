@@ -724,30 +724,59 @@ def _program_files() -> tuple[Path, list[Path]]:
     return package, [path for path in paths if path != package / "__init__.py"]
 
 
+def _names_used(node: ast.AST) -> tuple[set[str], set[str]]:
+    """(the names, attribute names and imported names in ``node``, less the
+    name of each function or class inside its own definition; the attribute
+    names alone, on the same terms)."""
+    names: set[str] = set()
+    attributes: set[str] = set()
+    for child in ast.iter_child_nodes(node):
+        child_names, child_attributes = _names_used(child)
+        names |= child_names
+        attributes |= child_attributes
+    if isinstance(node, ast.Name):
+        names.add(node.id)
+    elif isinstance(node, ast.Attribute):
+        names.add(node.attr)
+        attributes.add(node.attr)
+    elif isinstance(node, ast.ImportFrom):
+        names.update(alias.name for alias in node.names)
+    elif isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+        names.discard(node.name)
+        attributes.discard(node.name)
+    return names, attributes
+
+
 def test_every_public_definition_has_a_caller():
     # a public top-level function or class must be named as code outside its
-    # own definition: in another part of src/latsum (the re-exports of
-    # __init__.py do not count) or in the benchmark's perfbench/*.py
+    # own definition, and a public method or property of a public class must
+    # be read as an attribute there: in another part of src/latsum (the
+    # re-exports of __init__.py do not count) or in the benchmark's
+    # perfbench/*.py
     package, paths = _program_files()
     referenced: set[str] = set()
+    read: set[str] = set()
     defined: dict[str, str] = {}
+    methods: dict[str, str] = {}
     for path in paths:
-        for stmt in ast.parse(path.read_text()).body:
-            names: set[str] = set()
-            for node in ast.walk(stmt):
-                if isinstance(node, ast.Name):
-                    names.add(node.id)
-                elif isinstance(node, ast.Attribute):
-                    names.add(node.attr)
-                elif isinstance(node, ast.ImportFrom):
-                    names.update(alias.name for alias in node.names)
-            if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
-                names.discard(stmt.name)
-                if path.parent == package and not stmt.name.startswith("_"):
-                    defined[stmt.name] = path.name
-            referenced |= names
-    assert len(defined) > 50
-    assert {name: module for name, module in defined.items() if name not in referenced} == {}
+        tree = ast.parse(path.read_text())
+        names, attributes = _names_used(tree)
+        referenced |= names
+        read |= attributes
+        if path.parent != package:
+            continue
+        for stmt in tree.body:
+            if not isinstance(stmt, (ast.FunctionDef, ast.ClassDef)) or stmt.name.startswith("_"):
+                continue
+            defined[stmt.name] = path.name
+            if isinstance(stmt, ast.ClassDef):
+                for item in stmt.body:
+                    if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
+                        methods[f"{stmt.name}.{item.name}"] = path.name
+    assert len(defined) > 50 and len(methods) >= 28
+    unused = {name: module for name, module in defined.items() if name not in referenced}
+    unused |= {name: module for name, module in methods.items() if name.split(".")[1] not in read}
+    assert unused == {}
 
 
 def test_every_dataclass_field_is_read():

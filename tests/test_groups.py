@@ -13,6 +13,7 @@ from latsum import (
     GroupSpec,
     InvalidSpec,
     InvalidTable,
+    Lattice,
     NotAPermutation,
     OrderCapExceeded,
     cyclic_group,
@@ -26,7 +27,8 @@ from latsum import (
     semidirect_pq_group,
     symmetric_group,
 )
-from latsum.corpus import build_default_corpus, group_fingerprint, subgroup_as_group
+import latsum.corpus
+from latsum.corpus import ambient_subgroup_entries, build_default_corpus, group_fingerprint, subgroup_as_group
 from latsum.groups import group_from_perm_file, parse_cycles, smallest_order_p_residue
 
 from helpers import (
@@ -487,6 +489,20 @@ def test_fingerprint_classes_of_symmetric_subgroups_share_one_census():
             censuses.setdefault(group_fingerprint(group), set()).add(census)
     assert len(censuses) == 29
     assert all(len(found) == 1 for found in censuses.values())
+
+
+def test_ambient_entries_do_not_depend_on_the_order_inside_an_order_block(monkeypatch):
+    # the labels and the member kept for each fingerprint follow (order,
+    # mask) order, which the lattice does not promise inside a block
+    want = ambient_subgroup_entries(5)
+
+    def reversed_blocks(group, *args):
+        lat = enumerate_subgroups(group, *args)
+        subs = [s for order in lat.census for s in reversed(lat.subgroups_of_order(order))]
+        return Lattice(group=group, subgroups=subs, census=lat.census, maximals=lat.maximals)
+
+    monkeypatch.setattr(latsum.corpus, "enumerate_subgroups", reversed_blocks)
+    assert ambient_subgroup_entries(5) == want
 
 
 def test_generating_set_spans():
