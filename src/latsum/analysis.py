@@ -5,7 +5,6 @@ from __future__ import annotations
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
-from decimal import ROUND_HALF_EVEN, Decimal, localcontext
 from fractions import Fraction
 from typing import Sequence
 
@@ -27,13 +26,12 @@ DISPLAY_DIGITS = 12
 
 
 def decimal_display(value: Fraction) -> str:
-    """Fixed-point rendering to ``DISPLAY_DIGITS`` places (round-half-even);
-    for human eyes only, never compared."""
-    with localcontext() as ctx:
-        ctx.prec = DISPLAY_DIGITS + len(str(value.numerator // value.denominator)) + 2
-        quantum = Decimal(1).scaleb(-DISPLAY_DIGITS)
-        d = Decimal(value.numerator) / Decimal(value.denominator)
-        return str(d.quantize(quantum, rounding=ROUND_HALF_EVEN))
+    """Fixed-point rendering of a nonnegative value (every sigma1 is at
+    least 1) to ``DISPLAY_DIGITS`` places, rounded half to even from the
+    exact value; for human eyes only, never compared."""
+    scale = 10**DISPLAY_DIGITS
+    whole, fraction = divmod(round(value * scale), scale)
+    return f"{whole}.{fraction:0{DISPLAY_DIGITS}d}"
 
 
 def fraction_dict(value: Fraction) -> dict[str, str]:
@@ -56,15 +54,6 @@ class AnalysisReport:
     def __post_init__(self):
         if sum(self.census.values()) != self.subgroup_count:
             raise InvariantViolation(f"census {self.census} of {self.label} does not sum to {self.subgroup_count}")
-
-    @property
-    def structure_label(self) -> str:
-        """Canonical structure name used for threshold-hit reporting."""
-        if self.classification.structure == STRUCTURE_CYCLIC:
-            return f"Cyclic({self.order})"
-        if self.classification.structure == STRUCTURE_OTHER:
-            return f"Other({self.label})"
-        return self.classification.structure
 
     def to_dict(self, include_timing: bool = True) -> dict:
         out = {
@@ -128,66 +117,59 @@ class EntryResult:
 
 @dataclass
 class VerificationSummary:
-    """Outcome of classifying a whole corpus against the threshold."""
+    """Outcome of classifying a whole corpus against the threshold; the
+    results are kept in label order, whatever order they came in."""
 
     results: list[EntryResult]
 
-    @property
-    def reports(self) -> list[AnalysisReport]:
-        return [r.report for r in self.results if r.report is not None]
-
-    @property
-    def errors(self) -> list[EntryResult]:
-        return [r for r in self.results if r.error is not None]
-
-    @property
-    def inconsistent(self) -> list[AnalysisReport]:
-        return [r for r in self.reports if not r.classification.theorem_consistent]
-
-    @property
-    def below_reports(self) -> list[AnalysisReport]:
-        return [r for r in self.reports if r.classification.verdict == VERDICT_BELOW]
-
-    @property
-    def at_reports(self) -> list[AnalysisReport]:
-        return [r for r in self.reports if r.classification.verdict == VERDICT_AT]
-
-    @property
-    def at_structures(self) -> set[str]:
-        """Distinct structures observed exactly at the threshold."""
-        return {r.structure_label for r in self.at_reports}
-
-    def property_counts(self) -> dict[str, dict[str, int]]:
-        """Pass/fail tallies for each verified statement."""
-        counts = {
-            "classification_consistent": [0, 0],
-            "below_implies_nilpotent": [0, 0],
-            "at_implies_nilpotent_or_s3": [0, 0],
-        }
-        for r in self.reports:
-            counts["classification_consistent"][0 if r.classification.theorem_consistent else 1] += 1
-            if r.classification.verdict == VERDICT_BELOW:
-                counts["below_implies_nilpotent"][0 if r.profile.is_nilpotent else 1] += 1
-            elif r.classification.verdict == VERDICT_AT:
-                ok = r.profile.is_nilpotent or r.classification.structure == STRUCTURE_S3
-                counts["at_implies_nilpotent_or_s3"][0 if ok else 1] += 1
-        return {name: {"pass": p, "fail": f} for name, (p, f) in counts.items()}
+    def __post_init__(self):
+        self.results = sorted(self.results, key=lambda r: r.label)
 
     def to_dict(self) -> dict:
-        """Deterministic machine-readable form (timing omitted on purpose)."""
+        """The verify document, built in one pass over the results, every
+        list in label order (timing omitted on purpose): the labels that
+        broke the theorem, failed, or fell below or at the threshold, the
+        pass/fail tally of each verified statement, and the structures
+        seen at the threshold."""
+        counts = {
+            name: {"pass": 0, "fail": 0}
+            for name in ("classification_consistent", "below_implies_nilpotent", "at_implies_nilpotent_or_s3")
+        }
+        errors: dict[str, str] = {}
+        inconsistent, below, at, entries = [], [], [], []
+        at_structures: set[str] = set()
+        for result in self.results:
+            r = result.report
+            if r is None:
+                errors[result.label] = result.error
+                continue
+            c = r.classification
+            counts["classification_consistent"]["pass" if c.theorem_consistent else "fail"] += 1
+            if not c.theorem_consistent:
+                inconsistent.append(r.label)
+            if c.verdict == VERDICT_BELOW:
+                below.append(r.label)
+                counts["below_implies_nilpotent"]["pass" if r.profile.is_nilpotent else "fail"] += 1
+            elif c.verdict == VERDICT_AT:
+                at.append(r.label)
+                ok = r.profile.is_nilpotent or c.structure == STRUCTURE_S3
+                counts["at_implies_nilpotent_or_s3"]["pass" if ok else "fail"] += 1
+                if c.structure == STRUCTURE_CYCLIC:
+                    at_structures.add(f"Cyclic({r.order})")
+                elif c.structure == STRUCTURE_OTHER:
+                    at_structures.add(f"Other({r.label})")
+                else:
+                    at_structures.add(c.structure)
+            entries.append(r.to_dict(include_timing=False))
         return {
             "corpus_size": len(self.results),
-            "inconsistent": sorted(r.label for r in self.inconsistent),
-            "errors": {r.label: r.error for r in sorted(self.errors, key=lambda e: e.label)},
-            "property_counts": self.property_counts(),
-            "below": sorted(r.label for r in self.below_reports),
-            "at_threshold": sorted(r.label for r in self.at_reports),
-            "at_threshold_structures": sorted(self.at_structures),
-            "entries": [
-                r.report.to_dict(include_timing=False)
-                for r in sorted(self.results, key=lambda e: e.label)
-                if r.report is not None
-            ],
+            "inconsistent": inconsistent,
+            "errors": errors,
+            "property_counts": counts,
+            "below": below,
+            "at_threshold": at,
+            "at_threshold_structures": sorted(at_structures),
+            "entries": entries,
         }
 
 
@@ -200,6 +182,7 @@ def _run_entry(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
             raise OrderCapExceeded(f"order {len(source)} exceeds cap {max_order}")
         else:
             group = Group(source, label)
+            group.validate()
         return EntryResult(label, analyze_group(group, max_subgroups, label=label), None)
     except Exception as exc:  # a bug in one entry is reported against it, never aborts the run
         return EntryResult(label, None, f"{type(exc).__name__}: {exc}")
@@ -214,8 +197,8 @@ def verify_classification(
     """Classify every corpus entry, isolating per-entry failures.
 
     Entries may be processed by a pool of at most one worker per entry
-    (forked pools start every worker at once); results are sorted by label,
-    so the summary is identical regardless of scheduling.
+    (forked pools start every worker at once); the summary keeps its
+    results in label order, so it is identical regardless of scheduling.
     """
     payloads = [(entry, max_order, max_subgroups) for entry in entries]
     if workers > 1 and len(payloads) > 1:
@@ -223,5 +206,4 @@ def verify_classification(
             results = list(pool.map(_run_entry, payloads, chunksize=4))
     else:
         results = [_run_entry(p) for p in payloads]
-    results.sort(key=lambda r: r.label)
     return VerificationSummary(results=results)

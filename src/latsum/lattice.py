@@ -121,10 +121,6 @@ class Lattice:
             start += count
         return []
 
-    @property
-    def full(self) -> Subgroup:
-        return self.subgroups[-1]
-
 
 def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS) -> Lattice:
     """Enumerate every subgroup of ``group`` exactly once, and record which
@@ -423,11 +419,8 @@ def maximal_subgroups(lat: Lattice) -> list[Subgroup]:
 
 def frattini(lat: Lattice) -> Subgroup:
     """Intersection of all maximal subgroups (the whole group if none exist)."""
-    maximals = maximal_subgroups(lat)
-    if not maximals:
-        return Subgroup(lat.full.mask)
-    mask = maximals[0].mask
-    for m in maximals[1:]:
+    mask = (1 << lat.group.order) - 1
+    for m in maximal_subgroups(lat):
         mask &= m.mask
     return Subgroup(mask)
 

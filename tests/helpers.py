@@ -35,11 +35,34 @@ def python_child(*args: str, env: dict[str, str] | None = None, **kwargs) -> sub
     return subprocess.Popen([sys.executable, *args], env=env, **kwargs)
 
 
-def run_python(*args: str) -> tuple[int, str, str]:
-    """Run ``python *args`` in such a child: its exit code, stdout and stderr."""
+def run_python(*args: str, timeout: float = 60) -> tuple[int, str, str]:
+    """Run ``python *args`` in such a child: its exit code, stdout and stderr.
+    A child still running after ``timeout`` seconds is killed, and
+    subprocess.TimeoutExpired raised."""
     child = python_child(*args, stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
-    out, err = child.communicate(timeout=60)
+    try:
+        out, err = child.communicate(timeout=timeout)
+    except subprocess.TimeoutExpired:
+        child.kill()
+        child.communicate()
+        raise
     return child.returncode, out, err
+
+
+def decimal_by_long_division(numerator: int, denominator: int, places: int) -> str:
+    """numerator/denominator (both positive) to ``places`` decimal places,
+    rounded half to even, by schoolbook long division: one digit per step,
+    then a look at the remainder."""
+    whole, remainder = divmod(numerator, denominator)
+    digits = ""
+    for _ in range(places):
+        digit, remainder = divmod(10 * remainder, denominator)
+        digits += str(digit)
+    scaled = int(str(whole) + digits)
+    if 2 * remainder > denominator or (2 * remainder == denominator and scaled % 2 == 1):
+        scaled += 1
+    text = str(scaled).rjust(places + 1, "0")
+    return f"{text[:-places]}.{text[-places:]}"
 
 
 def trial_division_sigma(n: int) -> int:

@@ -1,4 +1,5 @@
 import ast
+import dataclasses
 import hashlib
 import json
 import subprocess
@@ -690,6 +691,62 @@ def test_verify_records_unexpected_exception_against_its_entry(capsys, monkeypat
     assert "cyclic:4: RuntimeError: injected" in err
 
 
+_CYCLIC_6_DOC = (
+    '{"label": "cyclic:6", "order": 6, "subgroup_count": 4, "census": {"1": 1, "2": 1, "3": 1, "6": 1}, '
+    '"sigma1": {"numerator": "2", "denominator": "1"}, "sigma1_decimal_display": "2.000000000000", '
+    '"threshold": {"numerator": "8", "denominator": "3"}, "verdict": "BelowThreshold", "structure": "Cyclic", '
+    '"theorem_consistent": false, "flags": {"is_cyclic": true, "is_abelian": true, "is_nilpotent": true, '
+    '"is_p_group": false, "p_group_prime": null, "frattini_rank": null, "recognized_as": "CyclicN"}}'
+)
+_PQ_3_7_DOC = (
+    '{"label": "pq:3,7", "order": 21, "subgroup_count": 10, "census": {"1": 1, "3": 7, "7": 1, "21": 1}, '
+    '"sigma1": {"numerator": "50", "denominator": "21"}, "sigma1_decimal_display": "2.380952380952", '
+    '"threshold": {"numerator": "46", "denominator": "21"}, "verdict": "AboveThreshold", "structure": "Other", '
+    '"theorem_consistent": false, "flags": {"is_cyclic": false, "is_abelian": false, "is_nilpotent": false, '
+    '"is_p_group": false, "p_group_prime": null, "frattini_rank": null, "recognized_as": "None"}}'
+)
+
+
+@pytest.mark.parametrize("as_json", [True, False])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_verify_reports_errors_then_inconsistencies_and_exits_1(capsys, monkeypatch, workers, as_json):
+    # classify is patched to flag two entries; the pool forks its workers,
+    # so they see the patch too
+    classify = latsum.analysis.classify
+
+    def flag_two(group, lat, profile):
+        c = classify(group, lat, profile)
+        if group.label in ("cyclic:6", "pq:3,7"):
+            return dataclasses.replace(c, theorem_consistent=False)
+        return c
+
+    monkeypatch.setattr(latsum.analysis, "classify", flag_two)
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--cyclic-max", "8", "--elem-max", "0", "--dihedral-max", "0",
+        "--pq-max", "0", "--ambient-sym", "0", "--extra", "pq:3,7", "--extra", "cyclic:99999",
+        "--workers", workers, *(["--json"] if as_json else []),
+    )
+    assert code == 1  # an inconsistency outranks an error
+    assert err.splitlines() == [
+        "cyclic:99999: OrderCapExceeded: cyclic:99999 has order 99999, above the cap 2000",
+        f"cyclic:6: INCONSISTENT {_CYCLIC_6_DOC}",
+        f"pq:3,7: INCONSISTENT {_PQ_3_7_DOC}",
+    ]
+    if as_json:
+        doc = json.loads(out)
+        assert doc["inconsistent"] == ["cyclic:6", "pq:3,7"]
+        assert list(doc["errors"]) == ["cyclic:99999"]
+        assert doc["property_counts"]["classification_consistent"] == {"pass": 7, "fail": 2}
+    else:
+        assert out.splitlines()[:4] == [
+            "corpus size        10",
+            "errors             1",
+            "inconsistent       2",
+            "classification_consistent          pass     7   fail 2",
+        ]
+
+
 def test_usage_error_on_unknown_command(capsys):
     code = main(["frobnicate"])
     assert code == 2
@@ -773,7 +830,8 @@ def test_every_public_definition_has_a_caller():
                 for item in stmt.body:
                     if isinstance(item, ast.FunctionDef) and not item.name.startswith("_"):
                         methods[f"{stmt.name}.{item.name}"] = path.name
-    assert len(defined) > 50 and len(methods) >= 28
+    assert len(defined) > 50 and len(methods) >= 19
+    assert {"VerificationSummary.to_dict", "Lattice.subgroups_of_order"} <= set(methods)
     unused = {name: module for name, module in defined.items() if name not in referenced}
     unused |= {name: module for name, module in methods.items() if name.split(".")[1] not in read}
     assert unused == {}

@@ -175,7 +175,7 @@ def test_subspace_view_matches_its_mask_list():
             got = view[part]
             assert isinstance(got, list) and [s.mask for s in got] == read[part], (group.label, part)
         assert [s.mask for s in view[:1] + view[2:]] == read[:1] + read[2:]
-        assert view[0].mask == masks[0] == 1 and lat.full.mask == masks[-1] == (1 << group.order) - 1
+        assert view[0].mask == masks[0] == 1 and view[-1].mask == masks[-1] == (1 << group.order) - 1
 
 
 def test_subspace_rows_are_read_only_and_read_the_same_each_time():
@@ -553,7 +553,7 @@ def test_normality():
     group, lat = lat_of("pq:2,3")
     order3 = lat.subgroups_of_order(3)[0]
     assert is_normal(group, order3.mask)
-    assert lat.full.order == 6 and is_normal(group, lat.full.mask)
+    assert lat.subgroups[-1].order == 6 and is_normal(group, lat.subgroups[-1].mask)
     for sub in lat.subgroups_of_order(2):
         assert not is_normal(group, sub.mask)
 
@@ -901,7 +901,7 @@ def test_property_lattice_laws(spec):
     group = spec.build()
     group.validate()
     lat = enumerate_subgroups(group)
-    assert lat.subgroups[0].order == 1 and lat.full.order == group.order
+    assert lat.subgroups[0].order == 1 and lat.subgroups[-1].order == group.order
     assert sum(lat.census.values()) == len(lat)
     orders = {s.order for s in lat.subgroups}
     assert all(group.order % o == 0 for o in orders)  # Lagrange

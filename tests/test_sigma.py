@@ -1,5 +1,6 @@
 from fractions import Fraction
 
+import pytest
 from hypothesis import given, settings, strategies as st
 
 from latsum import (
@@ -13,6 +14,7 @@ from latsum import (
     verify_classification,
 )
 import latsum.analysis as analysis
+from latsum.analysis import EntryResult, VerificationSummary
 from latsum.sigma import (
     STRUCTURE_CYCLIC,
     STRUCTURE_OTHER,
@@ -24,7 +26,14 @@ from latsum.sigma import (
     VERDICT_BELOW,
 )
 
-from helpers import check_multiplicativity, check_quotient_monotonicity, quotient_group, trial_division_sigma
+from helpers import (
+    check_multiplicativity,
+    check_quotient_monotonicity,
+    decimal_by_long_division,
+    quotient_group,
+    run_python,
+    trial_division_sigma,
+)
 
 
 def analyze(spec: str):
@@ -123,11 +132,10 @@ def test_quotient_monotonicity_specific_values():
 
 def test_verify_classification_cyclic_range():
     entries = [(f"cyclic:{n}", GroupSpec("cyclic", (n,))) for n in range(1, 101)]
-    summary = verify_classification(entries)
-    assert not summary.errors
-    assert not summary.inconsistent
-    at_orders = sorted(r.order for r in summary.at_reports)
-    assert at_orders == [12, 70, 88]
+    doc = verify_classification(entries).to_dict()
+    assert doc["errors"] == {}
+    assert doc["inconsistent"] == []
+    assert doc["at_threshold"] == ["cyclic:12", "cyclic:70", "cyclic:88"]
 
 
 def test_verify_classification_named_trio():
@@ -136,9 +144,9 @@ def test_verify_classification_named_trio():
         ("elem:3,2", GroupSpec("elem", (3, 2))),
         ("pq:2,3", GroupSpec("pq", (2, 3))),
     ]
-    summary = verify_classification(entries)
-    assert not summary.inconsistent
-    verdicts = {r.label: r.classification.verdict for r in summary.reports}
+    doc = verify_classification(entries).to_dict()
+    assert doc["inconsistent"] == []
+    verdicts = {e["label"]: e["verdict"] for e in doc["entries"]}
     assert verdicts == {
         "elem:2,2": VERDICT_BELOW,
         "elem:3,2": VERDICT_AT,
@@ -179,18 +187,60 @@ def test_verify_isolates_per_entry_failures():
         ("cyclic:6", GroupSpec("cyclic", (6,))),
         ("cyclic:9999", GroupSpec("cyclic", (9999,))),  # over the order cap
     ]
-    summary = verify_classification(entries)
-    assert len(summary.errors) == 1
-    assert summary.errors[0].label == "cyclic:9999"
-    assert "OrderCapExceeded" in summary.errors[0].error
-    assert len(summary.reports) == 1
+    doc = verify_classification(entries).to_dict()
+    assert list(doc["errors"]) == ["cyclic:9999"]
+    assert "OrderCapExceeded" in doc["errors"]["cyclic:9999"]
+    assert [e["label"] for e in doc["entries"]] == ["cyclic:6"]
 
 
 def test_verify_raw_table_over_order_cap_records_order_cap_exceeded():
-    summary = verify_classification([("c6", cyclic_group(6).table)], max_order=4)
-    assert [e.label for e in summary.errors] == ["c6"]
-    assert summary.errors[0].error.startswith("OrderCapExceeded:")
-    assert summary.reports == []
+    doc = verify_classification([("c6", cyclic_group(6).table)], max_order=4).to_dict()
+    assert list(doc["errors"]) == ["c6"]
+    assert doc["errors"]["c6"].startswith("OrderCapExceeded:")
+    assert doc["entries"] == []
+
+
+def test_verify_reports_a_table_that_is_not_a_group_against_its_entry():
+    # 1*(1*1) = 0 but (1*1)*1 = 2; unvalidated, element_orders walked the
+    # powers of such a table forever, so the run happens in a child that
+    # is killed if it outlives the timeout
+    code, out, err = run_python("-c", """
+from latsum import cyclic_group, verify_classification
+bad = [[0, 1, 2], [1, 2, 0], [2, 2, 0]]
+doc = verify_classification([("bad", bad), ("c3", cyclic_group(3).table)]).to_dict()
+print(doc["errors"], [e["label"] for e in doc["entries"]])
+""", timeout=10)
+    assert (code, err) == (0, "")
+    assert out == "{'bad': 'InvalidTable: associativity fails for g=1'} ['c3']\n"
+
+
+def test_summary_keeps_its_results_in_label_order():
+    results = [EntryResult(label, None, "E") for label in ("pq:3,7", "cyclic:10", "cyclic:9")]
+    summary = VerificationSummary(results)
+    assert [r.label for r in summary.results] == ["cyclic:10", "cyclic:9", "pq:3,7"]
+    assert list(summary.to_dict()["errors"]) == ["cyclic:10", "cyclic:9", "pq:3,7"]
+    assert [r.label for r in results] == ["pq:3,7", "cyclic:10", "cyclic:9"]  # the caller's list is left alone
+
+
+@pytest.mark.parametrize(
+    "value, shown",
+    [
+        (Fraction(251, 103), "2.436893203883"),
+        (Fraction(264, 103), "2.563106796117"),
+        (Fraction(277, 111), "2.495495495495"),
+        (Fraction(2), "2.000000000000"),
+        (Fraction(1, 2 * 10**12), "0.000000000000"),  # a tie rounds to even
+        (Fraction(3, 2 * 10**12), "0.000000000002"),
+    ],
+)
+def test_decimal_display_rounds_once_from_the_exact_value(value, shown):
+    assert analysis.decimal_display(value) == shown
+
+
+def test_decimal_display_matches_long_division():
+    for b in range(1, 301):
+        for a in range(b, 4 * b + 1):
+            assert analysis.decimal_display(Fraction(a, b)) == decimal_by_long_division(a, b, analysis.DISPLAY_DIGITS), (a, b)
 
 
 def test_reference_spot_check_sigma_at_most_2_is_cyclic():
