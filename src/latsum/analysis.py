@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import multiprocessing
+import signal
 import time
 from concurrent.futures import ProcessPoolExecutor
+from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -188,6 +191,60 @@ def _run_entry(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
         return EntryResult(label, None, f"{type(exc).__name__}: {exc}")
 
 
+def _run_batch(batch: list[tuple[CorpusEntry, int, int]]) -> list[EntryResult]:
+    return [_run_entry(p) for p in batch]
+
+
+def _run_pool(batches: list[list], workers: int) -> tuple[list[EntryResult], list]:
+    """Run each batch as one future; return the results of the batches that
+    finished and the payloads of those lost to a dead worker."""
+    results, lost = [], []
+    with ProcessPoolExecutor(max_workers=workers) as pool:
+        futures = []
+        for batch in batches:
+            try:
+                futures.append((pool.submit(_run_batch, batch), batch))
+            except BrokenProcessPool:
+                lost.extend(batch)
+        for future, batch in futures:
+            try:
+                results.extend(future.result())
+            except BrokenProcessPool:
+                lost.extend(batch)
+    return results, lost
+
+
+def _send_entry(payload, conn) -> None:
+    conn.send(_run_entry(payload))
+
+
+def _death(exitcode: int) -> str:
+    if exitcode >= 0:
+        return f"exit code {exitcode}"
+    try:
+        return f"killed by {signal.Signals(-exitcode).name}"
+    except ValueError:  # a signal the enum does not name, such as SIGRTMIN+1
+        return f"killed by signal {-exitcode}"
+
+
+def _run_alone(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
+    """Run one entry in a process of its own, started the way the pool
+    starts its workers; a death is reported against the entry."""
+    ctx = multiprocessing.get_context()
+    receive, send = ctx.Pipe(duplex=False)
+    child = ctx.Process(target=_send_entry, args=(payload, send))
+    child.start()
+    send.close()
+    try:
+        return receive.recv()
+    except EOFError:  # the child died before it sent a result
+        child.join()
+        return EntryResult(payload[0][0], None, f"WorkerDied: {_death(child.exitcode)}")
+    finally:
+        receive.close()
+        child.join()
+
+
 def verify_classification(
     entries: Sequence[CorpusEntry],
     max_order: int = DEFAULT_ORDER_CAP,
@@ -196,14 +253,26 @@ def verify_classification(
 ) -> VerificationSummary:
     """Classify every corpus entry, isolating per-entry failures.
 
-    Entries may be processed by a pool of at most one worker per entry
-    (forked pools start every worker at once); the summary keeps its
-    results in label order, so it is identical regardless of scheduling.
+    With ``workers > 1`` the entries go to a pool of at most one worker per
+    entry (forked pools start every worker at once), dealt round-robin into
+    about four batches per worker, one future each, so the pool sends a few
+    messages rather than one per entry. An exception inside an entry is
+    recorded against it by ``_run_entry``. A worker that dies takes its pool
+    down: the batches that finished keep their results, the entries of the
+    lost ones run again one per future in a fresh pool, and an entry lost
+    again runs alone in a process of its own, which reports it as
+    ``WorkerDied: exit code N`` (or the signal that killed it). The summary
+    keeps its results in label order, so it is identical regardless of
+    scheduling.
     """
     payloads = [(entry, max_order, max_subgroups) for entry in entries]
     if workers > 1 and len(payloads) > 1:
-        with ProcessPoolExecutor(max_workers=min(workers, len(payloads))) as pool:
-            results = list(pool.map(_run_entry, payloads, chunksize=4))
+        workers = min(workers, len(payloads))
+        k = min(len(payloads), 4 * workers)
+        results, lost = _run_pool([payloads[i::k] for i in range(k)], workers)
+        if lost:
+            retried, lost = _run_pool([[p] for p in lost], min(workers, len(lost)))
+            results += retried + [_run_alone(p) for p in lost]
     else:
         results = [_run_entry(p) for p in payloads]
     return VerificationSummary(results=results)

@@ -2,6 +2,8 @@ import ast
 import dataclasses
 import hashlib
 import json
+import os
+import signal
 import subprocess
 import time
 from pathlib import Path
@@ -632,6 +634,10 @@ def test_verify_deterministic_output(capsys):
     code2, out2, _ = run_cli(capsys, *args, "--workers", "1")
     assert code1 == code2 == 0
     assert out1 == out2
+    # 26 entries in 12 batches of 2 or 3: a dropped or doubled tail entry shows
+    code3, out3, _ = run_cli(capsys, *args, "--workers", "3")
+    assert code3 == 0
+    assert out3 == out1
 
 
 def test_verify_extra_specs_and_error_isolation(capsys):
@@ -689,6 +695,35 @@ def test_verify_records_unexpected_exception_against_its_entry(capsys, monkeypat
     want = sorted(f"cyclic:{n}" for n in range(1, 9) if n != 4) + ["pq:3,7"]
     assert [e["label"] for e in doc["entries"]] == want
     assert "cyclic:4: RuntimeError: injected" in err
+
+
+@pytest.mark.parametrize("die, error", [
+    (lambda: os._exit(9), "WorkerDied: exit code 9"),
+    (lambda: os.kill(os.getpid(), signal.SIGKILL), "WorkerDied: killed by SIGKILL"),
+], ids=["exit-9", "sigkill"])
+def test_verify_reports_a_dead_worker_against_its_entry(capsys, monkeypatch, die, error):
+    # the pool forks its workers, so they see the patched analyze_group too;
+    # the worker that reaches cyclic:7 dies, taking its pool down with it
+    analyze_group = latsum.analysis.analyze_group
+
+    def dies_on_one(group, *args, label=None, **kwargs):
+        if label == "cyclic:7":
+            die()
+        return analyze_group(group, *args, label=label, **kwargs)
+
+    monkeypatch.setattr(latsum.analysis, "analyze_group", dies_on_one)
+    entries = [(f"cyclic:{n}", latsum.GroupSpec("cyclic", (n,))) for n in range(1, 61)]
+    doc = latsum.verify_classification(entries, workers=2).to_dict()
+    assert doc["errors"] == {"cyclic:7": error}
+    assert [e["label"] for e in doc["entries"]] == sorted(label for label, _ in entries if label != "cyclic:7")
+    code, out, err = run_cli(
+        capsys,
+        "verify", "--cyclic-max", "60", "--elem-max", "0", "--dihedral-max", "0",
+        "--pq-max", "0", "--ambient-sym", "0", "--workers", "2", "--json",
+    )
+    assert code == 5
+    assert json.loads(out)["errors"] == {"cyclic:7": error}
+    assert f"cyclic:7: {error}" in err
 
 
 _CYCLIC_6_DOC = (

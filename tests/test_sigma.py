@@ -1,3 +1,4 @@
+from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -155,9 +156,9 @@ def test_verify_classification_named_trio():
 
 
 def test_verify_starts_at_most_one_worker_per_entry(monkeypatch):
-    # a stand-in pool that records its size and runs every entry in this
-    # process, so no worker process is started
-    sizes = []
+    # a stand-in pool that records its size and each batch submitted to it,
+    # and runs every batch in this process, so no worker process is started
+    sizes, submitted = [], []
 
     class InProcessPool:
         def __init__(self, max_workers):
@@ -169,8 +170,11 @@ def test_verify_starts_at_most_one_worker_per_entry(monkeypatch):
         def __exit__(self, *exc):
             return False
 
-        def map(self, fn, items, chunksize=1):
-            return map(fn, items)
+        def submit(self, fn, batch):
+            submitted.append([label for (label, _), _, _ in batch])
+            future = Future()
+            future.set_result(fn(batch))
+            return future
 
     monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
     entries = [(f"cyclic:{n}", GroupSpec("cyclic", (n,))) for n in (4, 6, 9)]
@@ -179,6 +183,20 @@ def test_verify_starts_at_most_one_worker_per_entry(monkeypatch):
         assert verify_classification(entries, workers=workers).to_dict() == serial
         assert sizes.pop() == started, workers
     verify_classification(entries[:1], workers=64)
+    assert sizes == []
+
+    # a few batches per worker, and every entry in exactly one of them
+    for size in (1, 3, 61):
+        corpus = [(f"cyclic:{n}", GroupSpec("cyclic", (n,))) for n in range(1, size + 1)]
+        serial = verify_classification(corpus).to_dict()
+        for workers in (2, 3, 64):
+            submitted.clear()
+            assert verify_classification(corpus, workers=workers).to_dict() == serial, (size, workers)
+            if size == 1:  # one entry runs in this process, with no pool
+                assert submitted == []
+                continue
+            assert len(submitted) <= 4 * sizes.pop()
+            assert sorted(label for batch in submitted for label in batch) == sorted(label for label, _ in corpus)
     assert sizes == []
 
 
