@@ -5,8 +5,6 @@ from __future__ import annotations
 import multiprocessing
 import signal
 import time
-from concurrent.futures import ProcessPoolExecutor
-from concurrent.futures.process import BrokenProcessPool
 from dataclasses import dataclass
 from fractions import Fraction
 from typing import Sequence
@@ -191,31 +189,8 @@ def _run_entry(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
         return EntryResult(label, None, f"{type(exc).__name__}: {exc}")
 
 
-def _run_batch(batch: list[tuple[CorpusEntry, int, int]]) -> list[EntryResult]:
-    return [_run_entry(p) for p in batch]
-
-
-def _run_pool(batches: list[list], workers: int) -> tuple[list[EntryResult], list]:
-    """Run each batch as one future; return the results of the batches that
-    finished and the payloads of those lost to a dead worker."""
-    results, lost = [], []
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        futures = []
-        for batch in batches:
-            try:
-                futures.append((pool.submit(_run_batch, batch), batch))
-            except BrokenProcessPool:
-                lost.extend(batch)
-        for future, batch in futures:
-            try:
-                results.extend(future.result())
-            except BrokenProcessPool:
-                lost.extend(batch)
-    return results, lost
-
-
-def _send_entry(payload, conn) -> None:
-    conn.send(_run_entry(payload))
+def _send_results(batch: list[tuple[CorpusEntry, int, int]], conn) -> None:
+    conn.send([_run_entry(p) for p in batch])
 
 
 def _death(exitcode: int) -> str:
@@ -227,22 +202,37 @@ def _death(exitcode: int) -> str:
         return f"killed by signal {-exitcode}"
 
 
-def _run_alone(payload: tuple[CorpusEntry, int, int]) -> EntryResult:
-    """Run one entry in a process of its own, started the way the pool
-    starts its workers; a death is reported against the entry."""
+def _run_processes(batches: list[list[tuple[CorpusEntry, int, int]]]) -> list[EntryResult]:
+    """Run each batch in a child process of its own, all started at once,
+    and read their results back in batch order. A batch whose child dies
+    runs again one entry per process, one process at a time; an entry
+    whose own process dies is reported as ``WorkerDied``."""
     ctx = multiprocessing.get_context()
-    receive, send = ctx.Pipe(duplex=False)
-    child = ctx.Process(target=_send_entry, args=(payload, send))
-    child.start()
-    send.close()
+    children, results = [], []
     try:
-        return receive.recv()
-    except EOFError:  # the child died before it sent a result
-        child.join()
-        return EntryResult(payload[0][0], None, f"WorkerDied: {_death(child.exitcode)}")
+        for batch in batches:
+            receive, send = ctx.Pipe(duplex=False)
+            child = ctx.Process(target=_send_results, args=(batch, send))
+            child.start()
+            send.close()  # else a dead child's pipe never reads EOF here
+            children.append((child, receive))
+        for batch, (child, receive) in zip(batches, children):
+            try:
+                results += receive.recv()
+            except EOFError:  # the child died before it sent its results
+                if len(batch) > 1:
+                    for payload in batch:
+                        results += _run_processes([[payload]])
+                else:
+                    child.join()
+                    results.append(EntryResult(batch[0][0][0], None, f"WorkerDied: {_death(child.exitcode)}"))
+        return results
     finally:
-        receive.close()
-        child.join()
+        # closing every read end first lets a child blocked on send exit
+        for _, receive in children:
+            receive.close()
+        for child, _ in children:
+            child.join()
 
 
 def verify_classification(
@@ -253,26 +243,19 @@ def verify_classification(
 ) -> VerificationSummary:
     """Classify every corpus entry, isolating per-entry failures.
 
-    With ``workers > 1`` the entries go to a pool of at most one worker per
-    entry (forked pools start every worker at once), dealt round-robin into
-    about four batches per worker, one future each, so the pool sends a few
-    messages rather than one per entry. An exception inside an entry is
-    recorded against it by ``_run_entry``. A worker that dies takes its pool
-    down: the batches that finished keep their results, the entries of the
-    lost ones run again one per future in a fresh pool, and an entry lost
-    again runs alone in a process of its own, which reports it as
-    ``WorkerDied: exit code N`` (or the signal that killed it). The summary
-    keeps its results in label order, so it is identical regardless of
-    scheduling.
+    With ``workers > 1`` the entries are dealt round-robin into one batch
+    per worker, at most one per entry, and each batch runs in a child
+    process of its own, all started at once. An exception inside an entry
+    is recorded against it by ``_run_entry``. The entries of a batch whose
+    process dies run again one per process, one at a time, and an entry
+    whose own process dies is reported as ``WorkerDied: exit code N`` (or
+    the signal that killed it). The summary keeps its results in label
+    order, so it is identical regardless of scheduling.
     """
     payloads = [(entry, max_order, max_subgroups) for entry in entries]
     if workers > 1 and len(payloads) > 1:
-        workers = min(workers, len(payloads))
-        k = min(len(payloads), 4 * workers)
-        results, lost = _run_pool([payloads[i::k] for i in range(k)], workers)
-        if lost:
-            retried, lost = _run_pool([[p] for p in lost], min(workers, len(lost)))
-            results += retried + [_run_alone(p) for p in lost]
+        k = min(workers, len(payloads))
+        results = _run_processes([payloads[i::k] for i in range(k)])
     else:
         results = [_run_entry(p) for p in payloads]
     return VerificationSummary(results=results)

@@ -156,8 +156,8 @@ def cmd_verify(args) -> int:
         print(f"below threshold    {len(doc['below'])}: {', '.join(doc['below'])}")
         print(f"at threshold       {len(doc['at_threshold'])}: {', '.join(doc['at_threshold'])}")
         print(f"at structures      {', '.join(doc['at_threshold_structures'])}")
-        # the cyclic equality witnesses come from this tool's own sieve scan,
-        # not from any external table
+        # verify builds no sieve: the verdict forced on a cyclic group is the
+        # sign of divisor_sigma(n) - (2n + 4), computed in sigma.classify
         print("note               cyclic at-threshold hits are artifact-derived witnesses")
     if doc["inconsistent"]:
         return EXIT_VIOLATION

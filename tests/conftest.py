@@ -14,8 +14,8 @@ def sieve_10k():
 @pytest.fixture(autouse=True)
 def no_child_process_left_running():
     """Fail a test that leaves a live multiprocessing child behind, such as a
-    worker of a pool that was never shut down; the children still alive
-    after a one-second join are killed."""
+    verify child that was never joined; the children still alive after a
+    one-second join are killed."""
     yield
     deadline = time.monotonic() + 1.0
     for child in multiprocessing.active_children():

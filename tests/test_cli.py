@@ -674,7 +674,7 @@ def test_verify_analyzes_a_repeated_label_once(capsys):
 
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_records_unexpected_exception_against_its_entry(capsys, monkeypatch, workers):
-    # the pool forks its workers, so they see the patched analyze_group too
+    # the children are forked, so they see the patched analyze_group too
     analyze_group = latsum.analysis.analyze_group
 
     def broken_for_one(group, *args, label=None, **kwargs):
@@ -697,33 +697,41 @@ def test_verify_records_unexpected_exception_against_its_entry(capsys, monkeypat
     assert "cyclic:4: RuntimeError: injected" in err
 
 
-@pytest.mark.parametrize("die, error", [
-    (lambda: os._exit(9), "WorkerDied: exit code 9"),
-    (lambda: os.kill(os.getpid(), signal.SIGKILL), "WorkerDied: killed by SIGKILL"),
-], ids=["exit-9", "sigkill"])
-def test_verify_reports_a_dead_worker_against_its_entry(capsys, monkeypatch, die, error):
-    # the pool forks its workers, so they see the patched analyze_group too;
-    # the worker that reaches cyclic:7 dies, taking its pool down with it
-    analyze_group = latsum.analysis.analyze_group
+_EXIT_9 = (lambda: os._exit(9), "WorkerDied: exit code 9")
+_SIGKILL = (lambda: os.kill(os.getpid(), signal.SIGKILL), "WorkerDied: killed by SIGKILL")
 
-    def dies_on_one(group, *args, label=None, **kwargs):
-        if label == "cyclic:7":
-            die()
+
+@pytest.mark.parametrize("deaths", [
+    {"cyclic:7": _EXIT_9},
+    {"cyclic:7": _SIGKILL},
+    # both are dealt to the first of the two round-robin batches
+    {"cyclic:7": _EXIT_9, "cyclic:9": _SIGKILL},
+], ids=["exit-9", "sigkill", "two-in-one-batch"])
+def test_verify_reports_a_dead_worker_against_its_entry(capsys, monkeypatch, deaths):
+    # the children are forked, so they see the patched analyze_group too; the
+    # child that reaches a dying entry takes the rest of its batch down with it
+    analyze_group = latsum.analysis.analyze_group
+    errors = {label: error for label, (_, error) in deaths.items()}
+
+    def dies_on_some(group, *args, label=None, **kwargs):
+        if label in deaths:
+            deaths[label][0]()
         return analyze_group(group, *args, label=label, **kwargs)
 
-    monkeypatch.setattr(latsum.analysis, "analyze_group", dies_on_one)
+    monkeypatch.setattr(latsum.analysis, "analyze_group", dies_on_some)
     entries = [(f"cyclic:{n}", latsum.GroupSpec("cyclic", (n,))) for n in range(1, 61)]
     doc = latsum.verify_classification(entries, workers=2).to_dict()
-    assert doc["errors"] == {"cyclic:7": error}
-    assert [e["label"] for e in doc["entries"]] == sorted(label for label, _ in entries if label != "cyclic:7")
+    assert doc["errors"] == errors
+    assert [e["label"] for e in doc["entries"]] == sorted(label for label, _ in entries if label not in deaths)
     code, out, err = run_cli(
         capsys,
         "verify", "--cyclic-max", "60", "--elem-max", "0", "--dihedral-max", "0",
         "--pq-max", "0", "--ambient-sym", "0", "--workers", "2", "--json",
     )
     assert code == 5
-    assert json.loads(out)["errors"] == {"cyclic:7": error}
-    assert f"cyclic:7: {error}" in err
+    assert json.loads(out)["errors"] == errors
+    for label, error in errors.items():
+        assert f"{label}: {error}" in err
 
 
 _CYCLIC_6_DOC = (
@@ -745,8 +753,8 @@ _PQ_3_7_DOC = (
 @pytest.mark.parametrize("as_json", [True, False])
 @pytest.mark.parametrize("workers", ["1", "2"])
 def test_verify_reports_errors_then_inconsistencies_and_exits_1(capsys, monkeypatch, workers, as_json):
-    # classify is patched to flag two entries; the pool forks its workers,
-    # so they see the patch too
+    # classify is patched to flag two entries; the children are forked, so
+    # they see the patch too
     classify = latsum.analysis.classify
 
     def flag_two(group, lat, profile):

@@ -1,4 +1,3 @@
-from concurrent.futures import Future
 from fractions import Fraction
 
 import pytest
@@ -156,48 +155,28 @@ def test_verify_classification_named_trio():
 
 
 def test_verify_starts_at_most_one_worker_per_entry(monkeypatch):
-    # a stand-in pool that records its size and each batch submitted to it,
-    # and runs every batch in this process, so no worker process is started
-    sizes, submitted = [], []
+    # a stand-in for _run_processes that records the labels of each batch it
+    # is given and runs them in this process, so no child process is started
+    started = []
 
-    class InProcessPool:
-        def __init__(self, max_workers):
-            sizes.append(max_workers)
+    def in_process(batches):
+        started.append([[label for (label, _), _, _ in batch] for batch in batches])
+        return [analysis._run_entry(p) for batch in batches for p in batch]
 
-        def __enter__(self):
-            return self
-
-        def __exit__(self, *exc):
-            return False
-
-        def submit(self, fn, batch):
-            submitted.append([label for (label, _), _, _ in batch])
-            future = Future()
-            future.set_result(fn(batch))
-            return future
-
-    monkeypatch.setattr(analysis, "ProcessPoolExecutor", InProcessPool)
-    entries = [(f"cyclic:{n}", GroupSpec("cyclic", (n,))) for n in (4, 6, 9)]
-    serial = verify_classification(entries).to_dict()
-    for workers, started in [(64, 3), (3, 3), (2, 2)]:
-        assert verify_classification(entries, workers=workers).to_dict() == serial
-        assert sizes.pop() == started, workers
-    verify_classification(entries[:1], workers=64)
-    assert sizes == []
-
-    # a few batches per worker, and every entry in exactly one of them
+    monkeypatch.setattr(analysis, "_run_processes", in_process)
+    # one batch per worker and at most one per entry, every entry in exactly one
     for size in (1, 3, 61):
         corpus = [(f"cyclic:{n}", GroupSpec("cyclic", (n,))) for n in range(1, size + 1)]
         serial = verify_classification(corpus).to_dict()
         for workers in (2, 3, 64):
-            submitted.clear()
             assert verify_classification(corpus, workers=workers).to_dict() == serial, (size, workers)
-            if size == 1:  # one entry runs in this process, with no pool
-                assert submitted == []
+            if size == 1:  # one entry runs in this process, with no child
+                assert started == []
                 continue
-            assert len(submitted) <= 4 * sizes.pop()
-            assert sorted(label for batch in submitted for label in batch) == sorted(label for label, _ in corpus)
-    assert sizes == []
+            (batches,) = started
+            started.clear()
+            assert len(batches) == min(workers, size) and all(batches)
+            assert sorted(label for batch in batches for label in batch) == sorted(label for label, _ in corpus)
 
 
 def test_verify_isolates_per_entry_failures():
