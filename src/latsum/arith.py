@@ -16,8 +16,10 @@ from .errors import InvariantViolation, LimitTooLarge
 # at most 9.4e8 for n up to the cap, below 2**31; the scans' ramps 2n + 4 and
 # 8n + 4 are smaller still.  So the sieve table is one int32 array, 4 bytes
 # per integer, 200 MB at the cap, and the sieve and both scans run in int32.
-# The sieve and both scans work through SIEVE_BLOCK integers at a time, so
-# their temporaries add a few MB to the table, not a multiple of it.
+# The sieve adds its odd divisor pairs SIEVE_BLOCK cofactors at a time and
+# fills even n by in-place multiplies, and both scans work through
+# SIEVE_BLOCK integers at a time, so their temporaries add a few MB to the
+# table, not a multiple of it.
 MAX_SIEVE_LIMIT = 50_000_000
 SIEVE_BLOCK = 1 << 18
 SIEVE_DTYPE = np.dtype(np.int32)
@@ -108,12 +110,17 @@ class SigmaSieve:
 
 
 def build_sieve(limit: int) -> SigmaSieve:
-    """Compute sigma(n) for all n <= limit with a divisor-pair sieve, 4 bytes per integer.
+    """Compute sigma(n) for all n <= limit, 4 bytes per integer: a divisor-pair
+    sieve over odd n, then a doubling pass for even n.
 
-    Every divisor pair d * k = n with 2 <= d <= k contributes d + k, added in
-    strided steps of at most SIEVE_BLOCK cofactors k per d <= isqrt(limit);
-    the square pair d * d counts d once.  The table starts at 1 + n, the
-    pair (1, n).  Below limit 2 * SIEVE_BLOCK every d takes a single step.
+    The table starts at 1 + n, the pair (1, n).  For odd n every divisor
+    pair d * k = n with 3 <= d <= k is odd and contributes d + k, added in
+    strided steps of at most SIEVE_BLOCK odd cofactors k per odd
+    d <= isqrt(limit); the square pair d * d counts d once.  Below limit
+    3 * (2 * SIEVE_BLOCK + 3) every d takes a single step.  sigma is
+    multiplicative, so each even n = 2^a * m with m odd then gets
+    sigma(n) = (2^(a+1) - 1) * sigma(m): one in-place multiply per power
+    of two reads the finished odd entries and writes each even entry once.
     """
     if limit < 1:
         raise ValueError(f"sieve limit must be >= 1, got {limit}")
@@ -124,14 +131,22 @@ def build_sieve(limit: int) -> SigmaSieve:
         )
     table = np.arange(1, limit + 2, dtype=SIEVE_DTYPE)
     table[:2] = 0, 1
-    for d in range(2, math.isqrt(limit) + 1):
-        # n = d * k gains d + k for each cofactor d <= k <= limit // d
-        k, top = d, limit // d
-        while top - k >= SIEVE_BLOCK:
-            table[d * k : d * (k + SIEVE_BLOCK) : d] += np.arange(k + d, k + d + SIEVE_BLOCK, dtype=SIEVE_DTYPE)
-            k += SIEVE_BLOCK
-        table[d * k :: d] += np.arange(k + d, top + d + 1, dtype=SIEVE_DTYPE)
+    for d in range(3, math.isqrt(limit) + 1, 2):
+        # odd n = d * k gains d + k for each odd cofactor k from d to top, the
+        # largest odd k <= limit // d, at most SIEVE_BLOCK cofactors per add
+        k, top = d, (limit // d - 1) | 1
+        while top - k >= 2 * SIEVE_BLOCK:
+            table[d * k : d * (k + 2 * SIEVE_BLOCK) : 2 * d] += np.arange(
+                k + d, k + d + 2 * SIEVE_BLOCK, 2, dtype=SIEVE_DTYPE
+            )
+            k += 2 * SIEVE_BLOCK
+        table[d * k : d * top + 1 : 2 * d] += np.arange(k + d, top + d + 1, 2, dtype=SIEVE_DTYPE)
         table[d * d] -= d
+    q = 2
+    while q <= limit:
+        # n = q * m with m odd: sigma(n) = (2q - 1) * sigma(m), read from the finished odd entries
+        np.multiply(table[1 : limit // q + 1 : 2], 2 * q - 1, out=table[q :: 2 * q])
+        q *= 2
     return SigmaSieve(limit=limit, table=table)
 
 

@@ -1,3 +1,4 @@
+import math
 import random
 import tracemalloc
 
@@ -84,6 +85,23 @@ def test_sieve_matches_trial_division_at_sqrt_edges():
     assert all(int(sieve.table[n]) == divisor_sigma(n) for n in range(1, 10_202))
 
 
+def test_sieve_matches_a_whole_table_divisor_oracle():
+    # every d adds itself to each of its multiples: sigma by definition, and
+    # no divisor pairs, odd parts or doubling.  The limits are the small
+    # ones, both sides of each power of two (the edges of the doubling
+    # pass), and both sides of each odd square (the edges of the pair loop)
+    size = 20_000
+    oracle = np.zeros(size + 1, dtype=np.int64)
+    for d in range(1, size + 1):
+        oracle[d::d] += d
+    limits = {*range(1, 65), *(2**k + e for k in range(15) for e in (-1, 0, 1))}
+    limits |= {d * d + e for d in range(3, math.isqrt(size - 1) + 1, 2) for e in (-1, 1)}
+    for limit in sorted(limits - {0}):
+        table = build_sieve(limit).table
+        assert len(table) == limit + 1
+        assert np.array_equal(table, oracle[: limit + 1]), limit
+
+
 def test_sieve_table_is_int32_and_sigma_returns_python_ints():
     sieve = build_sieve(100)
     assert sieve.table.dtype == np.int32
@@ -147,11 +165,14 @@ def test_sieve_limit_checked_before_allocation():
 
 
 def test_blocked_sieve_and_scans_match_whole_table_expressions():
-    # three and a bit blocks: the strided adds for small d and both scans
-    # cross block edges, which a limit below SIEVE_BLOCK never does
-    limit = 3 * SIEVE_BLOCK + 12_345
+    # six and a bit blocks: both scans cross block edges, and so does the
+    # strided add for d = 3, whose odd cofactors k take a second step of
+    # SIEVE_BLOCK from k = 3 + 2 * SIEVE_BLOCK, which a limit below
+    # 3 * (2 * SIEVE_BLOCK + 3) never does
+    limit = 6 * SIEVE_BLOCK + 12_345
     sieve = build_sieve(limit)
-    edges = {d * d + j * SIEVE_BLOCK * d + e for d in (2, 3, 5, 101) for j in range(1, 4) for e in (-d, 0, d)}
+    edges = {d * (d + 2 * j * SIEVE_BLOCK) + e for d in (3, 5, 101) for j in range(1, 4) for e in (-2 * d, 0, 2 * d)}
+    assert 3 * (3 + 2 * SIEVE_BLOCK) + 6 <= limit
     rng = random.Random(3)
     for n in sorted(e for e in edges if e <= limit) + [rng.randrange(1, limit + 1) for _ in range(300)]:
         assert int(sieve.table[n]) == divisor_sigma(n), n
