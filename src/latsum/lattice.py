@@ -97,9 +97,9 @@ class Lattice:
     from the census offsets, so a lattice built by hand must keep its
     blocks matching its census.  Inside a block, subgroups keep the
     deterministic order in which their route found them; no reader may
-    assume more.  ``subgroups`` is a plain list on the worklist route and,
-    on the subspace route, a view over one read-only uint8 array of packed
-    big-endian mask rows.
+    assume more.  ``subgroups`` is a plain list on the worklist and Sylow
+    product routes and, on the subspace route, a view over one read-only
+    uint8 array of packed big-endian mask rows.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -174,17 +174,36 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     ``subgroups`` is a view over the array that makes each Subgroup when
     it is read, and the census is the closed-form count of each order
     block.  Its maximal subgroups, the hyperplanes of order |G|/p, are the
-    one block made into Subgroup objects.  The two routes are
-    cross-checked in the test suite.
+    one block made into Subgroup objects.
+
+    Every other group that is not a p-group but passes
+    ``nilpotent_by_element_orders`` takes the Sylow product route.  A
+    finite nilpotent group is the direct product of its Sylow subgroups
+    P_1, ..., P_r, one per prime in ascending order, and every subgroup is
+    the product of its Sylow parts (Burnside 1911).  So the worklist runs
+    once per P_i, confined to its members, and each tuple (A_1, ..., A_r)
+    with A_i <= P_i gives the subgroup A_1...A_r, its mask made from the
+    parts' members; one of them is maximal exactly when one A_i is
+    maximal in P_i and every other A_j is P_j.  Walking one Sylow subgroup
+    at a time costs about |P_i| steps per subgroup of P_i, where the
+    worklist on the whole group costs about |G| per subgroup of G.  The
+    three routes are cross-checked in the test suite.
 
     Inside each order block (see ``Lattice``) the subgroups come in
-    discovery order on the worklist route and in pivot-pattern order on
-    the subspace route, and the maximals in the order they were recorded.
+    discovery order on the worklist route, in pivot-pattern order on the
+    subspace route and, on the product route, in the order of the tuples,
+    the last prime's part varying fastest and each part's subgroups in
+    its worklist's discovery order.  The maximals come in the order they
+    were recorded: on the product route, by prime, then in the order of
+    the part's own maximals.
 
     Raises LatticeTooLarge when the subgroup count exceeds
     ``max_subgroups``; the subspace route checks its closed-form count
-    before it allocates anything.  Raises InvariantViolation when some
-    order does not divide |G| (both routes), and on the subspace route
+    before it allocates anything, and the product route checks the
+    product of its parts' counts before it builds any product.  Raises
+    InvariantViolation when some order does not divide |G| (every route);
+    on the product route when the elements of order dividing p^a, for the
+    p-part p^a of |G|, are not p^a in number; and on the subspace route
     when the rows written to an order block are not its closed-form number
     of subspaces (checked before any write past the block's end), or when
     a row of a block as written does not have p^r bits set (checked after
@@ -195,7 +214,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
         packed, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
         subs = _MaskView(packed)
     else:
-        subs, maximals = _enumerate_worklist(group, max_subgroups)
+        if len(factorize(group.order)) > 1 and nilpotent_by_element_orders(group):
+            subs, maximals = _enumerate_sylow_product(group, max_subgroups)
+        else:
+            subs, maximals = _enumerate_worklist(group, max_subgroups)
         subs.sort(key=lambda s: s.order)
         census = dict(sorted(Counter(s.order for s in subs).items()))
     if any(group.order % order for order in census):
@@ -203,16 +225,23 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     return Lattice(group=group, subgroups=subs, census=census, maximals=maximals)
 
 
-def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
+def _enumerate_worklist(
+    group: Group, max_subgroups: int, top: int | None = None
+) -> tuple[list[Subgroup], list[Subgroup]]:
     """(every subgroup, the maximal subgroups), extending one subgroup per
     class by one walk per uncovered element x: the powers of x, then the
     cells h*x^j that extend H to <H, x>.  H is maximal when every
     extension found from it is the whole group.  Each queue entry carries
     the generators of its class representative, from which the closures
-    of its extensions start."""
+    of its extensions start.
+
+    ``top``, the mask of a normal subgroup T, confines the walk to the
+    members of T: then it finds the subgroups of T, with their classes
+    under G, and H is maximal in T when every extension is T."""
     table = group.table
     n = group.order
-    full_mask = (1 << n) - 1
+    full_mask = (1 << n) - 1 if top is None else top
+    elements = range(1, n) if top is None else _mask_members(top)[1:]
     abelian = group.is_abelian
     seen: dict[int, Subgroup] = {}
     work: list[tuple[Subgroup, tuple[int, ...], list[Subgroup]]] = []
@@ -237,7 +266,7 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
             covered[h] = 1
         in_sub = bytes(covered)
         maximal = True  # until an extension of H is not the whole group
-        for x in range(1, n):
+        for x in elements:
             if covered[x]:
                 continue
             # x^k is the least power of x in H; powers[j - 1] is x^j
@@ -264,6 +293,54 @@ def _enumerate_worklist(group: Group, max_subgroups: int) -> tuple[list[Subgroup
         if maximal:
             maximals.extend(orbit)
     return list(seen.values()), maximals
+
+
+def _enumerate_sylow_product(group: Group, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
+    """(every subgroup, the maximal subgroups) of a nilpotent group that is
+    not a p-group (see ``enumerate_subgroups``): the worklist once per
+    Sylow subgroup P_i, the elements of order dividing p^a, as its
+    ``top``, then the product A_1...A_r of each tuple of the parts'
+    subgroups, the tuples in lexicographic order of their indices.  The
+    members of each product of the parts before the last are listed once,
+    and each of those times each subgroup of the last part is ORed
+    straight into a mask."""
+    table = group.table
+    orders = np.array(group.element_orders())
+    parts = []
+    for p, a in sorted(factorize(group.order).items()):
+        sylow = np.flatnonzero(p**a % orders == 0).tolist()
+        if len(sylow) != p**a:
+            raise InvariantViolation(f"{group.label} has {len(sylow)} elements of order dividing {p**a}, not {p**a}")
+        top = sum(1 << x for x in sylow)
+        parts.append((top, *_enumerate_worklist(group, max_subgroups, top)))
+    total = math.prod(len(subs) for _, subs, _ in parts)
+    if total > max_subgroups:
+        raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
+    *firsts, lasts = [[s.members() for s in subs] for _, subs, _ in parts]
+    heads = [[0]]
+    for part in firsts:
+        heads = [[table[x][y] for x in head for y in sub] for head in heads for sub in part]
+    bit = [1 << x for x in range(group.order)]
+    products = []
+    for head in heads:
+        for last in lasts:
+            mask = 0
+            for x in head:
+                row = table[x]
+                for y in last:
+                    mask |= bit[row[y]]
+            products.append(Subgroup(mask))
+    # (A_1, ..., A_r) is products[sum of offsets[i][A_i]]: the index of A_i
+    # in its part times the product of the later parts' counts.  G is the
+    # tuple of the P_i, and a maximal subgroup swaps one P_i for a maximal
+    # subgroup of P_i.
+    strides = [math.prod(len(subs) for _, subs, _ in parts[i + 1 :]) for i in range(len(parts))]
+    offsets = [{s.mask: j * stride for j, s in enumerate(subs)} for (_, subs, _), stride in zip(parts, strides)]
+    whole = sum(offset[top] for offset, (top, _, _) in zip(offsets, parts))
+    maximals = []
+    for offset, (top, _, part_maximals) in zip(offsets, parts):
+        maximals += [products[whole - offset[top] + offset[m.mask]] for m in part_maximals]
+    return products, maximals
 
 
 def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
@@ -472,7 +549,7 @@ def nilpotent_by_element_orders(group: Group) -> bool:
     reads only the cached element orders, never the lattice.
     """
     orders = group.element_orders()
-    return all(sum(p**a % o == 0 for o in orders) == p**a for p, a in factorize(group.order).items())
+    return all(sum(map(orders.count, [p**i for i in range(a + 1)])) == p**a for p, a in factorize(group.order).items())
 
 
 def is_nilpotent(group: Group, lat: Lattice) -> bool:

@@ -20,6 +20,7 @@ from latsum import (
     conjugates,
     cyclic_group,
     dihedral_group,
+    direct_product_group,
     elementary_abelian_group,
     enumerate_subgroups,
     frattini,
@@ -319,6 +320,19 @@ ABELIAN_ORACLE_SPECS = [f"cyclic:{n}" for n in range(1, 65)] + [
 ]
 
 
+# the quaternion group: 0..3 are 1, i, j, k and 4..7 their negatives
+Q8_TABLE = [
+    [0, 1, 2, 3, 4, 5, 6, 7],
+    [1, 4, 3, 6, 5, 0, 7, 2],
+    [2, 7, 4, 1, 6, 3, 0, 5],
+    [3, 2, 5, 4, 7, 6, 1, 0],
+    [4, 5, 6, 7, 0, 1, 2, 3],
+    [5, 0, 7, 2, 1, 4, 3, 6],
+    [6, 3, 0, 5, 2, 7, 4, 1],
+    [7, 6, 1, 0, 3, 2, 5, 4],
+]
+
+
 def _oracle_groups():
     groups = [spec.build() for spec in pq_specs(120) + dihedral_specs(30)]
     for text in [
@@ -329,14 +343,24 @@ def _oracle_groups():
         # nonabelian groups with elements of large composite order
         "dihedral:100",
         "product:sym:4+cyclic:25",
+        # nonabelian nilpotent groups of two or more primes, which take the
+        # Sylow product route
+        "product:dihedral:4+cyclic:3",
+        "product:dihedral:8+cyclic:9",
+        "product:dihedral:4+elem:3,2",
         *ABELIAN_ORACLE_SPECS,
     ]:
         groups.append(GroupSpec.parse(text).build())
-    # a relabelled abelian table, whose element indices do not follow the powers of a generator
-    table = relabelled(GroupSpec.parse("product:cyclic:6+cyclic:12").build().table, random.Random(23))
-    group = Group(table, "relabelled product:cyclic:6+cyclic:12")
-    group.validate()
-    groups.append(group)
+    q8 = Group(Q8_TABLE, "Q8")
+    q8.validate()
+    groups.append(direct_product_group([q8, cyclic_group(3)]))
+    groups.append(direct_product_group([sylow_wreath_product("C2wrC2wrC2"), cyclic_group(3)]))
+    # relabelled tables, whose element indices do not follow the powers of a
+    # generator or the layout of a direct product
+    for spec, seed in [("product:cyclic:6+cyclic:12", 23), ("product:dihedral:4+cyclic:9", 29)]:
+        group = Group(relabelled(GroupSpec.parse(spec).build().table, random.Random(seed)), f"relabelled {spec}")
+        group.validate()
+        groups.append(group)
     groups.append(_unitriangular_order_27())
     s5 = symmetric_group(5)
     for i, mask in enumerate(sorted(every_subgroup_worklist(s5))):
@@ -468,8 +492,9 @@ def test_elementary_abelian_census_matches_gaussian():
 
 
 def test_lattice_blocks_ascend_and_repeat():
-    # the worklist route (dihedral:6) and the subspace route (elem:2,4)
-    for spec in ["dihedral:6", "elem:2,4"]:
+    # the worklist route (dihedral:6), the subspace route (elem:2,4) and the
+    # Sylow product route (product:dihedral:4+cyclic:9)
+    for spec in ["dihedral:6", "elem:2,4", "product:dihedral:4+cyclic:9"]:
         _, lat1 = lat_of(spec)
         _, lat2 = lat_of(spec)
         _assert_blocks_match_census(lat1)
@@ -487,15 +512,62 @@ def test_lattice_too_large():
 
 
 @pytest.mark.parametrize(
-    "spec, count", [("pq:2,241", 244), ("product:cyclic:4+cyclic:4", 15), ("cyclic:720", 30)]
+    "spec, count",
+    [("pq:2,241", 244), ("product:cyclic:4+cyclic:4", 15), ("cyclic:720", 30), ("product:dihedral:4+cyclic:9", 30)],
 )
 def test_lattice_cap_boundary(spec, count):
-    # a nonabelian group, whose classes enter the count whole, and abelian
-    # ones on the worklist route, where every class is a single subgroup
+    # a nonabelian group on the worklist route, whose classes enter the
+    # count whole; an abelian p-group on the worklist route, where every
+    # class is a single subgroup; and two nilpotent groups on the Sylow
+    # product route, whose count is the product of their parts' counts
+    # (cyclic:720 has 5 * 3 * 2 subgroups, and D8 x C9 has 10 * 3)
     group = GroupSpec.parse(spec).build()
     with pytest.raises(LatticeTooLarge):
         enumerate_subgroups(group, max_subgroups=count - 1)
     assert len(enumerate_subgroups(group, max_subgroups=count)) == count
+
+
+def test_nilpotent_groups_of_several_primes_enumerate_one_sylow_subgroup_at_a_time(monkeypatch):
+    # the worklist, confined to each Sylow subgroup in turn; a p-group and a
+    # group that is not nilpotent walk the whole group
+    tops = []
+
+    def recording(group, max_subgroups, top=None):
+        tops.append(None if top is None else top.bit_count())
+        return _enumerate_worklist(group, max_subgroups, top)
+
+    monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
+    for spec, want in [
+        ("cyclic:720", [16, 9, 5]),
+        ("product:dihedral:4+cyclic:9", [8, 9]),
+        ("dihedral:4", [None]),
+        ("pq:2,3", [None]),
+    ]:
+        tops.clear()
+        lat_of(spec)
+        assert tops == want, spec
+
+
+def test_sylow_product_route_checks_its_sylow_subgroups_under_python_O():
+    # the selector, made to call S3 nilpotent: its elements of order
+    # dividing 2 are the identity and three involutions, four where a
+    # Sylow 2-subgroup has two
+    code = textwrap.dedent(
+        """
+        import latsum.lattice
+        from latsum import GroupSpec, InvariantViolation, enumerate_subgroups
+
+        latsum.lattice.nilpotent_by_element_orders = lambda group: True
+        print("debug", __debug__)
+        try:
+            enumerate_subgroups(GroupSpec.parse("pq:2,3").build())
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
+        """
+    )
+    status, out, err = run_python("-O", "-c", code)
+    assert status == 0, err
+    assert out.splitlines() == ["debug False", "InvariantViolation: pq:2,3 has 4 elements of order dividing 2, not 2"]
 
 
 def test_subspace_route_cap_boundary():
