@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from dataclasses import dataclass
 from itertools import chain, combinations, permutations, repeat
 from typing import Iterable, Sequence
@@ -39,7 +40,7 @@ class Group:
     and ``inverse`` are derived from it.  A Group is never mutated.
     """
 
-    __slots__ = ("order", "array", "table", "inverse", "label", "_element_orders", "_abelian", "_gens")
+    __slots__ = ("order", "array", "table", "inverse", "label", "_element_orders", "_order_counts", "_abelian", "_gens")
 
     def __init__(self, table, label: str = "group"):
         n = len(table)
@@ -73,6 +74,7 @@ class Group:
                 self.table += pool[arr[lo : lo + 64]].tolist()
         self.inverse = inverse.tolist()
         self._element_orders: tuple[int, ...] | None = None
+        self._order_counts: Counter[int] | None = None
         self._abelian: bool | None = None
         self._gens: tuple[int, ...] | None = None
 
@@ -100,6 +102,13 @@ class Group:
                     orders[aj] = k // math.gcd(j, k)
             self._element_orders = tuple(orders)
         return self._element_orders
+
+    def order_counts(self) -> Counter[int]:
+        """The number of elements of each order, counted once from
+        ``element_orders``."""
+        if self._order_counts is None:
+            self._order_counts = Counter(self.element_orders())
+        return self._order_counts
 
     def exponent(self) -> int:
         return math.lcm(*self.element_orders())

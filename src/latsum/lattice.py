@@ -97,9 +97,9 @@ class Lattice:
     from the census offsets, so a lattice built by hand must keep its
     blocks matching its census.  Inside a block, subgroups keep the
     deterministic order in which their route found them; no reader may
-    assume more.  ``subgroups`` is a plain list on the worklist and Sylow
-    product routes and, on the subspace route, a view over one read-only
-    uint8 array of packed big-endian mask rows.
+    assume more.  ``subgroups`` is a plain list on the worklist and
+    direct-factor routes and, on the subspace route, a view over one
+    read-only uint8 array of packed big-endian mask rows.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -176,34 +176,56 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     block.  Its maximal subgroups, the hyperplanes of order |G|/p, are the
     one block made into Subgroup objects.
 
-    Every other group that is not a p-group but passes
-    ``nilpotent_by_element_orders`` takes the Sylow product route.  A
-    finite nilpotent group is the direct product of its Sylow subgroups
-    P_1, ..., P_r, one per prime in ascending order, and every subgroup is
-    the product of its Sylow parts (Burnside 1911).  So the worklist runs
-    once per P_i, confined to its members, and each tuple (A_1, ..., A_r)
-    with A_i <= P_i gives the subgroup A_1...A_r, its mask made from the
-    parts' members; one of them is maximal exactly when one A_i is
-    maximal in P_i and every other A_j is P_j.  Walking one Sylow subgroup
-    at a time costs about |P_i| steps per subgroup of P_i, where the
-    worklist on the whole group costs about |G| per subgroup of G.  The
-    three routes are cross-checked in the test suite.
+    Every other group whose order has two or more primes and that splits
+    off a Sylow subgroup as a direct factor takes the direct-factor route.
+    Let p^a be the p-part of |G|.  The Sylow p-subgroup P is a direct
+    factor exactly when p^a elements have order dividing p^a, so that P is
+    the only Sylow p-subgroup and normal, and |G|/p^a elements have order
+    prime to p.  For then P has a complement K (Schur-Zassenhaus), every
+    element of K has order prime to p, so those |G|/p^a elements are K; K
+    is a union of conjugacy classes, so it is normal, and two normal
+    subgroups that meet in 1 commute, so G = P x K.  ``_split_primes``
+    reads both counts from the element orders alone.  The parts are each
+    such P and one rest part, the elements whose order divides the
+    product of the p-parts of the primes that do not split, which is then
+    the intersection of the complements K and so a subgroup; a nilpotent
+    group, where every Sylow subgroup splits, has no rest part.  Every
+    subgroup H of a direct product of factors of coprime orders is the
+    product of its intersections with the factors, since the component of
+    each h in H in a factor is a power of h.  So the worklist runs once per
+    part, confined to its members, and takes prime steps on a part that is
+    abelian even when G is not: each subgroup of a direct factor that is
+    abelian is normal in G.  Each tuple (A_1, ..., A_r) with A_i a
+    subgroup of part i gives the subgroup A_1...A_r, its mask made from
+    the parts' members; one of them is maximal exactly when one A_i is
+    maximal in its part and every other A_j is its whole part.  Walking
+    one part at a time costs about |P_i| steps per subgroup of part i,
+    where the worklist on the whole group costs about |G| per subgroup of
+    G.  A group that splits off no Sylow subgroup, such as S3, S4 or a
+    dihedral group that is not a 2-group, walks the whole group, and so
+    does a direct product of Hall subgroups that are not Sylow subgroups,
+    such as S3 x (C11 : C5): no count of element orders is known to make
+    its parts subgroups.  The three routes are cross-checked in the test
+    suite.
 
     Inside each order block (see ``Lattice``) the subgroups come in
     discovery order on the worklist route, in pivot-pattern order on the
-    subspace route and, on the product route, in the order of the tuples,
-    the last prime's part varying fastest and each part's subgroups in
-    its worklist's discovery order.  The maximals come in the order they
-    were recorded: on the product route, by prime, then in the order of
-    the part's own maximals.
+    subspace route and, on the direct-factor route, in the order of the
+    tuples, the parts in the order of their smallest primes, the last
+    part varying fastest and each part's subgroups in its worklist's
+    discovery order.  The maximals come in the order they were recorded:
+    on the direct-factor route, by part, then in the order of the part's
+    own maximals.
 
     Raises LatticeTooLarge when the subgroup count exceeds
     ``max_subgroups``; the subspace route checks its closed-form count
-    before it allocates anything, and the product route checks the
+    before it allocates anything, and the direct-factor route checks the
     product of its parts' counts before it builds any product.  Raises
     InvariantViolation when some order does not divide |G| (every route);
-    on the product route when the elements of order dividing p^a, for the
-    p-part p^a of |G|, are not p^a in number; and on the subspace route
+    on the direct-factor route when the elements of order dividing the
+    order q of a part are not q in number, or, in a group with a rest
+    part, when the elements of order dividing p^a of a split prime p do
+    not commute with those of order prime to p; and on the subspace route
     when the rows written to an order block are not its closed-form number
     of subspaces (checked before any write past the block's end), or when
     a row of a block as written does not have p^r bits set (checked after
@@ -214,8 +236,9 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
         packed, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
         subs = _MaskView(packed)
     else:
-        if len(factorize(group.order)) > 1 and nilpotent_by_element_orders(group):
-            subs, maximals = _enumerate_sylow_product(group, max_subgroups)
+        split = _split_primes(group)
+        if split:
+            subs, maximals = _enumerate_direct_factors(group, split, max_subgroups)
         else:
             subs, maximals = _enumerate_worklist(group, max_subgroups)
         subs.sort(key=lambda s: s.order)
@@ -235,14 +258,21 @@ def _enumerate_worklist(
     the generators of its class representative, from which the closures
     of its extensions start.
 
-    ``top``, the mask of a normal subgroup T, confines the walk to the
+    ``top``, the mask of a direct factor T of G, confines the walk to the
     members of T: then it finds the subgroups of T, with their classes
-    under G, and H is maximal in T when every extension is T."""
+    under G, which are their classes under T, and H is maximal in T when
+    every extension is T.  Prime steps run when the group walked, G or T,
+    is abelian."""
     table = group.table
     n = group.order
-    full_mask = (1 << n) - 1 if top is None else top
-    elements = range(1, n) if top is None else _mask_members(top)[1:]
     abelian = group.is_abelian
+    if top is None:
+        full_mask, elements = (1 << n) - 1, range(1, n)
+    else:
+        full_mask, elements = top, _mask_members(top)[1:]
+        if not abelian:
+            part = np.array(elements)
+            abelian = _commute(group, part, part)
     seen: dict[int, Subgroup] = {}
     work: list[tuple[Subgroup, tuple[int, ...], list[Subgroup]]] = []
 
@@ -295,23 +325,69 @@ def _enumerate_worklist(
     return list(seen.values()), maximals
 
 
-def _enumerate_sylow_product(group: Group, max_subgroups: int) -> tuple[list[Subgroup], list[Subgroup]]:
-    """(every subgroup, the maximal subgroups) of a nilpotent group that is
-    not a p-group (see ``enumerate_subgroups``): the worklist once per
-    Sylow subgroup P_i, the elements of order dividing p^a, as its
-    ``top``, then the product A_1...A_r of each tuple of the parts'
-    subgroups, the tuples in lexicographic order of their indices.  The
-    members of each product of the parts before the last are listed once,
-    and each of those times each subgroup of the last part is ORed
-    straight into a mask."""
+def _split_primes(group: Group) -> list[int]:
+    """The primes p, ascending, whose Sylow p-subgroup is a direct factor
+    of G, when |G| has two or more primes; else [].  Read from the counts
+    of element orders alone (see ``enumerate_subgroups``)."""
+    n = group.order
+    fact = sorted(factorize(n).items())
+    if len(fact) < 2:
+        return []
+    normal = [(p, a) for p, a in fact if _count_dividing(group, p**a) == p**a]
+    if len(normal) == len(fact):
+        return [p for p, _ in fact]  # nilpotent: every Sylow subgroup is normal
+    return [p for p, a in normal if _count_dividing(group, n // p**a) == n // p**a]
+
+
+def _count_dividing(group: Group, q: int) -> int:
+    """The number of elements of ``group`` whose order divides q."""
+    return sum(c for d, c in group.order_counts().items() if q % d == 0)
+
+
+def _commute(group: Group, a: np.ndarray, b: np.ndarray) -> bool:
+    """True when every element of ``a`` commutes with every element of ``b``."""
+    return np.array_equal(group.array[a[:, None], b], group.array[b[:, None], a].T)
+
+
+def _enumerate_direct_factors(
+    group: Group, split: list[int], max_subgroups: int
+) -> tuple[list[Subgroup], list[Subgroup]]:
+    """(every subgroup, the maximal subgroups) of a group that is the direct
+    product of its Sylow p-subgroups for the primes ``split`` and, unless
+    every prime splits, one rest part (see ``enumerate_subgroups``): the
+    worklist once per part, its members as its ``top``, then the product
+    A_1...A_r of each tuple of the parts' subgroups, the tuples in
+    lexicographic order of their indices.  The members of each product of
+    the parts before the last are listed once, and each of those times
+    each subgroup of the last part is ORed straight into a mask."""
     table = group.table
+    n = group.order
+    fact = factorize(n)  # ascending primes
+    rest = n // math.prod(p ** fact[p] for p in split)
     orders = np.array(group.element_orders())
+    if rest > 1:
+        # not nilpotent: each split Sylow p-subgroup must commute with its
+        # complement, the elements of order prime to p
+        for p in split:
+            sylow, others = np.flatnonzero(p ** fact[p] % orders == 0), np.flatnonzero(orders % p)
+            if not _commute(group, sylow, others):
+                raise InvariantViolation(
+                    f"{group.label}: its {len(sylow)} elements of order dividing {p ** fact[p]} do not commute "
+                    f"with its {len(others)} elements of order prime to {p}"
+                )
+    # part q holds the elements of order dividing q; the rest part comes
+    # once, at its smallest prime
+    sizes: list[int] = []
+    for p, a in fact.items():
+        q = p**a if p in split else rest
+        if q not in sizes:
+            sizes.append(q)
     parts = []
-    for p, a in sorted(factorize(group.order).items()):
-        sylow = np.flatnonzero(p**a % orders == 0).tolist()
-        if len(sylow) != p**a:
-            raise InvariantViolation(f"{group.label} has {len(sylow)} elements of order dividing {p**a}, not {p**a}")
-        top = sum(1 << x for x in sylow)
+    for q in sizes:
+        members = np.flatnonzero(q % orders == 0).tolist()
+        if len(members) != q:
+            raise InvariantViolation(f"{group.label} has {len(members)} elements of order dividing {q}, not {q}")
+        top = sum(1 << x for x in members)
         parts.append((top, *_enumerate_worklist(group, max_subgroups, top)))
     total = math.prod(len(subs) for _, subs, _ in parts)
     if total > max_subgroups:
@@ -320,7 +396,7 @@ def _enumerate_sylow_product(group: Group, max_subgroups: int) -> tuple[list[Sub
     heads = [[0]]
     for part in firsts:
         heads = [[table[x][y] for x in head for y in sub] for head in heads for sub in part]
-    bit = [1 << x for x in range(group.order)]
+    bit = [1 << x for x in range(n)]
     products = []
     for head in heads:
         for last in lasts:
@@ -332,8 +408,8 @@ def _enumerate_sylow_product(group: Group, max_subgroups: int) -> tuple[list[Sub
             products.append(Subgroup(mask))
     # (A_1, ..., A_r) is products[sum of offsets[i][A_i]]: the index of A_i
     # in its part times the product of the later parts' counts.  G is the
-    # tuple of the P_i, and a maximal subgroup swaps one P_i for a maximal
-    # subgroup of P_i.
+    # tuple of the whole parts, and a maximal subgroup swaps one part for a
+    # maximal subgroup of it.
     strides = [math.prod(len(subs) for _, subs, _ in parts[i + 1 :]) for i in range(len(parts))]
     offsets = [{s.mask: j * stride for j, s in enumerate(subs)} for (_, subs, _), stride in zip(parts, strides)]
     whole = sum(offset[top] for offset, (top, _, _) in zip(offsets, parts))
@@ -546,10 +622,9 @@ def nilpotent_by_element_orders(group: Group) -> bool:
 
     Every p-element lies in some Sylow p-subgroup, so the count is p^a
     exactly when there is one Sylow p-subgroup, which is then normal.  This
-    reads only the cached element orders, never the lattice.
+    reads only the cached counts of element orders, never the lattice.
     """
-    orders = group.element_orders()
-    return all(sum(map(orders.count, [p**i for i in range(a + 1)])) == p**a for p, a in factorize(group.order).items())
+    return all(_count_dividing(group, p**a) == p**a for p, a in factorize(group.order).items())
 
 
 def is_nilpotent(group: Group, lat: Lattice) -> bool:

@@ -39,6 +39,7 @@ from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
 from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask, group_from_raw_table
 from latsum.analysis import analyze_group
+from latsum.arith import factorize
 from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_orders
 
 from helpers import (
@@ -344,10 +345,19 @@ def _oracle_groups():
         "dihedral:100",
         "product:sym:4+cyclic:25",
         # nonabelian nilpotent groups of two or more primes, which take the
-        # Sylow product route
+        # direct-factor route one Sylow subgroup at a time
         "product:dihedral:4+cyclic:3",
         "product:dihedral:8+cyclic:9",
         "product:dihedral:4+elem:3,2",
+        # groups that are not nilpotent but split off a Sylow subgroup, which
+        # take the direct-factor route with a nonabelian rest part; the rest
+        # part of D10 x C3 comes first, that of F21 x C2 last
+        "product:dihedral:5+cyclic:3",
+        "product:pq:3,7+cyclic:2",
+        "product:pq:2,3+cyclic:5+cyclic:7",
+        # S3 x F55 splits off no Sylow subgroup, though it is the direct
+        # product of two Hall subgroups
+        "product:pq:2,3+pq:5,11",
         *ABELIAN_ORACLE_SPECS,
     ]:
         groups.append(GroupSpec.parse(text).build())
@@ -357,7 +367,11 @@ def _oracle_groups():
     groups.append(direct_product_group([sylow_wreath_product("C2wrC2wrC2"), cyclic_group(3)]))
     # relabelled tables, whose element indices do not follow the powers of a
     # generator or the layout of a direct product
-    for spec, seed in [("product:cyclic:6+cyclic:12", 23), ("product:dihedral:4+cyclic:9", 29)]:
+    for spec, seed in [
+        ("product:cyclic:6+cyclic:12", 23),
+        ("product:dihedral:4+cyclic:9", 29),
+        ("product:pq:2,3+cyclic:35", 31),
+    ]:
         group = Group(relabelled(GroupSpec.parse(spec).build().table, random.Random(seed)), f"relabelled {spec}")
         group.validate()
         groups.append(group)
@@ -493,8 +507,9 @@ def test_elementary_abelian_census_matches_gaussian():
 
 def test_lattice_blocks_ascend_and_repeat():
     # the worklist route (dihedral:6), the subspace route (elem:2,4) and the
-    # Sylow product route (product:dihedral:4+cyclic:9)
-    for spec in ["dihedral:6", "elem:2,4", "product:dihedral:4+cyclic:9"]:
+    # direct-factor route (product:dihedral:4+cyclic:9 and, with a
+    # nonabelian rest part, product:pq:2,3+cyclic:5)
+    for spec in ["dihedral:6", "elem:2,4", "product:dihedral:4+cyclic:9", "product:pq:2,3+cyclic:5"]:
         _, lat1 = lat_of(spec)
         _, lat2 = lat_of(spec)
         _assert_blocks_match_census(lat1)
@@ -513,23 +528,31 @@ def test_lattice_too_large():
 
 @pytest.mark.parametrize(
     "spec, count",
-    [("pq:2,241", 244), ("product:cyclic:4+cyclic:4", 15), ("cyclic:720", 30), ("product:dihedral:4+cyclic:9", 30)],
+    [
+        ("pq:2,241", 244),
+        ("product:cyclic:4+cyclic:4", 15),
+        ("cyclic:720", 30),
+        ("product:dihedral:4+cyclic:9", 30),
+        ("product:pq:2,3+cyclic:25", 18),
+    ],
 )
 def test_lattice_cap_boundary(spec, count):
     # a nonabelian group on the worklist route, whose classes enter the
     # count whole; an abelian p-group on the worklist route, where every
-    # class is a single subgroup; and two nilpotent groups on the Sylow
-    # product route, whose count is the product of their parts' counts
-    # (cyclic:720 has 5 * 3 * 2 subgroups, and D8 x C9 has 10 * 3)
+    # class is a single subgroup; and three groups on the direct-factor
+    # route, whose count is the product of their parts' counts (cyclic:720
+    # has 5 * 3 * 2 subgroups, D8 x C9 has 10 * 3, and S3 x C25 has 6 * 3)
     group = GroupSpec.parse(spec).build()
     with pytest.raises(LatticeTooLarge):
         enumerate_subgroups(group, max_subgroups=count - 1)
     assert len(enumerate_subgroups(group, max_subgroups=count)) == count
 
 
-def test_nilpotent_groups_of_several_primes_enumerate_one_sylow_subgroup_at_a_time(monkeypatch):
-    # the worklist, confined to each Sylow subgroup in turn; a p-group and a
-    # group that is not nilpotent walk the whole group
+def test_groups_with_a_sylow_direct_factor_enumerate_one_part_at_a_time(monkeypatch):
+    # the worklist, confined to each part in turn: each Sylow subgroup that
+    # is a direct factor, and one rest part at its smallest prime; a
+    # p-group and a group that splits off no Sylow subgroup walk the whole
+    # group
     tops = []
 
     def recording(group, max_subgroups, top=None):
@@ -540,34 +563,108 @@ def test_nilpotent_groups_of_several_primes_enumerate_one_sylow_subgroup_at_a_ti
     for spec, want in [
         ("cyclic:720", [16, 9, 5]),
         ("product:dihedral:4+cyclic:9", [8, 9]),
+        ("product:pq:2,3+cyclic:5", [6, 5]),
+        ("product:sym:4+cyclic:25", [24, 25]),
+        ("product:pq:3,7+cyclic:2", [2, 21]),
         ("dihedral:4", [None]),
         ("pq:2,3", [None]),
+        ("pq:3,7", [None]),
+        ("sym:4", [None]),
+        ("product:pq:2,3+pq:5,11", [None]),
     ]:
         tops.clear()
         lat_of(spec)
         assert tops == want, spec
 
 
-def test_sylow_product_route_checks_its_sylow_subgroups_under_python_O():
-    # the selector, made to call S3 nilpotent: its elements of order
-    # dividing 2 are the identity and three involutions, four where a
-    # Sylow 2-subgroup has two
+def test_split_primes_are_those_of_a_normal_sylow_subgroup_with_a_normal_complement():
+    # the selector reads element-order counts only; the oracle reads the
+    # normal subgroups of the brute-force lattice: normal subgroups of
+    # orders p^a and |G|/p^a meet in 1 and so make G their direct product
+    for spec in [
+        "pq:2,3",
+        "pq:3,7",
+        "dihedral:6",
+        "dihedral:15",
+        "sym:4",
+        "cyclic:12",
+        "elem:2,3",
+        "product:dihedral:4+cyclic:9",
+        "product:pq:2,3+cyclic:5",
+        "product:dihedral:5+cyclic:3",
+        "product:pq:3,7+cyclic:2",
+        "product:pq:2,3+cyclic:35",
+        "product:sym:4+cyclic:5",
+        "product:pq:2,3+pq:5,11",
+    ]:
+        group = GroupSpec.parse(spec).build()
+        n = group.order
+        masks = every_subgroup_worklist(group)
+        normal = {mask.bit_count() for mask in masks if is_normal_by_conjugation(group, Subgroup(mask))}
+        fact = sorted(factorize(n).items())
+        want = [p for p, a in fact if p**a in normal and n // p**a in normal] if len(fact) > 1 else []
+        assert latsum.lattice._split_primes(group) == want, spec
+
+
+def test_abelian_parts_take_prime_steps_in_a_nonabelian_group(monkeypatch):
+    # D8 x C9 and S3 x C5 are nonabelian, but their parts C9 and C5 are
+    # abelian, so their walks extend by prime steps and run no closure
+    closures = 0
+    per_part = []
+
+    def counting(*args, **kwargs):
+        nonlocal closures
+        closures += 1
+        return generated_mask(*args, **kwargs)
+
+    def recording(group, max_subgroups, top=None):
+        nonlocal closures
+        closures = 0
+        out = _enumerate_worklist(group, max_subgroups, top)
+        per_part.append((top.bit_count(), closures))
+        return out
+
+    monkeypatch.setattr(latsum.lattice, "generated_mask", counting)
+    monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
+    for spec, want in [
+        ("product:dihedral:4+cyclic:9", [(8, 16), (9, 0)]),
+        ("product:pq:2,3+cyclic:5", [(6, 6), (5, 0)]),
+    ]:
+        per_part.clear()
+        group, lat = lat_of(spec)
+        assert not group.is_abelian
+        assert per_part == want, spec
+        assert {s.mask for s in lat.subgroups} == every_subgroup_worklist(group), spec
+
+
+def test_direct_factor_route_checks_its_split_under_python_O():
+    # the selector, made to split S3 at 2: its elements of order dividing
+    # 2 are the identity and three involutions, which do not commute with
+    # the rotations, the elements of odd order; then made to call S3
+    # nilpotent, so that its Sylow 2-part has four elements where a Sylow
+    # 2-subgroup has two
     code = textwrap.dedent(
         """
         import latsum.lattice
         from latsum import GroupSpec, InvariantViolation, enumerate_subgroups
 
-        latsum.lattice.nilpotent_by_element_orders = lambda group: True
         print("debug", __debug__)
-        try:
-            enumerate_subgroups(GroupSpec.parse("pq:2,3").build())
-        except InvariantViolation as exc:
-            print("InvariantViolation:", exc)
+        for split in ([2], [2, 3]):
+            latsum.lattice._split_primes = lambda group: split
+            try:
+                enumerate_subgroups(GroupSpec.parse("pq:2,3").build())
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
         """
     )
     status, out, err = run_python("-O", "-c", code)
     assert status == 0, err
-    assert out.splitlines() == ["debug False", "InvariantViolation: pq:2,3 has 4 elements of order dividing 2, not 2"]
+    assert out.splitlines() == [
+        "debug False",
+        "InvariantViolation: pq:2,3: its 4 elements of order dividing 2 do not commute with its 3 elements "
+        "of order prime to 2",
+        "InvariantViolation: pq:2,3 has 4 elements of order dividing 2, not 2",
+    ]
 
 
 def test_subspace_route_cap_boundary():
