@@ -40,7 +40,7 @@ class Group:
     and ``inverse`` are derived from it.  A Group is never mutated.
     """
 
-    __slots__ = ("order", "array", "table", "inverse", "label", "_element_orders", "_order_counts", "_abelian", "_gens")
+    __slots__ = ("order", "array", "table", "inverse", "label", "_element_orders", "_order_counts", "_abelian", "_gens", "_conjugations")
 
     def __init__(self, table, label: str = "group"):
         n = len(table)
@@ -77,6 +77,7 @@ class Group:
         self._order_counts: Counter[int] | None = None
         self._abelian: bool | None = None
         self._gens: tuple[int, ...] | None = None
+        self._conjugations: tuple[list[int], ...] | None = None
 
     def __repr__(self) -> str:
         return f"Group({self.label!r}, order={self.order})"
@@ -162,6 +163,15 @@ class Group:
             self._gens = tuple(gens)
         return self._gens
 
+    def conjugations(self) -> tuple[list[int], ...]:
+        """For each x in ``generating_set()``, in that order, the list whose
+        entry a is x * a * x^-1: conjugation by x as a permutation of the
+        element indices, two gathers on ``array``, built on first use."""
+        if self._conjugations is None:
+            arr, inverse = self.array, self.inverse
+            self._conjugations = tuple(arr[arr[x], inverse[x]].tolist() for x in self.generating_set())
+        return self._conjugations
+
     def dump_table(self) -> str:
         """Raw text format: first line n, then the n table rows."""
         lines = [str(self.order)]
@@ -228,26 +238,19 @@ def generated_mask(group: Group, gens: Sequence[int], seed_mask: int = 1) -> int
     return mask
 
 
-def conjugate_mask(group: Group, mask: int, x: int) -> int:
-    """Bitmask of x * H * x^-1, where ``mask`` is the bitmask of H."""
-    table = group.table
-    rowx = table[x]
-    ix = group.inverse[x]
-    out = 0
-    for m in _mask_members(mask):
-        out |= 1 << table[rowx[m]][ix]
-    return out
-
-
 def is_normal(group: Group, mask: int) -> bool:
     """True when the subgroup with membership bitmask ``mask`` is normal.
 
     Every subgroup of an abelian group is normal, so there it reads only
-    ``is_abelian``.  Otherwise it checks x * H * x^-1 == H for each x in
-    ``generating_set()``: the normalizer is a subgroup, so containing the
-    generators means it is the whole group.
+    ``is_abelian``.  Otherwise it checks that each of ``conjugations()``
+    maps every member of H into H: a conjugate of H has |H| members, so it
+    is H once it lies in H, and the normalizer is a subgroup, so containing
+    the generators means it is the whole group.
     """
-    return group.is_abelian or all(conjugate_mask(group, mask, x) == mask for x in group.generating_set())
+    if group.is_abelian:
+        return True
+    members = _mask_members(mask)
+    return all(mask >> pi[m] & 1 for pi in group.conjugations() for m in members)
 
 
 def _mask_members(mask: int) -> list[int]:

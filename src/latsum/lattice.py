@@ -13,7 +13,7 @@ import numpy as np
 
 from .arith import factorize, gaussian_subgroup_count, is_prime
 from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
-from .groups import Group, _mask_members, conjugate_mask, generated_mask, is_normal
+from .groups import Group, _mask_members, generated_mask, is_normal
 
 DEFAULT_MAX_SUBGROUPS = 100_000
 
@@ -195,18 +195,19 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     each h in H in a factor is a power of h.  So the worklist runs once per
     part, confined to its members, and takes prime steps on a part that is
     abelian even when G is not: each subgroup of a direct factor that is
-    abelian is normal in G.  Each tuple (A_1, ..., A_r) with A_i a
-    subgroup of part i gives the subgroup A_1...A_r, its mask made from
-    the parts' members; one of them is maximal exactly when one A_i is
-    maximal in its part and every other A_j is its whole part.  Walking
-    one part at a time costs about |P_i| steps per subgroup of part i,
-    where the worklist on the whole group costs about |G| per subgroup of
-    G.  A group that splits off no Sylow subgroup, such as S3, S4 or a
-    dihedral group that is not a 2-group, walks the whole group, and so
-    does a direct product of Hall subgroups that are not Sylow subgroups,
-    such as S3 x (C11 : C5): no count of element orders is known to make
-    its parts subgroups.  The three routes are cross-checked in the test
-    suite.
+    abelian is normal in G.  Such a part is found as a central one, fixed by
+    every generator's conjugation, since the other factors commute with it.
+    Each tuple (A_1, ..., A_r) with A_i a subgroup of part i gives the
+    subgroup A_1...A_r, its mask made from the parts' members; one of them
+    is maximal exactly when one A_i is maximal in its part and every other
+    A_j is its whole part.  Walking one part at a time costs about |P_i|
+    steps per subgroup of part i, where the worklist on the whole group
+    costs about |G| per subgroup of G.  A group that splits off no Sylow
+    subgroup, such as S3, S4 or a dihedral group that is not a 2-group,
+    walks the whole group, and so does a direct product of Hall subgroups
+    that are not Sylow subgroups, such as S3 x (C11 : C5): no count of
+    element orders is known to make its parts subgroups.  The three routes
+    are cross-checked in the test suite.
 
     Inside each order block (see ``Lattice``) the subgroups come in
     discovery order on the worklist route, in pivot-pattern order on the
@@ -270,9 +271,7 @@ def _enumerate_worklist(
         full_mask, elements = (1 << n) - 1, range(1, n)
     else:
         full_mask, elements = top, _mask_members(top)[1:]
-        if not abelian:
-            part = np.array(elements)
-            abelian = _commute(group, part, part)
+        abelian = abelian or all(pi[t] == t for pi in group.conjugations() for t in elements)
     seen: dict[int, Subgroup] = {}
     work: list[tuple[Subgroup, tuple[int, ...], list[Subgroup]]] = []
 
@@ -344,11 +343,6 @@ def _count_dividing(group: Group, q: int) -> int:
     return sum(c for d, c in group.order_counts().items() if q % d == 0)
 
 
-def _commute(group: Group, a: np.ndarray, b: np.ndarray) -> bool:
-    """True when every element of ``a`` commutes with every element of ``b``."""
-    return np.array_equal(group.array[a[:, None], b], group.array[b[:, None], a].T)
-
-
 def _enumerate_direct_factors(
     group: Group, split: list[int], max_subgroups: int
 ) -> tuple[list[Subgroup], list[Subgroup]]:
@@ -364,13 +358,13 @@ def _enumerate_direct_factors(
     n = group.order
     fact = factorize(n)  # ascending primes
     rest = n // math.prod(p ** fact[p] for p in split)
-    orders = np.array(group.element_orders())
+    arr, orders = group.array, np.array(group.element_orders())
     if rest > 1:
         # not nilpotent: each split Sylow p-subgroup must commute with its
         # complement, the elements of order prime to p
         for p in split:
             sylow, others = np.flatnonzero(p ** fact[p] % orders == 0), np.flatnonzero(orders % p)
-            if not _commute(group, sylow, others):
+            if not np.array_equal(arr[sylow[:, None], others], arr[others[:, None], sylow].T):
                 raise InvariantViolation(
                     f"{group.label}: its {len(sylow)} elements of order dividing {p ** fact[p]} do not commute "
                     f"with its {len(others)} elements of order prime to {p}"
@@ -543,15 +537,16 @@ def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
     """All distinct conjugates of ``sub``: ``sub`` itself first, then the
     others in the order the walk under the generating set finds them."""
     seen = {sub.mask: sub}
-    frontier = [sub.mask]
+    frontier = [sub.members()]
     while frontier:
         nxt = []
-        for h in frontier:
-            for x in group.generating_set():
-                c = conjugate_mask(group, h, x)
+        for members in frontier:
+            for pi in group.conjugations():
+                image = [pi[m] for m in members]
+                c = sum(1 << m for m in image)
                 if c not in seen:
                     seen[c] = Subgroup(c)
-                    nxt.append(c)
+                    nxt.append(image)
         frontier = nxt
     return list(seen.values())
 

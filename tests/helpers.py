@@ -23,7 +23,7 @@ from latsum import (
     sigma1,
 )
 from latsum.corpus import group_fingerprint, subgroup_as_group
-from latsum.groups import _mask_members, conjugate_mask, generated_mask
+from latsum.groups import _mask_members, generated_mask
 
 
 def python_child(*args: str, env: dict[str, str] | None = None, **kwargs) -> subprocess.Popen:
@@ -202,6 +202,35 @@ def subspace_masks_by_loop(group: Group, p: int, k: int) -> list[int]:
 
 def contains_subgroup(big: Subgroup, small: Subgroup) -> bool:
     return big.mask & small.mask == small.mask
+
+
+def conjugate_mask(group: Group, mask: int, x: int) -> int:
+    """Bitmask of x * H * x^-1, where ``mask`` is the bitmask of H."""
+    table = group.table
+    rowx = table[x]
+    ix = group.inverse[x]
+    out = 0
+    for m in _mask_members(mask):
+        out |= 1 << table[rowx[m]][ix]
+    return out
+
+
+def conjugate_masks_by_walk(group: Group, sub: Subgroup) -> list[int]:
+    """The masks of the conjugates of ``sub``, ``sub``'s first, then the
+    others in the order a breadth-first walk finds them, conjugating each
+    mask by every generator of the parent in turn."""
+    seen = [sub.mask]
+    frontier = [sub.mask]
+    while frontier:
+        nxt = []
+        for h in frontier:
+            for x in group.generating_set():
+                c = conjugate_mask(group, h, x)
+                if c not in seen:
+                    seen.append(c)
+                    nxt.append(c)
+        frontier = nxt
+    return seen
 
 
 def is_normal_by_conjugation(group: Group, sub: Subgroup) -> bool:

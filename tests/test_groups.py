@@ -16,6 +16,7 @@ from latsum import (
     Lattice,
     NotAPermutation,
     OrderCapExceeded,
+    analyze_group,
     cyclic_group,
     dihedral_group,
     direct_product_group,
@@ -512,6 +513,24 @@ def test_generating_set_spans():
         gens = g.generating_set()
         assert generated_mask(g, gens) == (1 << g.order) - 1
         assert len(gens) <= math.ceil(math.log2(max(g.order, 2)))
+
+
+def test_conjugations_are_the_generators_conjugations_built_once():
+    # dihedral:150 has order 300, above 256, where Group gathers its list
+    # rows from one int object per element
+    raw = Group(relabelled(GroupSpec.parse("product:pq:2,3+cyclic:7").build().table, random.Random(11))).dump_table()
+    for group in [symmetric_group(4), semidirect_pq_group(3, 7), dihedral_group(150), group_from_raw_table(raw)]:
+        table, inverse = group.table, group.inverse
+        perms = group.conjugations()
+        assert len(perms) == len(group.generating_set()), group.label
+        for x, pi in zip(group.generating_set(), perms):
+            assert pi == [table[table[x][a]][inverse[x]] for a in range(group.order)], group.label
+        assert group.conjugations() is perms
+    # an abelian group never builds them, whatever route its lattice takes
+    for spec in ["cyclic:12", "elem:2,4", "product:cyclic:4+cyclic:9"]:
+        group = GroupSpec.parse(spec).build()
+        analyze_group(group)
+        assert group._conjugations is None, spec
 
 
 @pytest.fixture(scope="module")

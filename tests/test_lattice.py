@@ -45,6 +45,7 @@ from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_o
 from helpers import (
     CountingTable,
     brute_force_subgroup_masks,
+    conjugate_masks_by_walk,
     contains_subgroup,
     descending_maximal_scan,
     divisors,
@@ -608,7 +609,9 @@ def test_split_primes_are_those_of_a_normal_sylow_subgroup_with_a_normal_complem
 
 def test_abelian_parts_take_prime_steps_in_a_nonabelian_group(monkeypatch):
     # D8 x C9 and S3 x C5 are nonabelian, but their parts C9 and C5 are
-    # abelian, so their walks extend by prime steps and run no closure
+    # abelian, so their walks extend by prime steps and run no closure;
+    # the nonabelian parts, the rest part D10 of D10 x C3 and the Sylow
+    # 2-subgroup Q8 of Q8 x C3 among them, walk by closures
     closures = 0
     per_part = []
 
@@ -626,15 +629,19 @@ def test_abelian_parts_take_prime_steps_in_a_nonabelian_group(monkeypatch):
 
     monkeypatch.setattr(latsum.lattice, "generated_mask", counting)
     monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
-    for spec, want in [
-        ("product:dihedral:4+cyclic:9", [(8, 16), (9, 0)]),
-        ("product:pq:2,3+cyclic:5", [(6, 6), (5, 0)]),
+    q8 = Group(Q8_TABLE, "Q8")
+    q8.validate()
+    for group, want in [
+        (GroupSpec.parse("product:dihedral:4+cyclic:9").build(), [(8, 16), (9, 0)]),
+        (GroupSpec.parse("product:pq:2,3+cyclic:5").build(), [(6, 6), (5, 0)]),
+        (GroupSpec.parse("product:dihedral:5+cyclic:3").build(), [(10, 8), (3, 0)]),
+        (direct_product_group([q8, cyclic_group(3)]), [(8, 10), (3, 0)]),
     ]:
         per_part.clear()
-        group, lat = lat_of(spec)
+        lat = enumerate_subgroups(group)
         assert not group.is_abelian
-        assert per_part == want, spec
-        assert {s.mask for s in lat.subgroups} == every_subgroup_worklist(group), spec
+        assert per_part == want, group.label
+        assert {s.mask for s in lat.subgroups} == every_subgroup_worklist(group), group.label
 
 
 def test_direct_factor_route_checks_its_split_under_python_O():
@@ -759,7 +766,10 @@ def test_conjugate_count_times_normalizer_is_order():
     for spec in ["pq:2,3", "dihedral:4", "sym:4", "pq:3,7", "cyclic:12", "elem:2,3"]:
         group, lat = lat_of(spec)
         for sub in lat.subgroups:
-            assert len(conjugates(group, sub)) * normalizer(group, sub).order == group.order, spec
+            conj = conjugates(group, sub)
+            assert len(conj) * normalizer(group, sub).order == group.order, spec
+            # the discovery order, which neither the golden files nor the --json digest can see
+            assert [c.mask for c in conj] == conjugate_masks_by_walk(group, sub), spec
 
 
 def test_maximal_subgroups():
