@@ -128,32 +128,43 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
     The general route is the cyclic extension method (Neubüser 1960): seed
     a worklist with the trivial subgroup, then for a queued subgroup H and
-    each element x not yet covered, find <H, x>; the extensions of the
-    trivial subgroup are the cyclic subgroups <x>.  Every group takes one
+    each element x not yet covered, extend H by x.  Every group takes one
     walk per such x: it powers x until a power lands in H, which gives the
     least k with x^k in H, and covers the cells h*x^j for every h in H and
     every j coprime to k.  Each cell extends H to <H, x> too, since
-    <H, h*x^j> holds x^j and x^k, hence x; neither commutativity nor
-    normality is needed.  A nonabelian group takes one closure for <H, x>.
-    Only one subgroup per conjugacy class is queued, but its whole class is
+    <H, h*x^j> holds x^j and x^k, hence x.  When k is prime and x
+    normalizes H, <H, x> = H u Hx u ... u Hx^(k-1) and every j < k is
+    coprime to k, so the cells are exactly <H, x> - H: the walk takes a
+    prime step to H's mask with the cells set, with no closure.  Only one
+    subgroup per conjugacy class is queued, but its whole class is
     recorded at once: the extensions of gHg^-1 are the conjugates of the
-    extensions of H, so the lattice stays complete.  A queued H is maximal
-    when every extension found from it is the whole group, and then so is
-    every conjugate of H.
+    extensions of H, so the lattice stays complete.
 
-    In an abelian group every class is a single subgroup, and the worklist
-    extends only by prime steps.  Every subgroup K > 1 has a subgroup H of
-    prime index p, and then K = H u Hx u ... u Hx^(p-1) for any x in K - H.
-    So when k, now the order of Hx in G/H, is prime, every j < k is coprime
-    to k and the cells are exactly K - H: the new mask is H's with the
-    cells set, with no closure.  A coset Hx of composite order k gives no
-    prime step, and neither does any Hx^j with j coprime to k, which has
-    order k as well: its cells are covered and nothing more is done.  The
-    one maximality rule holds here too.  If |G/H| is composite, G/H has an
-    element yH of prime order p < |G/H|.  A composite walk covers only
-    elements of composite order mod H, so y is either reached uncovered
-    and takes a prime step, or was covered by an earlier prime step whose
-    K - H holds it; either step finds <H, y>, of order p|H| < |G|.
+    Prime steps find every subgroup of a solvable group.  A subgroup K > 1
+    of a solvable group is solvable, so it has a normal subgroup H of
+    prime index p, found by induction on |K|; conjugate K so that H is
+    its class's queued subgroup.  Every x in K - H normalizes H and has
+    x^p in H, so x either is walked uncovered and steps to K, or was
+    covered as a cell h*y^j of an earlier walk.  Then y^j = h^-1 x and
+    y^k, hence y, normalize H, y has the same order p as x modulo H, and
+    the step from y found <H, y> = <H, x> = K.  Every step is a normal extension of prime
+    index, so the steps reach G exactly when G is solvable: reaching G is
+    the solvability test.  In an abelian group every subgroup is normal,
+    so the normalizer test is skipped, and every class is one subgroup.
+    A step from H that reaches G makes H normal of prime index, so
+    maximal, and a step to some K < G shows it is not.  If H takes no
+    step, it is self-normalizing: were H < N_G(H), then N_G(H)/H would
+    have an element yH of prime order (Cauchy), and y, or the y of the
+    walk that covered it, would step, as above.  Its class is then maximal
+    exactly when no subgroup found, other than G, contains H and is larger,
+    one AND per subgroup once the walk is done.
+
+    When the steps do not reach G, G is not solvable, and the walk runs
+    again as the fallback, with a closure for <H, x> for every uncovered
+    x, as in S5 and A5; then H is maximal when every extension found from
+    it is G.  A group whose order is odd (Feit-Thompson) or has at most
+    two primes (Burnside's p^a q^b theorem) is solvable, so the steps must
+    reach it.
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which finds the same subgroups but scales to the rank-8
@@ -193,10 +204,11 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     subgroup H of a direct product of factors of coprime orders is the
     product of its intersections with the factors, since the component of
     each h in H in a factor is a power of h.  So the worklist runs once per
-    part, confined to its members, and takes prime steps on a part that is
-    abelian even when G is not: each subgroup of a direct factor that is
-    abelian is normal in G.  Such a part is found as a central one, fixed by
-    every generator's conjugation, since the other factors commute with it.
+    part, confined to its members, and skips the normalizer test and the
+    conjugates on a part that is abelian even when G is not: each subgroup
+    of a direct factor that is abelian is normal in G.  Such a part is
+    found as a central one, fixed by every generator's conjugation, since
+    the other factors commute with it.
     Each tuple (A_1, ..., A_r) with A_i a subgroup of part i gives the
     subgroup A_1...A_r, its mask made from the parts' members; one of them
     is maximal exactly when one A_i is maximal in its part and every other
@@ -223,7 +235,9 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     before it allocates anything, and the direct-factor route checks the
     product of its parts' counts before it builds any product.  Raises
     InvariantViolation when some order does not divide |G| (every route);
-    on the direct-factor route when the elements of order dividing the
+    on the worklist route when the prime steps do not reach a group or
+    part whose order is odd or has at most two primes; on the
+    direct-factor route when the elements of order dividing the
     order q of a part are not q in number, or, in a group with a rest
     part, when the elements of order dividing p^a of a split prime p do
     not commute with those of order prime to p; and on the subspace route
@@ -252,28 +266,55 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 def _enumerate_worklist(
     group: Group, max_subgroups: int, top: int | None = None
 ) -> tuple[list[Subgroup], list[Subgroup]]:
-    """(every subgroup, the maximal subgroups), extending one subgroup per
-    class by one walk per uncovered element x: the powers of x, then the
-    cells h*x^j that extend H to <H, x>.  H is maximal when every
-    extension found from it is the whole group.  Each queue entry carries
-    the generators of its class representative, from which the closures
-    of its extensions start.
+    """(every subgroup, the maximal subgroups) by the walk of
+    ``enumerate_subgroups``: one subgroup H per class, one walk per
+    uncovered x, and a prime step to <H, x> when the least k with x^k in H
+    is prime and x normalizes H, tested as x*g*x^-1 in H for each
+    generator g that the queue entry carries.  When the steps miss the
+    whole group, it is not solvable, and the walk runs again with one
+    closure per uncovered x; a miss on an order that is odd or has at most
+    two primes raises InvariantViolation instead.
 
     ``top``, the mask of a direct factor T of G, confines the walk to the
     members of T: then it finds the subgroups of T, with their classes
-    under G, which are their classes under T, and H is maximal in T when
-    every extension is T.  Prime steps run when the group walked, G or T,
-    is abelian."""
-    table = group.table
+    under G, which are their classes under T, and T takes the place of G.
+    An abelian G or T skips the normalizer test and the conjugates."""
     n = group.order
-    abelian = group.is_abelian
     if top is None:
         full_mask, elements = (1 << n) - 1, range(1, n)
+        abelian = group.is_abelian
     else:
         full_mask, elements = top, _mask_members(top)[1:]
-        abelian = abelian or all(pi[t] == t for pi in group.conjugations() for t in elements)
+        abelian = group.is_abelian or all(pi[t] == t for pi in group.conjugations() for t in elements)
+    seen, classes = _walk(group, max_subgroups, full_mask, elements, abelian, closures=False)
+    if full_mask not in seen:
+        order = full_mask.bit_count()
+        if order % 2 or len(factorize(order)) < 3:
+            raise InvariantViolation(
+                f"prime steps did not reach the whole {'group' if top is None else 'part'} of order {order} "
+                f"in {group.label}, which is solvable"
+            )
+        seen, classes = _walk(group, max_subgroups, full_mask, elements, abelian, closures=True)
+    maximals: list[Subgroup] = []
+    for h, orbit, maximal in classes:
+        if maximal is None:  # self-normalizing: does a larger proper subgroup contain it?
+            maximal = not any(m & h == h and m not in (h, full_mask) for m in seen)
+        if maximal:
+            maximals.extend(orbit)
+    return list(seen.values()), maximals
+
+
+def _walk(
+    group: Group, max_subgroups: int, full_mask: int, elements: Sequence[int], abelian: bool, closures: bool
+) -> tuple[dict[int, Subgroup], list[tuple[int, list[Subgroup], bool | None]]]:
+    """(every subgroup found by mask, each class as (its representative's
+    mask, the class, whether it is maximal or None when it took no step)),
+    in work order, for ``_enumerate_worklist``: by prime steps or, with
+    ``closures``, by one closure per uncovered x."""
+    table, inverse = group.table, group.inverse
     seen: dict[int, Subgroup] = {}
     work: list[tuple[Subgroup, tuple[int, ...], list[Subgroup]]] = []
+    classes: list[tuple[int, list[Subgroup], bool | None]] = []
 
     def add_class(sub: Subgroup, gens: tuple[int, ...], orbit: list[Subgroup]) -> None:
         # seen stays closed under conjugation, so the whole class is new
@@ -285,16 +326,15 @@ def _enumerate_worklist(
 
     trivial = Subgroup(1)
     add_class(trivial, (), [trivial])
-    maximals: list[Subgroup] = []
     for sub, gens, orbit in work:  # also visits the classes appended below
         if sub.mask == full_mask:
             continue
         members = sub.members()
-        covered = bytearray(n)
+        covered = bytearray(group.order)
         for h in members:
             covered[h] = 1
         in_sub = bytes(covered)
-        maximal = True  # until an extension of H is not the whole group
+        maximal = None  # until H takes a step or a closure
         for x in elements:
             if covered[x]:
                 continue
@@ -308,20 +348,20 @@ def _enumerate_worklist(
             cells = [table[h][xj] for j, xj in enumerate(powers, 1) if math.gcd(j, k) == 1 for h in members]
             for c in cells:
                 covered[c] = 1
-            if not abelian:
+            if closures:
                 new_mask = generated_mask(group, gens + (x,), seed_mask=sub.mask)
-            elif is_prime(k):
+            elif is_prime(k) and (abelian or all(in_sub[table[table[x][g]][inverse[x]]] for g in gens)):
+                # x normalizes H, so <H, x> is H u Hx u ... u Hx^(k-1), and
                 # every j < k is coprime to k: the cells are <H, x> - H
                 new_mask = sub.mask | sum(1 << c for c in cells)
             else:
-                continue  # Hx^j has composite order k in G/H: no prime step
+                continue
             if new_mask not in seen:
                 new = Subgroup(new_mask)
                 add_class(new, gens + (x,), [new] if abelian else conjugates(group, new))
-            maximal = maximal and new_mask == full_mask
-        if maximal:
-            maximals.extend(orbit)
-    return list(seen.values()), maximals
+            maximal = maximal is not False and new_mask == full_mask
+        classes.append((sub.mask, orbit, maximal))
+    return seen, classes
 
 
 def _split_primes(group: Group) -> list[int]:

@@ -302,6 +302,23 @@ def is_abelian_by_scan(group: Group) -> bool:
     return all(table[a][b] == table[b][a] for a in range(1, group.order) for b in range(1, a))
 
 
+def is_solvable_by_derived_series(group: Group) -> bool:
+    """Solvability by the derived series: each term is generated by the
+    commutators a^-1*b^-1*a*b of every pair of members of the term before,
+    and the group is solvable when a term is trivial before a term equals
+    the one before it."""
+    table, inverse = group.table, group.inverse
+    mask = (1 << group.order) - 1
+    while mask != 1:
+        members = _mask_members(mask)
+        commutators = {table[table[inverse[a]][inverse[b]]][table[a][b]] for a in members for b in members}
+        derived = generated_mask(group, sorted(commutators))
+        if derived == mask:
+            return False
+        mask = derived
+    return True
+
+
 def element_orders_by_walk(group: Group) -> list[int]:
     """The order of each element by powering it on its own until the identity."""
     table = group.table

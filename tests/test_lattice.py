@@ -26,6 +26,7 @@ from latsum import (
     frattini,
     frattini_rank,
     gaussian_subgroup_count,
+    group_from_permutations,
     is_nilpotent,
     is_normal,
     maximal_subgroups,
@@ -51,8 +52,10 @@ from helpers import (
     divisors,
     every_subgroup_worklist,
     is_normal_by_conjugation,
+    is_solvable_by_derived_series,
     naive_order_census,
     normalizer,
+    permutation_from_cycles,
     relabelled,
     run_python,
     subgroup_classes,
@@ -335,6 +338,14 @@ Q8_TABLE = [
 ]
 
 
+def _a4_times_s3():
+    # A4 on the points 0..3 and S3 on 4..6: its subgroup C3 x C2, <(0 1 2),
+    # (4 5)>, is its own normalizer yet lies in A4 x C2 and C3 x S3, so its
+    # class takes no prime step and is not maximal
+    cycles = [[(0, 1, 2)], [(0, 1), (2, 3)], [(4, 5, 6)], [(4, 5)]]
+    return group_from_permutations(7, [permutation_from_cycles(7, c) for c in cycles], label="A4 x S3")
+
+
 def _oracle_groups():
     groups = [spec.build() for spec in pq_specs(120) + dihedral_specs(30)]
     for text in [
@@ -359,6 +370,8 @@ def _oracle_groups():
         # S3 x F55 splits off no Sylow subgroup, though it is the direct
         # product of two Hall subgroups
         "product:pq:2,3+pq:5,11",
+        # S4 x F21, 380 subgroups, on the whole-group worklist
+        "product:sym:4+pq:3,7",
         *ABELIAN_ORACLE_SPECS,
     ]:
         groups.append(GroupSpec.parse(text).build())
@@ -366,6 +379,7 @@ def _oracle_groups():
     q8.validate()
     groups.append(direct_product_group([q8, cyclic_group(3)]))
     groups.append(direct_product_group([sylow_wreath_product("C2wrC2wrC2"), cyclic_group(3)]))
+    groups.append(_a4_times_s3())
     # relabelled tables, whose element indices do not follow the powers of a
     # generator or the layout of a direct product
     for spec, seed in [
@@ -435,7 +449,9 @@ def test_abelian_groups_run_no_closure_and_no_conjugation(monkeypatch):
 
 def test_nonabelian_worklist_runs_one_closure_per_class_of_coset_powers(monkeypatch):
     # h*x^j with j coprime to the least k with x^k in H extends H to <H, x>,
-    # so the coset powers of x are covered without a closure of their own
+    # so the coset powers of x are covered without a closure of their own.
+    # dihedral:500 and pq:2,241 are solvable and take prime steps, which run
+    # no closure at all; S5 is not, and its fallback walk runs the closures
     closures = 0
 
     def counting(*args, **kwargs):
@@ -444,7 +460,7 @@ def test_nonabelian_worklist_runs_one_closure_per_class_of_coset_powers(monkeypa
         return generated_mask(*args, **kwargs)
 
     monkeypatch.setattr(latsum.lattice, "generated_mask", counting)
-    for spec, bound in [("dihedral:500", 1300), ("pq:2,241", 260)]:
+    for spec, bound in [("dihedral:500", 1300), ("pq:2,241", 260), ("sym:5", 353)]:
         closures = 0
         group, lat = lat_of(spec)
         assert not group.is_abelian
@@ -607,11 +623,12 @@ def test_split_primes_are_those_of_a_normal_sylow_subgroup_with_a_normal_complem
         assert latsum.lattice._split_primes(group) == want, spec
 
 
-def test_abelian_parts_take_prime_steps_in_a_nonabelian_group(monkeypatch):
-    # D8 x C9 and S3 x C5 are nonabelian, but their parts C9 and C5 are
-    # abelian, so their walks extend by prime steps and run no closure;
-    # the nonabelian parts, the rest part D10 of D10 x C3 and the Sylow
-    # 2-subgroup Q8 of Q8 x C3 among them, walk by closures
+def test_every_part_of_a_solvable_group_takes_prime_steps(monkeypatch):
+    # D8 x C9 and S3 x C5 are nonabelian, and so are some of their parts:
+    # the Sylow 2-subgroups D8 and Q8 of D8 x C9 and Q8 x C3, the rest
+    # parts S3 and D10 of S3 x C5 and D10 x C3.  Every part is solvable,
+    # so every walk, abelian part or not, extends by prime steps and runs
+    # no closure
     closures = 0
     per_part = []
 
@@ -632,16 +649,74 @@ def test_abelian_parts_take_prime_steps_in_a_nonabelian_group(monkeypatch):
     q8 = Group(Q8_TABLE, "Q8")
     q8.validate()
     for group, want in [
-        (GroupSpec.parse("product:dihedral:4+cyclic:9").build(), [(8, 16), (9, 0)]),
-        (GroupSpec.parse("product:pq:2,3+cyclic:5").build(), [(6, 6), (5, 0)]),
-        (GroupSpec.parse("product:dihedral:5+cyclic:3").build(), [(10, 8), (3, 0)]),
-        (direct_product_group([q8, cyclic_group(3)]), [(8, 10), (3, 0)]),
+        (GroupSpec.parse("product:dihedral:4+cyclic:9").build(), [(8, 0), (9, 0)]),
+        (GroupSpec.parse("product:pq:2,3+cyclic:5").build(), [(6, 0), (5, 0)]),
+        (GroupSpec.parse("product:dihedral:5+cyclic:3").build(), [(10, 0), (3, 0)]),
+        (direct_product_group([q8, cyclic_group(3)]), [(8, 0), (3, 0)]),
     ]:
         per_part.clear()
         lat = enumerate_subgroups(group)
         assert not group.is_abelian
         assert per_part == want, group.label
         assert {s.mask for s in lat.subgroups} == every_subgroup_worklist(group), group.label
+
+
+def test_only_groups_that_are_not_solvable_run_closures(monkeypatch):
+    # prime steps reach every subgroup of a solvable group, so a closure
+    # runs only in the fallback walk of a group they do not reach: of the
+    # oracle groups and the Sylow wreath products, only S5 and A5, which
+    # the derived series calls not solvable
+    closures = 0
+
+    def counting(*args, **kwargs):
+        nonlocal closures
+        closures += 1
+        return generated_mask(*args, **kwargs)
+
+    monkeypatch.setattr(latsum.lattice, "generated_mask", counting)
+    closed = []
+    for group in _oracle_groups() + [sylow_wreath_product(name) for name in ("C2wrC2wrC2", "C3wrC3", "C2wrC4")]:
+        closures = 0
+        enumerate_subgroups(group)
+        # an abelian group is solvable, and walks with no closure either way
+        solvable = group.is_abelian or is_solvable_by_derived_series(group)
+        assert (closures == 0) == solvable, (group.label, closures)
+        if closures:
+            closed.append(group.order)
+    assert closed == [60, 120]
+    closures = 0
+    assert len(enumerate_subgroups(symmetric_group(5))) == 156
+    assert closures > 0
+
+
+def test_prime_steps_that_miss_a_solvable_group_raise_under_python_O():
+    # prime steps doctored to never run: they miss F21 and the D8 part of
+    # D8 x C9, whose orders have two primes or one, so both are solvable
+    # (Burnside) and the walk raises; S5, order 2^3 * 3 * 5, may not be
+    # solvable, so it falls back to closures and finds its 156 subgroups
+    code = textwrap.dedent(
+        """
+        import latsum.lattice
+        from latsum import GroupSpec, InvariantViolation, enumerate_subgroups
+
+        print("debug", __debug__)
+        latsum.lattice.is_prime = lambda k: False
+        for spec in ("pq:3,7", "product:dihedral:4+cyclic:9", "sym:5"):
+            try:
+                print(spec, len(enumerate_subgroups(GroupSpec.parse(spec).build())))
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
+        """
+    )
+    status, out, err = run_python("-O", "-c", code)
+    assert status == 0, err
+    assert out.splitlines() == [
+        "debug False",
+        "InvariantViolation: prime steps did not reach the whole group of order 21 in pq:3,7, which is solvable",
+        "InvariantViolation: prime steps did not reach the whole part of order 8 in product:dihedral:4+cyclic:9, "
+        "which is solvable",
+        "sym:5 156",
+    ]
 
 
 def test_direct_factor_route_checks_its_split_under_python_O():
