@@ -204,11 +204,7 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     subgroup H of a direct product of factors of coprime orders is the
     product of its intersections with the factors, since the component of
     each h in H in a factor is a power of h.  So the worklist runs once per
-    part, confined to its members, and skips the normalizer test and the
-    conjugates on a part that is abelian even when G is not: each subgroup
-    of a direct factor that is abelian is normal in G.  Such a part is
-    found as a central one, fixed by every generator's conjugation, since
-    the other factors commute with it.
+    part, confined to its members.
     Each tuple (A_1, ..., A_r) with A_i a subgroup of part i gives the
     subgroup A_1...A_r, its mask made from the parts' members; one of them
     is maximal exactly when one A_i is maximal in its part and every other
@@ -277,16 +273,13 @@ def _enumerate_worklist(
 
     ``top``, the mask of a direct factor T of G, confines the walk to the
     members of T: then it finds the subgroups of T, with their classes
-    under G, which are their classes under T, and T takes the place of G.
-    An abelian G or T skips the normalizer test and the conjugates."""
+    under G, which are their classes under T, and T takes the place of G."""
     n = group.order
     if top is None:
         full_mask, elements = (1 << n) - 1, range(1, n)
-        abelian = group.is_abelian
     else:
         full_mask, elements = top, _mask_members(top)[1:]
-        abelian = group.is_abelian or all(pi[t] == t for pi in group.conjugations() for t in elements)
-    seen, classes = _walk(group, max_subgroups, full_mask, elements, abelian, closures=False)
+    seen, classes = _walk(group, max_subgroups, full_mask, elements, closures=False)
     if full_mask not in seen:
         order = full_mask.bit_count()
         if order % 2 or len(factorize(order)) < 3:
@@ -294,7 +287,7 @@ def _enumerate_worklist(
                 f"prime steps did not reach the whole {'group' if top is None else 'part'} of order {order} "
                 f"in {group.label}, which is solvable"
             )
-        seen, classes = _walk(group, max_subgroups, full_mask, elements, abelian, closures=True)
+        seen, classes = _walk(group, max_subgroups, full_mask, elements, closures=True)
     maximals: list[Subgroup] = []
     for h, orbit, maximal in classes:
         if maximal is None:  # self-normalizing: does a larger proper subgroup contain it?
@@ -305,13 +298,13 @@ def _enumerate_worklist(
 
 
 def _walk(
-    group: Group, max_subgroups: int, full_mask: int, elements: Sequence[int], abelian: bool, closures: bool
+    group: Group, max_subgroups: int, full_mask: int, elements: Sequence[int], closures: bool
 ) -> tuple[dict[int, Subgroup], list[tuple[int, list[Subgroup], bool | None]]]:
     """(every subgroup found by mask, each class as (its representative's
     mask, the class, whether it is maximal or None when it took no step)),
     in work order, for ``_enumerate_worklist``: by prime steps or, with
     ``closures``, by one closure per uncovered x."""
-    table, inverse = group.table, group.inverse
+    table, inverse, abelian = group.table, group.inverse, group.is_abelian
     seen: dict[int, Subgroup] = {}
     work: list[tuple[Subgroup, tuple[int, ...], list[Subgroup]]] = []
     classes: list[tuple[int, list[Subgroup], bool | None]] = []
@@ -631,19 +624,18 @@ def frattini_rank(group: Group, lat: Lattice) -> int:
 
 
 def sylow_decomposition(group: Group, lat: Lattice) -> list[Subgroup] | None:
-    """One normal Sylow subgroup per prime, or None when some prime has no
-    normal Sylow subgroup (the group is then not nilpotent)."""
+    """The Sylow subgroup of each prime, ascending, when each is normal;
+    else None (the group is then not nilpotent).
+
+    The Sylow p-subgroups are conjugate (Sylow), so one is normal exactly
+    when it is the only subgroup of order p^a, the p-part of |G|: this
+    reads one census count per prime, and no normality test."""
     out: list[Subgroup] = []
     for p, a in sorted(factorize(group.order).items()):
-        target = p**a
-        normal = [s for s in lat.subgroups_of_order(target) if is_normal(group, s.mask)]
-        if not normal:
+        sylows = lat.subgroups_of_order(p**a)
+        if len(sylows) != 1:
             return None
-        if len(normal) > 1:
-            raise InvariantViolation(f"{group.label} has {len(normal)} normal subgroups of Sylow order {target}")
-        out.append(normal[0])
-    if math.prod(s.order for s in out) != group.order:
-        raise InvariantViolation(f"the Sylow orders of {group.label} do not multiply to {group.order}")
+        out.append(sylows[0])
     return out
 
 
@@ -665,10 +657,12 @@ def nilpotent_by_element_orders(group: Group) -> bool:
 def is_nilpotent(group: Group, lat: Lattice) -> bool:
     """True when every maximal subgroup is normal.
 
-    Cross-checked against two equivalent criteria: every Sylow subgroup is
-    normal, and the p-element counts of ``nilpotent_by_element_orders``,
-    the one that does not read the enumerated lattice.  Disagreement would
-    mean an enumeration bug, so it raises InvariantViolation.
+    Cross-checked against two equivalent criteria: one Sylow subgroup per
+    prime, one census count each (``sylow_decomposition``, which never
+    reads the element orders), and the p-element counts of
+    ``nilpotent_by_element_orders``, which never reads the lattice.
+    Disagreement would mean an enumeration bug, so it raises
+    InvariantViolation.
     """
     by_maximals = all_maximals_normal(group, lat)
     by_sylow = sylow_decomposition(group, lat) is not None
@@ -702,7 +696,8 @@ class StructuralProfile:
 def recognize(group: Group, lat: Lattice) -> StructuralProfile:
     """The structure flags of ``group``, from exact finite criteria only:
     the Frattini rank reads the recorded maximals, and nilpotency is the
-    three-way vote of ``is_nilpotent``."""
+    three-way vote of ``is_nilpotent``: maximals normal, one census count
+    per prime for the Sylow subgroups, and the element orders."""
     p = group.p_group_prime()
     rank = frattini_rank(group, lat) if p is not None else None
     return StructuralProfile(

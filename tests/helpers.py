@@ -22,6 +22,7 @@ from latsum import (
     is_normal,
     sigma1,
 )
+from latsum.arith import factorize
 from latsum.corpus import group_fingerprint, subgroup_as_group
 from latsum.groups import _mask_members, generated_mask
 
@@ -237,6 +238,31 @@ def is_normal_by_conjugation(group: Group, sub: Subgroup) -> bool:
     """Normality by conjugating H by every generator of the parent, with no
     shortcut for abelian groups."""
     return all(conjugate_mask(group, sub.mask, x) == sub.mask for x in group.generating_set())
+
+
+def sylow_decomposition_by_normality_scan(group: Group, lat: Lattice) -> list[Subgroup] | None:
+    """The normal subgroup of each Sylow order p^a, ascending by p, found by
+    testing every subgroup of that order with ``is_normal``; None when some
+    prime has none.  It tests normality where the library counts the
+    block, so the two agree only on a lattice whose Sylow blocks are whole."""
+    out = []
+    for p, a in sorted(factorize(group.order).items()):
+        normal = [s for s in lat.subgroups_of_order(p**a) if is_normal(group, s.mask)]
+        if not normal:
+            return None
+        assert len(normal) == 1, f"{group.label} has {len(normal)} normal subgroups of Sylow order {p**a}"
+        out.append(normal[0])
+    return out
+
+
+def first_subgroup_of_each_order(lat: Lattice) -> Lattice:
+    """``lat`` cut to the first subgroup of each order block, with the
+    recorded maximals that survive the cut: an incomplete lattice, short
+    of the other members of each class it keeps."""
+    subs = [lat.subgroups_of_order(order)[0] for order in lat.census]
+    kept = {s.mask for s in subs}
+    maximals = [m for m in lat.maximals if m.mask in kept]
+    return Lattice(group=lat.group, subgroups=subs, census=dict.fromkeys(lat.census, 1), maximals=maximals)
 
 
 def normalizer(group: Group, sub: Subgroup) -> Subgroup:

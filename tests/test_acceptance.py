@@ -45,6 +45,7 @@ from helpers import (
     check_quotient_monotonicity,
     is_normal_by_conjugation,
     normalizer,
+    sylow_decomposition_by_normality_scan,
     trial_division_sigma,
 )
 from make_golden_lattices import GOLDEN_PATH, lattice_record
@@ -238,9 +239,10 @@ def test_criterion_8_structural_cross_checks(corpus_objects):
     objects, _ = corpus_objects
     started = time.perf_counter()
     for label, (group, lat, _, _) in objects.items():
-        assert all_maximals_normal(group, lat) == (
-            sylow_decomposition(group, lat) is not None
-        ), label
+        sylows = sylow_decomposition(group, lat)
+        assert all_maximals_normal(group, lat) == (sylows is not None), label
+        # one census count per prime against is_normal on each subgroup of a Sylow order
+        assert sylows == sylow_decomposition_by_normality_scan(group, lat), label
     for label, (group, lat, _, _) in objects.items():
         if group.order > 120:
             continue

@@ -880,6 +880,20 @@ def test_every_public_definition_has_a_caller():
     assert unused == {}
 
 
+def test_library_has_no_assert_statement():
+    # python -O strips assert, so a check that a verdict rests on must raise
+    package = Path(__file__).parents[1] / "src" / "latsum"
+    modules = sorted(package.rglob("*.py"))
+    assert len(modules) >= 10
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in modules
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []
+
+
 def test_every_dataclass_field_is_read():
     # a field of a public dataclass in src/latsum must be read as an attribute
     # somewhere in src/latsum (the re-exports of __init__.py do not count) or

@@ -51,6 +51,7 @@ from helpers import (
     descending_maximal_scan,
     divisors,
     every_subgroup_worklist,
+    first_subgroup_of_each_order,
     is_normal_by_conjugation,
     is_solvable_by_derived_series,
     naive_order_census,
@@ -61,6 +62,7 @@ from helpers import (
     subgroup_classes,
     subgroup_generators,
     subspace_masks_by_loop,
+    sylow_decomposition_by_normality_scan,
     sylow_wreath_product,
 )
 
@@ -408,6 +410,8 @@ def test_class_enumeration_matches_every_subgroup_oracle():
         assert set(masks) == every_subgroup_worklist(group), group.label
         want = descending_maximal_scan(group.order, lat.subgroups)
         assert sorted(m.mask for m in maximal_subgroups(lat)) == sorted(m.mask for m in want), group.label
+        # one census count per prime against is_normal on each subgroup of a Sylow order
+        assert sylow_decomposition(group, lat) == sylow_decomposition_by_normality_scan(group, lat), group.label
 
 
 @pytest.mark.parametrize("name, classes, nonabelian", [("C2wrC2wrC2", 35, 25), ("C3wrC3", 8, 3), ("C2wrC4", 16, 8)])
@@ -425,6 +429,7 @@ def test_sylow_wreath_product_subgroups_match_the_oracles(name, classes, nonabel
         assert set(masks) == every_subgroup_worklist(sub), sub.label
         want = descending_maximal_scan(sub.order, lat.subgroups)
         assert sorted(m.mask for m in maximal_subgroups(lat)) == sorted(m.mask for m in want), sub.label
+        assert sylow_decomposition(sub, lat) == sylow_decomposition_by_normality_scan(sub, lat), sub.label
         profile = recognize(sub, lat)
         assert profile.is_nilpotent and classify(sub, lat, profile).theorem_consistent, sub.label
 
@@ -1062,6 +1067,49 @@ def test_sylow_decomposition():
     g, lat = lat_of("product:elem:2,2+cyclic:9")
     syl = sylow_decomposition(g, lat)
     assert [s.order for s in syl] == [4, 9]
+    # S3 by hand, with two of its three subgroups of order 2: a Sylow order
+    # that holds more than one subgroup has no normal Sylow subgroup
+    g, lat = lat_of("pq:2,3")
+    subs = [lat.subgroups_of_order(order)[:2] for order in lat.census]
+    by_hand = Lattice(group=g, subgroups=sum(subs, []), census={1: 1, 2: 2, 3: 1, 6: 1})
+    assert sylow_decomposition(g, by_hand) is None
+    g, lat = lat_of("cyclic:1")
+    assert sylow_decomposition(g, lat) == []
+
+
+ONE_PER_ORDER_SPECS = ["pq:2,3", "pq:3,7", "sym:4", "dihedral:5"]
+
+
+def test_a_lattice_short_of_conjugates_fails_the_nilpotency_vote():
+    # only the first subgroup of each order kept: each Sylow order then
+    # holds one subgroup, which the census criterion reads as normal, while
+    # the element orders say that none of these groups is nilpotent; the
+    # vote raises in this process and under python -O
+    for spec in ONE_PER_ORDER_SPECS:
+        g, lat = lat_of(spec)
+        with pytest.raises(InvariantViolation, match="nilpotency criteria disagree"):
+            is_nilpotent(g, first_subgroup_of_each_order(lat))
+    code = textwrap.dedent(
+        f"""
+        from latsum import GroupSpec, InvariantViolation, enumerate_subgroups, is_nilpotent
+        from helpers import first_subgroup_of_each_order
+
+        print("debug", __debug__)
+        for spec in {ONE_PER_ORDER_SPECS!r}:
+            group = GroupSpec.parse(spec).build()
+            try:
+                print(spec, is_nilpotent(group, first_subgroup_of_each_order(enumerate_subgroups(group))))
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
+        """
+    )
+    status, out, err = run_python("-O", "-c", code)
+    assert status == 0, err
+    first, *rest = out.splitlines()
+    assert first == "debug False"
+    assert len(rest) == len(ONE_PER_ORDER_SPECS)
+    for spec, line in zip(ONE_PER_ORDER_SPECS, rest):
+        assert line.startswith(f"InvariantViolation: nilpotency criteria disagree on {spec}: "), line
 
 
 NILPOTENCY_CASES = [
