@@ -78,7 +78,7 @@ def nth_prime(n: int) -> int:
 
 
 def factorize(n: int) -> dict[int, int]:
-    """Prime factorization by trial division; intended for n within group-order caps."""
+    """{prime: exponent} by trial division, primes ascending; intended for n within group-order caps."""
     if n < 1:
         raise ValueError(f"cannot factorize {n}")
     out: dict[int, int] = {}

@@ -260,7 +260,7 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
 
 def _enumerate_worklist(
-    group: Group, max_subgroups: int, top: int | None = None
+    group: Group, max_subgroups: int, part: list[int] | None = None
 ) -> tuple[list[Subgroup], list[Subgroup]]:
     """(every subgroup, the maximal subgroups) by the walk of
     ``enumerate_subgroups``: one subgroup H per class, one walk per
@@ -271,20 +271,19 @@ def _enumerate_worklist(
     closure per uncovered x; a miss on an order that is odd or has at most
     two primes raises InvariantViolation instead.
 
-    ``top``, the mask of a direct factor T of G, confines the walk to the
-    members of T: then it finds the subgroups of T, with their classes
+    ``part``, the ascending members of a direct factor T of G, confines
+    the walk to them: then it finds the subgroups of T, with their classes
     under G, which are their classes under T, and T takes the place of G."""
-    n = group.order
-    if top is None:
-        full_mask, elements = (1 << n) - 1, range(1, n)
+    if part is None:
+        full_mask, elements = (1 << group.order) - 1, range(1, group.order)
     else:
-        full_mask, elements = top, _mask_members(top)[1:]
+        full_mask, elements = sum(1 << x for x in part), part[1:]
     seen, classes = _walk(group, max_subgroups, full_mask, elements, closures=False)
     if full_mask not in seen:
         order = full_mask.bit_count()
         if order % 2 or len(factorize(order)) < 3:
             raise InvariantViolation(
-                f"prime steps did not reach the whole {'group' if top is None else 'part'} of order {order} "
+                f"prime steps did not reach the whole {'group' if part is None else 'part'} of order {order} "
                 f"in {group.label}, which is solvable"
             )
         seen, classes = _walk(group, max_subgroups, full_mask, elements, closures=True)
@@ -362,13 +361,14 @@ def _split_primes(group: Group) -> list[int]:
     of G, when |G| has two or more primes; else [].  Read from the counts
     of element orders alone (see ``enumerate_subgroups``)."""
     n = group.order
-    fact = sorted(factorize(n).items())
+    fact = factorize(n)
     if len(fact) < 2:
         return []
-    normal = [(p, a) for p, a in fact if _count_dividing(group, p**a) == p**a]
-    if len(normal) == len(fact):
-        return [p for p, _ in fact]  # nilpotent: every Sylow subgroup is normal
-    return [p for p, a in normal if _count_dividing(group, n // p**a) == n // p**a]
+    return [
+        p
+        for p, a in fact.items()
+        if _count_dividing(group, p**a) == p**a and _count_dividing(group, n // p**a) == n // p**a
+    ]
 
 
 def _count_dividing(group: Group, q: int) -> int:
@@ -382,7 +382,7 @@ def _enumerate_direct_factors(
     """(every subgroup, the maximal subgroups) of a group that is the direct
     product of its Sylow p-subgroups for the primes ``split`` and, unless
     every prime splits, one rest part (see ``enumerate_subgroups``): the
-    worklist once per part, its members as its ``top``, then the product
+    worklist once per part, on its member list, then the product
     A_1...A_r of each tuple of the parts' subgroups, the tuples in
     lexicographic order of their indices.  The members of each product of
     the parts before the last are listed once, and each of those times
@@ -404,25 +404,19 @@ def _enumerate_direct_factors(
                 )
     # part q holds the elements of order dividing q; the rest part comes
     # once, at its smallest prime
-    sizes: list[int] = []
-    for p, a in fact.items():
-        q = p**a if p in split else rest
-        if q not in sizes:
-            sizes.append(q)
     parts = []
-    for q in sizes:
+    for q in dict.fromkeys(p**a if p in split else rest for p, a in fact.items()):
         members = np.flatnonzero(q % orders == 0).tolist()
         if len(members) != q:
             raise InvariantViolation(f"{group.label} has {len(members)} elements of order dividing {q}, not {q}")
-        top = sum(1 << x for x in members)
-        parts.append((top, *_enumerate_worklist(group, max_subgroups, top)))
-    total = math.prod(len(subs) for _, subs, _ in parts)
+        parts.append(_enumerate_worklist(group, max_subgroups, members))
+    total = math.prod(len(subs) for subs, _ in parts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    *firsts, lasts = [[s.members() for s in subs] for _, subs, _ in parts]
+    *firsts, lasts = [[s.members() for s in subs] for subs, _ in parts]
     heads = [[0]]
-    for part in firsts:
-        heads = [[table[x][y] for x in head for y in sub] for head in heads for sub in part]
+    for subgroups in firsts:
+        heads = [[table[x][y] for x in head for y in sub] for head in heads for sub in subgroups]
     bit = [1 << x for x in range(n)]
     products = []
     for head in heads:
@@ -433,17 +427,17 @@ def _enumerate_direct_factors(
                 for y in last:
                     mask |= bit[row[y]]
             products.append(Subgroup(mask))
-    # (A_1, ..., A_r) is products[sum of offsets[i][A_i]]: the index of A_i
-    # in its part times the product of the later parts' counts.  G is the
-    # tuple of the whole parts, and a maximal subgroup swaps one part for a
-    # maximal subgroup of it.
-    strides = [math.prod(len(subs) for _, subs, _ in parts[i + 1 :]) for i in range(len(parts))]
-    offsets = [{s.mask: j * stride for j, s in enumerate(subs)} for (_, subs, _), stride in zip(parts, strides)]
-    whole = sum(offset[top] for offset, (top, _, _) in zip(offsets, parts))
-    maximals = []
-    for offset, (top, _, part_maximals) in zip(offsets, parts):
-        maximals += [products[whole - offset[top] + offset[m.mask]] for m in part_maximals]
-    return products, maximals
+    # (A_1, ..., A_r) is products[i], i the A_j's indices in their parts as
+    # mixed-radix digits, the parts' counts the bases.  G is the tuple of
+    # the whole parts, and a maximal subgroup swaps one part for a maximal
+    # subgroup of it; one fold reads both, keeping the maximals by part.
+    whole, maximals = 0, []
+    for subs, part_maximals in parts:
+        index = {s.mask: j for j, s in enumerate(subs)}
+        k, top = len(subs), index[max(index)]  # the whole part's mask holds every other
+        maximals = [i * k + top for i in maximals] + [whole * k + index[m.mask] for m in part_maximals]
+        whole = whole * k + top
+    return products, [products[i] for i in maximals]
 
 
 def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
@@ -631,7 +625,7 @@ def sylow_decomposition(group: Group, lat: Lattice) -> list[Subgroup] | None:
     when it is the only subgroup of order p^a, the p-part of |G|: this
     reads one census count per prime, and no normality test."""
     out: list[Subgroup] = []
-    for p, a in sorted(factorize(group.order).items()):
+    for p, a in factorize(group.order).items():
         sylows = lat.subgroups_of_order(p**a)
         if len(sylows) != 1:
             return None

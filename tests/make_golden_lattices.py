@@ -43,8 +43,9 @@ def main(argv: list[str]) -> int:
     for label, source in build_default_corpus():
         if isinstance(source, GroupSpec):
             group = source.build()
-        else:
-            group = Group([list(row) for row in source], label)
+        else:  # a raw table, built and validated as ``latsum verify`` builds it
+            group = Group(source, label)
+            group.validate()
         lat = enumerate_subgroups(group, DEFAULT_VERIFY_MAX_SUBGROUPS)
         records[label] = lattice_record(lat, maximal_subgroups(lat))
     out.parent.mkdir(parents=True, exist_ok=True)

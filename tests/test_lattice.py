@@ -575,11 +575,11 @@ def test_groups_with_a_sylow_direct_factor_enumerate_one_part_at_a_time(monkeypa
     # is a direct factor, and one rest part at its smallest prime; a
     # p-group and a group that splits off no Sylow subgroup walk the whole
     # group
-    tops = []
+    sizes = []
 
-    def recording(group, max_subgroups, top=None):
-        tops.append(None if top is None else top.bit_count())
-        return _enumerate_worklist(group, max_subgroups, top)
+    def recording(group, max_subgroups, part=None):
+        sizes.append(None if part is None else len(part))
+        return _enumerate_worklist(group, max_subgroups, part)
 
     monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
     for spec, want in [
@@ -594,9 +594,37 @@ def test_groups_with_a_sylow_direct_factor_enumerate_one_part_at_a_time(monkeypa
         ("sym:4", [None]),
         ("product:pq:2,3+pq:5,11", [None]),
     ]:
-        tops.clear()
+        sizes.clear()
         lat_of(spec)
-        assert tops == want, spec
+        assert sizes == want, spec
+
+
+def test_direct_factor_maximals_come_by_part_in_the_order_of_the_smallest_primes():
+    # part q, the elements of order dividing q, is whole in every maximal
+    # subgroup but those that swap it for one of its own maximals: those
+    # come together, part after part, as many as the part built alone has
+    relabelled_product = Group(
+        relabelled(GroupSpec.parse("product:pq:2,3+cyclic:35").build().table, random.Random(31)),
+        "relabelled product:pq:2,3+cyclic:35",
+    )
+    relabelled_product.validate()
+    for group, sizes in [
+        (GroupSpec.parse("cyclic:1680").build(), [16, 3, 5, 7]),
+        (GroupSpec.parse("product:dihedral:4+cyclic:9").build(), [8, 9]),
+        (GroupSpec.parse("product:pq:2,3+cyclic:5+cyclic:7").build(), [6, 5, 7]),
+        (relabelled_product, [6, 5, 7]),
+    ]:
+        orders = group.element_orders()
+        parts = [sum(1 << x for x in range(group.order) if q % orders[x] == 0) for q in sizes]
+        owners = []
+        for m in maximal_subgroups(enumerate_subgroups(group)):
+            (owner,) = [i for i, part in enumerate(parts) if m.mask & part != part]
+            owners.append(owner)
+        assert owners == sorted(owners), group.label
+        for i, part in enumerate(parts):
+            alone = subgroup_as_group(group, Subgroup(part), f"part {i} of {group.label}")
+            want = descending_maximal_scan(alone.order, map(Subgroup, every_subgroup_worklist(alone)))
+            assert owners.count(i) == len(want), (group.label, sizes[i])
 
 
 def test_split_primes_are_those_of_a_normal_sylow_subgroup_with_a_normal_complement():
@@ -642,11 +670,11 @@ def test_every_part_of_a_solvable_group_takes_prime_steps(monkeypatch):
         closures += 1
         return generated_mask(*args, **kwargs)
 
-    def recording(group, max_subgroups, top=None):
+    def recording(group, max_subgroups, part=None):
         nonlocal closures
         closures = 0
-        out = _enumerate_worklist(group, max_subgroups, top)
-        per_part.append((top.bit_count(), closures))
+        out = _enumerate_worklist(group, max_subgroups, part)
+        per_part.append((len(part), closures))
         return out
 
     monkeypatch.setattr(latsum.lattice, "generated_mask", counting)
