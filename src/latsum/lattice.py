@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 import mmap
 from collections import Counter
@@ -16,6 +17,10 @@ from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, generated_mask, is_normal
 
 DEFAULT_MAX_SUBGROUPS = 100_000
+# the most bytes in one temporary of the subspace route (repeated rows, or
+# per-word bit counts): under glibc's default mmap threshold of 128 KB, so
+# the heap hands the same pages back on every call and none is faulted in anew
+_CHUNK_BYTES = 64 << 10
 
 
 class Subgroup:
@@ -168,24 +173,30 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
     Elementary abelian groups of rank >= 2 instead take the subspace
     route, which finds the same subgroups but scales to the rank-8
-    case over GF(2).  It allocates one uint8 array, in a prefaulted
-    anonymous mapping of its own, with a row of 8 * ceil(|G|/64) bytes, a
-    whole number of 64-bit words, for each of the closed-form number of
-    subspaces.  It reads the coordinates of every element from
-    ``group.array`` over the greedy basis and packs the kernel of each
-    functional over GF(p) once.  A rank-r subspace is the intersection of
-    the kernels of a basis of its annihilator, a rank-(k - r) subspace of
-    the dual, so each row of order block r is the AND of the kernels of
-    the rows of one reduced echelon form of rank k - r.  numpy writes
-    these ANDs straight into the rows of block r, one pivot pattern at a
-    time, from the rows of the pattern with one pivot fewer, which are
-    already in block r + 1.  Once a block's last pattern is written, its
-    rows' set bits are counted, once per block, over 64-bit words, and
-    once the last block is counted the array becomes read-only.
-    ``subgroups`` is a view over the array that makes each Subgroup when
-    it is read, and the census is the closed-form count of each order
-    block.  Its maximal subgroups, the hyperplanes of order |G|/p, are the
-    one block made into Subgroup objects.
+    case over GF(2).  A rank-r subspace is the intersection of the kernels
+    of a basis of its annihilator, a rank-(k - r) subspace of the dual, so
+    each row of order block r is the AND of the kernels of the rows of one
+    reduced echelon form of rank k - r.  Which kernels and which earlier
+    rows each pivot pattern ANDs depends only on (p, k), so that plan is
+    worked out once per (p, k) and kept; on every call the planned rows
+    of each block are checked against the closed-form count.  Per group,
+    the route reads the coordinates of every element from ``group.array``
+    over the greedy basis and packs the kernel of each functional over
+    GF(p) once, then allocates one uint8 array, in a prefaulted anonymous
+    mapping of its own, with a row of 8 * ceil(|G|/64) bytes, W 64-bit
+    words, for each subspace.  numpy writes the ANDs straight into the
+    rows of block r, viewed as uint64, one pivot pattern at a time, from
+    the rows of the pattern with one pivot fewer, which are already in
+    block r + 1: each of those rows, repeated once per kernel of the
+    pattern, is ANDed with the pattern's kernels laid end to end, in
+    chunks of about 64 KB of repeated rows.  Once a block's last pattern
+    is written, its rows' set bits are counted over 64-bit words, through
+    64 KB of per-word counts at a time, and once the last block is counted
+    the array becomes read-only.  ``subgroups`` is a view over the array
+    that makes each Subgroup when it is read, and the census is the
+    closed-form count of each order block.  Its maximal subgroups, the
+    hyperplanes of order |G|/p, are the one block made into Subgroup
+    objects.
 
     Every other group whose order has two or more primes and that splits
     off a Sylow subgroup as a direct factor takes the direct-factor route.
@@ -457,6 +468,52 @@ def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
     return (p, k) if group.is_abelian else None
 
 
+@functools.cache
+def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, tuple], ...]]:
+    """(kernels, codes, blocks): the geometry of GF(p)^k that the subspace
+    route reads, the same for every group of rank k over GF(p), so it is
+    worked out once per (p, k) and shared, read-only, by every call.
+
+    Row i of ``kernels`` is the kernel of the i-th functional whose first
+    nonzero digit is 1 (the functionals that head a row of a reduced
+    echelon form), one bool per vector, vector x having the base-p digits
+    of x as its coordinates.  ``blocks[r]`` is (rows, patterns) for order
+    block r: its number of rows, and one (first, n, pos, m, start) per
+    pivot pattern, in writing order.  The pattern's n * m rows start at
+    row pos of block r: the AND of each of the n rows from row ``first``
+    of block r + 1, its later pattern's, with each of the m kernels listed
+    in ``codes[start : start + m]``, the kernel varying fastest."""
+    # row x: the base-p digits of x, in a dtype that holds a dot product of two rows
+    digits = (np.arange(p**k)[:, None] // p ** np.arange(k) % p).astype(np.min_scalar_type(k * (p - 1) ** 2))
+    forms = np.concatenate([p**c + p ** (c + 1) * np.arange(p ** (k - 1 - c)) for c in range(k)])
+    kernels = digits[forms] @ digits.T % p == 0
+    index = np.empty(p**k, dtype=np.intp)
+    index[forms] = np.arange(len(forms))
+    # (first row, rows) of each pattern, by its pivots, from its block's
+    # start; the one form of rank 0 has the whole group as its kernel
+    patterns = {(): (0, 1)}
+    codes, blocks = [], []
+    for r in range(k - 1, -1, -1):
+        pos, block = 0, []
+        for pivots in combinations(range(k), k - r):
+            # the rows headed at c: p^c plus each free slot's (later
+            # non-pivot column's) digit times p^column
+            c, later = pivots[0], pivots[1:]
+            lut = [p**c]
+            for col in range(c + 1, k):
+                if col not in later:
+                    lut = [v + d * p**col for d in range(p) for v in lut]
+            first, n = patterns[later]
+            block.append((first, n, pos, len(lut), len(codes)))
+            codes += lut
+            patterns[pivots] = (pos, n * len(lut))
+            pos += n * len(lut)
+        blocks.append((pos, tuple(block)))
+    codes = index[codes]
+    kernels.flags.writeable = codes.flags.writeable = False
+    return kernels, codes, tuple(blocks[::-1])
+
+
 def _enumerate_elementary_abelian(
     group: Group, p: int, k: int, max_subgroups: int
 ) -> tuple[np.ndarray, dict[int, int], list[Subgroup]]:
@@ -473,11 +530,18 @@ def _enumerate_elementary_abelian(
     with one more row headed at column c.  So the blocks are written from
     the hyperplanes down, one pivot pattern at a time, each pattern's rows
     the AND of its later pattern's rows, already written to block r + 1,
-    with the kernel of each row headed at c.  Each row is 8 * ceil(|G|/64)
-    bytes, so a block is also a uint64 array, and its set bits are counted
-    word by word once the block is written and before the next block
-    reads it.  Inside a block the rows keep the order in which their pivot
-    patterns were written."""
+    with the kernel of each row headed at c.  Which rows and kernels each
+    pattern reads depends only on (p, k) and comes from ``_subspace_plan``,
+    whose rows per block are checked against the closed form on every
+    call; only the packed kernels depend on the group.  Each row is
+    8 * ceil(|G|/64) bytes, W 64-bit words, and a pattern with m kernels
+    is written as its later rows, each repeated m times, ANDed with its m
+    kernels laid end to end: one AND whose inner loop runs over m * W
+    words, in chunks of about ``_CHUNK_BYTES`` of repeated rows.  The set
+    bits of a block are counted word by word once it is written and
+    before the next block reads it, in slices whose per-word counts take
+    at most ``_CHUNK_BYTES``.  Inside a block the rows keep the order in
+    which their pivot patterns were written."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
@@ -487,6 +551,15 @@ def _enumerate_elementary_abelian(
     basis = group.generating_set()
     if len(basis) != k:
         raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
+    kernels, codes, blocks = _subspace_plan(p, k)
+    # the plan's rows against the closed form, block by block, on every call
+    for r, (planned, _) in enumerate(blocks):
+        if planned > counts[r]:
+            raise InvariantViolation(
+                f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
+            )
+        if planned < counts[r]:
+            raise InvariantViolation(f"subspace route found {planned} subgroups of order {p**r}, expected {counts[r]}")
     # elems[x] is the element whose coordinates are the base-p digits of x,
     # read from the array.  A wrong product there repeats an element, so some
     # coordinates reach no bit below; the hyperplanes cover GF(p)^k, so then
@@ -497,59 +570,44 @@ def _enumerate_elementary_abelian(
         for _ in range(p - 1):
             powers.append(group.array[powers[-1], a])
         elems = np.concatenate(powers)
-    # row x: the base-p digits of x, in a dtype that holds a dot product of two rows
-    digits = (np.arange(p**k)[:, None] // p ** np.arange(k) % p).astype(np.min_scalar_type(k * (p - 1) ** 2))
-    # the functionals that head a row of a reduced echelon form: first nonzero digit 1
-    forms = np.concatenate([p**c + p ** (c + 1) * np.arange(p ** (k - 1 - c)) for c in range(k)])
-    # hyper[f] is the kernel of f packed big-endian: bit e of a mask is bit
-    # 8 * nbytes - 1 - e of its row, a whole number of 64-bit words whose
-    # leading bits are zero
-    nbytes = 8 * -(-group.order // 64)
-    bits = np.zeros((len(forms), 8 * nbytes), dtype=bool)
-    bits[:, 8 * nbytes - 1 - elems] = digits[forms] @ digits.T % p == 0
-    hyper = np.zeros((p**k, nbytes), dtype=np.uint8)
-    hyper[forms] = np.packbits(bits, axis=1)
+    # the kernels packed big-endian: bit e of a mask is bit 64 * width - 1 - e
+    # of its row, width 64-bit words whose leading bits are zero
+    width = -(-group.order // 64)
+    bits = np.zeros((len(kernels), 64 * width), dtype=bool)
+    bits[:, 64 * width - 1 - elems] = kernels
+    # each pattern's kernels, laid end to end
+    stacked = np.packbits(bits, axis=1).view(np.uint64)[codes]
     # row i is mask i; block r holds rows starts[r]..starts[r + 1]-1
-    packed = _mapped_rows(total, nbytes)
+    packed = _mapped_rows(total, 8 * width)
+    rows = packed.view(np.uint64)
     starts = list(accumulate(counts, initial=0))
-    # (first row, rows) of each pattern written so far, by its pivots; the
-    # one form of rank 0 has the whole group as its kernel: the low |G| bits
-    packed[-1] = np.frombuffer(((1 << group.order) - 1).to_bytes(nbytes, "big"), dtype=np.uint8)
-    patterns = {(): (total - 1, 1)}
+    # the whole group: the low |G| bits
+    packed[-1] = np.frombuffer(((1 << group.order) - 1).to_bytes(8 * width, "big"), dtype=np.uint8)
+    # per-word bit counts and their sums, one slice of rows at a time
+    height = max(1, _CHUNK_BYTES // width)
+    words = np.empty((height, width), dtype=np.uint8)
+    elements = np.empty(height, dtype=np.min_scalar_type(group.order))
     for r in range(k - 1, -1, -1):
-        pos = starts[r]  # rows written so far
-        for pivots in combinations(range(k), k - r):
-            # the codes of the rows headed at c: p^c plus each free slot's
-            # (later non-pivot column's) digit times p^column
-            c, later = pivots[0], pivots[1:]
-            lut = [p**c]
-            for col in range(c + 1, k):
-                if col not in later:
-                    lut = [v + d * p**col for d in range(p) for v in lut]
-            kernel = hyper[lut]
-            first, n = patterns[later]
-            rows = n * len(kernel)
-            if pos + rows > starts[r + 1]:
-                raise InvariantViolation(
-                    f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
-                )
-            out = packed[pos : pos + rows]
-            np.bitwise_and(packed[first : first + n, None], kernel, out=out.reshape(n, -1, nbytes))
-            patterns[pivots] = (pos, rows)
-            pos += rows
-        if pos != starts[r + 1]:
-            raise InvariantViolation(
-                f"subspace route found {pos - starts[r]} subgroups of order {p**r}, expected {counts[r]}"
-            )
+        base, above = starts[r], starts[r + 1]
+        for first, n, pos, m, start in blocks[r][1]:
+            kernel = stacked[start : start + m].reshape(-1)
+            later = rows[above + first : above + first + n]
+            out = rows[base + pos : base + pos + n * m].reshape(n, m * width)
+            step = max(1, _CHUNK_BYTES // kernel.nbytes)
+            for i in range(0, n, step):
+                repeated = np.repeat(later[i : i + step], m, axis=0).reshape(-1, m * width)
+                np.bitwise_and(repeated, kernel, out=out[i : i + step])
         # a rank-r subspace has p^r elements: the block's rows as written,
         # counted in 64-bit words before block r - 1 reads them
-        block = packed[starts[r] : starts[r + 1]]
-        words = np.bitwise_count(block.view(np.uint64))
-        elements = words[:, 0].astype(np.min_scalar_type(group.order))
-        for column in words.T[1:]:
-            elements += column
-        if (elements != p**r).any():
-            raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
+        for lo in range(base, above, height):
+            block = rows[lo : min(lo + height, above)]
+            counted = np.bitwise_count(block, out=words[: len(block)])
+            summed = elements[: len(block)]
+            np.copyto(summed, counted[:, 0])
+            for column in counted.T[1:]:
+                np.add(summed, column, out=summed)
+            if summed.min() != p**r or summed.max() != p**r:
+                raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
     packed.flags.writeable = False
     census = {p**r: counts[r] for r in range(k + 1)}
     return packed, census, [_row_subgroup(row) for row in packed[starts[k - 1] : starts[k]]]

@@ -152,9 +152,15 @@ def _assert_blocks_match_census(lat) -> None:
 
 def test_subspace_blocks_match_loop_oracle():
     # every order here but 64 and 128 is not a multiple of 64, so its mask
-    # rows carry leading zero bits up to a whole 64-bit word
+    # rows carry leading zero bits up to a whole 64-bit word.  Each
+    # relabelled copy comes after the group of its (p, k), so its rows come
+    # from the plan made then, and no new plan is made for it.
+    plans = latsum.lattice._subspace_plan.cache_info
     for group, p, k in _subspace_route_groups():
+        made = plans().misses
         lat = enumerate_subgroups(group)
+        if group.label.startswith("relabelled"):
+            assert plans().misses == made, group.label
         want = subspace_masks_by_loop(group, p, k)
         assert _by_order_and_mask(s.mask for s in lat.subgroups) == want, group.label
         _assert_blocks_match_census(lat)
@@ -202,10 +208,11 @@ def test_subspace_rows_are_read_only_and_read_the_same_each_time():
 
 def test_subspace_route_peak_memory():
     # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB) and peaks at
-    # 14.5 MiB with them: each pivot pattern's rows are written in place as
-    # the AND of rows already written and an 8 KB table of kernels, and the
-    # largest order block's 200,787 rows are bit-counted through 0.8 MB of
-    # per-word counts and a 0.4 MB sum.
+    # 13.3 MiB with them when its plan is made, 13.1 MiB when it is kept:
+    # each pivot pattern's rows are written in place as the AND of rows
+    # already written, repeated in chunks of at most 64 KB, with its kernels
+    # from a 105 KB table, and each order block is bit-counted through a
+    # 64 KB buffer of per-word counts and a 32 KB sum.
     # The rows live in their own mapping, which tracemalloc does not see, so
     # their bytes are added to the traced peak.
     group = elementary_abelian_group(2, 8)
@@ -249,6 +256,13 @@ def test_subspace_block_count_checked_against_rows_written(monkeypatch):
         monkeypatch.setattr(latsum.lattice, "gaussian_subgroup_count", count)
         with pytest.raises(InvariantViolation, match=message):
             enumerate_subgroups(group)
+
+
+def test_subspace_closed_form_checked_on_a_warm_plan(monkeypatch):
+    # the plan for (2, 4) is kept after the first call, and the closed form
+    # is still checked against it on every call
+    enumerate_subgroups(elementary_abelian_group(2, 4))
+    test_subspace_block_count_checked_against_rows_written(monkeypatch)
 
 
 def _one_product_off(spec: str, a: int, b: int) -> Group:
@@ -984,9 +998,11 @@ def test_invariant_violation_survives_python_O():
             def __getattr__(self, name):
                 return getattr(numpy, name)
 
-            def bitwise_and(self, rows, kernels, out):
-                numpy.bitwise_and(rows, kernels, out=out)
-                row = out[0, 0]
+            def bitwise_and(self, *operands, out):
+                numpy.bitwise_and(*operands, out=out)
+                # the first row written, whatever the call's shape: elem:2,5's
+                # rows are one 64-bit word each
+                row = out.reshape(-1)[:1].view(numpy.uint8)
                 if not self.lost and numpy.bitwise_count(row).sum() == 4:
                     j = row.nonzero()[0][0]
                     row[j] &= row[j] - 1
