@@ -5,8 +5,9 @@ from __future__ import annotations
 import functools
 import math
 import mmap
+from bisect import bisect_right
 from collections import Counter
-from collections.abc import Sequence
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
 
@@ -21,15 +22,17 @@ DEFAULT_MAX_SUBGROUPS = 100_000
 # per-word bit counts): under glibc's default mmap threshold of 128 KB, so
 # the heap hands the same pages back on every call and none is faulted in anew
 _CHUNK_BYTES = 64 << 10
+# the masks an iteration over a lazy ``Lattice.subgroups`` builds at a time
+_READ_CHUNK = 1024
 
 
 class Subgroup:
     """Subgroup of a fixed parent group, stored as a membership bitmask.
 
     Bit a of ``mask`` is set exactly when element a belongs to the subgroup.
-    The subspace route keeps its masks packed in one numpy array and makes
-    a Subgroup each time ``Lattice.subgroups`` is read, so two reads of the
-    same position give equal but distinct objects.
+    On the subspace and direct-factor routes ``Lattice.subgroups`` makes a
+    Subgroup each time it is read, so two reads of the same position give
+    equal but distinct objects.
     """
 
     __slots__ = ("mask", "order")
@@ -51,28 +54,36 @@ class Subgroup:
         return _mask_members(self.mask)
 
 
-class _MaskView(Sequence):
-    """Subgroup sequence over packed masks: row i of the read-only uint8
-    array is mask i, big-endian, with leading zero bytes up to a whole
-    number of 64-bit words, and an index, a slice or an iteration makes a
-    Subgroup from each row it reads; a slice is a list.  A read never
-    writes."""
+class _SubgroupView(Sequence):
+    """Subgroup sequence over masks that are built when they are read:
+    ``read(indices)`` returns the masks at the indices of a range, in the
+    range's order.  An index (a negative one counts from the end), a slice
+    or an iteration makes a Subgroup from each mask it reads; a slice is a
+    list, and an iteration reads ``_READ_CHUNK`` masks at a time."""
 
-    __slots__ = ("_rows",)
+    __slots__ = ("_length", "_read")
 
-    def __init__(self, rows: np.ndarray):
-        self._rows = rows
+    def __init__(self, length: int, read: Callable[[range], list[int]]):
+        self._length, self._read = length, read
 
     def __len__(self) -> int:
-        return len(self._rows)
+        return self._length
 
     def __getitem__(self, i):
+        indices = range(self._length)[i]
         if isinstance(i, slice):
-            return [_row_subgroup(row) for row in self._rows[i]]
-        return _row_subgroup(self._rows[i])
+            return [Subgroup(mask) for mask in self._read(indices)]
+        return Subgroup(self._read(range(indices, indices + 1))[0])
 
     def __iter__(self):
-        return map(_row_subgroup, self._rows)
+        for lo in range(0, self._length, _READ_CHUNK):
+            yield from map(Subgroup, self._read(range(lo, min(lo + _READ_CHUNK, self._length))))
+
+    @property
+    def _rows(self) -> np.ndarray:
+        """The packed rows behind a subspace-route view, every block
+        written; read-only."""
+        return self._read.rows(0)
 
 
 def _mapped_rows(rows: int, width: int) -> np.ndarray:
@@ -88,8 +99,10 @@ def _mapped_rows(rows: int, width: int) -> np.ndarray:
     return np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
 
 
-def _row_subgroup(row: np.ndarray) -> Subgroup:
-    return Subgroup(int.from_bytes(row.tobytes(), "big"))
+def _row_masks(rows: np.ndarray) -> list[int]:
+    """The mask of each packed big-endian row."""
+    data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
+    return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
 
 
 @dataclass
@@ -102,9 +115,12 @@ class Lattice:
     from the census offsets, so a lattice built by hand must keep its
     blocks matching its census.  Inside a block, subgroups keep the
     deterministic order in which their route found them; no reader may
-    assume more.  ``subgroups`` is a plain list on the worklist and
-    direct-factor routes and, on the subspace route, a view over one
-    read-only uint8 array of packed big-endian mask rows.
+    assume more.  ``subgroups`` is a plain list on the worklist route.  On
+    the subspace and direct-factor routes it is a view that builds a mask
+    when it is read: enumeration builds only the maximals' masks and, on
+    the subspace route, where the maximals are the hyperplanes, the whole
+    group's.  A subspace row is bit-counted before any reader sees it,
+    whether it was built by enumeration or on a read.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -182,21 +198,24 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     of each block are checked against the closed-form count.  Per group,
     the route reads the coordinates of every element from ``group.array``
     over the greedy basis and packs the kernel of each functional over
-    GF(p) once, then allocates one uint8 array, in a prefaulted anonymous
-    mapping of its own, with a row of 8 * ceil(|G|/64) bytes, W 64-bit
-    words, for each subspace.  numpy writes the ANDs straight into the
-    rows of block r, viewed as uint64, one pivot pattern at a time, from
-    the rows of the pattern with one pivot fewer, which are already in
-    block r + 1: each of those rows, repeated once per kernel of the
-    pattern, is ANDed with the pattern's kernels laid end to end, in
-    chunks of about 64 KB of repeated rows.  Once a block's last pattern
-    is written, its rows' set bits are counted over 64-bit words, through
-    64 KB of per-word counts at a time, and once the last block is counted
-    the array becomes read-only.  ``subgroups`` is a view over the array
-    that makes each Subgroup when it is read, and the census is the
-    closed-form count of each order block.  Its maximal subgroups, the
-    hyperplanes of order |G|/p, are the one block made into Subgroup
-    objects.
+    GF(p) once, as a row of 8 * ceil(|G|/64) bytes, W 64-bit words.  The
+    kernels are the hyperplanes, the order-|G|/p block: their set bits
+    are counted at once, and they are the maximal subgroups.  The census
+    is the closed-form count of each order block.  ``subgroups`` is a
+    view that reads the top two blocks, the hyperplanes and the whole
+    group, from their masks, and writes the blocks below them on the
+    first read that reaches them: one uint8 array, in a prefaulted
+    anonymous mapping of its own, gets a row for each subspace, and numpy
+    writes the ANDs straight into the rows of block r, viewed as uint64,
+    one pivot pattern at a time, from the rows of the pattern with one
+    pivot fewer, which are already in block r + 1: each of those rows,
+    repeated once per kernel of the pattern, is ANDed with the pattern's
+    kernels laid end to end, in chunks of about 64 KB of repeated rows.
+    Once a block's last pattern is written, its rows' set bits are
+    counted over 64-bit words, through 64 KB of per-word counts at a
+    time, before any reader sees the block; the blocks are written down
+    to the lowest one asked for, and a later read that reaches further
+    down writes on from there.
 
     Every other group whose order has two or more primes and that splits
     off a Sylow subgroup as a direct factor takes the direct-factor route.
@@ -217,16 +236,19 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     each h in H in a factor is a power of h.  So the worklist runs once per
     part, confined to its members.
     Each tuple (A_1, ..., A_r) with A_i a subgroup of part i gives the
-    subgroup A_1...A_r, its mask made from the parts' members; one of them
-    is maximal exactly when one A_i is maximal in its part and every other
-    A_j is its whole part.  Walking one part at a time costs about |P_i|
-    steps per subgroup of part i, where the worklist on the whole group
-    costs about |G| per subgroup of G.  A group that splits off no Sylow
-    subgroup, such as S3, S4 or a dihedral group that is not a 2-group,
-    walks the whole group, and so does a direct product of Hall subgroups
-    that are not Sylow subgroups, such as S3 x (C11 : C5): no count of
-    element orders is known to make its parts subgroups.  The three routes
-    are cross-checked in the test suite.
+    subgroup A_1...A_r, of order |A_1|...|A_r|; one of them is maximal
+    exactly when one A_i is maximal in its part and every other A_j is its
+    whole part.  The census is counted from the tuples' orders, the
+    maximals' masks are made from the parts' members at once, and
+    ``subgroups`` is a view that keeps the parts' subgroups and makes a
+    product's mask only when it is read.  Walking one part at a time
+    costs about |P_i| steps per subgroup of part i, where the worklist on
+    the whole group costs about |G| per subgroup of G.  A group that
+    splits off no Sylow subgroup, such as S3, S4 or a dihedral group that
+    is not a 2-group, walks the whole group, and so does a direct product
+    of Hall subgroups that are not Sylow subgroups, such as
+    S3 x (C11 : C5): no count of element orders is known to make its parts
+    subgroups.  The three routes are cross-checked in the test suite.
 
     Inside each order block (see ``Lattice``) the subgroups come in
     discovery order on the worklist route, in pivot-pattern order on the
@@ -240,7 +262,7 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     Raises LatticeTooLarge when the subgroup count exceeds
     ``max_subgroups``; the subspace route checks its closed-form count
     before it allocates anything, and the direct-factor route checks the
-    product of its parts' counts before it builds any product.  Raises
+    product of its parts' counts before it lists any tuple.  Raises
     InvariantViolation when some order does not divide |G| (every route);
     on the worklist route when the prime steps do not reach a group or
     part whose order is odd or has at most two primes; on the
@@ -248,21 +270,20 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     order q of a part are not q in number, or, in a group with a rest
     part, when the elements of order dividing p^a of a split prime p do
     not commute with those of order prime to p; and on the subspace route
-    when the rows written to an order block are not its closed-form number
-    of subspaces (checked before any write past the block's end), or when
-    a row of a block as written does not have p^r bits set (checked after
-    the count, and before the next block reads the block).
+    when the rows planned for an order block are not its closed-form number
+    of subspaces (checked on every call, before any row is written), or
+    when a row of a block as written does not have p^r bits set (checked
+    on the hyperplanes at once and on every block below them when a read
+    first writes it, before any reader sees the block and before the next
+    block reads it).
     """
     rank = _elementary_abelian_rank(group)
     if rank is not None:
-        packed, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
-        subs = _MaskView(packed)
+        subs, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
+    elif split := _split_primes(group):
+        subs, census, maximals = _enumerate_direct_factors(group, split, max_subgroups)
     else:
-        split = _split_primes(group)
-        if split:
-            subs, maximals = _enumerate_direct_factors(group, split, max_subgroups)
-        else:
-            subs, maximals = _enumerate_worklist(group, max_subgroups)
+        subs, maximals = _enumerate_worklist(group, max_subgroups)
         subs.sort(key=lambda s: s.order)
         census = dict(sorted(Counter(s.order for s in subs).items()))
     if any(group.order % order for order in census):
@@ -389,15 +410,15 @@ def _count_dividing(group: Group, q: int) -> int:
 
 def _enumerate_direct_factors(
     group: Group, split: list[int], max_subgroups: int
-) -> tuple[list[Subgroup], list[Subgroup]]:
-    """(every subgroup, the maximal subgroups) of a group that is the direct
-    product of its Sylow p-subgroups for the primes ``split`` and, unless
-    every prime splits, one rest part (see ``enumerate_subgroups``): the
-    worklist once per part, on its member list, then the product
-    A_1...A_r of each tuple of the parts' subgroups, the tuples in
-    lexicographic order of their indices.  The members of each product of
-    the parts before the last are listed once, and each of those times
-    each subgroup of the last part is ORed straight into a mask."""
+) -> tuple[_SubgroupView, dict[int, int], list[Subgroup]]:
+    """(a view of every subgroup, the census, the maximal subgroups) of a
+    group that is the direct product of its Sylow p-subgroups for the
+    primes ``split`` and, unless every prime splits, one rest part (see
+    ``enumerate_subgroups``): the worklist once per part, on its member
+    list, then the orders of the products A_1...A_r of the tuples of the
+    parts' subgroups, the tuples in lexicographic order of their indices.
+    The view keeps the parts' subgroups and builds the mask of a product
+    only when it is read; the maximals' masks are built at once."""
     table = group.table
     n = group.order
     fact = factorize(n)  # ascending primes
@@ -424,31 +445,52 @@ def _enumerate_direct_factors(
     total = math.prod(len(subs) for subs, _ in parts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    *firsts, lasts = [[s.members() for s in subs] for subs, _ in parts]
-    heads = [[0]]
-    for subgroups in firsts:
-        heads = [[table[x][y] for x in head for y in sub] for head in heads for sub in subgroups]
-    bit = [1 << x for x in range(n)]
-    products = []
-    for head in heads:
-        for last in lasts:
-            mask = 0
-            for x in head:
-                row = table[x]
-                for y in last:
-                    mask |= bit[row[y]]
-            products.append(Subgroup(mask))
-    # (A_1, ..., A_r) is products[i], i the A_j's indices in their parts as
-    # mixed-radix digits, the parts' counts the bases.  G is the tuple of
-    # the whole parts, and a maximal subgroup swaps one part for a maximal
-    # subgroup of it; one fold reads both, keeping the maximals by part.
+    # tuple t is (A_1, ..., A_r), the A_j's indices in their parts as its
+    # mixed-radix digits, the parts' counts the bases; its order is the
+    # product of theirs, and a stable sort by order makes the blocks
+    sizes = [1]
+    for subs, _ in parts:
+        sizes = [size * s.order for size in sizes for s in subs]
+    by_order = sorted(range(total), key=sizes.__getitem__)
+    census = dict(sorted(Counter(sizes).items()))
+    # G is the tuple of the whole parts, and a maximal subgroup swaps one
+    # part for a maximal subgroup of it; one fold reads both, keeping the
+    # maximals by part.
     whole, maximals = 0, []
     for subs, part_maximals in parts:
         index = {s.mask: j for j, s in enumerate(subs)}
         k, top = len(subs), index[max(index)]  # the whole part's mask holds every other
         maximals = [i * k + top for i in maximals] + [whole * k + index[m.mask] for m in part_maximals]
         whole = whole * k + top
-    return products, [products[i] for i in maximals]
+    subgroups = [subs for subs, _ in parts]
+    bit = [1 << x for x in range(n)]
+
+    def product(t: int) -> int:
+        # t's digits, read from the last part up, pick A_r, ..., A_1.  The
+        # parts commute, so the product is that of the nontrivial A_j, in
+        # any order: a lone one is its own mask; otherwise the members of
+        # the product of all but the last of them are listed, and each
+        # product with a member of the last is ORed straight into the mask
+        factors = []
+        for subs in reversed(subgroups):
+            t, i = divmod(t, len(subs))
+            if subs[i].order > 1:
+                factors.append(subs[i])
+        if len(factors) < 2:
+            return factors[0].mask if factors else 1
+        last, *rest = factors
+        head = [0]
+        for sub in rest:
+            head = [table[x][y] for x in head for y in sub.members()]
+        mask, members = 0, last.members()
+        for x in head:
+            row = table[x]
+            for y in members:
+                mask |= bit[row[y]]
+        return mask
+
+    view = _SubgroupView(total, lambda indices: [product(by_order[i]) for i in indices])
+    return view, census, [Subgroup(product(i)) for i in maximals]
 
 
 def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
@@ -516,10 +558,11 @@ def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[
 
 def _enumerate_elementary_abelian(
     group: Group, p: int, k: int, max_subgroups: int
-) -> tuple[np.ndarray, dict[int, int], list[Subgroup]]:
-    """(every subspace's mask as one packed row, grouped into order blocks
-    by rank, the census, the hyperplanes), written straight into one
-    preallocated array that is read-only once every block is checked.
+) -> tuple[_SubgroupView, dict[int, int], list[Subgroup]]:
+    """(a view of every subspace's mask, grouped into order blocks by rank,
+    the census, the hyperplanes).  The whole group and the hyperplanes are
+    built and checked at once; every block below them is written on the
+    first read that reaches it (see ``_SubspaceRows``).
 
     A rank-r subspace W of GF(p)^k is the intersection of the kernels of
     a basis of its annihilator W°, and W -> W° is a bijection onto the
@@ -530,18 +573,12 @@ def _enumerate_elementary_abelian(
     with one more row headed at column c.  So the blocks are written from
     the hyperplanes down, one pivot pattern at a time, each pattern's rows
     the AND of its later pattern's rows, already written to block r + 1,
-    with the kernel of each row headed at c.  Which rows and kernels each
+    with the kernel of each row headed at c; the hyperplanes, the forms
+    of rank 1, are the kernels themselves.  Which rows and kernels each
     pattern reads depends only on (p, k) and comes from ``_subspace_plan``,
     whose rows per block are checked against the closed form on every
     call; only the packed kernels depend on the group.  Each row is
-    8 * ceil(|G|/64) bytes, W 64-bit words, and a pattern with m kernels
-    is written as its later rows, each repeated m times, ANDed with its m
-    kernels laid end to end: one AND whose inner loop runs over m * W
-    words, in chunks of about ``_CHUNK_BYTES`` of repeated rows.  The set
-    bits of a block are counted word by word once it is written and
-    before the next block reads it, in slices whose per-word counts take
-    at most ``_CHUNK_BYTES``.  Inside a block the rows keep the order in
-    which their pivot patterns were written."""
+    8 * ceil(|G|/64) bytes, W 64-bit words."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
@@ -575,42 +612,101 @@ def _enumerate_elementary_abelian(
     width = -(-group.order // 64)
     bits = np.zeros((len(kernels), 64 * width), dtype=bool)
     bits[:, 64 * width - 1 - elems] = kernels
-    # each pattern's kernels, laid end to end
+    # each pattern's kernels, laid end to end; the hyperplanes' patterns
+    # come first, each kernel once
     stacked = np.packbits(bits, axis=1).view(np.uint64)[codes]
-    # row i is mask i; block r holds rows starts[r]..starts[r + 1]-1
-    packed = _mapped_rows(total, 8 * width)
-    rows = packed.view(np.uint64)
-    starts = list(accumulate(counts, initial=0))
-    # the whole group: the low |G| bits
-    packed[-1] = np.frombuffer(((1 << group.order) - 1).to_bytes(8 * width, "big"), dtype=np.uint8)
-    # per-word bit counts and their sums, one slice of rows at a time
-    height = max(1, _CHUNK_BYTES // width)
-    words = np.empty((height, width), dtype=np.uint8)
-    elements = np.empty(height, dtype=np.min_scalar_type(group.order))
-    for r in range(k - 1, -1, -1):
-        base, above = starts[r], starts[r + 1]
-        for first, n, pos, m, start in blocks[r][1]:
-            kernel = stacked[start : start + m].reshape(-1)
-            later = rows[above + first : above + first + n]
-            out = rows[base + pos : base + pos + n * m].reshape(n, m * width)
-            step = max(1, _CHUNK_BYTES // kernel.nbytes)
-            for i in range(0, n, step):
-                repeated = np.repeat(later[i : i + step], m, axis=0).reshape(-1, m * width)
-                np.bitwise_and(repeated, kernel, out=out[i : i + step])
-        # a rank-r subspace has p^r elements: the block's rows as written,
-        # counted in 64-bit words before block r - 1 reads them
-        for lo in range(base, above, height):
-            block = rows[lo : min(lo + height, above)]
-            counted = np.bitwise_count(block, out=words[: len(block)])
-            summed = elements[: len(block)]
-            np.copyto(summed, counted[:, 0])
-            for column in counted.T[1:]:
-                np.add(summed, column, out=summed)
-            if summed.min() != p**r or summed.max() != p**r:
-                raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {p**r} elements")
-    packed.flags.writeable = False
+    hyperplanes = stacked[: counts[k - 1]]
+    _check_row_bits(hyperplanes, p ** (k - 1), group.label, k - 1)
+    top = _row_masks(hyperplanes) + [(1 << group.order) - 1]
+    rows = _SubspaceRows(group.label, p, counts, blocks, stacked, top)
     census = {p**r: counts[r] for r in range(k + 1)}
-    return packed, census, [_row_subgroup(row) for row in packed[starts[k - 1] : starts[k]]]
+    return _SubgroupView(total, rows), census, [Subgroup(mask) for mask in top[:-1]]
+
+
+def _check_row_bits(rows: np.ndarray, bits: int, label: str, r: int) -> None:
+    """Raise InvariantViolation unless every row of the uint64 array has
+    ``bits`` bits set: a rank-r subspace has p^r elements.  Counted in
+    64-bit words, in slices whose per-word counts take at most
+    ``_CHUNK_BYTES``, and the word columns of each slice added up."""
+    n, width = rows.shape
+    height = max(1, min(n, _CHUNK_BYTES // width))
+    words = np.empty((height, width), dtype=np.uint8)
+    elements = np.empty(height, dtype=np.min_scalar_type(64 * width))
+    for lo in range(0, n, height):
+        block = rows[lo : lo + height]
+        counted = np.bitwise_count(block, out=words[: len(block)])
+        summed = elements[: len(block)]
+        np.copyto(summed, counted[:, 0])
+        for column in counted.T[1:]:
+            np.add(summed, column, out=summed)
+        if summed.min() != bits or summed.max() != bits:
+            raise InvariantViolation(f"a subspace of rank {r} in {label} does not have {bits} elements")
+
+
+class _SubspaceRows:
+    """The reader of a subspace-route view.  The hyperplanes and the whole
+    group, the top two blocks, are read from their masks as
+    ``_enumerate_elementary_abelian`` checked them.  The first read below
+    them allocates one uint8 array, in a prefaulted anonymous mapping of
+    its own, with a row for each subspace, copies the top two blocks in,
+    and writes the blocks below, from the top down to the block of the
+    lowest index read; a later read that reaches further down writes on
+    from there.  numpy writes the ANDs straight into the rows of block r,
+    viewed as uint64, one pivot pattern at a time, from the rows of the
+    pattern with one pivot fewer, which are already in block r + 1: each
+    of those rows, repeated once per kernel of the pattern, is ANDed with
+    the pattern's kernels laid end to end, one AND whose inner loop runs
+    over m * W words for a pattern of m kernels, in chunks of about
+    ``_CHUNK_BYTES`` of repeated rows.  Once a block's last pattern is
+    written, its rows' set bits are counted, before any reader sees them
+    and before the next block reads them, and once block 0 is counted the
+    array becomes read-only.  Inside a block the rows keep the order in
+    which their pivot patterns were written."""
+
+    def __init__(
+        self, label: str, p: int, counts: list[int], blocks: tuple, stacked: np.ndarray, top: list[int]
+    ):
+        self.label, self.p, self.blocks, self.stacked, self.top = label, p, blocks, stacked, top
+        self.starts = list(accumulate(counts, initial=0))
+        self.packed: np.ndarray | None = None
+        # the lowest block counted; the array, once made, holds it and every block above
+        self.lowest = len(counts) - 2
+
+    def __call__(self, indices: range) -> list[int]:
+        if not indices:
+            return []
+        first, hyperplanes = min(indices[0], indices[-1]), self.starts[-3]
+        if first >= hyperplanes:
+            return [self.top[i - hyperplanes] for i in indices]
+        rows = self.rows(bisect_right(self.starts, first) - 1)
+        return _row_masks(rows[indices.start :: indices.step][: len(indices)])
+
+    def rows(self, low: int) -> np.ndarray:
+        """The packed rows, row i mask i, big-endian, with leading zero
+        bytes up to a whole number of 64-bit words; block ``low`` and every
+        block above it are written and counted."""
+        starts, stacked = self.starts, self.stacked
+        if self.packed is None:
+            hyperplanes, whole = starts[-3], starts[-2]
+            self.packed = _mapped_rows(starts[-1], stacked.shape[1] * 8)
+            self.packed[hyperplanes:whole] = stacked[: whole - hyperplanes].view(np.uint8)
+            self.packed[-1] = np.frombuffer(self.top[-1].to_bytes(stacked.shape[1] * 8, "big"), dtype=np.uint8)
+        width, rows = stacked.shape[1], self.packed.view(np.uint64)
+        for r in range(self.lowest - 1, low - 1, -1):
+            base, above = starts[r], starts[r + 1]
+            for first, n, pos, m, start in self.blocks[r][1]:
+                kernel = stacked[start : start + m].reshape(-1)
+                later = rows[above + first : above + first + n]
+                out = rows[base + pos : base + pos + n * m].reshape(n, m * width)
+                step = max(1, _CHUNK_BYTES // kernel.nbytes)
+                for i in range(0, n, step):
+                    repeated = np.repeat(later[i : i + step], m, axis=0).reshape(-1, m * width)
+                    np.bitwise_and(repeated, kernel, out=out[i : i + step])
+            _check_row_bits(rows[base:above], self.p**r, self.label, r)
+            self.lowest = r
+        if self.lowest == 0:
+            self.packed.flags.writeable = False
+        return self.packed
 
 
 # ---------------------------------------------------------------------------
@@ -681,14 +777,12 @@ def sylow_decomposition(group: Group, lat: Lattice) -> list[Subgroup] | None:
 
     The Sylow p-subgroups are conjugate (Sylow), so one is normal exactly
     when it is the only subgroup of order p^a, the p-part of |G|: this
-    reads one census count per prime, and no normality test."""
-    out: list[Subgroup] = []
-    for p, a in factorize(group.order).items():
-        sylows = lat.subgroups_of_order(p**a)
-        if len(sylows) != 1:
-            return None
-        out.append(sylows[0])
-    return out
+    reads one census count per prime, and no normality test; a block is
+    read only once every count is 1."""
+    orders = [p**a for p, a in factorize(group.order).items()]
+    if any(lat.census.get(order) != 1 for order in orders):
+        return None
+    return [lat.subgroups_of_order(order)[0] for order in orders]
 
 
 def all_maximals_normal(group: Group, lat: Lattice) -> bool:

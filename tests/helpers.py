@@ -201,6 +201,30 @@ def subspace_masks_by_loop(group: Group, p: int, k: int) -> list[int]:
     return sorted(masks, key=lambda m: (m.bit_count(), m))
 
 
+def direct_factor_product_masks(group: Group, parts: list[list[Subgroup]]) -> list[int]:
+    """The mask of the product A_1...A_r of each tuple of the parts'
+    subgroups, every one built at once, the tuples in lexicographic order
+    of their indices (the last part varying fastest): the members of each
+    product of the parts before the last are listed once, and each of
+    those times each subgroup of the last part is ORed into a mask."""
+    table = group.table
+    *firsts, lasts = [[s.members() for s in subs] for subs in parts]
+    heads = [[0]]
+    for subgroups in firsts:
+        heads = [[table[x][y] for x in head for y in sub] for head in heads for sub in subgroups]
+    bit = [1 << x for x in range(group.order)]
+    products = []
+    for head in heads:
+        for last in lasts:
+            mask = 0
+            for x in head:
+                row = table[x]
+                for y in last:
+                    mask |= bit[row[y]]
+            products.append(mask)
+    return products
+
+
 def contains_subgroup(big: Subgroup, small: Subgroup) -> bool:
     return big.mask & small.mask == small.mask
 

@@ -36,7 +36,7 @@ from latsum import (
     sylow_decomposition,
 )
 import latsum.lattice
-from latsum.corpus import dihedral_specs, pq_specs, subgroup_as_group
+from latsum.corpus import build_default_corpus, dihedral_specs, pq_specs, subgroup_as_group
 from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask, group_from_raw_table
 from latsum.analysis import analyze_group
@@ -49,6 +49,7 @@ from helpers import (
     conjugate_masks_by_walk,
     contains_subgroup,
     descending_maximal_scan,
+    direct_factor_product_masks,
     divisors,
     every_subgroup_worklist,
     first_subgroup_of_each_order,
@@ -170,21 +171,27 @@ def test_subspace_blocks_match_loop_oracle():
 
 def test_subspace_view_matches_its_mask_list():
     # elem:3,5 has 243 elements, so its packed rows are 32 bytes wide, the
-    # first 13 bits of each zero
+    # first 13 bits of each zero; D8 x C9 takes the direct-factor route,
+    # whose view builds each product's mask when it is read
+    cases = []
     for p, k in [(3, 3), (3, 5)]:
         group = elementary_abelian_group(p, k)
-        lat = enumerate_subgroups(group)
-        masks = subspace_masks_by_loop(group, p, k)
-        view = lat.subgroups
         size = sum(gaussian_subgroup_count(k, p, r) for r in range(k + 1))
+        cases.append((group, subspace_masks_by_loop(group, p, k), size))
+    group = GroupSpec.parse("product:dihedral:4+cyclic:9").build()
+    cases.append((group, _by_order_and_mask(every_subgroup_worklist(group)), 30))
+    for group, masks, size in cases:
+        lat = enumerate_subgroups(group)
+        view = lat.subgroups
         assert not isinstance(view, list) and len(view) == len(masks) == len(lat) == size
         read = [s.mask for s in view]
         assert _by_order_and_mask(read) == masks
         _assert_blocks_match_census(lat)
         for i in (0, 1, 13, size - 1, -1, -2, -size):
             assert view[i].mask == read[i] and view[i].order == read[i].bit_count(), (group.label, i)
-        with pytest.raises(IndexError):
-            view[size]
+        for i in (size, -size - 1):
+            with pytest.raises(IndexError):
+                view[i]
         for part in (slice(None, 1), slice(2, None), slice(5, 9), slice(None, None, -3), slice(-4, None)):
             got = view[part]
             assert isinstance(got, list) and [s.mask for s in got] == read[part], (group.label, part)
@@ -207,14 +214,13 @@ def test_subspace_rows_are_read_only_and_read_the_same_each_time():
 
 
 def test_subspace_route_peak_memory():
-    # elem:2,8 keeps 417,199 packed rows of 32 bytes (13.3 MB) and peaks at
-    # 13.3 MiB with them when its plan is made, 13.1 MiB when it is kept:
-    # each pivot pattern's rows are written in place as the AND of rows
-    # already written, repeated in chunks of at most 64 KB, with its kernels
-    # from a 105 KB table, and each order block is bit-counted through a
-    # 64 KB buffer of per-word counts and a 32 KB sum.
-    # The rows live in their own mapping, which tracemalloc does not see, so
-    # their bytes are added to the traced peak.
+    # elem:2,8 has 417,199 subgroups, whose packed rows of 32 bytes (13.3 MB)
+    # are written only when a row below the hyperplanes is read, so
+    # enumeration builds just the plan, the 105 KB kernel table whose first
+    # 255 rows are the hyperplanes, and their 1 KB of per-word bit counts.
+    # The rows, once written, live in their own mapping, which tracemalloc
+    # does not see, so their bytes are added to the traced peak as a bound
+    # on what reading them would add.
     group = elementary_abelian_group(2, 8)
     tracemalloc.start()
     try:
@@ -233,12 +239,16 @@ def test_subspace_rows_returned_when_the_lattice_is_dropped():
     # rather than staying behind as free heap for later blocks to carve up.
     # glibc maps a first block this size and unmaps it on free, then raises
     # its mapping threshold past it, so it is the second lattice that tells.
+    # The rows below the hyperplanes are written on the first read that
+    # reaches them, so every row is read first.
     def resident_mb() -> float:
         return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
     group = elementary_abelian_group(2, 8)
     for _ in range(2):
         lat = enumerate_subgroups(group, 500_000)
+        for _ in lat.subgroups:
+            pass
         held = resident_mb()
         del lat
         assert held - resident_mb() > 12, held
@@ -308,6 +318,75 @@ def test_subspace_route_makes_subgroups_only_for_what_is_read(monkeypatch):
     report = analyze_group(elementary_abelian_group(2, 8), 500_000)
     assert report.subgroup_count == 417_199
     assert calls <= 300
+
+
+def test_subspace_rows_below_the_hyperplanes_are_written_on_first_read(monkeypatch):
+    # an analysis of elem:2,8 reads the hyperplanes, the Sylow block (the
+    # whole group) and the census, which are built at once; the first read
+    # of a row below the hyperplanes maps the array of rows, and the reads
+    # after it, further down too, write on into the same array
+    calls = 0
+    mapped = latsum.lattice._mapped_rows
+
+    def counting(*args):
+        nonlocal calls
+        calls += 1
+        return mapped(*args)
+
+    monkeypatch.setattr(latsum.lattice, "_mapped_rows", counting)
+    group = elementary_abelian_group(2, 8)
+    analyze_group(group, 500_000)
+    assert calls == 0
+    lat = enumerate_subgroups(group, 500_000)
+    assert [s.order for s in lat.subgroups[-256:]] == [128] * 255 + [256] and calls == 0
+    # blocks 0 and 1 hold 256 rows, block 2 the next 10,795
+    interior = lat.subgroups[1000]
+    assert calls == 1 and interior.order == 4
+    assert lat.subgroups[0].mask == 1 and lat.subgroups[1].order == 2 and lat.subgroups[-2].order == 128
+    masks = [s.mask for s in lat.subgroups]
+    assert calls == 1
+    assert masks[1000] == interior.mask and len(set(masks)) == len(masks) == 417_199
+
+
+# (p, k, m) for elem:p,k x cyclic:m, the abelian products of the
+# abelian-lattice benchmark workload
+ABELIAN_BENCHMARK_PRODUCTS = [
+    (5, 2, 7), (3, 2, 16), (3, 2, 19), (2, 3, 9), (2, 2, 25), (5, 2, 6),
+    (2, 4, 3), (2, 2, 27), (2, 2, 29), (7, 2, 4), (2, 3, 11), (3, 2, 23),
+    (2, 2, 31), (3, 2, 20), (2, 2, 33), (3, 2, 25), (2, 3, 13), (3, 3, 4),
+    (2, 2, 47), (2, 2, 35), (3, 2, 22), (5, 2, 8), (2, 2, 37), (3, 3, 5),
+]
+
+
+def test_direct_factor_view_matches_the_eager_product_oracle(monkeypatch):
+    # the view's masks, in the lattice's order, against every product
+    # built at once from the same parts and sorted by order, stably: the
+    # direct-factor entries of the default corpus, the abelian products of
+    # the benchmark in two layouts, and C2^6 x C3^2
+    parts = []
+
+    def recording(group, max_subgroups, part=None):
+        subs, maximals = _enumerate_worklist(group, max_subgroups, part)
+        parts.append(subs)
+        return subs, maximals
+
+    monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
+    groups = []
+    for label, source in build_default_corpus():
+        group = source.build() if isinstance(source, GroupSpec) else Group(source, label)
+        if latsum.lattice._elementary_abelian_rank(group) is None and latsum.lattice._split_primes(group):
+            groups.append(group)
+    assert len(groups) > 100
+    for p, k, m in ABELIAN_BENCHMARK_PRODUCTS:
+        groups.append(GroupSpec.parse(f"product:elem:{p},{k}+cyclic:{m}").build())
+        groups.append(GroupSpec.parse(f"product:cyclic:{m}+elem:{p},{k}").build())
+    groups.append(GroupSpec.parse("product:elem:2,6+elem:3,2").build())
+    for group in groups:
+        parts.clear()
+        lat = enumerate_subgroups(group, 500_000)
+        want = sorted(direct_factor_product_masks(group, parts), key=int.bit_count)
+        assert [s.mask for s in lat.subgroups] == want, group.label
+        assert {m.mask for m in maximal_subgroups(lat)} <= set(want), group.label
 
 
 def _unitriangular_order_27():
@@ -1011,7 +1090,8 @@ def test_invariant_violation_survives_python_O():
         latsum.lattice.gaussian_subgroup_count = gaussian_subgroup_count
         latsum.lattice.np = OneBitLost()
         try:
-            enumerate_subgroups(GroupSpec.parse("elem:2,5").build())
+            lat = enumerate_subgroups(GroupSpec.parse("elem:2,5").build())
+            list(lat.subgroups)
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
 
