@@ -10,6 +10,7 @@ from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, combinations
+from typing import NamedTuple
 
 import numpy as np
 
@@ -18,7 +19,7 @@ from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, generated_mask, is_normal
 
 DEFAULT_MAX_SUBGROUPS = 100_000
-# the most bytes in one temporary of the subspace route (repeated rows, or
+# the most bytes in one temporary of the subspace kernel (repeated rows, or
 # per-word bit counts): under glibc's default mmap threshold of 128 KB, so
 # the heap hands the same pages back on every call and none is faulted in anew
 _CHUNK_BYTES = 64 << 10
@@ -30,9 +31,9 @@ class Subgroup:
     """Subgroup of a fixed parent group, stored as a membership bitmask.
 
     Bit a of ``mask`` is set exactly when element a belongs to the subgroup.
-    On the subspace and direct-factor routes ``Lattice.subgroups`` makes a
-    Subgroup each time it is read, so two reads of the same position give
-    equal but distinct objects.
+    Unless G is its own one part and the worklist enumerates it,
+    ``Lattice.subgroups`` makes a Subgroup each time it is read, so two
+    reads of the same position give equal but distinct objects.
     """
 
     __slots__ = ("mask", "order")
@@ -79,12 +80,6 @@ class _SubgroupView(Sequence):
         for lo in range(0, self._length, _READ_CHUNK):
             yield from map(Subgroup, self._read(range(lo, min(lo + _READ_CHUNK, self._length))))
 
-    @property
-    def _rows(self) -> np.ndarray:
-        """The packed rows behind a subspace-route view, every block
-        written; read-only."""
-        return self._read.rows(0)
-
 
 def _mapped_rows(rows: int, width: int) -> np.ndarray:
     """A zeroed (rows, width) uint8 array in an anonymous private mapping of
@@ -114,13 +109,13 @@ class Lattice:
     as long as its count; ``subgroups_of_order`` reads its block straight
     from the census offsets, so a lattice built by hand must keep its
     blocks matching its census.  Inside a block, subgroups keep the
-    deterministic order in which their route found them; no reader may
-    assume more.  ``subgroups`` is a plain list on the worklist route.  On
-    the subspace and direct-factor routes it is a view that builds a mask
-    when it is read: enumeration builds only the maximals' masks and, on
-    the subspace route, where the maximals are the hyperplanes, the whole
-    group's.  A subspace row is bit-counted before any reader sees it,
-    whether it was built by enumeration or on a read.
+    deterministic order in which enumeration found them; no reader may
+    assume more.  ``subgroups`` is a plain list when G is its own one part
+    and the worklist enumerates it.  Otherwise it is a view that builds a
+    mask when it is read: enumeration builds only the maximals' masks and,
+    for a part on the subspace kernel, where the part's maximals are its
+    hyperplanes, the whole part's.  A subspace row is bit-counted before
+    any reader sees it, whether it was built by enumeration or on a read.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -147,7 +142,33 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     """Enumerate every subgroup of ``group`` exactly once, and record which
     of them are maximal.
 
-    The general route is the cyclic extension method (Neubüser 1960): seed
+    Every group takes one pipeline: split G into parts, enumerate each part
+    with one kernel, and combine the parts' lattices into G's.
+
+    Parts (``_parts``).  Let p^a be the p-part of |G|.  The Sylow
+    p-subgroup P is a direct factor exactly when p^a elements have order
+    dividing p^a, so that P is the only Sylow p-subgroup and normal, and
+    |G|/p^a elements have order prime to p.  For then P has a complement K
+    (Schur-Zassenhaus), every element of K has order prime to p, so those
+    |G|/p^a elements are K; K is a union of conjugacy classes, so it is
+    normal, and two normal subgroups that meet in 1 commute, so G = P x K.
+    ``_split_primes`` reads both counts from the element orders alone,
+    when |G| has two or more primes.  The parts are each such P and one
+    rest part, the elements whose order divides the product of the
+    p-parts of the primes that do not split, which is then the
+    intersection of the complements K and so a subgroup; a nilpotent
+    group, where every Sylow subgroup splits, has no rest part.  G is the
+    only part when no Sylow subgroup splits: a p-group, S3, S4, a dihedral
+    group that is not a 2-group, or a direct product of Hall subgroups
+    that are not Sylow subgroups, such as S3 x (C11 : C5), for which no
+    count of element orders is known to make its parts subgroups.
+
+    Kernels (``_enumerate_part``).  A part that is elementary abelian
+    of rank >= 2 takes the subspace kernel, and every other part takes the
+    worklist.  Either kernel reads only the part's members, with the part
+    in place of G.
+
+    The worklist is the cyclic extension method (Neubüser 1960): seed
     a worklist with the trivial subgroup, then for a queued subgroup H and
     each element x not yet covered, extend H by x.  Every group takes one
     walk per such x: it powers x until a power lands in H, which gives the
@@ -187,145 +208,190 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     two primes (Burnside's p^a q^b theorem) is solvable, so the steps must
     reach it.
 
-    Elementary abelian groups of rank >= 2 instead take the subspace
-    route, which finds the same subgroups but scales to the rank-8
-    case over GF(2).  A rank-r subspace is the intersection of the kernels
-    of a basis of its annihilator, a rank-(k - r) subspace of the dual, so
-    each row of order block r is the AND of the kernels of the rows of one
-    reduced echelon form of rank k - r.  Which kernels and which earlier
-    rows each pivot pattern ANDs depends only on (p, k), so that plan is
-    worked out once per (p, k) and kept; on every call the planned rows
-    of each block are checked against the closed-form count.  Per group,
-    the route reads the coordinates of every element from ``group.array``
-    over the greedy basis and packs the kernel of each functional over
-    GF(p) once, as a row of 8 * ceil(|G|/64) bytes, W 64-bit words.  The
-    kernels are the hyperplanes, the order-|G|/p block: their set bits
-    are counted at once, and they are the maximal subgroups.  The census
-    is the closed-form count of each order block.  ``subgroups`` is a
-    view that reads the top two blocks, the hyperplanes and the whole
-    group, from their masks, and writes the blocks below them on the
-    first read that reaches them: one uint8 array, in a prefaulted
-    anonymous mapping of its own, gets a row for each subspace, and numpy
-    writes the ANDs straight into the rows of block r, viewed as uint64,
-    one pivot pattern at a time, from the rows of the pattern with one
-    pivot fewer, which are already in block r + 1: each of those rows,
-    repeated once per kernel of the pattern, is ANDed with the pattern's
-    kernels laid end to end, in chunks of about 64 KB of repeated rows.
-    Once a block's last pattern is written, its rows' set bits are
-    counted over 64-bit words, through 64 KB of per-word counts at a
-    time, before any reader sees the block; the blocks are written down
-    to the lowest one asked for, and a later read that reaches further
-    down writes on from there.
+    The subspace kernel finds the same subgroups of an elementary abelian
+    part, but scales to the rank-8 case over GF(2).  A rank-r subspace is
+    the intersection of the kernels of a basis of its annihilator, a
+    rank-(k - r) subspace of the dual, so each row of order block r is the
+    AND of the kernels of the rows of one reduced echelon form of rank
+    k - r, one row of 8 * ceil(|G|/64) bytes per subspace, in the parent's
+    bits.  The kernels are the hyperplanes, the maximal subgroups; the
+    census is the closed-form count of each order block, and the blocks
+    below the hyperplanes are written on the first read that reaches them
+    (see ``_enumerate_elementary_abelian`` and ``_SubspaceRows``).
 
-    Every other group whose order has two or more primes and that splits
-    off a Sylow subgroup as a direct factor takes the direct-factor route.
-    Let p^a be the p-part of |G|.  The Sylow p-subgroup P is a direct
-    factor exactly when p^a elements have order dividing p^a, so that P is
-    the only Sylow p-subgroup and normal, and |G|/p^a elements have order
-    prime to p.  For then P has a complement K (Schur-Zassenhaus), every
-    element of K has order prime to p, so those |G|/p^a elements are K; K
-    is a union of conjugacy classes, so it is normal, and two normal
-    subgroups that meet in 1 commute, so G = P x K.  ``_split_primes``
-    reads both counts from the element orders alone.  The parts are each
-    such P and one rest part, the elements whose order divides the
-    product of the p-parts of the primes that do not split, which is then
-    the intersection of the complements K and so a subgroup; a nilpotent
-    group, where every Sylow subgroup splits, has no rest part.  Every
-    subgroup H of a direct product of factors of coprime orders is the
-    product of its intersections with the factors, since the component of
-    each h in H in a factor is a power of h.  So the worklist runs once per
-    part, confined to its members.
-    Each tuple (A_1, ..., A_r) with A_i a subgroup of part i gives the
-    subgroup A_1...A_r, of order |A_1|...|A_r|; one of them is maximal
-    exactly when one A_i is maximal in its part and every other A_j is its
-    whole part.  The census is counted from the tuples' orders, the
-    maximals' masks are made from the parts' members at once, and
-    ``subgroups`` is a view that keeps the parts' subgroups and makes a
-    product's mask only when it is read.  Walking one part at a time
-    costs about |P_i| steps per subgroup of part i, where the worklist on
-    the whole group costs about |G| per subgroup of G.  A group that
-    splits off no Sylow subgroup, such as S3, S4 or a dihedral group that
-    is not a 2-group, walks the whole group, and so does a direct product
-    of Hall subgroups that are not Sylow subgroups, such as
-    S3 x (C11 : C5): no count of element orders is known to make its parts
-    subgroups.  The three routes are cross-checked in the test suite.
+    Combine (``_combine``).  With one part, G's lattice is that part's
+    own.  Every subgroup H of a direct product of factors of coprime orders
+    is the product of its intersections with the factors, since the
+    component of each h in H in a factor is a power of h.  So each tuple
+    (A_1, ..., A_r) with A_i a subgroup of part i gives the subgroup
+    A_1...A_r, of order |A_1|...|A_r|; one of them is maximal exactly when
+    one A_i is maximal in its part and every other A_j is its whole part.
+    The census is counted from the tuples' orders, the maximals' masks are
+    made at once, and ``subgroups`` is a view that keeps the parts'
+    lattices and makes a product's mask only when it is read.  Walking one
+    part at a time costs about |P_i| steps per subgroup of part i, where
+    the worklist on the whole group costs about |G| per subgroup of G.
+    The kernels and the split are cross-checked in the test suite.
 
-    Inside each order block (see ``Lattice``) the subgroups come in
-    discovery order on the worklist route, in pivot-pattern order on the
-    subspace route and, on the direct-factor route, in the order of the
-    tuples, the parts in the order of their smallest primes, the last
-    part varying fastest and each part's subgroups in its worklist's
-    discovery order.  The maximals come in the order they were recorded:
-    on the direct-factor route, by part, then in the order of the part's
-    own maximals.
+    Inside each order block (see ``Lattice``) a part's subgroups come in
+    discovery order from the worklist and in pivot-pattern order from the
+    subspace kernel; with several parts, the tuples come in the order of
+    the parts' own, the parts in the order of their smallest primes and
+    the last part varying fastest.  The maximals come in the order they
+    were recorded: by part, then in the order of the part's own maximals.
 
     Raises LatticeTooLarge when the subgroup count exceeds
-    ``max_subgroups``; the subspace route checks its closed-form count
-    before it allocates anything, and the direct-factor route checks the
-    product of its parts' counts before it lists any tuple.  Raises
-    InvariantViolation when some order does not divide |G| (every route);
-    on the worklist route when the prime steps do not reach a group or
-    part whose order is odd or has at most two primes; on the
-    direct-factor route when the elements of order dividing the
-    order q of a part are not q in number, or, in a group with a rest
-    part, when the elements of order dividing p^a of a split prime p do
-    not commute with those of order prime to p; and on the subspace route
-    when the rows planned for an order block are not its closed-form number
-    of subspaces (checked on every call, before any row is written), or
-    when a row of a block as written does not have p^r bits set (checked
-    on the hyperplanes at once and on every block below them when a read
-    first writes it, before any reader sees the block and before the next
-    block reads it).
+    ``max_subgroups``: a part's, which the subspace kernel checks on its
+    closed-form count before it allocates anything, or the product of the
+    parts' counts, checked before any tuple is listed.  Raises
+    InvariantViolation when some order does not divide |G|; when the
+    elements of order dividing the order q of a part are not q in number,
+    or, in a group with a rest part, when the elements of order dividing
+    p^a of a split prime p do not commute with those of order prime to p;
+    in the worklist when the prime steps do not reach a part whose order
+    is odd or has at most two primes; and in the subspace kernel when the
+    rows planned for an order block are not its closed-form number of
+    subspaces (checked on every call, before any row is written), or when
+    a row of a block as written does not have p^r bits set (checked on the
+    hyperplanes at once and on every block below them when a read first
+    writes it, before any reader sees the block and before the next block
+    reads it).
     """
-    rank = _elementary_abelian_rank(group)
-    if rank is not None:
-        subs, census, maximals = _enumerate_elementary_abelian(group, *rank, max_subgroups)
-    elif split := _split_primes(group):
-        subs, census, maximals = _enumerate_direct_factors(group, split, max_subgroups)
-    else:
-        subs, maximals = _enumerate_worklist(group, max_subgroups)
-        subs.sort(key=lambda s: s.order)
-        census = dict(sorted(Counter(s.order for s in subs).items()))
+    parts = [_enumerate_part(group, members, max_subgroups) for members in _parts(group)]
+    subs, census, maximals = _combine(group, parts, max_subgroups)
     if any(group.order % order for order in census):
         raise InvariantViolation(f"Lagrange violated on {group.label}: census {census}")
     return Lattice(group=group, subgroups=subs, census=census, maximals=maximals)
 
 
-def _enumerate_worklist(
-    group: Group, max_subgroups: int, part: list[int] | None = None
-) -> tuple[list[Subgroup], list[Subgroup]]:
-    """(every subgroup, the maximal subgroups) by the walk of
-    ``enumerate_subgroups``: one subgroup H per class, one walk per
+class _Part(NamedTuple):
+    """One part's lattice, as its kernel enumerated it: ``subgroups`` in
+    census order, so the whole part comes last, ``census``, the maximal
+    subgroups in the order the kernel recorded them, and, for the i-th
+    subgroup the kernel found, its position ``found[i]`` in ``subgroups``:
+    a product's tuples take each part's subgroups in the order found."""
+
+    subgroups: Sequence[Subgroup]
+    census: dict[int, int]
+    maximals: list[Subgroup]
+    found: Sequence[int]
+
+
+def _parts(group: Group) -> list[Sequence[int]]:
+    """The ascending member list of each part of G (see
+    ``enumerate_subgroups``), the parts in the order of their smallest
+    primes; ``range(|G|)`` alone when no Sylow subgroup splits."""
+    split = _split_primes(group)
+    if not split:
+        return [range(group.order)]
+    n, fact = group.order, factorize(group.order)  # ascending primes
+    rest = n // math.prod(p ** fact[p] for p in split)
+    arr, orders = group.array, np.array(group.element_orders())
+    if rest > 1:
+        # not nilpotent: each split Sylow p-subgroup must commute with its
+        # complement, the elements of order prime to p
+        for p in split:
+            sylow, others = np.flatnonzero(p ** fact[p] % orders == 0), np.flatnonzero(orders % p)
+            if not np.array_equal(arr[sylow[:, None], others], arr[others[:, None], sylow].T):
+                raise InvariantViolation(
+                    f"{group.label}: its {len(sylow)} elements of order dividing {p ** fact[p]} do not commute "
+                    f"with its {len(others)} elements of order prime to {p}"
+                )
+    # part q holds the elements of order dividing q; the rest part comes
+    # once, at its smallest prime
+    parts = []
+    for q in dict.fromkeys(p**a if p in split else rest for p, a in fact.items()):
+        members = np.flatnonzero(q % orders == 0).tolist()
+        if len(members) != q:
+            raise InvariantViolation(f"{group.label} has {len(members)} elements of order dividing {q}, not {q}")
+        parts.append(members)
+    return parts
+
+
+def _split_primes(group: Group) -> list[int]:
+    """The primes p, ascending, whose Sylow p-subgroup is a direct factor
+    of G, when |G| has two or more primes; else [].  Read from the counts
+    of element orders alone (see ``enumerate_subgroups``)."""
+    n = group.order
+    fact = factorize(n)
+    if len(fact) < 2:
+        return []
+    return [
+        p
+        for p, a in fact.items()
+        if _count_dividing(group, p**a) == p**a and _count_dividing(group, n // p**a) == n // p**a
+    ]
+
+
+def _count_dividing(group: Group, q: int) -> int:
+    """The number of elements of ``group`` whose order divides q."""
+    return sum(c for d, c in group.order_counts().items() if q % d == 0)
+
+
+def _enumerate_part(group: Group, members: Sequence[int], max_subgroups: int) -> _Part:
+    """The lattice of the part of G with the ascending ``members``, by the
+    subspace kernel when the part, of order p^k, is elementary abelian of
+    rank k >= 2, else by the worklist.
+
+    The exponent is read from the element orders: a part of prime-power
+    order is G itself or its only Sylow p-subgroup, so it holds every
+    element of G of order p, and it has exponent p exactly when G has
+    p^k - 1 of them.  Exponent p alone is not enough for p >= 3 (there are
+    nonabelian groups of exponent p), so the abelian check is required; it
+    runs second because the exponent reads the cached counts of element
+    orders, which ``recognize`` needs anyway, and usually rejects first.
+    A part of an abelian G is abelian; in any other G its members must
+    commute, one gather from ``Group.array`` against its transpose.
+    """
+    fact = factorize(len(members))
+    if len(fact) == 1 and max(fact.values()) >= 2 and group.order_counts()[min(fact)] == len(members) - 1:
+        (p, k), = fact.items()
+        square = None if group.is_abelian else group.array[np.ix_(members, members)]
+        if square is None or np.array_equal(square, square.T):
+            return _enumerate_elementary_abelian(group, members, p, k, max_subgroups)
+    return _enumerate_worklist(group, members, max_subgroups)
+
+
+def _mask_of(group: Group, members: Sequence[int]) -> int:
+    """The mask of a part: every bit below |G| when the part is G."""
+    return (1 << group.order) - 1 if len(members) == group.order else sum(1 << x for x in members)
+
+
+def _enumerate_worklist(group: Group, members: Sequence[int], max_subgroups: int) -> _Part:
+    """The lattice of the part with the ascending ``members``, by the walk
+    of ``enumerate_subgroups``: one subgroup H per class, one walk per
     uncovered x, and a prime step to <H, x> when the least k with x^k in H
     is prime and x normalizes H, tested as x*g*x^-1 in H for each
     generator g that the queue entry carries.  When the steps miss the
-    whole group, it is not solvable, and the walk runs again with one
+    whole part, it is not solvable, and the walk runs again with one
     closure per uncovered x; a miss on an order that is odd or has at most
-    two primes raises InvariantViolation instead.
-
-    ``part``, the ascending members of a direct factor T of G, confines
-    the walk to them: then it finds the subgroups of T, with their classes
-    under G, which are their classes under T, and T takes the place of G."""
-    if part is None:
-        full_mask, elements = (1 << group.order) - 1, range(1, group.order)
-    else:
-        full_mask, elements = sum(1 << x for x in part), part[1:]
-    seen, classes = _walk(group, max_subgroups, full_mask, elements, closures=False)
+    two primes raises InvariantViolation instead.  A part T that is a
+    direct factor of G has the same subgroups and classes under G as
+    under T, so T takes the place of G."""
+    full_mask = _mask_of(group, members)
+    seen, classes = _walk(group, max_subgroups, full_mask, members[1:], closures=False)
     if full_mask not in seen:
-        order = full_mask.bit_count()
+        order = len(members)
         if order % 2 or len(factorize(order)) < 3:
             raise InvariantViolation(
-                f"prime steps did not reach the whole {'group' if part is None else 'part'} of order {order} "
+                f"prime steps did not reach the whole {'group' if order == group.order else 'part'} of order {order} "
                 f"in {group.label}, which is solvable"
             )
-        seen, classes = _walk(group, max_subgroups, full_mask, elements, closures=True)
+        seen, classes = _walk(group, max_subgroups, full_mask, members[1:], closures=True)
     maximals: list[Subgroup] = []
     for h, orbit, maximal in classes:
         if maximal is None:  # self-normalizing: does a larger proper subgroup contain it?
             maximal = not any(m & h == h and m not in (h, full_mask) for m in seen)
         if maximal:
             maximals.extend(orbit)
-    return list(seen.values()), maximals
+    subs = list(seen.values())
+    orders = [s.order for s in subs]
+    census = {order: orders.count(order) for order in sorted(set(orders))}
+    if orders == sorted(orders):  # found in census order, as in every p-group
+        return _Part(subs, census, maximals, range(len(subs)))
+    # census order is the stable sort by order, and its inverse is ``found``
+    ranked = sorted(range(len(subs)), key=orders.__getitem__)
+    return _Part([subs[i] for i in ranked], census, maximals, sorted(range(len(subs)), key=ranked.__getitem__))
 
 
 def _walk(
@@ -388,132 +454,80 @@ def _walk(
     return seen, classes
 
 
-def _split_primes(group: Group) -> list[int]:
-    """The primes p, ascending, whose Sylow p-subgroup is a direct factor
-    of G, when |G| has two or more primes; else [].  Read from the counts
-    of element orders alone (see ``enumerate_subgroups``)."""
-    n = group.order
-    fact = factorize(n)
-    if len(fact) < 2:
-        return []
-    return [
-        p
-        for p, a in fact.items()
-        if _count_dividing(group, p**a) == p**a and _count_dividing(group, n // p**a) == n // p**a
-    ]
-
-
-def _count_dividing(group: Group, q: int) -> int:
-    """The number of elements of ``group`` whose order divides q."""
-    return sum(c for d, c in group.order_counts().items() if q % d == 0)
-
-
-def _enumerate_direct_factors(
-    group: Group, split: list[int], max_subgroups: int
-) -> tuple[_SubgroupView, dict[int, int], list[Subgroup]]:
-    """(a view of every subgroup, the census, the maximal subgroups) of a
-    group that is the direct product of its Sylow p-subgroups for the
-    primes ``split`` and, unless every prime splits, one rest part (see
-    ``enumerate_subgroups``): the worklist once per part, on its member
-    list, then the orders of the products A_1...A_r of the tuples of the
-    parts' subgroups, the tuples in lexicographic order of their indices.
-    The view keeps the parts' subgroups and builds the mask of a product
-    only when it is read; the maximals' masks are built at once."""
-    table = group.table
-    n = group.order
-    fact = factorize(n)  # ascending primes
-    rest = n // math.prod(p ** fact[p] for p in split)
-    arr, orders = group.array, np.array(group.element_orders())
-    if rest > 1:
-        # not nilpotent: each split Sylow p-subgroup must commute with its
-        # complement, the elements of order prime to p
-        for p in split:
-            sylow, others = np.flatnonzero(p ** fact[p] % orders == 0), np.flatnonzero(orders % p)
-            if not np.array_equal(arr[sylow[:, None], others], arr[others[:, None], sylow].T):
-                raise InvariantViolation(
-                    f"{group.label}: its {len(sylow)} elements of order dividing {p ** fact[p]} do not commute "
-                    f"with its {len(others)} elements of order prime to {p}"
-                )
-    # part q holds the elements of order dividing q; the rest part comes
-    # once, at its smallest prime
-    parts = []
-    for q in dict.fromkeys(p**a if p in split else rest for p, a in fact.items()):
-        members = np.flatnonzero(q % orders == 0).tolist()
-        if len(members) != q:
-            raise InvariantViolation(f"{group.label} has {len(members)} elements of order dividing {q}, not {q}")
-        parts.append(_enumerate_worklist(group, max_subgroups, members))
-    total = math.prod(len(subs) for subs, _ in parts)
+def _combine(
+    group: Group, parts: list[_Part], max_subgroups: int
+) -> tuple[Sequence[Subgroup], dict[int, int], list[Subgroup]]:
+    """(every subgroup, the census, the maximal subgroups) of G from its
+    parts' lattices: the one part's own when there is one, else the
+    products A_1...A_r of the tuples of the parts' subgroups (see
+    ``enumerate_subgroups``), in lexicographic order of each part's
+    subgroups as found, and then stably by order.  Reads the parts'
+    orders from their censuses and never a mask to learn them.  The view
+    keeps the parts' lattices and builds the mask of a product only when
+    it is read, reading each part's subgroup and listing its members at
+    most once per lattice; the maximals' masks are built at once."""
+    if len(parts) == 1:
+        return parts[0].subgroups, parts[0].census, parts[0].maximals
+    total = math.prod(len(part.found) for part in parts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    # tuple t is (A_1, ..., A_r), the A_j's indices in their parts as its
-    # mixed-radix digits, the parts' counts the bases; its order is the
-    # product of theirs, and a stable sort by order makes the blocks
+    # tuple t is (A_1, ..., A_r), the indices of the A_j in the order their
+    # parts found them as its mixed-radix digits, the parts' counts the
+    # bases; its order is the product of theirs, and a stable sort by order
+    # makes the blocks
     sizes = [1]
-    for subs, _ in parts:
-        sizes = [size * s.order for size in sizes for s in subs]
+    for part in parts:
+        orders = [order for order, count in part.census.items() for _ in range(count)]
+        sizes = [size * orders[i] for size in sizes for i in part.found]
     by_order = sorted(range(total), key=sizes.__getitem__)
     census = dict(sorted(Counter(sizes).items()))
+    table = group.table
+    read, listed_members = {}, {}  # each part's subgroups read, and their members listed, once
+
+    def read_once(j: int, i: int) -> int:
+        return read.get((j, i)) or read.setdefault((j, i), parts[j].subgroups[i].mask)
+
+    def listed(mask: int) -> list[int]:
+        return listed_members.get(mask) or listed_members.setdefault(mask, _mask_members(mask))
+
+    def product(masks: list[int]) -> int:
+        # the parts commute, so the product is that of the nontrivial
+        # factors, in any order: a lone one is its own mask; otherwise its
+        # members are listed factor by factor, each once, as the factors'
+        # orders are coprime, so their bits add up to its mask
+        nontrivial = [mask for mask in masks if mask != 1]
+        if len(nontrivial) < 2:
+            return nontrivial[0] if nontrivial else 1
+        elements = [0]
+        for mask in nontrivial:
+            elements = [table[x][y] for x in elements for y in listed(mask)]
+        return sum(1 << x for x in elements)
+
+    def factors(t: int) -> list[int]:
+        # t's digits, from the last part up; position 0 is a part's trivial
+        # subgroup, which is never read: a subspace part's is below its
+        # hyperplanes, written only on demand
+        masks = []
+        for j in range(len(parts) - 1, -1, -1):
+            t, digit = divmod(t, len(parts[j].found))
+            if i := parts[j].found[digit]:
+                masks.append(read_once(j, i))
+        return masks
+
+    def products(indices: range) -> list[int]:
+        return [product(factors(by_order[t])) for t in indices]
+
     # G is the tuple of the whole parts, and a maximal subgroup swaps one
-    # part for a maximal subgroup of it; one fold reads both, keeping the
-    # maximals by part.
-    whole, maximals = 0, []
-    for subs, part_maximals in parts:
-        index = {s.mask: j for j, s in enumerate(subs)}
-        k, top = len(subs), index[max(index)]  # the whole part's mask holds every other
-        maximals = [i * k + top for i in maximals] + [whole * k + index[m.mask] for m in part_maximals]
-        whole = whole * k + top
-    subgroups = [subs for subs, _ in parts]
-    bit = [1 << x for x in range(n)]
-
-    def product(t: int) -> int:
-        # t's digits, read from the last part up, pick A_r, ..., A_1.  The
-        # parts commute, so the product is that of the nontrivial A_j, in
-        # any order: a lone one is its own mask; otherwise the members of
-        # the product of all but the last of them are listed, and each
-        # product with a member of the last is ORed straight into the mask
-        factors = []
-        for subs in reversed(subgroups):
-            t, i = divmod(t, len(subs))
-            if subs[i].order > 1:
-                factors.append(subs[i])
-        if len(factors) < 2:
-            return factors[0].mask if factors else 1
-        last, *rest = factors
-        head = [0]
-        for sub in rest:
-            head = [table[x][y] for x in head for y in sub.members()]
-        mask, members = 0, last.members()
-        for x in head:
-            row = table[x]
-            for y in members:
-                mask |= bit[row[y]]
-        return mask
-
-    view = _SubgroupView(total, lambda indices: [product(by_order[i]) for i in indices])
-    return view, census, [Subgroup(product(i)) for i in maximals]
-
-
-def _elementary_abelian_rank(group: Group) -> tuple[int, int] | None:
-    """(p, k) when the group is elementary abelian of rank k >= 2, else None.
-
-    Exponent p alone is not enough for p >= 3 (there are nonabelian groups
-    of exponent p), so the abelian check is required; it runs second because
-    the exponent reads the cached element orders, which ``recognize`` needs
-    anyway, and usually rejects first.
-    """
-    fact = factorize(group.order)
-    if len(fact) != 1:
-        return None
-    (p, k), = fact.items()
-    if k < 2 or group.exponent() != p:
-        return None
-    return (p, k) if group.is_abelian else None
+    # part for a maximal subgroup of it, part by part
+    wholes = [read_once(j, len(part.found) - 1) for j, part in enumerate(parts)]
+    maximals = [[*wholes[:j], m.mask, *wholes[j + 1 :]] for j, part in enumerate(parts) for m in part.maximals]
+    return _SubgroupView(total, products), census, [Subgroup(product(masks)) for masks in maximals]
 
 
 @functools.cache
 def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, tuple], ...]]:
     """(kernels, codes, blocks): the geometry of GF(p)^k that the subspace
-    route reads, the same for every group of rank k over GF(p), so it is
+    kernel reads, the same for every group of rank k over GF(p), so it is
     worked out once per (p, k) and shared, read-only, by every call.
 
     Row i of ``kernels`` is the kernel of the i-th functional whose first
@@ -556,13 +570,13 @@ def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[
     return kernels, codes, tuple(blocks[::-1])
 
 
-def _enumerate_elementary_abelian(
-    group: Group, p: int, k: int, max_subgroups: int
-) -> tuple[_SubgroupView, dict[int, int], list[Subgroup]]:
-    """(a view of every subspace's mask, grouped into order blocks by rank,
-    the census, the hyperplanes).  The whole group and the hyperplanes are
-    built and checked at once; every block below them is written on the
-    first read that reaches it (see ``_SubspaceRows``).
+def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, k: int, max_subgroups: int) -> _Part:
+    """The lattice of the elementary abelian part of order p^k with the
+    ascending ``members``: a view of every subspace's mask, grouped into
+    order blocks by rank, the census, and the hyperplanes.  The whole part
+    and the hyperplanes are built and checked at once; every block below
+    them is written on the first read that reaches it (see
+    ``_SubspaceRows``).
 
     A rank-r subspace W of GF(p)^k is the intersection of the kernels of
     a basis of its annihilator W°, and W -> W° is a bijection onto the
@@ -577,17 +591,13 @@ def _enumerate_elementary_abelian(
     of rank 1, are the kernels themselves.  Which rows and kernels each
     pattern reads depends only on (p, k) and comes from ``_subspace_plan``,
     whose rows per block are checked against the closed form on every
-    call; only the packed kernels depend on the group.  Each row is
-    8 * ceil(|G|/64) bytes, W 64-bit words."""
+    call; only the packed kernels depend on the part.  Each row is
+    8 * ceil(|G|/64) bytes, W 64-bit words, and holds the parent's bits,
+    so a part's mask is G's mask of the same subgroup."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    # the greedy generating set is a basis: each generator lies outside the
-    # span of those before it
-    basis = group.generating_set()
-    if len(basis) != k:
-        raise InvariantViolation(f"basis extraction found rank {len(basis)}, expected {k}")
     kernels, codes, blocks = _subspace_plan(p, k)
     # the plan's rows against the closed form, block by block, on every call
     for r, (planned, _) in enumerate(blocks):
@@ -597,16 +607,21 @@ def _enumerate_elementary_abelian(
             )
         if planned < counts[r]:
             raise InvariantViolation(f"subspace route found {planned} subgroups of order {p**r}, expected {counts[r]}")
-    # elems[x] is the element whose coordinates are the base-p digits of x,
-    # read from the array.  A wrong product there repeats an element, so some
-    # coordinates reach no bit below; the hyperplanes cover GF(p)^k, so then
-    # some hyperplane's row is short of p^(k-1) bits.
-    elems = np.zeros(1, dtype=np.intp)
-    for a in basis:
+    # the greedy basis: each member, ascending, that the span of those
+    # before it does not reach, until the span has p^k elements (for G
+    # itself, the basis of ``generating_set``).  elems[x] is the element
+    # whose coordinates are the base-p digits of x, read from the array.  A
+    # wrong product there repeats an element, so some coordinates reach no
+    # bit below; the hyperplanes cover GF(p)^k, so then some hyperplane's
+    # row is short of p^(k-1) bits.
+    elems, span = np.zeros(1, dtype=np.intp), {0}
+    while len(elems) < len(members):
+        a = next(x for x in members if x not in span)
         powers = [elems]
         for _ in range(p - 1):
             powers.append(group.array[powers[-1], a])
         elems = np.concatenate(powers)
+        span = set(elems.tolist())
     # the kernels packed big-endian: bit e of a mask is bit 64 * width - 1 - e
     # of its row, width 64-bit words whose leading bits are zero
     width = -(-group.order // 64)
@@ -615,12 +630,13 @@ def _enumerate_elementary_abelian(
     # each pattern's kernels, laid end to end; the hyperplanes' patterns
     # come first, each kernel once
     stacked = np.packbits(bits, axis=1).view(np.uint64)[codes]
+    # the hyperplanes, their set bits counted at once
     hyperplanes = stacked[: counts[k - 1]]
     _check_row_bits(hyperplanes, p ** (k - 1), group.label, k - 1)
-    top = _row_masks(hyperplanes) + [(1 << group.order) - 1]
-    rows = _SubspaceRows(group.label, p, counts, blocks, stacked, top)
+    top = _row_masks(hyperplanes)
+    rows = _SubspaceRows(group.label, p, counts, blocks, stacked, top + [_mask_of(group, members)])
     census = {p**r: counts[r] for r in range(k + 1)}
-    return _SubgroupView(total, rows), census, [Subgroup(mask) for mask in top[:-1]]
+    return _Part(_SubgroupView(total, rows), census, [Subgroup(mask) for mask in top], range(total))
 
 
 def _check_row_bits(rows: np.ndarray, bits: int, label: str, r: int) -> None:
@@ -644,8 +660,8 @@ def _check_row_bits(rows: np.ndarray, bits: int, label: str, r: int) -> None:
 
 
 class _SubspaceRows:
-    """The reader of a subspace-route view.  The hyperplanes and the whole
-    group, the top two blocks, are read from their masks as
+    """The reader of a subspace part's view.  The hyperplanes and the whole
+    part, the top two blocks, are read from their masks as
     ``_enumerate_elementary_abelian`` checked them.  The first read below
     them allocates one uint8 array, in a prefaulted anonymous mapping of
     its own, with a row for each subspace, copies the top two blocks in,

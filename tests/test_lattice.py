@@ -2,6 +2,7 @@ import os
 import random
 import textwrap
 import tracemalloc
+from collections import Counter
 from pathlib import Path
 
 import numpy as np
@@ -41,8 +42,9 @@ from latsum.errors import InvariantViolation
 from latsum.groups import generated_mask, group_from_raw_table
 from latsum.analysis import analyze_group
 from latsum.arith import factorize
-from latsum.lattice import Subgroup, _enumerate_worklist, nilpotent_by_element_orders
+from latsum.lattice import Subgroup, _enumerate_part, _enumerate_worklist, nilpotent_by_element_orders
 
+from make_golden_lattices import masks_sha256
 from helpers import (
     CountingTable,
     brute_force_subgroup_masks,
@@ -200,10 +202,11 @@ def test_subspace_view_matches_its_mask_list():
 
 
 def test_subspace_rows_are_read_only_and_read_the_same_each_time():
-    # a read never writes, so two full iterations agree row for row
+    # a read never writes, so two full iterations agree row for row; the
+    # rows are read through the view's subspace reader, every block written
     group = elementary_abelian_group(2, 6)
     lat = enumerate_subgroups(group)
-    rows = lat.subgroups._rows
+    rows = lat.subgroups._read.rows(0)
     with pytest.raises(ValueError):
         rows[0] = 0
     with pytest.raises(ValueError):
@@ -231,6 +234,23 @@ def test_subspace_route_peak_memory():
     assert len(lat) == 417_199
     rows = 417_199 * 32
     assert peak + rows < 18 << 20, peak + rows
+
+
+def test_subspace_rows_written_on_read_peak_memory():
+    # writing every block of elem:2,8 below the hyperplanes: its 13.3 MB of
+    # rows live in their own mapping, which tracemalloc does not see, and
+    # the writer's own temporaries stay near two 64 KB buffers, the chunk of
+    # repeated rows and the per-word bit counts, however large the block
+    group = elementary_abelian_group(2, 8)
+    lat = enumerate_subgroups(group, 500_000)
+    tracemalloc.start()
+    try:
+        rows = lat.subgroups._read.rows(0)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert rows.shape == (417_199, 32) and not rows.flags.writeable
+    assert peak < 192 << 10, peak
 
 
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads resident pages from /proc")
@@ -360,21 +380,22 @@ ABELIAN_BENCHMARK_PRODUCTS = [
 
 def test_direct_factor_view_matches_the_eager_product_oracle(monkeypatch):
     # the view's masks, in the lattice's order, against every product
-    # built at once from the same parts and sorted by order, stably: the
-    # direct-factor entries of the default corpus, the abelian products of
+    # built at once from the same parts, each part's subgroups in the order
+    # its kernel found them, and sorted by order, stably: the entries of
+    # the default corpus with two or more parts, the abelian products of
     # the benchmark in two layouts, and C2^6 x C3^2
     parts = []
 
-    def recording(group, max_subgroups, part=None):
-        subs, maximals = _enumerate_worklist(group, max_subgroups, part)
-        parts.append(subs)
-        return subs, maximals
+    def recording(group, members, max_subgroups):
+        part = _enumerate_part(group, members, max_subgroups)
+        parts.append([part.subgroups[i] for i in part.found])
+        return part
 
-    monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
+    monkeypatch.setattr(latsum.lattice, "_enumerate_part", recording)
     groups = []
     for label, source in build_default_corpus():
         group = source.build() if isinstance(source, GroupSpec) else Group(source, label)
-        if latsum.lattice._elementary_abelian_rank(group) is None and latsum.lattice._split_primes(group):
+        if len(latsum.lattice._parts(group)) > 1:
             groups.append(group)
     assert len(groups) > 100
     for p, k, m in ABELIAN_BENCHMARK_PRODUCTS:
@@ -387,6 +408,55 @@ def test_direct_factor_view_matches_the_eager_product_oracle(monkeypatch):
         want = sorted(direct_factor_product_masks(group, parts), key=int.bit_count)
         assert [s.mask for s in lat.subgroups] == want, group.label
         assert {m.mask for m in maximal_subgroups(lat)} <= set(want), group.label
+
+
+# sha256, by masks_sha256, of the sorted subgroup masks of C2^6 x C3^2 as
+# every_subgroup_worklist finds them, which takes it about 20 s
+ELEM_2_6_BY_ELEM_3_2_ORACLE_SHA256 = "1b0afb854a4962d351757c4c4856d336b71252ffa825f92124402ba614bce5d0"
+
+
+def test_parts_by_kernel_match_the_every_subgroup_oracle():
+    # the abelian products of the benchmark, whose elementary abelian part
+    # takes the subspace kernel beside a cyclic part on the worklist, and
+    # C2^4 x C3^2 and C2^6 x C3^2, both of whose parts take the subspace
+    # kernel; the last against the oracle's recorded digest
+    specs = [f"product:elem:{p},{k}+cyclic:{m}" for p, k, m in ABELIAN_BENCHMARK_PRODUCTS]
+    for spec in [*specs, "product:elem:2,4+elem:3,2", "product:elem:2,6+elem:3,2"]:
+        group, lat = lat_of(spec)
+        masks = [s.mask for s in lat.subgroups]
+        assert len(masks) == len(set(masks)), spec
+        if spec == "product:elem:2,6+elem:3,2":
+            assert len(masks) == 16_950 and masks_sha256(masks) == ELEM_2_6_BY_ELEM_3_2_ORACLE_SHA256
+        else:
+            assert set(masks) == every_subgroup_worklist(group), spec
+        want = descending_maximal_scan(group.order, lat.subgroups)
+        assert sorted(m.mask for m in maximal_subgroups(lat)) == sorted(m.mask for m in want), spec
+
+
+def test_a_full_read_lists_each_part_subgroup_once(monkeypatch):
+    # C2^6 x C3^2 has 2,825 x 6 = 16,950 subgroups, and both its parts take
+    # the subspace kernel: enumerating it and reading its view twice reads
+    # each nontrivial subgroup of its parts once and lists its members once,
+    # however many products it is a factor of; a part's trivial subgroup,
+    # below its hyperplanes, is never read
+    listed, read = Counter(), Counter()
+    members, rows = latsum.lattice._mask_members, latsum.lattice._SubspaceRows.__call__
+
+    def listing(mask):
+        listed[mask] += 1
+        return members(mask)
+
+    def reading(self, indices):
+        read.update((id(self), i) for i in indices)
+        return rows(self, indices)
+
+    monkeypatch.setattr(latsum.lattice, "_mask_members", listing)
+    monkeypatch.setattr(latsum.lattice._SubspaceRows, "__call__", reading)
+    lat = enumerate_subgroups(GroupSpec.parse("product:elem:2,6+elem:3,2").build())
+    masks = [s.mask for s in lat.subgroups]
+    assert [s.mask for s in lat.subgroups] == masks and len(set(masks)) == 16_950
+    assert len(listed) == 2824 + 5 and max(listed.values()) == 1
+    assert len(read) == 2824 + 5 and max(read.values()) == 1 and 0 not in {i for _, i in read}
 
 
 def _unitriangular_order_27():
@@ -605,12 +675,15 @@ def test_nonabelian_exponent_p_group_avoids_subspace_route():
     group = _unitriangular_order_27()
     group.validate()
     assert group.exponent() == 3 and not group.is_abelian
-    from latsum.lattice import _elementary_abelian_rank
-
-    assert _elementary_abelian_rank(group) is None
+    assert isinstance(_enumerate_part(group, range(27), 100_000).subgroups, list)
     lat = enumerate_subgroups(group)
     assert lat.census == {1: 1, 3: 13, 9: 4, 27: 1}
     assert gaussian_subgroup_count(3, 3, 2) == 13  # the rank-3 group differs here
+    # so must the part of order 27 of U x C2, which the worklist walks
+    product = direct_product_group([group, cyclic_group(2)])
+    lat = enumerate_subgroups(product)
+    assert lat.census == {1: 1, 2: 1, 3: 13, 6: 13, 9: 4, 18: 4, 27: 1, 54: 1}
+    assert {s.mask for s in lat.subgroups} == every_subgroup_worklist(product)
 
 
 def test_elementary_abelian_census_matches_gaussian():
@@ -638,7 +711,7 @@ def test_lattice_too_large():
         enumerate_subgroups(group, max_subgroups=100)
     with pytest.raises(LatticeTooLarge):
         # worklist route must also respect the cap
-        _enumerate_worklist(symmetric_group(4), 10)
+        _enumerate_worklist(symmetric_group(4), range(24), 10)
 
 
 @pytest.mark.parametrize(
@@ -664,32 +737,49 @@ def test_lattice_cap_boundary(spec, count):
 
 
 def test_groups_with_a_sylow_direct_factor_enumerate_one_part_at_a_time(monkeypatch):
-    # the worklist, confined to each part in turn: each Sylow subgroup that
-    # is a direct factor, and one rest part at its smallest prime; a
-    # p-group and a group that splits off no Sylow subgroup walk the whole
-    # group
+    # one kernel per part: each Sylow subgroup that is a direct factor, and
+    # one rest part at its smallest prime; a p-group and a group that
+    # splits off no Sylow subgroup are their own one part.  An elementary
+    # abelian part of rank >= 2 takes the subspace kernel, and every other
+    # part the worklist: cyclic parts, parts of rank 1, abelian parts that
+    # are not of exponent p, and the nonabelian part of exponent 3 of
+    # U x C2, U the unitriangular group of order 27
     sizes = []
 
-    def recording(group, max_subgroups, part=None):
-        sizes.append(None if part is None else len(part))
-        return _enumerate_worklist(group, max_subgroups, part)
+    def recording(group, members, max_subgroups):
+        part = _enumerate_part(group, members, max_subgroups)
+        sizes.append((len(members), "worklist" if isinstance(part.subgroups, list) else "subspace"))
+        return part
 
-    monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
-    for spec, want in [
-        ("cyclic:720", [16, 9, 5]),
-        ("product:dihedral:4+cyclic:9", [8, 9]),
-        ("product:pq:2,3+cyclic:5", [6, 5]),
-        ("product:sym:4+cyclic:25", [24, 25]),
-        ("product:pq:3,7+cyclic:2", [2, 21]),
-        ("dihedral:4", [None]),
-        ("pq:2,3", [None]),
-        ("pq:3,7", [None]),
-        ("sym:4", [None]),
-        ("product:pq:2,3+pq:5,11", [None]),
+    monkeypatch.setattr(latsum.lattice, "_enumerate_part", recording)
+    unitriangular = _unitriangular_order_27()
+    w, s = "worklist", "subspace"
+    for source, want in [
+        ("cyclic:720", [(16, w), (9, w), (5, w)]),
+        ("product:dihedral:4+cyclic:9", [(8, w), (9, w)]),
+        ("product:pq:2,3+cyclic:5", [(6, w), (5, w)]),
+        ("product:sym:4+cyclic:25", [(24, w), (25, w)]),
+        ("product:pq:3,7+cyclic:2", [(2, w), (21, w)]),
+        ("dihedral:4", [(8, w)]),
+        ("pq:2,3", [(6, w)]),
+        ("pq:3,7", [(21, w)]),
+        ("sym:4", [(24, w)]),
+        ("product:pq:2,3+pq:5,11", [(330, w)]),
+        ("elem:2,4", [(16, s)]),
+        ("product:elem:2,2+cyclic:2", [(8, s)]),
+        ("product:cyclic:9+cyclic:3", [(27, w)]),
+        ("product:elem:2,3+cyclic:9", [(8, s), (9, w)]),
+        ("product:cyclic:8+elem:3,2", [(8, w), (9, s)]),
+        ("product:elem:2,2+elem:3,2+cyclic:5", [(4, s), (9, s), (5, w)]),
+        ("product:elem:3,2+pq:2,5", [(10, w), (9, s)]),
+        ("cyclic:6", [(2, w), (3, w)]),
+        (unitriangular, [(27, w)]),
+        (direct_product_group([unitriangular, cyclic_group(2)]), [(2, w), (27, w)]),
     ]:
+        group = GroupSpec.parse(source).build() if isinstance(source, str) else source
         sizes.clear()
-        lat_of(spec)
-        assert sizes == want, spec
+        enumerate_subgroups(group)
+        assert sizes == want, group.label
 
 
 def test_direct_factor_maximals_come_by_part_in_the_order_of_the_smallest_primes():
@@ -763,15 +853,15 @@ def test_every_part_of_a_solvable_group_takes_prime_steps(monkeypatch):
         closures += 1
         return generated_mask(*args, **kwargs)
 
-    def recording(group, max_subgroups, part=None):
+    def recording(group, members, max_subgroups):
         nonlocal closures
         closures = 0
-        out = _enumerate_worklist(group, max_subgroups, part)
-        per_part.append((len(part), closures))
+        out = _enumerate_part(group, members, max_subgroups)
+        per_part.append((len(members), closures))
         return out
 
     monkeypatch.setattr(latsum.lattice, "generated_mask", counting)
-    monkeypatch.setattr(latsum.lattice, "_enumerate_worklist", recording)
+    monkeypatch.setattr(latsum.lattice, "_enumerate_part", recording)
     q8 = Group(Q8_TABLE, "Q8")
     q8.validate()
     for group, want in [
