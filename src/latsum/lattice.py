@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import functools
 import math
-import mmap
 from bisect import bisect_right
 from collections import Counter
 from collections.abc import Callable, Sequence
@@ -19,10 +18,6 @@ from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, generated_mask, is_normal
 
 DEFAULT_MAX_SUBGROUPS = 100_000
-# the most bytes in one temporary of the subspace kernel (repeated rows, or
-# per-word bit counts): under glibc's default mmap threshold of 128 KB, so
-# the heap hands the same pages back on every call and none is faulted in anew
-_CHUNK_BYTES = 64 << 10
 # the masks an iteration over a lazy ``Lattice.subgroups`` builds at a time
 _READ_CHUNK = 1024
 
@@ -81,25 +76,6 @@ class _SubgroupView(Sequence):
             yield from map(Subgroup, self._read(range(lo, min(lo + _READ_CHUNK, self._length))))
 
 
-def _mapped_rows(rows: int, width: int) -> np.ndarray:
-    """A zeroed (rows, width) uint8 array in an anonymous private mapping of
-    its own, faulted in when it is made (MAP_POPULATE, where the platform
-    has it) rather than page by page as the rows are first written: for
-    elem:2,8 that is 3,259 pages.  Dropping it unmaps the pages at once.
-    From the malloc heap, one freed block of 13 MB (elem:2,8) was carved by
-    the small allocations that came after it, the next same-sized block no
-    longer fitted, and the heap grew by 9 MB more on some runs and not on
-    others."""
-    buf = mmap.mmap(-1, rows * width, flags=mmap.MAP_PRIVATE | getattr(mmap, "MAP_POPULATE", 0))
-    return np.frombuffer(buf, dtype=np.uint8).reshape(rows, width)
-
-
-def _row_masks(rows: np.ndarray) -> list[int]:
-    """The mask of each packed big-endian row."""
-    data, width = rows.tobytes(), rows.shape[1] * rows.itemsize
-    return [int.from_bytes(data[i : i + width], "big") for i in range(0, len(data), width)]
-
-
 @dataclass
 class Lattice:
     """All subgroups of a group, in blocks of ascending order.
@@ -112,10 +88,10 @@ class Lattice:
     deterministic order in which enumeration found them; no reader may
     assume more.  ``subgroups`` is a plain list when G is its own one part
     and the worklist enumerates it.  Otherwise it is a view that builds a
-    mask when it is read: enumeration builds only the maximals' masks and,
-    for a part on the subspace kernel, where the part's maximals are its
-    hyperplanes, the whole part's.  A subspace row is bit-counted before
-    any reader sees it, whether it was built by enumeration or on a read.
+    mask each time it is read and keeps none: enumeration builds only the
+    maximals' masks, which for a part on the subspace kernel are the
+    kernels' masks its rows are made from.  A subspace row is bit-counted
+    each time it is made, before any reader sees it.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -213,11 +189,11 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     the intersection of the kernels of a basis of its annihilator, a
     rank-(k - r) subspace of the dual, so each row of order block r is the
     AND of the kernels of the rows of one reduced echelon form of rank
-    k - r, one row of 8 * ceil(|G|/64) bytes per subspace, in the parent's
-    bits.  The kernels are the hyperplanes, the maximal subgroups; the
-    census is the closed-form count of each order block, and the blocks
-    below the hyperplanes are written on the first read that reaches them
-    (see ``_enumerate_elementary_abelian`` and ``_SubspaceRows``).
+    k - r, in the parent's bits.  The kernels are the hyperplanes, the
+    maximal subgroups, and the only masks enumeration builds; the census
+    is the closed-form count of each order block, and every row is made
+    from the kernels when it is read and kept by no one (see
+    ``_enumerate_elementary_abelian`` and ``_SubspaceRows``).
 
     Combine (``_combine``).  With one part, G's lattice is that part's
     own.  Every subgroup H of a direct product of factors of coprime orders
@@ -251,11 +227,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     in the worklist when the prime steps do not reach a part whose order
     is odd or has at most two primes; and in the subspace kernel when the
     rows planned for an order block are not its closed-form number of
-    subspaces (checked on every call, before any row is written), or when
-    a row of a block as written does not have p^r bits set (checked on the
-    hyperplanes at once and on every block below them when a read first
-    writes it, before any reader sees the block and before the next block
-    reads it).
+    subspaces (checked on every call, before any mask is built), or when
+    a row of block r does not have p^r bits set (checked on the
+    hyperplanes at enumeration, and on every row each time a read makes
+    it, before it is returned).
     """
     parts = [_enumerate_part(group, members, max_subgroups) for members in _parts(group)]
     subs, census, maximals = _combine(group, parts, max_subgroups)
@@ -505,8 +480,7 @@ def _combine(
 
     def factors(t: int) -> list[int]:
         # t's digits, from the last part up; position 0 is a part's trivial
-        # subgroup, which is never read: a subspace part's is below its
-        # hyperplanes, written only on demand
+        # subgroup, which adds nothing to a product and is never read
         masks = []
         for j in range(len(parts) - 1, -1, -1):
             t, digit = divmod(t, len(parts[j].found))
@@ -525,95 +499,89 @@ def _combine(
 
 
 @functools.cache
-def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, np.ndarray, tuple[tuple[int, tuple], ...]]:
-    """(kernels, codes, blocks): the geometry of GF(p)^k that the subspace
-    kernel reads, the same for every group of rank k over GF(p), so it is
-    worked out once per (p, k) and shared, read-only, by every call.
+def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, tuple[tuple[tuple[int, ...], tuple], ...]]:
+    """(kernels, blocks): the geometry of GF(p)^k that the subspace kernel
+    reads, the same for every group of rank k over GF(p), so it is worked
+    out once per (p, k) and shared, read-only, by every call.
 
     Row i of ``kernels`` is the kernel of the i-th functional whose first
     nonzero digit is 1 (the functionals that head a row of a reduced
     echelon form), one bool per vector, vector x having the base-p digits
-    of x as its coordinates.  ``blocks[r]`` is (rows, patterns) for order
-    block r: its number of rows, and one (first, n, pos, m, start) per
-    pivot pattern, in writing order.  The pattern's n * m rows start at
-    row pos of block r: the AND of each of the n rows from row ``first``
-    of block r + 1, its later pattern's, with each of the m kernels listed
-    in ``codes[start : start + m]``, the kernel varying fastest."""
+    of x as its coordinates; they are the hyperplanes, in block order.
+    ``blocks[r]`` is (offsets, patterns) for order block r, one entry per
+    pivot pattern of rank k - r, in block order: ``offsets`` holds where
+    each pattern's rows start in the block, and then the block's number of
+    rows, and each pattern is one tuple per pivot, ascending, of the
+    indices of the kernels of the rows headed at that pivot.  Row j of a
+    pattern ANDs one kernel per pivot, the digits of j in mixed radix
+    (the tuples' lengths the bases, the first pivot's digit varying
+    fastest) picking which."""
     # row x: the base-p digits of x, in a dtype that holds a dot product of two rows
     digits = (np.arange(p**k)[:, None] // p ** np.arange(k) % p).astype(np.min_scalar_type(k * (p - 1) ** 2))
     forms = np.concatenate([p**c + p ** (c + 1) * np.arange(p ** (k - 1 - c)) for c in range(k)])
     kernels = digits[forms] @ digits.T % p == 0
-    index = np.empty(p**k, dtype=np.intp)
-    index[forms] = np.arange(len(forms))
-    # (first row, rows) of each pattern, by its pivots, from its block's
-    # start; the one form of rank 0 has the whole group as its kernel
-    patterns = {(): (0, 1)}
-    codes, blocks = [], []
-    for r in range(k - 1, -1, -1):
-        pos, block = 0, []
+    kernels.flags.writeable = False
+    index = {form: i for i, form in enumerate(forms.tolist())}
+
+    @functools.cache
+    def headed(c: int, later: tuple[int, ...]) -> tuple[int, ...]:
+        # the rows headed at c: p^c plus each free slot's (later
+        # non-pivot column's) digit times p^column, the first slot fastest
+        rows = [p**c]
+        for col in range(c + 1, k):
+            if col not in later:
+                rows = [v + d * p**col for d in range(p) for v in rows]
+        return tuple(index[v] for v in rows)
+
+    blocks = []
+    for r in range(k + 1):
+        offsets, patterns = [0], []
         for pivots in combinations(range(k), k - r):
-            # the rows headed at c: p^c plus each free slot's (later
-            # non-pivot column's) digit times p^column
-            c, later = pivots[0], pivots[1:]
-            lut = [p**c]
-            for col in range(c + 1, k):
-                if col not in later:
-                    lut = [v + d * p**col for d in range(p) for v in lut]
-            first, n = patterns[later]
-            block.append((first, n, pos, len(lut), len(codes)))
-            codes += lut
-            patterns[pivots] = (pos, n * len(lut))
-            pos += n * len(lut)
-        blocks.append((pos, tuple(block)))
-    codes = index[codes]
-    kernels.flags.writeable = codes.flags.writeable = False
-    return kernels, codes, tuple(blocks[::-1])
+            patterns.append(tuple(headed(c, pivots[i + 1 :]) for i, c in enumerate(pivots)))
+            offsets.append(offsets[-1] + math.prod(map(len, patterns[-1])))
+        blocks.append((tuple(offsets), tuple(patterns)))
+    return kernels, tuple(blocks)
 
 
 def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, k: int, max_subgroups: int) -> _Part:
     """The lattice of the elementary abelian part of order p^k with the
     ascending ``members``: a view of every subspace's mask, grouped into
-    order blocks by rank, the census, and the hyperplanes.  The whole part
-    and the hyperplanes are built and checked at once; every block below
-    them is written on the first read that reaches it (see
-    ``_SubspaceRows``).
+    order blocks by rank, the census, and the hyperplanes.  Enumeration
+    builds and checks the kernels' masks, which are the hyperplanes; every
+    row is made from them when it is read (see ``_SubspaceRows``).
 
     A rank-r subspace W of GF(p)^k is the intersection of the kernels of
     a basis of its annihilator W°, and W -> W° is a bijection onto the
     rank-(k - r) subspaces of the dual (Halmos, Finite-Dimensional Vector
     Spaces, section 17).  So block r has one row per reduced echelon form
-    of rank k - r: the AND of the packed kernels of the form's rows.  The
-    forms with pivots (c, *later) are the forms with pivots ``later``, each
-    with one more row headed at column c.  So the blocks are written from
-    the hyperplanes down, one pivot pattern at a time, each pattern's rows
-    the AND of its later pattern's rows, already written to block r + 1,
-    with the kernel of each row headed at c; the hyperplanes, the forms
-    of rank 1, are the kernels themselves.  Which rows and kernels each
-    pattern reads depends only on (p, k) and comes from ``_subspace_plan``,
-    whose rows per block are checked against the closed form on every
-    call; only the packed kernels depend on the part.  Each row is
-    8 * ceil(|G|/64) bytes, W 64-bit words, and holds the parent's bits,
-    so a part's mask is G's mask of the same subgroup."""
+    of rank k - r: the AND of the kernels of the form's rows, one kernel
+    per pivot.  Which kernels each row ANDs depends only on (p, k) and
+    comes from ``_subspace_plan``, whose rows per block are checked
+    against the closed form on every call; only the kernels' masks depend
+    on the part.  They hold the parent's bits, so a part's mask is G's
+    mask of the same subgroup."""
     counts = [gaussian_subgroup_count(k, p, r) for r in range(k + 1)]
     total = sum(counts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    kernels, codes, blocks = _subspace_plan(p, k)
+    kernels, blocks = _subspace_plan(p, k)
     # the plan's rows against the closed form, block by block, on every call
-    for r, (planned, _) in enumerate(blocks):
-        if planned > counts[r]:
+    for r, (offsets, _) in enumerate(blocks):
+        if offsets[-1] > counts[r]:
             raise InvariantViolation(
                 f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
             )
-        if planned < counts[r]:
-            raise InvariantViolation(f"subspace route found {planned} subgroups of order {p**r}, expected {counts[r]}")
+        if offsets[-1] < counts[r]:
+            raise InvariantViolation(
+                f"subspace route found {offsets[-1]} subgroups of order {p**r}, expected {counts[r]}"
+            )
     # the greedy basis: each member, ascending, that the span of those
     # before it does not reach, until the span has p^k elements (for G
     # itself, the basis of ``generating_set``).  elems[x] is the element
     # whose coordinates are the base-p digits of x, read from the array.  A
     # wrong product there repeats an element, so some coordinates reach no
     # bit below; the hyperplanes cover GF(p)^k, so then some hyperplane's
-    # row is short of p^(k-1) bits.
+    # mask is short of p^(k-1) bits.
     elems, span = np.zeros(1, dtype=np.intp), {0}
     while len(elems) < len(members):
         a = next(x for x in members if x not in span)
@@ -622,107 +590,47 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
             powers.append(group.array[powers[-1], a])
         elems = np.concatenate(powers)
         span = set(elems.tolist())
-    # the kernels packed big-endian: bit e of a mask is bit 64 * width - 1 - e
-    # of its row, width 64-bit words whose leading bits are zero
-    width = -(-group.order // 64)
-    bits = np.zeros((len(kernels), 64 * width), dtype=bool)
-    bits[:, 64 * width - 1 - elems] = kernels
-    # each pattern's kernels, laid end to end; the hyperplanes' patterns
-    # come first, each kernel once
-    stacked = np.packbits(bits, axis=1).view(np.uint64)[codes]
+    # the kernels' masks, packed little-endian: bit e of a row is element e
+    bits = np.zeros((len(kernels), group.order), dtype=bool)
+    bits[:, elems] = kernels
+    data, width = np.packbits(bits, axis=1, bitorder="little").tobytes(), -(-group.order // 8)
+    masks = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
     # the hyperplanes, their set bits counted at once
-    hyperplanes = stacked[: counts[k - 1]]
-    _check_row_bits(hyperplanes, p ** (k - 1), group.label, k - 1)
-    top = _row_masks(hyperplanes)
-    rows = _SubspaceRows(group.label, p, counts, blocks, stacked, top + [_mask_of(group, members)])
+    hyperplanes = [Subgroup(mask) for mask in masks]
+    if any(h.order != p ** (k - 1) for h in hyperplanes):
+        raise InvariantViolation(f"a subspace of rank {k - 1} in {group.label} does not have {p ** (k - 1)} elements")
+    rows = _SubspaceRows(group.label, p, counts, blocks, masks, _mask_of(group, members))
     census = {p**r: counts[r] for r in range(k + 1)}
-    return _Part(_SubgroupView(total, rows), census, [Subgroup(mask) for mask in top], range(total))
-
-
-def _check_row_bits(rows: np.ndarray, bits: int, label: str, r: int) -> None:
-    """Raise InvariantViolation unless every row of the uint64 array has
-    ``bits`` bits set: a rank-r subspace has p^r elements.  Counted in
-    64-bit words, in slices whose per-word counts take at most
-    ``_CHUNK_BYTES``, and the word columns of each slice added up."""
-    n, width = rows.shape
-    height = max(1, min(n, _CHUNK_BYTES // width))
-    words = np.empty((height, width), dtype=np.uint8)
-    elements = np.empty(height, dtype=np.min_scalar_type(64 * width))
-    for lo in range(0, n, height):
-        block = rows[lo : lo + height]
-        counted = np.bitwise_count(block, out=words[: len(block)])
-        summed = elements[: len(block)]
-        np.copyto(summed, counted[:, 0])
-        for column in counted.T[1:]:
-            np.add(summed, column, out=summed)
-        if summed.min() != bits or summed.max() != bits:
-            raise InvariantViolation(f"a subspace of rank {r} in {label} does not have {bits} elements")
+    return _Part(_SubgroupView(total, rows), census, hyperplanes, range(total))
 
 
 class _SubspaceRows:
-    """The reader of a subspace part's view.  The hyperplanes and the whole
-    part, the top two blocks, are read from their masks as
-    ``_enumerate_elementary_abelian`` checked them.  The first read below
-    them allocates one uint8 array, in a prefaulted anonymous mapping of
-    its own, with a row for each subspace, copies the top two blocks in,
-    and writes the blocks below, from the top down to the block of the
-    lowest index read; a later read that reaches further down writes on
-    from there.  numpy writes the ANDs straight into the rows of block r,
-    viewed as uint64, one pivot pattern at a time, from the rows of the
-    pattern with one pivot fewer, which are already in block r + 1: each
-    of those rows, repeated once per kernel of the pattern, is ANDed with
-    the pattern's kernels laid end to end, one AND whose inner loop runs
-    over m * W words for a pattern of m kernels, in chunks of about
-    ``_CHUNK_BYTES`` of repeated rows.  Once a block's last pattern is
-    written, its rows' set bits are counted, before any reader sees them
-    and before the next block reads them, and once block 0 is counted the
-    array becomes read-only.  Inside a block the rows keep the order in
-    which their pivot patterns were written."""
+    """The reader of a subspace part's view: it stores no row, and makes
+    each row it is asked for as the part's whole mask ANDed with one of
+    the kernels' masks per pivot of the row's pattern, as the plan lists
+    them (see ``_subspace_plan``).  Every row it makes has its set bits
+    counted before it is returned: a rank-r subspace has p^r elements."""
 
-    def __init__(
-        self, label: str, p: int, counts: list[int], blocks: tuple, stacked: np.ndarray, top: list[int]
-    ):
-        self.label, self.p, self.blocks, self.stacked, self.top = label, p, blocks, stacked, top
+    def __init__(self, label: str, p: int, counts: list[int], blocks: tuple, kernels: list[int], whole: int):
+        self.label, self.p, self.blocks, self.kernels, self.whole = label, p, blocks, kernels, whole
         self.starts = list(accumulate(counts, initial=0))
-        self.packed: np.ndarray | None = None
-        # the lowest block counted; the array, once made, holds it and every block above
-        self.lowest = len(counts) - 2
 
     def __call__(self, indices: range) -> list[int]:
-        if not indices:
-            return []
-        first, hyperplanes = min(indices[0], indices[-1]), self.starts[-3]
-        if first >= hyperplanes:
-            return [self.top[i - hyperplanes] for i in indices]
-        rows = self.rows(bisect_right(self.starts, first) - 1)
-        return _row_masks(rows[indices.start :: indices.step][: len(indices)])
-
-    def rows(self, low: int) -> np.ndarray:
-        """The packed rows, row i mask i, big-endian, with leading zero
-        bytes up to a whole number of 64-bit words; block ``low`` and every
-        block above it are written and counted."""
-        starts, stacked = self.starts, self.stacked
-        if self.packed is None:
-            hyperplanes, whole = starts[-3], starts[-2]
-            self.packed = _mapped_rows(starts[-1], stacked.shape[1] * 8)
-            self.packed[hyperplanes:whole] = stacked[: whole - hyperplanes].view(np.uint8)
-            self.packed[-1] = np.frombuffer(self.top[-1].to_bytes(stacked.shape[1] * 8, "big"), dtype=np.uint8)
-        width, rows = stacked.shape[1], self.packed.view(np.uint64)
-        for r in range(self.lowest - 1, low - 1, -1):
-            base, above = starts[r], starts[r + 1]
-            for first, n, pos, m, start in self.blocks[r][1]:
-                kernel = stacked[start : start + m].reshape(-1)
-                later = rows[above + first : above + first + n]
-                out = rows[base + pos : base + pos + n * m].reshape(n, m * width)
-                step = max(1, _CHUNK_BYTES // kernel.nbytes)
-                for i in range(0, n, step):
-                    repeated = np.repeat(later[i : i + step], m, axis=0).reshape(-1, m * width)
-                    np.bitwise_and(repeated, kernel, out=out[i : i + step])
-            _check_row_bits(rows[base:above], self.p**r, self.label, r)
-            self.lowest = r
-        if self.lowest == 0:
-            self.packed.flags.writeable = False
-        return self.packed
+        starts, kernels, masks = self.starts, self.kernels, []
+        for i in indices:
+            r = bisect_right(starts, i) - 1
+            offsets, patterns = self.blocks[r]
+            j = i - starts[r]
+            a = bisect_right(offsets, j) - 1
+            j -= offsets[a]
+            mask = self.whole
+            for headed in patterns[a]:
+                j, digit = divmod(j, len(headed))
+                mask &= kernels[headed[digit]]
+            if mask.bit_count() != self.p**r:
+                raise InvariantViolation(f"a subspace of rank {r} in {self.label} does not have {self.p**r} elements")
+            masks.append(mask)
+        return masks
 
 
 # ---------------------------------------------------------------------------

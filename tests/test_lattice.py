@@ -201,16 +201,11 @@ def test_subspace_view_matches_its_mask_list():
         assert view[0].mask == masks[0] == 1 and view[-1].mask == masks[-1] == (1 << group.order) - 1
 
 
-def test_subspace_rows_are_read_only_and_read_the_same_each_time():
-    # a read never writes, so two full iterations agree row for row; the
-    # rows are read through the view's subspace reader, every block written
+def test_subspace_rows_read_the_same_each_time():
+    # the reader stores no row and makes each one from the kernels' masks
+    # on every read, so two full iterations agree row for row
     group = elementary_abelian_group(2, 6)
     lat = enumerate_subgroups(group)
-    rows = lat.subgroups._read.rows(0)
-    with pytest.raises(ValueError):
-        rows[0] = 0
-    with pytest.raises(ValueError):
-        rows[-1, -1] = 1
     first = [s.mask for s in lat.subgroups]
     assert [s.mask for s in lat.subgroups] == first
     assert len(set(first)) == len(first) == 2825
@@ -237,41 +232,39 @@ def test_subspace_route_peak_memory():
 
 
 def test_subspace_rows_written_on_read_peak_memory():
-    # writing every block of elem:2,8 below the hyperplanes: its 13.3 MB of
-    # rows live in their own mapping, which tracemalloc does not see, and
-    # the writer's own temporaries stay near two 64 KB buffers, the chunk of
-    # repeated rows and the per-word bit counts, however large the block
+    # a streaming read of every row of elem:2,8 through the view: the reader
+    # makes each row from the 255 kernels' masks and keeps none, so the
+    # traced peak, rows included, is about one chunk of masks read at a time
     group = elementary_abelian_group(2, 8)
     lat = enumerate_subgroups(group, 500_000)
     tracemalloc.start()
     try:
-        rows = lat.subgroups._read.rows(0)
+        read = sum(1 for _ in lat.subgroups)
         _, peak = tracemalloc.get_traced_memory()
     finally:
         tracemalloc.stop()
-    assert rows.shape == (417_199, 32) and not rows.flags.writeable
+    assert read == 417_199
     assert peak < 192 << 10, peak
 
 
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads resident pages from /proc")
-def test_subspace_rows_returned_when_the_lattice_is_dropped():
-    # the 13.3 MB of elem:2,8 rows leave the resident set with the lattice,
-    # rather than staying behind as free heap for later blocks to carve up.
-    # glibc maps a first block this size and unmaps it on free, then raises
-    # its mapping threshold past it, so it is the second lattice that tells.
-    # The rows below the hyperplanes are written on the first read that
-    # reaches them, so every row is read first.
+def test_subspace_reads_hold_no_rows():
+    # a read of elem:2,8 makes its rows from the kernels' masks and keeps
+    # none, so two streaming full reads, each with its lattice still held,
+    # leave the resident set where it was; its 417,199 rows of 32 bytes
+    # would hold 13.3 MB.  A first lattice, read in part and dropped, makes
+    # the plan and warms the allocator before the resident set is taken.
     def resident_mb() -> float:
         return int(Path("/proc/self/statm").read_text().split()[1]) * os.sysconf("SC_PAGE_SIZE") / 2**20
 
     group = elementary_abelian_group(2, 8)
+    enumerate_subgroups(group, 500_000).subgroups[:2048]
+    before = resident_mb()
     for _ in range(2):
         lat = enumerate_subgroups(group, 500_000)
         for _ in lat.subgroups:
             pass
-        held = resident_mb()
-        del lat
-        assert held - resident_mb() > 12, held
+        assert resident_mb() - before < 1, resident_mb() - before
 
 
 def test_subspace_block_count_checked_against_rows_written(monkeypatch):
@@ -340,31 +333,32 @@ def test_subspace_route_makes_subgroups_only_for_what_is_read(monkeypatch):
     assert calls <= 300
 
 
-def test_subspace_rows_below_the_hyperplanes_are_written_on_first_read(monkeypatch):
+def test_subspace_rows_below_the_hyperplanes_are_made_only_when_read(monkeypatch):
     # an analysis of elem:2,8 reads the hyperplanes, the Sylow block (the
-    # whole group) and the census, which are built at once; the first read
-    # of a row below the hyperplanes maps the array of rows, and the reads
-    # after it, further down too, write on into the same array
-    calls = 0
-    mapped = latsum.lattice._mapped_rows
+    # whole group) and the census, and makes no row below the hyperplanes;
+    # each read below them makes the rows it reads, and no others
+    below = 417_199 - 256  # the last 256 rows are the hyperplanes and the whole group
+    made = 0
+    read = latsum.lattice._SubspaceRows.__call__
 
-    def counting(*args):
-        nonlocal calls
-        calls += 1
-        return mapped(*args)
+    def counting(self, indices):
+        nonlocal made
+        made += sum(1 for i in indices if i < below)
+        return read(self, indices)
 
-    monkeypatch.setattr(latsum.lattice, "_mapped_rows", counting)
+    monkeypatch.setattr(latsum.lattice._SubspaceRows, "__call__", counting)
     group = elementary_abelian_group(2, 8)
     analyze_group(group, 500_000)
-    assert calls == 0
+    assert made == 0
     lat = enumerate_subgroups(group, 500_000)
-    assert [s.order for s in lat.subgroups[-256:]] == [128] * 255 + [256] and calls == 0
+    assert [s.order for s in lat.subgroups[-256:]] == [128] * 255 + [256] and made == 0
     # blocks 0 and 1 hold 256 rows, block 2 the next 10,795
     interior = lat.subgroups[1000]
-    assert calls == 1 and interior.order == 4
+    assert made == 1 and interior.order == 4
     assert lat.subgroups[0].mask == 1 and lat.subgroups[1].order == 2 and lat.subgroups[-2].order == 128
+    assert made == 3
     masks = [s.mask for s in lat.subgroups]
-    assert calls == 1
+    assert made == 3 + below
     assert masks[1000] == interior.mask and len(set(masks)) == len(masks) == 417_199
 
 
@@ -376,6 +370,25 @@ ABELIAN_BENCHMARK_PRODUCTS = [
     (2, 2, 31), (3, 2, 20), (2, 2, 33), (3, 2, 25), (2, 3, 13), (3, 3, 4),
     (2, 2, 47), (2, 2, 35), (3, 2, 22), (5, 2, 8), (2, 2, 37), (3, 3, 5),
 ]
+
+
+def test_subspace_maximals_are_the_hyperplane_block_in_order():
+    # enumeration takes the maximals from the kernels' masks, and the
+    # reader makes the view's order-p^(k-1) block from the plan: the two
+    # must agree in order, for every subspace-route group and for the
+    # elementary abelian part of each abelian product of the benchmark
+    for group, p, k in _subspace_route_groups():
+        lat = enumerate_subgroups(group)
+        block = [s.mask for s in lat.subgroups_of_order(p ** (k - 1))]
+        assert [m.mask for m in maximal_subgroups(lat)] == block, group.label
+    for p, k, m in ABELIAN_BENCHMARK_PRODUCTS:
+        group = GroupSpec.parse(f"product:elem:{p},{k}+cyclic:{m}").build()
+        (members,) = [members for members in latsum.lattice._parts(group) if len(members) == p**k]
+        part = _enumerate_part(group, members, 100_000)
+        assert isinstance(part.subgroups._read, latsum.lattice._SubspaceRows), group.label
+        start = sum(count for order, count in part.census.items() if order < p ** (k - 1))
+        block = [s.mask for s in part.subgroups[start : start + part.census[p ** (k - 1)]]]
+        assert [h.mask for h in part.maximals] == block, group.label
 
 
 def test_direct_factor_view_matches_the_eager_product_oracle(monkeypatch):
@@ -1106,9 +1119,10 @@ def test_invariant_violation_survives_python_O():
     # its coordinates reach 0 twice and 3 never, and a hyperplane's row
     # comes up short; elem:2,4 against a closed form that promises one
     # subgroup of order 2 too many; an unvalidated commutative order-5
-    # table in which 1*1 = 0, so {0, 1} is a subgroup; and elem:2,5 whose
-    # AND drops one bit of the first row of its rank-2 block, the third
-    # block written.  Last, elem:2,3 with its real profile but a lattice of
+    # table in which 1*1 = 0, so {0, 1} is a subgroup; and elem:2,5 with
+    # element 4 dropped, after enumeration, from the mask of its kernel 1
+    # (of x0 + x1), which the first row of rank 2 holding 4 reads; no row
+    # of rank 0 or 1 reads that kernel and holds 4.  Last, elem:2,3 with its real profile but a lattice of
     # just the trivial group and itself: sigma1 = 9/8 is below the
     # threshold, which the rank lemma forbids for rank 3 and order 2^3.
     # Then build_witness(1), the group of order 6, with its analysis
@@ -1117,7 +1131,6 @@ def test_invariant_violation_survives_python_O():
     code = textwrap.dedent(
         """
         from collections import Counter
-        import numpy
         import latsum.lattice
         from latsum import (
             Group, GroupSpec, InvariantViolation, Lattice, Subgroup, classify, enumerate_subgroups, is_nilpotent,
@@ -1161,31 +1174,14 @@ def test_invariant_violation_survives_python_O():
             except InvariantViolation as exc:
                 print("InvariantViolation:", exc)
 
-        class OneBitLost:
-            lost = False
-
-            def __getattr__(self, name):
-                return getattr(numpy, name)
-
-            def bitwise_and(self, *operands, out):
-                numpy.bitwise_and(*operands, out=out)
-                # the first row written, whatever the call's shape: elem:2,5's
-                # rows are one 64-bit word each
-                row = out.reshape(-1)[:1].view(numpy.uint8)
-                if not self.lost and numpy.bitwise_count(row).sum() == 4:
-                    j = row.nonzero()[0][0]
-                    row[j] &= row[j] - 1
-                    self.lost = True
-
         latsum.lattice.gaussian_subgroup_count = gaussian_subgroup_count
-        latsum.lattice.np = OneBitLost()
+        lat = enumerate_subgroups(GroupSpec.parse("elem:2,5").build())
+        lat.subgroups._read.kernels[1] &= ~(1 << 4)
         try:
-            lat = enumerate_subgroups(GroupSpec.parse("elem:2,5").build())
             list(lat.subgroups)
         except InvariantViolation as exc:
             print("InvariantViolation:", exc)
 
-        latsum.lattice.np = numpy
         elem = GroupSpec.parse("elem:2,3").build()
         profile = recognize(elem, enumerate_subgroups(elem))
         ends = Lattice(group=elem, subgroups=[Subgroup(1), Subgroup(255)], census={1: 1, 8: 1})
