@@ -5,10 +5,10 @@ from __future__ import annotations
 import functools
 import math
 from bisect import bisect_right
-from collections import Counter
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations
+from itertools import accumulate, combinations, product
+from operator import attrgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -18,8 +18,6 @@ from .errors import InvariantViolation, LatsumError, LatticeTooLarge, NotAPGroup
 from .groups import Group, _mask_members, generated_mask, is_normal
 
 DEFAULT_MAX_SUBGROUPS = 100_000
-# the masks an iteration over a lazy ``Lattice.subgroups`` builds at a time
-_READ_CHUNK = 1024
 
 
 class Subgroup:
@@ -51,29 +49,53 @@ class Subgroup:
 
 
 class _SubgroupView(Sequence):
-    """Subgroup sequence over masks that are built when they are read:
-    ``read(indices)`` returns the masks at the indices of a range, in the
-    range's order.  An index (a negative one counts from the end), a slice
-    or an iteration makes a Subgroup from each mask it reads; a slice is a
-    list, and an iteration reads ``_READ_CHUNK`` masks at a time."""
+    """Subgroup sequence over masks that are made when they are read, in
+    blocks of rows.  ``blocks[r]`` is (offsets, patterns), the shape
+    ``_subspace_plan`` gives: ``offsets`` holds where each pattern's rows
+    start in block r, and then the block's number of rows.  A pattern holds
+    one sequence per position, and its row j picks one entry of each, the
+    digits of j in mixed radix (the sequences' lengths the bases, position
+    0 fastest) picking which; ``make(r, picks)`` returns the row's mask,
+    ``picks`` listing the entries from the last position to position 0.
 
-    __slots__ = ("_length", "_read")
+    An index (a negative one counts from the end) or a slice finds each
+    row's block and pattern by bisection; an iteration walks the blocks
+    and patterns in order.  Each read makes a new Subgroup, the view keeps
+    none, and a slice is a list."""
 
-    def __init__(self, length: int, read: Callable[[range], list[int]]):
-        self._length, self._read = length, read
+    __slots__ = ("_blocks", "_make", "_starts")
+
+    def __init__(self, blocks: Sequence[tuple[Sequence[int], Sequence]], make: Callable[[int, Sequence], int]):
+        self._blocks, self._make = blocks, make
+        self._starts = list(accumulate((offsets[-1] for offsets, _ in blocks), initial=0))
 
     def __len__(self) -> int:
-        return self._length
+        return self._starts[-1]
+
+    def _row(self, i: int) -> Subgroup:
+        r = bisect_right(self._starts, i) - 1
+        offsets, patterns = self._blocks[r]
+        j = i - self._starts[r]
+        a = bisect_right(offsets, j) - 1
+        j -= offsets[a]
+        picks = []
+        for entries in patterns[a]:
+            j, digit = divmod(j, len(entries))
+            picks.append(entries[digit])
+        return Subgroup(self._make(r, picks[::-1]))
 
     def __getitem__(self, i):
-        indices = range(self._length)[i]
+        indices = range(len(self))[i]
         if isinstance(i, slice):
-            return [Subgroup(mask) for mask in self._read(indices)]
-        return Subgroup(self._read(range(indices, indices + 1))[0])
+            return [self._row(j) for j in indices]
+        return self._row(indices)
 
     def __iter__(self):
-        for lo in range(0, self._length, _READ_CHUNK):
-            yield from map(Subgroup, self._read(range(lo, min(lo + _READ_CHUNK, self._length))))
+        make = self._make
+        for r, (_, patterns) in enumerate(self._blocks):
+            for pattern in patterns:
+                for picks in product(*pattern[::-1]):
+                    yield Subgroup(make(r, picks))
 
 
 @dataclass
@@ -87,11 +109,13 @@ class Lattice:
     blocks matching its census.  Inside a block, subgroups keep the
     deterministic order in which enumeration found them; no reader may
     assume more.  ``subgroups`` is a plain list when G is its own one part
-    and the worklist enumerates it.  Otherwise it is a view that builds a
-    mask each time it is read and keeps none: enumeration builds only the
-    maximals' masks, which for a part on the subspace kernel are the
-    kernels' masks its rows are made from.  A subspace row is bit-counted
-    each time it is made, before any reader sees it.
+    and the worklist enumerates it.  Otherwise it is a view of blocks of
+    rows, each made each time it is read and kept by no one: the subspace
+    kernel's order blocks, or, with several parts, one block per order of
+    G made from the parts' blocks.  Enumeration builds only the maximals'
+    masks, which for a part on the subspace kernel are the kernels' masks
+    its rows are made from.  A subspace row is bit-counted each time it is
+    made, before any reader sees it.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -193,7 +217,7 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     maximal subgroups, and the only masks enumeration builds; the census
     is the closed-form count of each order block, and every row is made
     from the kernels when it is read and kept by no one (see
-    ``_enumerate_elementary_abelian`` and ``_SubspaceRows``).
+    ``_enumerate_elementary_abelian`` and ``_SubgroupView``).
 
     Combine (``_combine``).  With one part, G's lattice is that part's
     own.  Every subgroup H of a direct product of factors of coprime orders
@@ -202,24 +226,29 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     (A_1, ..., A_r) with A_i a subgroup of part i gives the subgroup
     A_1...A_r, of order |A_1|...|A_r|; one of them is maximal exactly when
     one A_i is maximal in its part and every other A_j is its whole part.
-    The census is counted from the tuples' orders, the maximals' masks are
-    made at once, and ``subgroups`` is a view that keeps the parts'
-    lattices and makes a product's mask only when it is read.  Walking one
-    part at a time costs about |P_i| steps per subgroup of part i, where
-    the worklist on the whole group costs about |G| per subgroup of G.
+    As the parts' orders are coprime, each order d of G is a product of
+    one census order d_i per part in one way only, so G's block of order d
+    is the product of the parts' blocks of orders d_i, and its count the
+    product of theirs: the census and the blocks come from the parts'
+    censuses, and no tuple is listed.  The maximals' masks are made at
+    once, and ``subgroups`` is a view that keeps the parts' lattices and
+    makes a product's mask only when it is read.  Walking one part at a
+    time costs about |P_i| steps per subgroup of part i, where the
+    worklist on the whole group costs about |G| per subgroup of G.
     The kernels and the split are cross-checked in the test suite.
 
     Inside each order block (see ``Lattice``) a part's subgroups come in
     discovery order from the worklist and in pivot-pattern order from the
-    subspace kernel; with several parts, the tuples come in the order of
-    the parts' own, the parts in the order of their smallest primes and
-    the last part varying fastest.  The maximals come in the order they
-    were recorded: by part, then in the order of the part's own maximals.
+    subspace kernel; with several parts, the tuples of a block come in
+    the order of the parts' own blocks, the parts in the order of their
+    smallest primes and the last part varying fastest.  The maximals come
+    in the order they were recorded: by part, then in the order of the
+    part's own maximals.
 
     Raises LatticeTooLarge when the subgroup count exceeds
     ``max_subgroups``: a part's, which the subspace kernel checks on its
     closed-form count before it allocates anything, or the product of the
-    parts' counts, checked before any tuple is listed.  Raises
+    parts' counts, checked before any block is made.  Raises
     InvariantViolation when some order does not divide |G|; when the
     elements of order dividing the order q of a part are not q in number,
     or, in a group with a rest part, when the elements of order dividing
@@ -241,15 +270,13 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
 
 class _Part(NamedTuple):
     """One part's lattice, as its kernel enumerated it: ``subgroups`` in
-    census order, so the whole part comes last, ``census``, the maximal
-    subgroups in the order the kernel recorded them, and, for the i-th
-    subgroup the kernel found, its position ``found[i]`` in ``subgroups``:
-    a product's tuples take each part's subgroups in the order found."""
+    census order, so the whole part comes last and, inside each block, in
+    the order the kernel found them; ``census``; and the maximal subgroups
+    in the order the kernel recorded them."""
 
     subgroups: Sequence[Subgroup]
     census: dict[int, int]
     maximals: list[Subgroup]
-    found: Sequence[int]
 
 
 def _parts(group: Group) -> list[Sequence[int]]:
@@ -359,14 +386,11 @@ def _enumerate_worklist(group: Group, members: Sequence[int], max_subgroups: int
             maximal = not any(m & h == h and m not in (h, full_mask) for m in seen)
         if maximal:
             maximals.extend(orbit)
-    subs = list(seen.values())
-    orders = [s.order for s in subs]
-    census = {order: orders.count(order) for order in sorted(set(orders))}
-    if orders == sorted(orders):  # found in census order, as in every p-group
-        return _Part(subs, census, maximals, range(len(subs)))
-    # census order is the stable sort by order, and its inverse is ``found``
-    ranked = sorted(range(len(subs)), key=orders.__getitem__)
-    return _Part([subs[i] for i in ranked], census, maximals, sorted(range(len(subs)), key=ranked.__getitem__))
+    # the sort is stable, so each block keeps the order the walk found it in
+    subs, census = sorted(seen.values(), key=attrgetter("order")), {}
+    for s in subs:
+        census[s.order] = census.get(s.order, 0) + 1
+    return _Part(subs, census, maximals)
 
 
 def _walk(
@@ -434,28 +458,31 @@ def _combine(
 ) -> tuple[Sequence[Subgroup], dict[int, int], list[Subgroup]]:
     """(every subgroup, the census, the maximal subgroups) of G from its
     parts' lattices: the one part's own when there is one, else the
-    products A_1...A_r of the tuples of the parts' subgroups (see
-    ``enumerate_subgroups``), in lexicographic order of each part's
-    subgroups as found, and then stably by order.  Reads the parts'
-    orders from their censuses and never a mask to learn them.  The view
-    keeps the parts' lattices and builds the mask of a product only when
-    it is read, reading each part's subgroup and listing its members at
-    most once per lattice; the maximals' masks are built at once."""
+    products A_1...A_r of one subgroup A_i of each part (see
+    ``enumerate_subgroups``).  The parts' orders are coprime, so each order
+    d of G is a product of one census order per part in one way only, and
+    G's block of order d is the product of those parts' blocks: one
+    pattern whose position 0 is the last part's index range.  The census
+    and the blocks come from the parts' censuses alone.  The view keeps
+    the parts' lattices and builds the mask of a product only when it is
+    read, reading each part's subgroup and listing its members at most
+    once per lattice; the maximals' masks are built at once."""
     if len(parts) == 1:
         return parts[0].subgroups, parts[0].census, parts[0].maximals
-    total = math.prod(len(part.found) for part in parts)
+    total = math.prod(len(part.subgroups) for part in parts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
-    # tuple t is (A_1, ..., A_r), the indices of the A_j in the order their
-    # parts found them as its mixed-radix digits, the parts' counts the
-    # bases; its order is the product of theirs, and a stable sort by order
-    # makes the blocks
-    sizes = [1]
+    # (order d, count, pattern): the pattern holds the index ranges of the
+    # parts' blocks whose orders multiply to d, the last part first
+    blocks = [(1, 1, ())]
     for part in parts:
-        orders = [order for order, count in part.census.items() for _ in range(count)]
-        sizes = [size * orders[i] for size in sizes for i in part.found]
-    by_order = sorted(range(total), key=sizes.__getitem__)
-    census = dict(sorted(Counter(sizes).items()))
+        start, grown = 0, []
+        for order, count in part.census.items():
+            span = (range(start, start + count),)
+            start += count
+            grown += [(d * order, n * count, span + pattern) for d, n, pattern in blocks]
+        blocks = grown
+    blocks.sort()  # the orders d are distinct
     table = group.table
     read, listed_members = {}, {}  # each part's subgroups read, and their members listed, once
 
@@ -465,7 +492,7 @@ def _combine(
     def listed(mask: int) -> list[int]:
         return listed_members.get(mask) or listed_members.setdefault(mask, _mask_members(mask))
 
-    def product(masks: list[int]) -> int:
+    def multiply(masks: list[int]) -> int:
         # the parts commute, so the product is that of the nontrivial
         # factors, in any order: a lone one is its own mask; otherwise its
         # members are listed factor by factor, each once, as the factors'
@@ -478,24 +505,17 @@ def _combine(
             elements = [table[x][y] for x in elements for y in listed(mask)]
         return sum(1 << x for x in elements)
 
-    def factors(t: int) -> list[int]:
-        # t's digits, from the last part up; position 0 is a part's trivial
+    def make(r: int, picks: Sequence[int]) -> int:
+        # picks[j] is part j's subgroup; index 0 is a part's trivial
         # subgroup, which adds nothing to a product and is never read
-        masks = []
-        for j in range(len(parts) - 1, -1, -1):
-            t, digit = divmod(t, len(parts[j].found))
-            if i := parts[j].found[digit]:
-                masks.append(read_once(j, i))
-        return masks
-
-    def products(indices: range) -> list[int]:
-        return [product(factors(by_order[t])) for t in indices]
+        return multiply([read_once(j, i) for j, i in enumerate(picks) if i])
 
     # G is the tuple of the whole parts, and a maximal subgroup swaps one
     # part for a maximal subgroup of it, part by part
-    wholes = [read_once(j, len(part.found) - 1) for j, part in enumerate(parts)]
+    wholes = [read_once(j, len(part.subgroups) - 1) for j, part in enumerate(parts)]
     maximals = [[*wholes[:j], m.mask, *wholes[j + 1 :]] for j, part in enumerate(parts) for m in part.maximals]
-    return _SubgroupView(total, products), census, [Subgroup(product(masks)) for masks in maximals]
+    view = _SubgroupView([((0, n), (pattern,)) for _, n, pattern in blocks], make)
+    return view, {d: n for d, n, _ in blocks}, [Subgroup(multiply(masks)) for masks in maximals]
 
 
 @functools.cache
@@ -548,7 +568,9 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
     ascending ``members``: a view of every subspace's mask, grouped into
     order blocks by rank, the census, and the hyperplanes.  Enumeration
     builds and checks the kernels' masks, which are the hyperplanes; every
-    row is made from them when it is read (see ``_SubspaceRows``).
+    row is made from them when it is read: the view's blocks are the
+    plan's, and its ``make`` ANDs the part's whole mask with the kernel
+    mask of each pick, and counts the row's set bits before returning it.
 
     A rank-r subspace W of GF(p)^k is the intersection of the kernels of
     a basis of its annihilator W°, and W -> W° is a bijection onto the
@@ -599,38 +621,19 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
     hyperplanes = [Subgroup(mask) for mask in masks]
     if any(h.order != p ** (k - 1) for h in hyperplanes):
         raise InvariantViolation(f"a subspace of rank {k - 1} in {group.label} does not have {p ** (k - 1)} elements")
-    rows = _SubspaceRows(group.label, p, counts, blocks, masks, _mask_of(group, members))
+    whole, sizes = _mask_of(group, members), [p**r for r in range(k + 1)]
+
+    def make(r: int, picks: Sequence[int]) -> int:
+        # a rank-r subspace has p^r elements, counted before the row is returned
+        mask = whole
+        for i in picks:
+            mask &= masks[i]
+        if mask.bit_count() != sizes[r]:
+            raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {sizes[r]} elements")
+        return mask
+
     census = {p**r: counts[r] for r in range(k + 1)}
-    return _Part(_SubgroupView(total, rows), census, hyperplanes, range(total))
-
-
-class _SubspaceRows:
-    """The reader of a subspace part's view: it stores no row, and makes
-    each row it is asked for as the part's whole mask ANDed with one of
-    the kernels' masks per pivot of the row's pattern, as the plan lists
-    them (see ``_subspace_plan``).  Every row it makes has its set bits
-    counted before it is returned: a rank-r subspace has p^r elements."""
-
-    def __init__(self, label: str, p: int, counts: list[int], blocks: tuple, kernels: list[int], whole: int):
-        self.label, self.p, self.blocks, self.kernels, self.whole = label, p, blocks, kernels, whole
-        self.starts = list(accumulate(counts, initial=0))
-
-    def __call__(self, indices: range) -> list[int]:
-        starts, kernels, masks = self.starts, self.kernels, []
-        for i in indices:
-            r = bisect_right(starts, i) - 1
-            offsets, patterns = self.blocks[r]
-            j = i - starts[r]
-            a = bisect_right(offsets, j) - 1
-            j -= offsets[a]
-            mask = self.whole
-            for headed in patterns[a]:
-                j, digit = divmod(j, len(headed))
-                mask &= kernels[headed[digit]]
-            if mask.bit_count() != self.p**r:
-                raise InvariantViolation(f"a subspace of rank {r} in {self.label} does not have {self.p**r} elements")
-            masks.append(mask)
-        return masks
+    return _Part(_SubgroupView(blocks, make), census, hyperplanes)
 
 
 # ---------------------------------------------------------------------------

@@ -212,14 +212,13 @@ def test_subspace_rows_read_the_same_each_time():
 
 
 def test_subspace_route_peak_memory():
-    # elem:2,8 has 417,199 subgroups, whose packed rows of 32 bytes (13.3 MB)
-    # are written only when a row below the hyperplanes is read, so
-    # enumeration builds just the plan, the 105 KB kernel table whose first
-    # 255 rows are the hyperplanes, and their 1 KB of per-word bit counts.
-    # The rows, once written, live in their own mapping, which tracemalloc
-    # does not see, so their bytes are added to the traced peak as a bound
-    # on what reading them would add.
+    # elem:2,8 has 417,199 subgroups, and enumeration stores none of their
+    # rows: it builds the plan for (2, 8), its 255 x 256 kernel table, and
+    # the kernels' 255 masks of 32 bytes, which are the hyperplanes.  Every
+    # row is made from those masks when it is read, so a cold enumeration,
+    # the plan made afresh, peaks far below the 13.3 MB the rows would hold.
     group = elementary_abelian_group(2, 8)
+    latsum.lattice._subspace_plan.cache_clear()
     tracemalloc.start()
     try:
         lat = enumerate_subgroups(group, 500_000)
@@ -227,8 +226,7 @@ def test_subspace_route_peak_memory():
     finally:
         tracemalloc.stop()
     assert len(lat) == 417_199
-    rows = 417_199 * 32
-    assert peak + rows < 18 << 20, peak + rows
+    assert peak < 1 << 20, peak
 
 
 def test_subspace_rows_written_on_read_peak_memory():
@@ -339,14 +337,17 @@ def test_subspace_rows_below_the_hyperplanes_are_made_only_when_read(monkeypatch
     # each read below them makes the rows it reads, and no others
     below = 417_199 - 256  # the last 256 rows are the hyperplanes and the whole group
     made = 0
-    read = latsum.lattice._SubspaceRows.__call__
+    init = latsum.lattice._SubgroupView.__init__
 
-    def counting(self, indices):
-        nonlocal made
-        made += sum(1 for i in indices if i < below)
-        return read(self, indices)
+    def counting(self, blocks, make):
+        def counted(r, picks):
+            nonlocal made
+            made += r < 7  # blocks 0 to 6, of ranks below 7, lie below the hyperplanes
+            return make(r, picks)
 
-    monkeypatch.setattr(latsum.lattice._SubspaceRows, "__call__", counting)
+        init(self, blocks, counted)
+
+    monkeypatch.setattr(latsum.lattice._SubgroupView, "__init__", counting)
     group = elementary_abelian_group(2, 8)
     analyze_group(group, 500_000)
     assert made == 0
@@ -385,7 +386,6 @@ def test_subspace_maximals_are_the_hyperplane_block_in_order():
         group = GroupSpec.parse(f"product:elem:{p},{k}+cyclic:{m}").build()
         (members,) = [members for members in latsum.lattice._parts(group) if len(members) == p**k]
         part = _enumerate_part(group, members, 100_000)
-        assert isinstance(part.subgroups._read, latsum.lattice._SubspaceRows), group.label
         start = sum(count for order, count in part.census.items() if order < p ** (k - 1))
         block = [s.mask for s in part.subgroups[start : start + part.census[p ** (k - 1)]]]
         assert [h.mask for h in part.maximals] == block, group.label
@@ -393,15 +393,15 @@ def test_subspace_maximals_are_the_hyperplane_block_in_order():
 
 def test_direct_factor_view_matches_the_eager_product_oracle(monkeypatch):
     # the view's masks, in the lattice's order, against every product
-    # built at once from the same parts, each part's subgroups in the order
-    # its kernel found them, and sorted by order, stably: the entries of
+    # built at once from the same parts, each part's subgroups in census
+    # order, and sorted by order, stably: the entries of
     # the default corpus with two or more parts, the abelian products of
     # the benchmark in two layouts, and C2^6 x C3^2
     parts = []
 
     def recording(group, members, max_subgroups):
         part = _enumerate_part(group, members, max_subgroups)
-        parts.append([part.subgroups[i] for i in part.found])
+        parts.append(list(part.subgroups))
         return part
 
     monkeypatch.setattr(latsum.lattice, "_enumerate_part", recording)
@@ -446,6 +446,23 @@ def test_parts_by_kernel_match_the_every_subgroup_oracle():
         assert sorted(m.mask for m in maximal_subgroups(lat)) == sorted(m.mask for m in want), spec
 
 
+def test_direct_factor_enumeration_keeps_no_per_tuple_state():
+    # C2^7 x C3 has 29,212 x 2 = 58,424 subgroups; G's blocks, one per
+    # order of G, come from the parts' censuses, so enumeration lists no
+    # order or index per tuple of part subgroups
+    group = GroupSpec.parse("product:elem:2,7+cyclic:3").build()
+    enumerate_subgroups(group)  # makes the plan for (2, 7)
+    group = GroupSpec.parse("product:elem:2,7+cyclic:3").build()
+    tracemalloc.start()
+    try:
+        lat = enumerate_subgroups(group)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert len(lat) == 58_424
+    assert peak < 512 << 10, peak
+
+
 def test_a_full_read_lists_each_part_subgroup_once(monkeypatch):
     # C2^6 x C3^2 has 2,825 x 6 = 16,950 subgroups, and both its parts take
     # the subspace kernel: enumerating it and reading its view twice reads
@@ -453,18 +470,19 @@ def test_a_full_read_lists_each_part_subgroup_once(monkeypatch):
     # however many products it is a factor of; a part's trivial subgroup,
     # below its hyperplanes, is never read
     listed, read = Counter(), Counter()
-    members, rows = latsum.lattice._mask_members, latsum.lattice._SubspaceRows.__call__
+    members, item = latsum.lattice._mask_members, latsum.lattice._SubgroupView.__getitem__
 
     def listing(mask):
         listed[mask] += 1
         return members(mask)
 
-    def reading(self, indices):
-        read.update((id(self), i) for i in indices)
-        return rows(self, indices)
+    def reading(self, i):
+        # the parts' views are read by index; the lattice's own is iterated
+        read[id(self), i] += 1
+        return item(self, i)
 
     monkeypatch.setattr(latsum.lattice, "_mask_members", listing)
-    monkeypatch.setattr(latsum.lattice._SubspaceRows, "__call__", reading)
+    monkeypatch.setattr(latsum.lattice._SubgroupView, "__getitem__", reading)
     lat = enumerate_subgroups(GroupSpec.parse("product:elem:2,6+elem:3,2").build())
     masks = [s.mask for s in lat.subgroups]
     assert [s.mask for s in lat.subgroups] == masks and len(set(masks)) == 16_950
@@ -1131,6 +1149,7 @@ def test_invariant_violation_survives_python_O():
     code = textwrap.dedent(
         """
         from collections import Counter
+        import inspect
         import latsum.lattice
         from latsum import (
             Group, GroupSpec, InvariantViolation, Lattice, Subgroup, classify, enumerate_subgroups, is_nilpotent,
@@ -1176,7 +1195,7 @@ def test_invariant_violation_survives_python_O():
 
         latsum.lattice.gaussian_subgroup_count = gaussian_subgroup_count
         lat = enumerate_subgroups(GroupSpec.parse("elem:2,5").build())
-        lat.subgroups._read.kernels[1] &= ~(1 << 4)
+        inspect.getclosurevars(lat.subgroups._make).nonlocals["masks"][1] &= ~(1 << 4)
         try:
             list(lat.subgroups)
         except InvariantViolation as exc:
