@@ -111,9 +111,6 @@ class Group:
             self._order_counts = Counter(self.element_orders())
         return self._order_counts
 
-    def exponent(self) -> int:
-        return math.lcm(*self.element_orders())
-
     @property
     def is_abelian(self) -> bool:
         """True when the elements of ``generating_set()`` commute in pairs: exact
@@ -218,8 +215,6 @@ def generated_mask(group: Group, gens: Sequence[int], seed_mask: int = 1) -> int
     count = len(frontier)
     for y in frontier:
         seen[y] = 1
-    if count > half:
-        return (1 << n) - 1
     while frontier:
         nxt = []
         append = nxt.append

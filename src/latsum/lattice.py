@@ -26,7 +26,8 @@ class Subgroup:
     Bit a of ``mask`` is set exactly when element a belongs to the subgroup.
     Unless G is its own one part and the worklist enumerates it,
     ``Lattice.subgroups`` makes a Subgroup each time it is read, so two
-    reads of the same position give equal but distinct objects.
+    reads of the same position give equal but distinct objects, and checks
+    its ``order`` against its block's (see ``_SubgroupView``).
     """
 
     __slots__ = ("mask", "order")
@@ -50,39 +51,50 @@ class Subgroup:
 
 class _SubgroupView(Sequence):
     """Subgroup sequence over masks that are made when they are read, in
-    blocks of rows.  ``blocks[r]`` is (offsets, patterns), the shape
-    ``_subspace_plan`` gives: ``offsets`` holds where each pattern's rows
-    start in block r, and then the block's number of rows.  A pattern holds
-    one sequence per position, and its row j picks one entry of each, the
-    digits of j in mixed radix (the sequences' lengths the bases, position
-    0 fastest) picking which; ``make(r, picks)`` returns the row's mask,
-    ``picks`` listing the entries from the last position to position 0.
+    blocks of rows.  ``blocks[r]`` is (order, offsets, patterns), the shape
+    ``_subspace_plan`` gives: every row of block r has ``order`` elements,
+    and ``offsets`` holds where each pattern's rows start in the block, and
+    then the block's number of rows.  A pattern holds one sequence per
+    position, and its rows pick one entry of each, in ``itertools.product``
+    order (the last position fastest); ``make(picks)`` returns a row's
+    mask.
 
-    An index (a negative one counts from the end) or a slice finds each
-    row's block and pattern by bisection; an iteration walks the blocks
-    and patterns in order.  Each read makes a new Subgroup, the view keeps
-    none, and a slice is a list."""
+    The view is the one reader of every lazily made row, and it checks
+    each one: it makes the row's Subgroup, which counts the row's bits
+    once, and raises InvariantViolation, naming the order, ``label`` and
+    the count, when the count is not the block's order, before any reader
+    sees the row.  An index (a negative one counts from the end) or a slice
+    finds each row's block and pattern by bisection; an iteration walks the
+    blocks and patterns in order.  Each read makes a new Subgroup, the view
+    keeps none, and a slice is a list."""
 
-    __slots__ = ("_blocks", "_make", "_starts")
+    __slots__ = ("_blocks", "_label", "_make", "_starts")
 
-    def __init__(self, blocks: Sequence[tuple[Sequence[int], Sequence]], make: Callable[[int, Sequence], int]):
-        self._blocks, self._make = blocks, make
-        self._starts = list(accumulate((offsets[-1] for offsets, _ in blocks), initial=0))
+    def __init__(self, blocks: Sequence[tuple], make: Callable[[Sequence], int], label: str):
+        self._blocks, self._make, self._label = blocks, make, label
+        self._starts = list(accumulate((offsets[-1] for _, offsets, _ in blocks), initial=0))
 
     def __len__(self) -> int:
         return self._starts[-1]
 
+    def _wrong_size(self, order: int, sub: Subgroup) -> InvariantViolation:
+        return InvariantViolation(f"a subgroup of order {order} in {self._label} was made with {sub.order} elements")
+
     def _row(self, i: int) -> Subgroup:
         r = bisect_right(self._starts, i) - 1
-        offsets, patterns = self._blocks[r]
+        order, offsets, patterns = self._blocks[r]
         j = i - self._starts[r]
         a = bisect_right(offsets, j) - 1
-        j -= offsets[a]
+        j, n = j - offsets[a], offsets[a + 1] - offsets[a]
         picks = []
-        for entries in patterns[a]:
-            j, digit = divmod(j, len(entries))
+        for entries in patterns[a]:  # digits from the most significant
+            n //= len(entries)
+            digit, j = divmod(j, n)
             picks.append(entries[digit])
-        return Subgroup(self._make(r, picks[::-1]))
+        sub = Subgroup(self._make(picks))
+        if sub.order != order:
+            raise self._wrong_size(order, sub)
+        return sub
 
     def __getitem__(self, i):
         indices = range(len(self))[i]
@@ -92,10 +104,13 @@ class _SubgroupView(Sequence):
 
     def __iter__(self):
         make = self._make
-        for r, (_, patterns) in enumerate(self._blocks):
+        for order, _, patterns in self._blocks:
             for pattern in patterns:
-                for picks in product(*pattern[::-1]):
-                    yield Subgroup(make(r, picks))
+                for picks in product(*pattern):
+                    sub = Subgroup(make(picks))
+                    if sub.order != order:
+                        raise self._wrong_size(order, sub)
+                    yield sub
 
 
 @dataclass
@@ -114,8 +129,8 @@ class Lattice:
     kernel's order blocks, or, with several parts, one block per order of
     G made from the parts' blocks.  Enumeration builds only the maximals'
     masks, which for a part on the subspace kernel are the kernels' masks
-    its rows are made from.  A subspace row is bit-counted each time it is
-    made, before any reader sees it.
+    its rows are made from.  The view checks every row it makes against
+    its block's order, before any reader sees it.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -254,12 +269,13 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     or, in a group with a rest part, when the elements of order dividing
     p^a of a split prime p do not commute with those of order prime to p;
     in the worklist when the prime steps do not reach a part whose order
-    is odd or has at most two primes; and in the subspace kernel when the
+    is odd or has at most two primes; in the subspace kernel when the
     rows planned for an order block are not its closed-form number of
     subspaces (checked on every call, before any mask is built), or when
-    a row of block r does not have p^r bits set (checked on the
-    hyperplanes at enumeration, and on every row each time a read makes
-    it, before it is returned).
+    a hyperplane does not have p^(k-1) bits set; and when a row that the
+    view makes on read, a subspace or a product, does not have its block's
+    order (checked on every row each time a read makes it, before it is
+    returned).
     """
     parts = [_enumerate_part(group, members, max_subgroups) for members in _parts(group)]
     subs, census, maximals = _combine(group, parts, max_subgroups)
@@ -462,35 +478,31 @@ def _combine(
     ``enumerate_subgroups``).  The parts' orders are coprime, so each order
     d of G is a product of one census order per part in one way only, and
     G's block of order d is the product of those parts' blocks: one
-    pattern whose position 0 is the last part's index range.  The census
-    and the blocks come from the parts' censuses alone.  The view keeps
-    the parts' lattices and builds the mask of a product only when it is
-    read, reading each part's subgroup and listing its members at most
-    once per lattice; the maximals' masks are built at once."""
+    pattern whose position j is part j's index range.  The census and the
+    blocks come from the parts' censuses alone.  The view keeps the parts'
+    lattices and builds the mask of a product only when it is read,
+    reading each part's subgroup and listing its members at most once per
+    lattice; the maximals' masks are built at once."""
     if len(parts) == 1:
         return parts[0].subgroups, parts[0].census, parts[0].maximals
     total = math.prod(len(part.subgroups) for part in parts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
     # (order d, count, pattern): the pattern holds the index ranges of the
-    # parts' blocks whose orders multiply to d, the last part first
+    # parts' blocks whose orders multiply to d, part by part
     blocks = [(1, 1, ())]
     for part in parts:
         start, grown = 0, []
         for order, count in part.census.items():
             span = (range(start, start + count),)
             start += count
-            grown += [(d * order, n * count, span + pattern) for d, n, pattern in blocks]
+            grown += [(d * order, n * count, pattern + span) for d, n, pattern in blocks]
         blocks = grown
     blocks.sort()  # the orders d are distinct
     table = group.table
-    read, listed_members = {}, {}  # each part's subgroups read, and their members listed, once
-
-    def read_once(j: int, i: int) -> int:
-        return read.get((j, i)) or read.setdefault((j, i), parts[j].subgroups[i].mask)
-
-    def listed(mask: int) -> list[int]:
-        return listed_members.get(mask) or listed_members.setdefault(mask, _mask_members(mask))
+    # each part's subgroups read, and their members listed, once per lattice
+    read_once = functools.cache(lambda j, i: parts[j].subgroups[i].mask)
+    listed = functools.cache(_mask_members)
 
     def multiply(masks: list[int]) -> int:
         # the parts commute, so the product is that of the nontrivial
@@ -505,7 +517,7 @@ def _combine(
             elements = [table[x][y] for x in elements for y in listed(mask)]
         return sum(1 << x for x in elements)
 
-    def make(r: int, picks: Sequence[int]) -> int:
+    def make(picks: Sequence[int]) -> int:
         # picks[j] is part j's subgroup; index 0 is a part's trivial
         # subgroup, which adds nothing to a product and is never read
         return multiply([read_once(j, i) for j, i in enumerate(picks) if i])
@@ -514,12 +526,12 @@ def _combine(
     # part for a maximal subgroup of it, part by part
     wholes = [read_once(j, len(part.subgroups) - 1) for j, part in enumerate(parts)]
     maximals = [[*wholes[:j], m.mask, *wholes[j + 1 :]] for j, part in enumerate(parts) for m in part.maximals]
-    view = _SubgroupView([((0, n), (pattern,)) for _, n, pattern in blocks], make)
+    view = _SubgroupView([(d, (0, n), (pattern,)) for d, n, pattern in blocks], make, group.label)
     return view, {d: n for d, n, _ in blocks}, [Subgroup(multiply(masks)) for masks in maximals]
 
 
 @functools.cache
-def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, tuple[tuple[tuple[int, ...], tuple], ...]]:
+def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, tuple[tuple[int, tuple[int, ...], tuple], ...]]:
     """(kernels, blocks): the geometry of GF(p)^k that the subspace kernel
     reads, the same for every group of rank k over GF(p), so it is worked
     out once per (p, k) and shared, read-only, by every call.
@@ -528,14 +540,14 @@ def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, tuple[tuple[tuple[int, .
     nonzero digit is 1 (the functionals that head a row of a reduced
     echelon form), one bool per vector, vector x having the base-p digits
     of x as its coordinates; they are the hyperplanes, in block order.
-    ``blocks[r]`` is (offsets, patterns) for order block r, one entry per
-    pivot pattern of rank k - r, in block order: ``offsets`` holds where
-    each pattern's rows start in the block, and then the block's number of
-    rows, and each pattern is one tuple per pivot, ascending, of the
-    indices of the kernels of the rows headed at that pivot.  Row j of a
-    pattern ANDs one kernel per pivot, the digits of j in mixed radix
-    (the tuples' lengths the bases, the first pivot's digit varying
-    fastest) picking which."""
+    ``blocks[r]`` is (p^r, offsets, patterns) for order block r, one entry
+    per pivot pattern of rank k - r, in block order: ``offsets`` holds
+    where each pattern's rows start in the block, and then the block's
+    number of rows, and each pattern is one tuple per pivot, the last
+    pivot first, of the indices of the kernels of the rows headed at that
+    pivot.  Each row of a pattern ANDs one kernel per pivot, the rows in
+    ``itertools.product`` order over the tuples, so the first pivot's
+    kernel varies fastest."""
     # row x: the base-p digits of x, in a dtype that holds a dot product of two rows
     digits = (np.arange(p**k)[:, None] // p ** np.arange(k) % p).astype(np.min_scalar_type(k * (p - 1) ** 2))
     forms = np.concatenate([p**c + p ** (c + 1) * np.arange(p ** (k - 1 - c)) for c in range(k)])
@@ -557,9 +569,9 @@ def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, tuple[tuple[tuple[int, .
     for r in range(k + 1):
         offsets, patterns = [0], []
         for pivots in combinations(range(k), k - r):
-            patterns.append(tuple(headed(c, pivots[i + 1 :]) for i, c in enumerate(pivots)))
+            patterns.append(tuple(headed(pivots[i], pivots[i + 1 :]) for i in reversed(range(k - r))))
             offsets.append(offsets[-1] + math.prod(map(len, patterns[-1])))
-        blocks.append((tuple(offsets), tuple(patterns)))
+        blocks.append((p**r, tuple(offsets), tuple(patterns)))
     return kernels, tuple(blocks)
 
 
@@ -570,7 +582,7 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
     builds and checks the kernels' masks, which are the hyperplanes; every
     row is made from them when it is read: the view's blocks are the
     plan's, and its ``make`` ANDs the part's whole mask with the kernel
-    mask of each pick, and counts the row's set bits before returning it.
+    mask of each pick; the view checks that the row has p^r elements.
 
     A rank-r subspace W of GF(p)^k is the intersection of the kernels of
     a basis of its annihilator W°, and W -> W° is a bijection onto the
@@ -588,15 +600,9 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
     kernels, blocks = _subspace_plan(p, k)
     # the plan's rows against the closed form, block by block, on every call
-    for r, (offsets, _) in enumerate(blocks):
-        if offsets[-1] > counts[r]:
-            raise InvariantViolation(
-                f"subspace route found more than the expected {counts[r]} subgroups of order {p**r}"
-            )
-        if offsets[-1] < counts[r]:
-            raise InvariantViolation(
-                f"subspace route found {offsets[-1]} subgroups of order {p**r}, expected {counts[r]}"
-            )
+    for (order, offsets, _), n in zip(blocks, counts):
+        if offsets[-1] != n:
+            raise InvariantViolation(f"subspace kernel found {offsets[-1]} subgroups of order {order}, expected {n}")
     # the greedy basis: each member, ascending, that the span of those
     # before it does not reach, until the span has p^k elements (for G
     # itself, the basis of ``generating_set``).  elems[x] is the element
@@ -621,19 +627,16 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
     hyperplanes = [Subgroup(mask) for mask in masks]
     if any(h.order != p ** (k - 1) for h in hyperplanes):
         raise InvariantViolation(f"a subspace of rank {k - 1} in {group.label} does not have {p ** (k - 1)} elements")
-    whole, sizes = _mask_of(group, members), [p**r for r in range(k + 1)]
+    whole = _mask_of(group, members)
 
-    def make(r: int, picks: Sequence[int]) -> int:
-        # a rank-r subspace has p^r elements, counted before the row is returned
+    def make(picks: Sequence[int]) -> int:
         mask = whole
         for i in picks:
             mask &= masks[i]
-        if mask.bit_count() != sizes[r]:
-            raise InvariantViolation(f"a subspace of rank {r} in {group.label} does not have {sizes[r]} elements")
         return mask
 
     census = {p**r: counts[r] for r in range(k + 1)}
-    return _Part(_SubgroupView(blocks, make), census, hyperplanes)
+    return _Part(_SubgroupView(blocks, make, group.label), census, hyperplanes)
 
 
 # ---------------------------------------------------------------------------

@@ -51,13 +51,10 @@ def _structure(group: Group, profile: StructuralProfile) -> str:
     """Which of the paper's named groups ``group`` is, by exact finite criteria."""
     if profile.is_cyclic:
         return STRUCTURE_CYCLIC
-    if group.order == 4 and group.exponent() == 2:
-        return STRUCTURE_Z2XZ2
-    if group.order == 9 and group.exponent() == 3:
-        return STRUCTURE_Z3XZ3
-    if group.order == 6 and not profile.is_abelian:
-        return STRUCTURE_S3
-    return STRUCTURE_OTHER
+    # a group that is not cyclic is named by its order alone: of order p^2
+    # it is abelian, so Zp x Zp, and of order 6 it is not abelian, since an
+    # abelian group of order 6 is cyclic
+    return {4: STRUCTURE_Z2XZ2, 9: STRUCTURE_Z3XZ3, 6: STRUCTURE_S3}.get(group.order, STRUCTURE_OTHER)
 
 
 @dataclass(frozen=True)

@@ -1,3 +1,4 @@
+import math
 import os
 import random
 import textwrap
@@ -232,7 +233,8 @@ def test_subspace_route_peak_memory():
 def test_subspace_rows_written_on_read_peak_memory():
     # a streaming read of every row of elem:2,8 through the view: the reader
     # makes each row from the 255 kernels' masks and keeps none, so the
-    # traced peak, rows included, is about one chunk of masks read at a time
+    # traced peak, rows included, is a few rows and the iterator's frames,
+    # about 1.2 KiB, where the 417,199 rows of 32 bytes would hold 13.3 MB
     group = elementary_abelian_group(2, 8)
     lat = enumerate_subgroups(group, 500_000)
     tracemalloc.start()
@@ -242,7 +244,7 @@ def test_subspace_rows_written_on_read_peak_memory():
     finally:
         tracemalloc.stop()
     assert read == 417_199
-    assert peak < 192 << 10, peak
+    assert peak < 16 << 10, peak
 
 
 @pytest.mark.skipif(not Path("/proc/self/statm").exists(), reason="reads resident pages from /proc")
@@ -266,15 +268,13 @@ def test_subspace_reads_hold_no_rows():
 
 
 def test_subspace_block_count_checked_against_rows_written(monkeypatch):
-    # a closed form one short fires before the block's last pattern is written
-    # past its end; one too many leaves a row unwritten, which is never read
+    # a closed form one short or one too many of the 15 rows that the plan
+    # lists for order 2 fires, before any mask is built
     group = elementary_abelian_group(2, 4)
-    for off, message in [
-        (-1, "subspace route found more than the expected 14 subgroups of order 2"),
-        (1, "subspace route found 15 subgroups of order 2, expected 16"),
-    ]:
+    for off in [-1, 1]:
         count = lambda k, p, i, off=off: gaussian_subgroup_count(k, p, i) + off * (i == 1)
         monkeypatch.setattr(latsum.lattice, "gaussian_subgroup_count", count)
+        message = f"subspace kernel found 15 subgroups of order 2, expected {15 + off}"
         with pytest.raises(InvariantViolation, match=message):
             enumerate_subgroups(group)
 
@@ -339,13 +339,14 @@ def test_subspace_rows_below_the_hyperplanes_are_made_only_when_read(monkeypatch
     made = 0
     init = latsum.lattice._SubgroupView.__init__
 
-    def counting(self, blocks, make):
-        def counted(r, picks):
+    def counting(self, blocks, make, label):
+        def counted(picks):
             nonlocal made
-            made += r < 7  # blocks 0 to 6, of ranks below 7, lie below the hyperplanes
-            return make(r, picks)
+            mask = make(picks)
+            made += mask.bit_count() < 128  # rows of order below 128 lie below the hyperplanes
+            return mask
 
-        init(self, blocks, counted)
+        init(self, blocks, counted, label)
 
     monkeypatch.setattr(latsum.lattice._SubgroupView, "__init__", counting)
     group = elementary_abelian_group(2, 8)
@@ -705,7 +706,7 @@ def test_nonabelian_exponent_p_group_avoids_subspace_route():
     # of order 9
     group = _unitriangular_order_27()
     group.validate()
-    assert group.exponent() == 3 and not group.is_abelian
+    assert math.lcm(*group.element_orders()) == 3 and not group.is_abelian
     assert isinstance(_enumerate_part(group, range(27), 100_000).subgroups, list)
     lat = enumerate_subgroups(group)
     assert lat.census == {1: 1, 3: 13, 9: 4, 27: 1}
@@ -1139,8 +1140,8 @@ def test_invariant_violation_survives_python_O():
     # subgroup of order 2 too many; an unvalidated commutative order-5
     # table in which 1*1 = 0, so {0, 1} is a subgroup; and elem:2,5 with
     # element 4 dropped, after enumeration, from the mask of its kernel 1
-    # (of x0 + x1), which the first row of rank 2 holding 4 reads; no row
-    # of rank 0 or 1 reads that kernel and holds 4.  Last, elem:2,3 with its real profile but a lattice of
+    # (of x0 + x1), which the first row of order 4 holding 4 reads; no row
+    # of order 1 or 2 reads that kernel and holds 4.  Last, elem:2,3 with its real profile but a lattice of
     # just the trivial group and itself: sigma1 = 9/8 is below the
     # threshold, which the rank lemma forbids for rank 3 and order 2^3.
     # Then build_witness(1), the group of order 6, with its analysis
@@ -1239,9 +1240,9 @@ def test_invariant_violation_survives_python_O():
     assert third == "InvariantViolation: element order 3 does not divide 4", third
     assert enumeration == [
         "InvariantViolation: a subspace of rank 3 in elem:2,4 does not have 8 elements",
-        "InvariantViolation: subspace route found 15 subgroups of order 2, expected 16",
+        "InvariantViolation: subspace kernel found 15 subgroups of order 2, expected 16",
         "InvariantViolation: Lagrange violated on bogus-5: census {1: 1, 2: 1, 5: 1}",
-        "InvariantViolation: a subspace of rank 2 in elem:2,5 does not have 4 elements",
+        "InvariantViolation: a subgroup of order 4 in elem:2,5 was made with 3 elements",
     ], enumeration
     assert rank_lemma == (
         "InvariantViolation: rank lemma: elem:2,3 of order 2^3 and Frattini rank 3 lies above the threshold, "
@@ -1250,6 +1251,60 @@ def test_invariant_violation_survives_python_O():
     assert census == "InvariantViolation: unexpected census for p=2, q=3: {1: 1, 2: 2, 3: 1, 6: 1}", census
     assert sigma == "InvariantViolation: lattice sigma1 17/6 != formula 8/3", sigma
     assert nilpotent == "InvariantViolation: pq-group of order 6 must not be nilpotent", nilpotent
+
+
+def test_product_rows_checked_on_read_under_python_O():
+    # cyclic:15 is the product of its parts C3 and C5, and its last row,
+    # C3 * C5, is multiplied out when it is read; with 5 * 3 sent to the
+    # identity after enumeration, the row's bit sum carries into a mask of
+    # 7 elements, which the view refuses however it is read
+    code = textwrap.dedent(
+        """
+        from latsum import GroupSpec, InvariantViolation, enumerate_subgroups
+
+        group = GroupSpec.parse("cyclic:15").build()
+        lat = enumerate_subgroups(group)
+        print("debug", __debug__, "census", lat.census)
+        group.table[5][3] = 0
+        for read in [lambda: lat.subgroups[-1], lambda: list(lat.subgroups)]:
+            try:
+                read()
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
+            else:
+                print("read without a fault")
+        """
+    )
+    status, out, err = run_python("-O", "-c", code)
+    assert status == 0, err
+    message = "InvariantViolation: a subgroup of order 15 in cyclic:15 was made with 7 elements"
+    assert out.splitlines() == ["debug False census {1: 1, 3: 1, 5: 1, 15: 1}", message, message], out
+
+
+def test_frattini_rank_checked_under_python_O():
+    # elem:2,2 with one of its three maximal subgroups recorded: the
+    # Frattini subgroup is that one, of index 2, and a non-cyclic p-group
+    # of Frattini rank 1 is refused
+    code = textwrap.dedent(
+        """
+        from latsum import GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, frattini_rank
+
+        group = GroupSpec.parse("elem:2,2").build()
+        lat = enumerate_subgroups(group)
+        one = Lattice(group=group, subgroups=lat.subgroups, census=lat.census, maximals=lat.maximals[:1])
+        print("debug", __debug__, "rank", frattini_rank(group, lat))
+        try:
+            print("rank", frattini_rank(group, one))
+        except InvariantViolation as exc:
+            print("InvariantViolation:", exc)
+        """
+    )
+    status, out, err = run_python("-O", "-c", code)
+    assert status == 0, err
+    assert out.splitlines() == [
+        "debug False rank 2",
+        "InvariantViolation: non-cyclic p-group elem:2,2 has Frattini rank 1, expected >= 2",
+    ], out
 
 
 def test_non_normal_maximals_self_normalize():
