@@ -7,8 +7,8 @@ import math
 from bisect import bisect_right
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from itertools import accumulate, combinations, product
-from operator import attrgetter
+from itertools import combinations, product
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -24,10 +24,10 @@ class Subgroup:
     """Subgroup of a fixed parent group, stored as a membership bitmask.
 
     Bit a of ``mask`` is set exactly when element a belongs to the subgroup.
-    Unless G is its own one part and the worklist enumerates it,
-    ``Lattice.subgroups`` makes a Subgroup each time it is read, so two
-    reads of the same position give equal but distinct objects, and checks
-    its ``order`` against its block's (see ``_SubgroupView``).
+    Enumeration passes bare masks and makes a Subgroup only for a maximal
+    subgroup it records; ``Lattice.subgroups`` makes one each time a row is
+    read, so two reads of the same position give equal but distinct
+    objects (see ``_SubgroupView``).
     """
 
     __slots__ = ("mask", "order")
@@ -49,36 +49,48 @@ class Subgroup:
         return _mask_members(self.mask)
 
 
+def _made(order: int, mask: int, label: str) -> Subgroup:
+    """The Subgroup of ``mask``, which enumeration made as a subgroup of
+    ``order`` elements in the group ``label``; raises InvariantViolation,
+    naming the order, the label and the count, when the mask has another
+    number of bits.  Every mask that enumeration makes with a known order
+    is checked here, and nowhere else."""
+    sub = Subgroup(mask)
+    if sub.order != order:
+        raise InvariantViolation(f"a subgroup of order {order} in {label} was made with {sub.order} elements")
+    return sub
+
+
 class _SubgroupView(Sequence):
     """Subgroup sequence over masks that are made when they are read, in
-    blocks of rows.  ``blocks[r]`` is (order, offsets, patterns), the shape
+    blocks of rows; the one shape of every enumerated lattice.
+    ``blocks[r]`` is (order, offsets, patterns), the shape
     ``_subspace_plan`` gives: every row of block r has ``order`` elements,
     and ``offsets`` holds where each pattern's rows start in the block, and
     then the block's number of rows.  A pattern holds one sequence per
     position, and its rows pick one entry of each, in ``itertools.product``
     order (the last position fastest); ``make(picks)`` returns a row's
-    mask.
+    mask.  ``census`` maps each block's order to its number of rows.
 
-    The view is the one reader of every lazily made row, and it checks
-    each one: it makes the row's Subgroup, which counts the row's bits
-    once, and raises InvariantViolation, naming the order, ``label`` and
-    the count, when the count is not the block's order, before any reader
-    sees the row.  An index (a negative one counts from the end) or a slice
-    finds each row's block and pattern by bisection; an iteration walks the
-    blocks and patterns in order.  Each read makes a new Subgroup, the view
-    keeps none, and a slice is a list."""
+    The view is the one reader of every row, and it makes each row's
+    Subgroup through ``_made``, so a row whose mask is not of its block's
+    order raises before any reader sees it.  An index (a negative one
+    counts from the end) or a slice finds each row's block and pattern by
+    bisection; an iteration walks the blocks and patterns in order.  Each
+    read makes a new Subgroup, the view keeps none, and a slice is a
+    list."""
 
-    __slots__ = ("_blocks", "_label", "_make", "_starts")
+    __slots__ = ("_blocks", "_label", "_make", "_starts", "census")
 
     def __init__(self, blocks: Sequence[tuple], make: Callable[[Sequence], int], label: str):
         self._blocks, self._make, self._label = blocks, make, label
-        self._starts = list(accumulate((offsets[-1] for _, offsets, _ in blocks), initial=0))
+        self.census, self._starts = {}, [0]
+        for order, offsets, _ in blocks:
+            self.census[order] = offsets[-1]
+            self._starts.append(self._starts[-1] + offsets[-1])
 
     def __len__(self) -> int:
         return self._starts[-1]
-
-    def _wrong_size(self, order: int, sub: Subgroup) -> InvariantViolation:
-        return InvariantViolation(f"a subgroup of order {order} in {self._label} was made with {sub.order} elements")
 
     def _row(self, i: int) -> Subgroup:
         r = bisect_right(self._starts, i) - 1
@@ -91,26 +103,20 @@ class _SubgroupView(Sequence):
             n //= len(entries)
             digit, j = divmod(j, n)
             picks.append(entries[digit])
-        sub = Subgroup(self._make(picks))
-        if sub.order != order:
-            raise self._wrong_size(order, sub)
-        return sub
+        return _made(order, self._make(picks), self._label)
 
     def __getitem__(self, i):
-        indices = range(len(self))[i]
+        indices = range(self._starts[-1])[i]
         if isinstance(i, slice):
             return [self._row(j) for j in indices]
         return self._row(indices)
 
     def __iter__(self):
-        make = self._make
+        make, label = self._make, self._label
         for order, _, patterns in self._blocks:
             for pattern in patterns:
                 for picks in product(*pattern):
-                    sub = Subgroup(make(picks))
-                    if sub.order != order:
-                        raise self._wrong_size(order, sub)
-                    yield sub
+                    yield _made(order, make(picks), label)
 
 
 @dataclass
@@ -123,14 +129,9 @@ class Lattice:
     from the census offsets, so a lattice built by hand must keep its
     blocks matching its census.  Inside a block, subgroups keep the
     deterministic order in which enumeration found them; no reader may
-    assume more.  ``subgroups`` is a plain list when G is its own one part
-    and the worklist enumerates it.  Otherwise it is a view of blocks of
-    rows, each made each time it is read and kept by no one: the subspace
-    kernel's order blocks, or, with several parts, one block per order of
-    G made from the parts' blocks.  Enumeration builds only the maximals'
-    masks, which for a part on the subspace kernel are the kernels' masks
-    its rows are made from.  The view checks every row it makes against
-    its block's order, before any reader sees it.
+    assume more.  Every lattice that ``enumerate_subgroups`` returns is a
+    block view (``_SubgroupView``), and its census is the view's, read
+    from its blocks.
     ``maximals`` holds the maximal subgroups as ``enumerate_subgroups``
     records them; a lattice built by hand may leave it None, and
     ``maximal_subgroups`` then refuses it.
@@ -158,7 +159,11 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     of them are maximal.
 
     Every group takes one pipeline: split G into parts, enumerate each part
-    with one kernel, and combine the parts' lattices into G's.
+    with one kernel, and combine the parts' lattices into G's.  Each part's
+    lattice and G's is a block view (``_SubgroupView``) whose census is
+    read from its blocks.  Inside enumeration only bare masks pass, and a
+    Subgroup is made only for a maximal subgroup it records; the view
+    makes every other one when it is read.
 
     Parts (``_parts``).  Let p^a be the p-part of |G|.  The Sylow
     p-subgroup P is a direct factor exactly when p^a elements have order
@@ -229,10 +234,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     rank-(k - r) subspace of the dual, so each row of order block r is the
     AND of the kernels of the rows of one reduced echelon form of rank
     k - r, in the parent's bits.  The kernels are the hyperplanes, the
-    maximal subgroups, and the only masks enumeration builds; the census
-    is the closed-form count of each order block, and every row is made
-    from the kernels when it is read and kept by no one (see
-    ``_enumerate_elementary_abelian`` and ``_SubgroupView``).
+    maximal subgroups, and the only masks enumeration builds; each order
+    block has its closed-form number of rows, and every row is made from
+    the kernels when it is read and kept by no one (see
+    ``_enumerate_elementary_abelian``).
 
     Combine (``_combine``).  With one part, G's lattice is that part's
     own.  Every subgroup H of a direct product of factors of coprime orders
@@ -244,10 +249,10 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     As the parts' orders are coprime, each order d of G is a product of
     one census order d_i per part in one way only, so G's block of order d
     is the product of the parts' blocks of orders d_i, and its count the
-    product of theirs: the census and the blocks come from the parts'
-    censuses, and no tuple is listed.  The maximals' masks are made at
-    once, and ``subgroups`` is a view that keeps the parts' lattices and
-    makes a product's mask only when it is read.  Walking one part at a
+    product of theirs: the blocks come from the parts' censuses, and no
+    tuple is listed.  The maximals' masks are made at once, and
+    ``subgroups`` is a view that keeps the parts' lattices and makes a
+    product's mask only when it is read.  Walking one part at a
     time costs about |P_i| steps per subgroup of part i, where the
     worklist on the whole group costs about |G| per subgroup of G.
     The kernels and the split are cross-checked in the test suite.
@@ -271,27 +276,27 @@ def enumerate_subgroups(group: Group, max_subgroups: int = DEFAULT_MAX_SUBGROUPS
     in the worklist when the prime steps do not reach a part whose order
     is odd or has at most two primes; in the subspace kernel when the
     rows planned for an order block are not its closed-form number of
-    subspaces (checked on every call, before any mask is built), or when
-    a hyperplane does not have p^(k-1) bits set; and when a row that the
-    view makes on read, a subspace or a product, does not have its block's
-    order (checked on every row each time a read makes it, before it is
-    returned).
+    subspaces (checked on every call, before any mask is built); and,
+    from ``_made``, which checks every mask enumeration makes with a known
+    order, when a hyperplane, a maximal subgroup of several parts, or a
+    row that the view makes on read does not have its order (a row is
+    checked each time a read makes it, before it is returned).
     """
     parts = [_enumerate_part(group, members, max_subgroups) for members in _parts(group)]
-    subs, census, maximals = _combine(group, parts, max_subgroups)
-    if any(group.order % order for order in census):
-        raise InvariantViolation(f"Lagrange violated on {group.label}: census {census}")
-    return Lattice(group=group, subgroups=subs, census=census, maximals=maximals)
+    subs, maximals = _combine(group, parts, max_subgroups)
+    if any(group.order % order for order in subs.census):
+        raise InvariantViolation(f"Lagrange violated on {group.label}: census {subs.census}")
+    return Lattice(group=group, subgroups=subs, census=subs.census, maximals=maximals)
 
 
 class _Part(NamedTuple):
-    """One part's lattice, as its kernel enumerated it: ``subgroups`` in
-    census order, so the whole part comes last and, inside each block, in
-    the order the kernel found them; ``census``; and the maximal subgroups
-    in the order the kernel recorded them."""
+    """One part's lattice, as its kernel enumerated it: ``subgroups``, a
+    block view whose census is read from its blocks, in census order, so
+    the whole part comes last and, inside each block, in the order the
+    kernel found them; and the maximal subgroups in the order the kernel
+    recorded them."""
 
-    subgroups: Sequence[Subgroup]
-    census: dict[int, int]
+    subgroups: _SubgroupView
     maximals: list[Subgroup]
 
 
@@ -385,7 +390,10 @@ def _enumerate_worklist(group: Group, members: Sequence[int], max_subgroups: int
     closure per uncovered x; a miss on an order that is odd or has at most
     two primes raises InvariantViolation instead.  A part T that is a
     direct factor of G has the same subgroups and classes under G as
-    under T, so T takes the place of G."""
+    under T, so T takes the place of G.  The walk passes bare masks, and
+    only the maximal subgroups become Subgroups; the view has one block
+    per order, whose one position lists its masks in discovery order,
+    and its ``make`` returns the pick."""
     full_mask = _mask_of(group, members)
     seen, classes = _walk(group, max_subgroups, full_mask, members[1:], closures=False)
     if full_mask not in seen:
@@ -401,40 +409,41 @@ def _enumerate_worklist(group: Group, members: Sequence[int], max_subgroups: int
         if maximal is None:  # self-normalizing: does a larger proper subgroup contain it?
             maximal = not any(m & h == h and m not in (h, full_mask) for m in seen)
         if maximal:
-            maximals.extend(orbit)
-    # the sort is stable, so each block keeps the order the walk found it in
-    subs, census = sorted(seen.values(), key=attrgetter("order")), {}
-    for s in subs:
-        census[s.order] = census.get(s.order, 0) + 1
-    return _Part(subs, census, maximals)
+            maximals += map(Subgroup, orbit)
+    # one pass over seen, which keeps the order the walk found each mask in
+    by_order: dict[int, list[int]] = {}
+    for mask in seen:
+        by_order.setdefault(mask.bit_count(), []).append(mask)
+    blocks = [(order, (0, len(masks)), ((masks,),)) for order, masks in sorted(by_order.items())]
+    return _Part(_SubgroupView(blocks, itemgetter(0), group.label), maximals)
 
 
 def _walk(
     group: Group, max_subgroups: int, full_mask: int, elements: Sequence[int], closures: bool
-) -> tuple[dict[int, Subgroup], list[tuple[int, list[Subgroup], bool | None]]]:
-    """(every subgroup found by mask, each class as (its representative's
-    mask, the class, whether it is maximal or None when it took no step)),
-    in work order, for ``_enumerate_worklist``: by prime steps or, with
-    ``closures``, by one closure per uncovered x."""
+) -> tuple[dict[int, None], list[tuple[int, list[int], bool | None]]]:
+    """(the mask of every subgroup found, as dict keys in the order found,
+    each class as (its representative's mask, the masks of the class,
+    whether it is maximal or None when it took no step)), in work order,
+    for ``_enumerate_worklist``: by prime steps or, with ``closures``, by
+    one closure per uncovered x."""
     table, inverse, abelian = group.table, group.inverse, group.is_abelian
-    seen: dict[int, Subgroup] = {}
-    work: list[tuple[Subgroup, tuple[int, ...], list[Subgroup]]] = []
-    classes: list[tuple[int, list[Subgroup], bool | None]] = []
+    seen: dict[int, None] = {}
+    work: list[tuple[int, tuple[int, ...], list[int]]] = []
+    classes: list[tuple[int, list[int], bool | None]] = []
 
-    def add_class(sub: Subgroup, gens: tuple[int, ...], orbit: list[Subgroup]) -> None:
+    def add_class(mask: int, gens: tuple[int, ...], orbit: list[int]) -> None:
         # seen stays closed under conjugation, so the whole class is new
         for c in orbit:
-            seen[c.mask] = c
+            seen[c] = None
         if len(seen) > max_subgroups:
             raise LatticeTooLarge(f"more than {max_subgroups} subgroups")
-        work.append((sub, gens, orbit))
+        work.append((mask, gens, orbit))
 
-    trivial = Subgroup(1)
-    add_class(trivial, (), [trivial])
-    for sub, gens, orbit in work:  # also visits the classes appended below
-        if sub.mask == full_mask:
+    add_class(1, (), [1])
+    for mask, gens, orbit in work:  # also visits the classes appended below
+        if mask == full_mask:
             continue
-        members = sub.members()
+        members = _mask_members(mask)
         covered = bytearray(group.order)
         for h in members:
             covered[h] = 1
@@ -454,37 +463,33 @@ def _walk(
             for c in cells:
                 covered[c] = 1
             if closures:
-                new_mask = generated_mask(group, gens + (x,), seed_mask=sub.mask)
+                new_mask = generated_mask(group, gens + (x,), seed_mask=mask)
             elif is_prime(k) and (abelian or all(in_sub[table[table[x][g]][inverse[x]]] for g in gens)):
                 # x normalizes H, so <H, x> is H u Hx u ... u Hx^(k-1), and
                 # every j < k is coprime to k: the cells are <H, x> - H
-                new_mask = sub.mask | sum(1 << c for c in cells)
+                new_mask = mask | sum(1 << c for c in cells)
             else:
                 continue
             if new_mask not in seen:
-                new = Subgroup(new_mask)
-                add_class(new, gens + (x,), [new] if abelian else conjugates(group, new))
+                add_class(new_mask, gens + (x,), [new_mask] if abelian else conjugates(group, new_mask))
             maximal = maximal is not False and new_mask == full_mask
-        classes.append((sub.mask, orbit, maximal))
+        classes.append((mask, orbit, maximal))
     return seen, classes
 
 
-def _combine(
-    group: Group, parts: list[_Part], max_subgroups: int
-) -> tuple[Sequence[Subgroup], dict[int, int], list[Subgroup]]:
-    """(every subgroup, the census, the maximal subgroups) of G from its
-    parts' lattices: the one part's own when there is one, else the
-    products A_1...A_r of one subgroup A_i of each part (see
-    ``enumerate_subgroups``).  The parts' orders are coprime, so each order
-    d of G is a product of one census order per part in one way only, and
-    G's block of order d is the product of those parts' blocks: one
-    pattern whose position j is part j's index range.  The census and the
-    blocks come from the parts' censuses alone.  The view keeps the parts'
-    lattices and builds the mask of a product only when it is read,
-    reading each part's subgroup and listing its members at most once per
-    lattice; the maximals' masks are built at once."""
+def _combine(group: Group, parts: list[_Part], max_subgroups: int) -> _Part:
+    """G's lattice from its parts' lattices: the one part's own when there
+    is one, else the products A_1...A_r of one subgroup A_i of each part
+    (see ``enumerate_subgroups``).  The parts' orders are coprime, so each
+    order d of G is a product of one census order per part in one way
+    only, and G's block of order d is the product of those parts' blocks:
+    one pattern whose position j is part j's index range.  The blocks come
+    from the parts' censuses alone.  The view keeps the parts' lattices
+    and builds the mask of a product only when it is read, reading each
+    part's subgroup and listing its members at most once per lattice; the
+    maximals' masks are built at once, and checked by ``_made``."""
     if len(parts) == 1:
-        return parts[0].subgroups, parts[0].census, parts[0].maximals
+        return parts[0]
     total = math.prod(len(part.subgroups) for part in parts)
     if total > max_subgroups:
         raise LatticeTooLarge(f"{total} subgroups exceed the cap {max_subgroups}")
@@ -493,7 +498,7 @@ def _combine(
     blocks = [(1, 1, ())]
     for part in parts:
         start, grown = 0, []
-        for order, count in part.census.items():
+        for order, count in part.subgroups.census.items():
             span = (range(start, start + count),)
             start += count
             grown += [(d * order, n * count, pattern + span) for d, n, pattern in blocks]
@@ -525,9 +530,13 @@ def _combine(
     # G is the tuple of the whole parts, and a maximal subgroup swaps one
     # part for a maximal subgroup of it, part by part
     wholes = [read_once(j, len(part.subgroups) - 1) for j, part in enumerate(parts)]
-    maximals = [[*wholes[:j], m.mask, *wholes[j + 1 :]] for j, part in enumerate(parts) for m in part.maximals]
+    maximals = [
+        _made(group.order // whole.bit_count() * m.order, multiply([*wholes[:j], m.mask, *wholes[j + 1 :]]), group.label)
+        for j, (whole, part) in enumerate(zip(wholes, parts))
+        for m in part.maximals
+    ]
     view = _SubgroupView([(d, (0, n), (pattern,)) for d, n, pattern in blocks], make, group.label)
-    return view, {d: n for d, n, _ in blocks}, [Subgroup(multiply(masks)) for masks in maximals]
+    return _Part(view, maximals)
 
 
 @functools.cache
@@ -578,11 +587,11 @@ def _subspace_plan(p: int, k: int) -> tuple[np.ndarray, tuple[tuple[int, tuple[i
 def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, k: int, max_subgroups: int) -> _Part:
     """The lattice of the elementary abelian part of order p^k with the
     ascending ``members``: a view of every subspace's mask, grouped into
-    order blocks by rank, the census, and the hyperplanes.  Enumeration
-    builds and checks the kernels' masks, which are the hyperplanes; every
-    row is made from them when it is read: the view's blocks are the
-    plan's, and its ``make`` ANDs the part's whole mask with the kernel
-    mask of each pick; the view checks that the row has p^r elements.
+    order blocks by rank, and the hyperplanes.  Enumeration builds the
+    kernels' masks, which are the hyperplanes, and ``_made`` checks that
+    each has p^(k-1) elements; every row is made from them when it is
+    read: the view's blocks are the plan's, and its ``make`` ANDs the
+    part's whole mask with the kernel mask of each pick.
 
     A rank-r subspace W of GF(p)^k is the intersection of the kernels of
     a basis of its annihilator W°, and W -> W° is a bijection onto the
@@ -623,10 +632,7 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
     bits[:, elems] = kernels
     data, width = np.packbits(bits, axis=1, bitorder="little").tobytes(), -(-group.order // 8)
     masks = [int.from_bytes(data[i : i + width], "little") for i in range(0, len(data), width)]
-    # the hyperplanes, their set bits counted at once
-    hyperplanes = [Subgroup(mask) for mask in masks]
-    if any(h.order != p ** (k - 1) for h in hyperplanes):
-        raise InvariantViolation(f"a subspace of rank {k - 1} in {group.label} does not have {p ** (k - 1)} elements")
+    hyperplanes = [_made(p ** (k - 1), mask, group.label) for mask in masks]
     whole = _mask_of(group, members)
 
     def make(picks: Sequence[int]) -> int:
@@ -635,8 +641,7 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
             mask &= masks[i]
         return mask
 
-    census = {p**r: counts[r] for r in range(k + 1)}
-    return _Part(_SubgroupView(blocks, make, group.label), census, hyperplanes)
+    return _Part(_SubgroupView(blocks, make, group.label), hyperplanes)
 
 
 # ---------------------------------------------------------------------------
@@ -644,11 +649,13 @@ def _enumerate_elementary_abelian(group: Group, members: Sequence[int], p: int, 
 # ---------------------------------------------------------------------------
 
 
-def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
-    """All distinct conjugates of ``sub``: ``sub`` itself first, then the
-    others in the order the walk under the generating set finds them."""
-    seen = {sub.mask: sub}
-    frontier = [sub.members()]
+def conjugates(group: Group, mask: int) -> list[int]:
+    """The masks of all distinct conjugates of the subgroup with membership
+    bitmask ``mask``: ``mask`` itself first, then the others in the order
+    the walk under the generating set finds them.  Takes and returns bare
+    masks, as ``is_normal`` does, and makes no Subgroup."""
+    seen = {mask: None}
+    frontier = [_mask_members(mask)]
     while frontier:
         nxt = []
         for members in frontier:
@@ -656,10 +663,10 @@ def conjugates(group: Group, sub: Subgroup) -> list[Subgroup]:
                 image = [pi[m] for m in members]
                 c = sum(1 << m for m in image)
                 if c not in seen:
-                    seen[c] = Subgroup(c)
+                    seen[c] = None
                     nxt.append(image)
         frontier = nxt
-    return list(seen.values())
+    return list(seen)
 
 
 def maximal_subgroups(lat: Lattice) -> list[Subgroup]:

@@ -526,7 +526,7 @@ def test_conjugations_are_the_generators_conjugations_built_once():
         for x, pi in zip(group.generating_set(), perms):
             assert pi == [table[table[x][a]][inverse[x]] for a in range(group.order)], group.label
         assert group.conjugations() is perms
-    # an abelian group never builds them, whatever route its lattice takes
+    # an abelian group never builds them, whatever kernel its lattice takes
     for spec in ["cyclic:12", "elem:2,4", "product:cyclic:4+cyclic:9"]:
         group = GroupSpec.parse(spec).build()
         analyze_group(group)

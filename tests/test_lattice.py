@@ -128,7 +128,7 @@ def test_fast_path_agrees_with_worklist():
         assert sorted(m.mask for m in maximal_subgroups(fast)) == sorted(m.mask for m in want), group.label
 
 
-def _subspace_route_groups():
+def _subspace_kernel_groups():
     ranks = [(2, k) for k in range(2, 8)] + [(3, k) for k in range(2, 6)] + [(5, 2), (5, 3), (7, 2)]
     groups = [(elementary_abelian_group(p, k), p, k) for p, k in ranks]
     # relabelled copies, whose greedy basis is not the constructor's digit order
@@ -160,7 +160,7 @@ def test_subspace_blocks_match_loop_oracle():
     # relabelled copy comes after the group of its (p, k), so its rows come
     # from the plan made then, and no new plan is made for it.
     plans = latsum.lattice._subspace_plan.cache_info
-    for group, p, k in _subspace_route_groups():
+    for group, p, k in _subspace_kernel_groups():
         made = plans().misses
         lat = enumerate_subgroups(group)
         if group.label.startswith("relabelled"):
@@ -174,8 +174,8 @@ def test_subspace_blocks_match_loop_oracle():
 
 def test_subspace_view_matches_its_mask_list():
     # elem:3,5 has 243 elements, so its packed rows are 32 bytes wide, the
-    # first 13 bits of each zero; D8 x C9 takes the direct-factor route,
-    # whose view builds each product's mask when it is read
+    # first 13 bits of each zero; D8 x C9 splits into two parts, whose
+    # view builds each product's mask when it is read
     cases = []
     for p, k in [(3, 3), (3, 5)]:
         group = elementary_abelian_group(p, k)
@@ -212,7 +212,7 @@ def test_subspace_rows_read_the_same_each_time():
     assert len(set(first)) == len(first) == 2825
 
 
-def test_subspace_route_peak_memory():
+def test_subspace_kernel_peak_memory():
     # elem:2,8 has 417,199 subgroups, and enumeration stores none of their
     # rows: it builds the plan for (2, 8), its 255 x 256 kernel table, and
     # the kernels' 255 masks of 32 bytes, which are the hyperplanes.  Every
@@ -301,7 +301,8 @@ def _one_product_off(spec: str, a: int, b: int) -> Group:
 @pytest.mark.parametrize("spec, a, b, r", [("elem:2,4", 1, 2, 3), ("elem:3,3", 1, 3, 2), ("elem:2,8", 3, 4, 7)])
 def test_repeated_span_element_raises(spec, a, b, r):
     group = _one_product_off(spec, a, b)
-    with pytest.raises(InvariantViolation, match=f"a subspace of rank {r} in {spec} does not have"):
+    p = GroupSpec.parse(spec).params[0]
+    with pytest.raises(InvariantViolation, match=f"a subgroup of order {p**r} in {spec} was made with"):
         enumerate_subgroups(group, 500_000)
 
 
@@ -314,9 +315,11 @@ def test_subgroups_of_order_matches_filter_scan(spec):
         assert len(want) == lat.census.get(order, 0), (spec, order)
 
 
-def test_subspace_route_makes_subgroups_only_for_what_is_read(monkeypatch):
+def test_enumeration_makes_subgroups_only_for_what_is_read(monkeypatch):
     # elem:2,8 has 417,199 subgroups; an analysis reads its 255 hyperplanes,
-    # one Sylow block of one subgroup, and the Frattini subgroup
+    # one Sylow block of one subgroup, and the Frattini subgroup.  The
+    # worklist passes bare masks, so enumerating S4, D32 and S5 makes one
+    # Subgroup per maximal subgroup it records, and no other
     calls = 0
     init = Subgroup.__init__
 
@@ -329,6 +332,11 @@ def test_subspace_route_makes_subgroups_only_for_what_is_read(monkeypatch):
     report = analyze_group(elementary_abelian_group(2, 8), 500_000)
     assert report.subgroup_count == 417_199
     assert calls <= 300
+    for spec, maximals in [("sym:4", 8), ("dihedral:16", 3), ("sym:5", 22)]:
+        group = GroupSpec.parse(spec).build()
+        calls = 0
+        lat = enumerate_subgroups(group)
+        assert calls == len(lat.maximals) == maximals, (spec, calls)
 
 
 def test_subspace_rows_below_the_hyperplanes_are_made_only_when_read(monkeypatch):
@@ -377,9 +385,9 @@ ABELIAN_BENCHMARK_PRODUCTS = [
 def test_subspace_maximals_are_the_hyperplane_block_in_order():
     # enumeration takes the maximals from the kernels' masks, and the
     # reader makes the view's order-p^(k-1) block from the plan: the two
-    # must agree in order, for every subspace-route group and for the
+    # must agree in order, for every subspace-kernel group and for the
     # elementary abelian part of each abelian product of the benchmark
-    for group, p, k in _subspace_route_groups():
+    for group, p, k in _subspace_kernel_groups():
         lat = enumerate_subgroups(group)
         block = [s.mask for s in lat.subgroups_of_order(p ** (k - 1))]
         assert [m.mask for m in maximal_subgroups(lat)] == block, group.label
@@ -387,8 +395,9 @@ def test_subspace_maximals_are_the_hyperplane_block_in_order():
         group = GroupSpec.parse(f"product:elem:{p},{k}+cyclic:{m}").build()
         (members,) = [members for members in latsum.lattice._parts(group) if len(members) == p**k]
         part = _enumerate_part(group, members, 100_000)
-        start = sum(count for order, count in part.census.items() if order < p ** (k - 1))
-        block = [s.mask for s in part.subgroups[start : start + part.census[p ** (k - 1)]]]
+        census = part.subgroups.census
+        start = sum(count for order, count in census.items() if order < p ** (k - 1))
+        block = [s.mask for s in part.subgroups[start : start + census[p ** (k - 1)]]]
         assert [h.mask for h in part.maximals] == block, group.label
 
 
@@ -513,7 +522,7 @@ ABELIAN_ORACLE_SPECS = [f"cyclic:{n}" for n in range(1, 65)] + [
     "cyclic:360",
     "cyclic:720",
     "cyclic:1920",
-    # abelian p-groups that are not elementary, so they take the worklist route
+    # abelian p-groups that are not elementary, so they take the worklist
     "product:cyclic:2+cyclic:4+cyclic:8",
     "product:cyclic:9+cyclic:3",
     # mixed primes
@@ -553,14 +562,14 @@ def _oracle_groups():
         # nonabelian groups with elements of large composite order
         "dihedral:100",
         "product:sym:4+cyclic:25",
-        # nonabelian nilpotent groups of two or more primes, which take the
-        # direct-factor route one Sylow subgroup at a time
+        # nonabelian nilpotent groups of two or more primes, which are
+        # enumerated one Sylow subgroup, one part, at a time
         "product:dihedral:4+cyclic:3",
         "product:dihedral:8+cyclic:9",
         "product:dihedral:4+elem:3,2",
-        # groups that are not nilpotent but split off a Sylow subgroup, which
-        # take the direct-factor route with a nonabelian rest part; the rest
-        # part of D10 x C3 comes first, that of F21 x C2 last
+        # groups that are not nilpotent but split off a Sylow subgroup, whose
+        # parts include a nonabelian rest part; the rest part of D10 x C3
+        # comes first, that of F21 x C2 last
         "product:dihedral:5+cyclic:3",
         "product:pq:3,7+cyclic:2",
         "product:pq:2,3+cyclic:5+cyclic:7",
@@ -700,14 +709,19 @@ def test_composite_cosets_cover_every_generator_of_their_section():
     assert group.table.reads < 200_000
 
 
-def test_nonabelian_exponent_p_group_avoids_subspace_route():
+def test_nonabelian_exponent_p_group_avoids_subspace_kernel(monkeypatch):
     # exponent 3 but nonabelian: subgroups are NOT GF(3)-subspaces, so the
-    # enumeration must take the general route and find 4 (not 13) subgroups
-    # of order 9
+    # enumeration must take the worklist and find 4 (not 13) subgroups of
+    # order 9
     group = _unitriangular_order_27()
     group.validate()
     assert math.lcm(*group.element_orders()) == 3 and not group.is_abelian
-    assert isinstance(_enumerate_part(group, range(27), 100_000).subgroups, list)
+
+    def forbidden(*args):
+        raise AssertionError("took the subspace kernel")
+
+    monkeypatch.setattr(latsum.lattice, "_enumerate_elementary_abelian", forbidden)
+    _enumerate_part(group, range(27), 100_000)
     lat = enumerate_subgroups(group)
     assert lat.census == {1: 1, 3: 13, 9: 4, 27: 1}
     assert gaussian_subgroup_count(3, 3, 2) == 13  # the rank-3 group differs here
@@ -726,8 +740,8 @@ def test_elementary_abelian_census_matches_gaussian():
 
 
 def test_lattice_blocks_ascend_and_repeat():
-    # the worklist route (dihedral:6), the subspace route (elem:2,4) and the
-    # direct-factor route (product:dihedral:4+cyclic:9 and, with a
+    # the worklist (dihedral:6), the subspace kernel (elem:2,4) and two
+    # parts (product:dihedral:4+cyclic:9 and, with a
     # nonabelian rest part, product:pq:2,3+cyclic:5)
     for spec in ["dihedral:6", "elem:2,4", "product:dihedral:4+cyclic:9", "product:pq:2,3+cyclic:5"]:
         _, lat1 = lat_of(spec)
@@ -742,7 +756,7 @@ def test_lattice_too_large():
     with pytest.raises(LatticeTooLarge):
         enumerate_subgroups(group, max_subgroups=100)
     with pytest.raises(LatticeTooLarge):
-        # worklist route must also respect the cap
+        # the worklist must also respect the cap
         _enumerate_worklist(symmetric_group(4), range(24), 10)
 
 
@@ -757,10 +771,10 @@ def test_lattice_too_large():
     ],
 )
 def test_lattice_cap_boundary(spec, count):
-    # a nonabelian group on the worklist route, whose classes enter the
-    # count whole; an abelian p-group on the worklist route, where every
-    # class is a single subgroup; and three groups on the direct-factor
-    # route, whose count is the product of their parts' counts (cyclic:720
+    # a nonabelian group on the worklist, whose classes enter the count
+    # whole; an abelian p-group on the worklist, where every class is a
+    # single subgroup; and three groups of several parts, whose count is
+    # the product of their parts' counts (cyclic:720
     # has 5 * 3 * 2 subgroups, D8 x C9 has 10 * 3, and S3 x C25 has 6 * 3)
     group = GroupSpec.parse(spec).build()
     with pytest.raises(LatticeTooLarge):
@@ -778,12 +792,15 @@ def test_groups_with_a_sylow_direct_factor_enumerate_one_part_at_a_time(monkeypa
     # U x C2, U the unitriangular group of order 27
     sizes = []
 
-    def recording(group, members, max_subgroups):
-        part = _enumerate_part(group, members, max_subgroups)
-        sizes.append((len(members), "worklist" if isinstance(part.subgroups, list) else "subspace"))
-        return part
+    def recording(kernel, name):
+        def run(group, members, *args):
+            sizes.append((len(members), name))
+            return kernel(group, members, *args)
 
-    monkeypatch.setattr(latsum.lattice, "_enumerate_part", recording)
+        monkeypatch.setattr(latsum.lattice, kernel.__name__, run)
+
+    recording(_enumerate_worklist, "worklist")
+    recording(latsum.lattice._enumerate_elementary_abelian, "subspace")
     unitriangular = _unitriangular_order_27()
     w, s = "worklist", "subspace"
     for source, want in [
@@ -967,7 +984,7 @@ def test_prime_steps_that_miss_a_solvable_group_raise_under_python_O():
     ]
 
 
-def test_direct_factor_route_checks_its_split_under_python_O():
+def test_parts_check_their_split_under_python_O():
     # the selector, made to split S3 at 2: its elements of order dividing
     # 2 are the identity and three involutions, which do not commute with
     # the rotations, the elements of odd order; then made to call S3
@@ -997,14 +1014,14 @@ def test_direct_factor_route_checks_its_split_under_python_O():
     ]
 
 
-def test_subspace_route_cap_boundary():
+def test_subspace_kernel_cap_boundary():
     group = elementary_abelian_group(2, 6)
     with pytest.raises(LatticeTooLarge):
         enumerate_subgroups(group, max_subgroups=2824)
     assert len(enumerate_subgroups(group, max_subgroups=2825)) == 2825
 
 
-def test_subspace_route_cap_checked_before_allocation():
+def test_subspace_kernel_cap_checked_before_allocation():
     group = elementary_abelian_group(2, 8)
     tracemalloc.start()
     try:
@@ -1069,9 +1086,9 @@ def test_is_normal_matches_conjugation_scan(spec):
 def test_conjugates_and_normalizer_s3():
     group, lat = lat_of("pq:2,3")
     order2 = lat.subgroups_of_order(2)[0]
-    conj = conjugates(group, order2)
+    conj = conjugates(group, order2.mask)
     assert len(conj) == 3
-    assert {c.mask for c in conj} == {s.mask for s in lat.subgroups_of_order(2)}
+    assert set(conj) == {s.mask for s in lat.subgroups_of_order(2)}
     nz = normalizer(group, order2)
     assert nz.mask == order2.mask  # self-normalizing maximal subgroup
     assert normalizer(group, lat.subgroups[0]).order == 6
@@ -1082,17 +1099,17 @@ def test_conjugates_pq37():
     group, lat = lat_of("pq:3,7")
     order3 = lat.subgroups_of_order(3)
     assert len(order3) == 7
-    assert len(conjugates(group, order3[0])) == 7
+    assert len(conjugates(group, order3[0].mask)) == 7
 
 
 def test_conjugate_count_times_normalizer_is_order():
     for spec in ["pq:2,3", "dihedral:4", "sym:4", "pq:3,7", "cyclic:12", "elem:2,3"]:
         group, lat = lat_of(spec)
         for sub in lat.subgroups:
-            conj = conjugates(group, sub)
+            conj = conjugates(group, sub.mask)
             assert len(conj) * normalizer(group, sub).order == group.order, spec
             # the discovery order, which neither the golden files nor the --json digest can see
-            assert [c.mask for c in conj] == conjugate_masks_by_walk(group, sub), spec
+            assert conj == conjugate_masks_by_walk(group, sub), spec
 
 
 def test_maximal_subgroups():
@@ -1239,7 +1256,7 @@ def test_invariant_violation_survives_python_O():
     assert second.startswith("InvariantViolation: nilpotency criteria disagree on cyclic:6"), second
     assert third == "InvariantViolation: element order 3 does not divide 4", third
     assert enumeration == [
-        "InvariantViolation: a subspace of rank 3 in elem:2,4 does not have 8 elements",
+        "InvariantViolation: a subgroup of order 8 in elem:2,4 was made with 2 elements",
         "InvariantViolation: subspace kernel found 15 subgroups of order 2, expected 16",
         "InvariantViolation: Lagrange violated on bogus-5: census {1: 1, 2: 1, 5: 1}",
         "InvariantViolation: a subgroup of order 4 in elem:2,5 was made with 3 elements",
@@ -1281,22 +1298,54 @@ def test_product_rows_checked_on_read_under_python_O():
     assert out.splitlines() == ["debug False census {1: 1, 3: 1, 5: 1, 15: 1}", message, message], out
 
 
+def test_product_maximals_checked_under_python_O():
+    # cyclic:45 is the product of its parts C9 and C5, and its maximal
+    # subgroup C3 * C5 is multiplied out during enumeration; with 15 * 9
+    # sent to the identity first, that product has 14 elements, which
+    # enumeration refuses before it records a maximal of the wrong order
+    # or an analysis reaches a verdict
+    code = textwrap.dedent(
+        """
+        from latsum import GroupSpec, InvariantViolation, analyze_group, enumerate_subgroups
+
+        group = GroupSpec.parse("cyclic:45").build()
+        group.table[15][9] = 0
+        print("debug", __debug__)
+        for run in [lambda: [m.order for m in enumerate_subgroups(group).maximals], lambda: analyze_group(group)]:
+            try:
+                print("ran without a fault:", run())
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
+        """
+    )
+    status, out, err = run_python("-O", "-c", code)
+    assert status == 0, err
+    message = "InvariantViolation: a subgroup of order 15 in cyclic:45 was made with 14 elements"
+    assert out.splitlines() == ["debug False", message, message], out
+
+
 def test_frattini_rank_checked_under_python_O():
     # elem:2,2 with one of its three maximal subgroups recorded: the
     # Frattini subgroup is that one, of index 2, and a non-cyclic p-group
-    # of Frattini rank 1 is refused
+    # of Frattini rank 1 is refused.  Then elem:3,2 with one recorded
+    # "maximal" of two elements: |G| // 2 = 4 is not a power of 3, which is
+    # refused before any rank is counted
     code = textwrap.dedent(
         """
-        from latsum import GroupSpec, InvariantViolation, Lattice, enumerate_subgroups, frattini_rank
+        from latsum import GroupSpec, InvariantViolation, Lattice, Subgroup, enumerate_subgroups, frattini_rank
 
         group = GroupSpec.parse("elem:2,2").build()
         lat = enumerate_subgroups(group)
         one = Lattice(group=group, subgroups=lat.subgroups, census=lat.census, maximals=lat.maximals[:1])
+        elem = GroupSpec.parse("elem:3,2").build()
+        elem_lat = enumerate_subgroups(elem)
+        two = Lattice(group=elem, subgroups=elem_lat.subgroups, census=elem_lat.census, maximals=[Subgroup(0b11)])
         print("debug", __debug__, "rank", frattini_rank(group, lat))
-        try:
-            print("rank", frattini_rank(group, one))
-        except InvariantViolation as exc:
-            print("InvariantViolation:", exc)
+        for g, bogus in [(group, one), (elem, two)]:
+            try:
+                print("rank", frattini_rank(g, bogus))
+            except InvariantViolation as exc:
+                print("InvariantViolation:", exc)
         """
     )
     status, out, err = run_python("-O", "-c", code)
@@ -1304,6 +1353,7 @@ def test_frattini_rank_checked_under_python_O():
     assert out.splitlines() == [
         "debug False rank 2",
         "InvariantViolation: non-cyclic p-group elem:2,2 has Frattini rank 1, expected >= 2",
+        "InvariantViolation: |G/Phi(G)| of elem:3,2 is not a power of 3",
     ], out
 
 
@@ -1502,7 +1552,7 @@ def test_property_conjugacy_laws(spec):
     lat = enumerate_subgroups(group)
     masks = {s.mask for s in lat.subgroups}
     for sub in lat.subgroups:
-        orbit = conjugates(group, sub)
+        orbit = conjugates(group, sub.mask)
         assert len(orbit) * normalizer(group, sub).order == group.order
-        assert all(c.mask in masks for c in orbit)
+        assert all(c in masks for c in orbit)
         assert (len(orbit) == 1) == is_normal(group, sub.mask)
